@@ -1,12 +1,13 @@
-"""Benchmark the phase-descent kernel: compiled path vs numpy fallback.
+"""Benchmark the phase-descent kernel: factored operator vs dense matrix.
 
-Runs the conjugate-gradient inner loop on random shifted quadratics of
-growing size and reports per-iteration wall time for both implementations
-(plus the fitted scaling exponent). The compiled path is whatever
-``irsopt._kernels.rmcg_core`` resolved to at import; run with
-IRSOPT_NO_NUMBA=1 to confirm the dispatch itself.
+Runs the conjugate-gradient inner loop on random PSD phase quadratics
+j_hat = F F^H with a (size, K**2) factor, K users, and reports the wall
+time per iteration with the kernel applying the factor matrix-free (what
+``rmcg_solve`` does for an assembled form) next to the same kernel on the
+dense (size, size) matrix, plus the fitted scaling exponent of each.
 
-Usage: python benchmarks/bench_kernels.py [--sizes 32,64,128,256] [--iters 30]
+Usage: python benchmarks/bench_kernels.py [--sizes 32,120,240,480]
+                                          [--users 8] [--iters 30]
 """
 
 import argparse
@@ -15,25 +16,28 @@ import time
 import numpy as np
 
 from irsopt import _kernels
+from irsopt.phaseopt import QuadraticForm
 
 
-def make_instance(rng, size):
-    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-    j_hat = 0.5 * (a + a.conj().T)
-    omega = float(np.max(np.sum(np.abs(j_hat), axis=1)))
-    q_mat = np.ascontiguousarray(j_hat + omega * np.eye(size))
+def make_forms(rng, size, n_users):
+    shape = (size, n_users ** 2)
+    factor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    factored = QuadraticForm(None, z, 0.0, 0.0, 1, size, factor=factor)
+    dense = QuadraticForm(factored.j_hat, z, 0.0, 0.0, 1, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    step0 = 0.5 / float(np.max(np.sum(np.abs(q_mat), axis=1)))
-    return q_mat, z, v0, step0
+    return factored, dense, v0
 
 
-def time_kernel(fn, q_mat, z, v0, step0, iters, repeats=5):
-    fn(q_mat, z, v0, 0.0, 3, step0, 0.5, 1e-4, 40)  # warm path / trigger JIT
+def time_kernel(form, v0, iters, repeats=5):
+    """Best seconds per iteration of rmcg_core on the form's operator."""
+    q_op, step0 = form.operator(), 0.5 / form.shifted_trace()
+    _kernels.rmcg_core(q_op, form.z, v0, 0.0, 3, step0, 0.5, 1e-4, 40)  # warm path
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, n_done, *_ = fn(q_mat, z, v0, 0.0, iters, step0, 0.5, 1e-4, 40)
+        _, n_done, *_ = _kernels.rmcg_core(q_op, form.z, v0, 0.0, iters, step0,
+                                           0.5, 1e-4, 40)
         if n_done > 0:
             best = min(best, (time.perf_counter() - t0) / n_done)
     return best
@@ -48,26 +52,26 @@ def fit_exponent(sizes, times):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="32,64,128,256")
+    parser.add_argument("--sizes", default="32,120,240,480")
+    parser.add_argument("--users", type=int, default=8)
     parser.add_argument("--iters", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",")]
     rng = np.random.default_rng(args.seed)
 
-    compiled_name = "numba" if _kernels.JIT_ENABLED else "numpy (JIT disabled)"
-    print(f"dispatch path: {compiled_name}")
-    print(f"{'size':>6s} {'dispatch us/iter':>18s} {'numpy us/iter':>15s} {'speedup':>8s}")
-    t_disp, t_np = [], []
+    print(f"factor rank K^2 = {args.users ** 2}")
+    print(f"{'size':>6s} {'factored us/iter':>17s} {'dense us/iter':>14s} {'dense/factored':>15s}")
+    t_fac, t_dense = [], []
     for size in sizes:
-        q_mat, z, v0, step0 = make_instance(rng, size)
-        td = time_kernel(_kernels.rmcg_core, q_mat, z, v0, step0, args.iters)
-        tn = time_kernel(_kernels.rmcg_core_numpy, q_mat, z, v0, step0, args.iters)
-        t_disp.append(td)
-        t_np.append(tn)
-        print(f"{size:6d} {1e6 * td:18.2f} {1e6 * tn:15.2f} {tn / td:8.2f}x")
-    print(f"scaling exponent: dispatch {fit_exponent(sizes, t_disp):.2f}, "
-          f"numpy {fit_exponent(sizes, t_np):.2f}")
+        factored, dense, v0 = make_forms(rng, size, args.users)
+        tf = time_kernel(factored, v0, args.iters)
+        td = time_kernel(dense, v0, args.iters)
+        t_fac.append(tf)
+        t_dense.append(td)
+        print(f"{size:6d} {1e6 * tf:17.2f} {1e6 * td:14.2f} {td / tf:14.2f}x")
+    print(f"scaling exponent: factored {fit_exponent(sizes, t_fac):.2f}, "
+          f"dense {fit_exponent(sizes, t_dense):.2f}")
 
 
 if __name__ == "__main__":

@@ -1,55 +1,45 @@
-"""Hot numerical kernels: compiled and pure-numpy paths.
+"""Hot numerical kernel: the manifold conjugate-gradient inner loop.
 
-The manifold conjugate-gradient inner loop dominates solver runtime (one
-dense matrix-vector product per gradient plus a few per line search), so
-it lives here in two parity-tested implementations: a numba kernel with
-fused explicit loops (no temporaries, no BLAS dispatch overhead, cost a
-clean quadratic in the problem size) and a vectorized numpy fallback.
-``rmcg_core`` dispatches to the compiled path when numba imports and the
-IRSOPT_NO_NUMBA environment flag is unset; ``benchmarks/bench_kernels.py``
-times both.
+The descent loop dominates solver runtime, so it lives here, apart from
+the bookkeeping in ``phaseopt``. It touches the quadratic only through
+``q_op @ x``: ``q_op`` is either a dense (size, size) array or a
+matrix-free operator (``phaseopt`` passes one that applies the low-rank
+factor of the phase quadratic), so the loop never needs the matrix
+itself. ``rmcg_core`` is the entry point callers look up;
+``benchmarks/bench_kernels.py`` times it on both representations.
+There is no compiled path: ``JIT_ENABLED`` is always False and the
+IRSOPT_NO_NUMBA environment flag has no effect. Both stay for callers
+that read them.
 
-Algorithm (both paths): ambient gradient 2(Qv + z), projection onto the
-tangent space of the unit-circle product, Polak-Ribiere direction with
-projected transport (restarted when the coefficient turns negative,
-capped by the Fletcher-Reeves value to keep the backtracking-only search
-stable), Armijo backtracking warm-started from twice the previously
-accepted step, a parabolic refinement of the accepted step (plain Armijo
-can keep overshooting the minimizer along the path, stalling in a
-two-cycle), and entrywise renormalization onto the circles.
+Algorithm: ambient gradient 2(Qv + z), projection onto the tangent space
+of the unit-circle product, Polak-Ribiere direction with projected
+transport (restarted when the coefficient turns negative, capped by the
+Fletcher-Reeves value to keep the backtracking-only search stable),
+Armijo backtracking warm-started from twice the previously accepted step,
+a parabolic refinement of the accepted step (plain Armijo can keep
+overshooting the minimizer along the path, stalling in a two-cycle), and
+entrywise renormalization onto the circles.
 
-Both kernels return (v, n_iters, obj_hist, grad_hist, tangency_residual,
+The kernel returns (v, n_iters, obj_hist, grad_hist, tangency_residual,
 line_search_failed, converged); the histories hold entries 0..n_iters and
 nan beyond.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_FLAG = "IRSOPT_NO_NUMBA"
 
-
-def _jit_requested() -> bool:
-    # honor numba's own kill switch too: interpreting the loop kernel would
-    # be far slower than the vectorized fallback
-    if os.environ.get("NUMBA_DISABLE_JIT", "").strip() not in ("", "0"):
-        return False
-    return os.environ.get(ENV_FLAG, "").strip().lower() not in ("1", "true", "yes")
-
-
-def rmcg_core_numpy(q_mat, z, v0, grad_tol, max_iters, step0, shrink,
+def rmcg_core_numpy(q_op, z, v0, grad_tol, max_iters, step0, shrink,
                     armijo_c, max_backtracks):
-    """Vectorized reference implementation of the descent loop."""
+    """Vectorized descent loop; ``q_op`` needs only ``@`` on vectors."""
     v = v0.copy()
     obj_hist = np.full(max_iters + 1, np.nan)
     grad_hist = np.full(max_iters + 1, np.nan)
     tang_res = 0.0
     failed = False
 
-    qv = np.dot(q_mat, v)
+    qv = q_op @ v
     f_cur = np.vdot(v, qv).real + 2.0 * np.vdot(v, z).real
     egrad = 2.0 * (qv + z)
     rgrad = egrad - (np.conj(egrad) * v).real * v
@@ -75,7 +65,7 @@ def rmcg_core_numpy(q_mat, z, v0, grad_tol, max_iters, step0, shrink,
         for _ in range(max_backtracks):
             cand = v + step * direction
             cand = cand / np.abs(cand)
-            qv_cand = np.dot(q_mat, cand)
+            qv_cand = q_op @ cand
             f_cand = np.vdot(cand, qv_cand).real + 2.0 * np.vdot(cand, z).real
             if f_cand <= f_cur + armijo_c * step * slope:
                 accepted = True
@@ -93,7 +83,7 @@ def rmcg_core_numpy(q_mat, z, v0, grad_tol, max_iters, step0, shrink,
             if step_fit > 0.0:
                 cand = v + step_fit * direction
                 cand = cand / np.abs(cand)
-                qv_cand = np.dot(q_mat, cand)
+                qv_cand = q_op @ cand
                 f_cand = np.vdot(cand, qv_cand).real + 2.0 * np.vdot(cand, z).real
                 if f_cand < f_new:
                     step = step_fit
@@ -137,160 +127,5 @@ def rmcg_core_numpy(q_mat, z, v0, grad_tol, max_iters, step0, shrink,
     return v, n_done, obj_hist, grad_hist, tang_res, failed, converged
 
 
-try:
-    if not _jit_requested():
-        raise ImportError
-    import numba
-
-    @numba.njit(cache=True)
-    def _eval_step(q_mat, z, v, direction, step, out_v, out_qv):
-        """Retract v + step*direction into out_v; return the objective there."""
-        n = v.shape[0]
-        for i in range(n):
-            t = v[i] + step * direction[i]
-            out_v[i] = t / abs(t)
-        f_val = 0.0
-        for i in range(n):
-            acc = 0.0 + 0.0j
-            for j in range(n):
-                acc += q_mat[i, j] * out_v[j]
-            out_qv[i] = acc
-            f_val += (np.conj(out_v[i]) * (acc + 2.0 * z[i])).real
-        return f_val
-
-    @numba.njit(cache=True)
-    def rmcg_core_jit(q_mat, z, v0, grad_tol, max_iters, step0, shrink,
-                      armijo_c, max_backtracks):
-        n = v0.shape[0]
-        v = v0.copy()
-        obj_hist = np.full(max_iters + 1, np.nan)
-        grad_hist = np.full(max_iters + 1, np.nan)
-        tang_res = 0.0
-        failed = False
-
-        qv = np.empty(n, np.complex128)
-        f_cur = 0.0
-        for i in range(n):
-            acc = 0.0 + 0.0j
-            for j in range(n):
-                acc += q_mat[i, j] * v[j]
-            qv[i] = acc
-            f_cur += (np.conj(v[i]) * (acc + 2.0 * z[i])).real
-
-        rgrad = np.empty(n, np.complex128)
-        direction = np.empty(n, np.complex128)
-        gnorm2 = 0.0
-        for i in range(n):
-            e = 2.0 * (qv[i] + z[i])
-            r = e - (np.conj(e) * v[i]).real * v[i]
-            rgrad[i] = r
-            direction[i] = -r
-            gnorm2 += (np.conj(r) * r).real
-        obj_hist[0] = f_cur
-        grad_hist[0] = np.sqrt(gnorm2)
-
-        cand = np.empty(n, np.complex128)
-        qv_cand = np.empty(n, np.complex128)
-        cand_fit = np.empty(n, np.complex128)
-        qv_fit = np.empty(n, np.complex128)
-        rg_new = np.empty(n, np.complex128)
-
-        n_done = 0
-        prev_step = 0.5 * step0
-        for it in range(max_iters):
-            if np.sqrt(gnorm2) < grad_tol:
-                break
-            slope = 0.0
-            for i in range(n):
-                slope += (np.conj(direction[i]) * rgrad[i]).real
-            if not np.isfinite(slope) or slope >= 0.0:
-                for i in range(n):
-                    direction[i] = -rgrad[i]
-                slope = -gnorm2
-            step = 2.0 * prev_step
-            accepted = False
-            f_new = f_cur
-            for _bt in range(max_backtracks):
-                f_try = _eval_step(q_mat, z, v, direction, step, cand, qv_cand)
-                if f_try <= f_cur + armijo_c * step * slope:
-                    accepted = True
-                    f_new = f_try
-                    break
-                step *= shrink
-            if not accepted:
-                failed = True
-                break
-            curv = f_new - f_cur - step * slope
-            if curv > 0.0:
-                step_fit = -0.5 * slope * step * step / curv
-                if step_fit > 0.0:
-                    f_fit = _eval_step(q_mat, z, v, direction, step_fit,
-                                       cand_fit, qv_fit)
-                    if f_fit < f_new:
-                        step = step_fit
-                        f_new = f_fit
-                        tmp = cand
-                        cand = cand_fit
-                        cand_fit = tmp
-                        tmp = qv_cand
-                        qv_cand = qv_fit
-                        qv_fit = tmp
-            prev_step = step
-
-            gnorm2_new = 0.0
-            pr_num = 0.0
-            for i in range(n):
-                e = 2.0 * (qv_cand[i] + z[i])
-                r = e - (np.conj(e) * cand[i]).real * cand[i]
-                rg_new[i] = r
-                gnorm2_new += (np.conj(r) * r).real
-                t_old = rgrad[i] - (np.conj(rgrad[i]) * cand[i]).real * cand[i]
-                pr_num += (np.conj(r) * (r - t_old)).real
-            beta = 0.0
-            if gnorm2 > 0.0:
-                beta = pr_num / gnorm2
-                cap = gnorm2_new / gnorm2
-                if beta > cap:
-                    beta = cap
-            if beta < 0.0:
-                beta = 0.0
-            res_r = 0.0
-            res_d = 0.0
-            for i in range(n):
-                d_t = direction[i] - (np.conj(direction[i]) * cand[i]).real * cand[i]
-                d_i = -rg_new[i] + beta * d_t
-                direction[i] = d_i
-                a_r = abs((np.conj(rg_new[i]) * cand[i]).real)
-                if a_r > res_r:
-                    res_r = a_r
-                a_d = abs((np.conj(d_i) * cand[i]).real)
-                if a_d > res_d:
-                    res_d = a_d
-            if res_r > tang_res:
-                tang_res = res_r
-            if res_d > tang_res:
-                tang_res = res_d
-
-            tmp = v
-            v = cand
-            cand = tmp
-            tmp = qv
-            qv = qv_cand
-            qv_cand = tmp
-            tmp = rgrad
-            rgrad = rg_new
-            rg_new = tmp
-            f_cur = f_new
-            gnorm2 = gnorm2_new
-            n_done = it + 1
-            obj_hist[n_done] = f_cur
-            grad_hist[n_done] = np.sqrt(gnorm2)
-
-        converged = np.sqrt(gnorm2) < grad_tol
-        return v.copy(), n_done, obj_hist, grad_hist, tang_res, failed, converged
-
-    rmcg_core = rmcg_core_jit
-    JIT_ENABLED = True
-except ImportError:
-    rmcg_core = rmcg_core_numpy
-    JIT_ENABLED = False
+rmcg_core = rmcg_core_numpy
+JIT_ENABLED = False

@@ -2,10 +2,14 @@
 
 With decoders, weights, and beamformers held fixed, the weighted-MSE
 objective is an explicit Hermitian quadratic in the stacked reflection
-vector. Assembling that quadratic once per outer iteration lets the
-conjugate-gradient descent in ``_kernels`` run on a plain matrix-vector
-product. A nonnegative diagonal shift (Gershgorin bound by default) makes
-the ambient quadratic convex without moving its constrained minimizer.
+vector. Its matrix ``j_hat`` is a Hadamard product of two positive
+semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
+(size, n_users**2) factor ``F`` (Schur product theorem). Assembly builds
+``F``, and the conjugate-gradient descent in ``_kernels`` runs on the
+matrix-free product ``F (F^H v)``: the dense matrix is formed only when a
+caller reads ``j_hat``. Since the quadratic is already convex, no shift is
+needed; an optional ``omega I`` adds omega * size on the manifold and
+leaves the constrained minimizer where it is.
 """
 
 from __future__ import annotations
@@ -19,35 +23,94 @@ from .channels import UNIT_MODULUS_TOL, ChannelSet, PhaseConfig
 from .wmmse import _w_matrix
 
 
-@dataclass(frozen=True)
 class QuadraticForm:
     """f(v) = v^H (j_hat + omega I) v + 2 Re(v^H z), plus bookkeeping.
 
-    const_term collects the terms of the weighted MSE that do not depend
-    on the phases, so that for any unit-modulus v
+    The form holds either a dense Hermitian ``j_hat`` or, with
+    ``j_hat=None``, a ``factor`` F with j_hat = F F^H; ``j_hat`` is then
+    formed (once) on first read. const_term collects the terms of the
+    weighted MSE that do not depend on the phases, so that for any
+    unit-modulus v
 
         f(v) + const_term - omega * size == sum_k alpha_k q_k E_k.
     """
 
-    j_hat: np.ndarray      # (size, size) Hermitian
-    z: np.ndarray          # (size,)
-    omega: float
-    const_term: float
-    n_irs: int
-    n_elements: int
+    def __init__(self, j_hat, z, omega, const_term, n_irs, n_elements, *,
+                 factor=None):
+        if (j_hat is None) == (factor is None):
+            raise ValueError("give exactly one of j_hat and factor")
+        self._j_hat = j_hat
+        self.factor = factor
+        # F^H stored C-contiguous: np.dot on it beats a transposed view
+        self._factor_h = (None if factor is None
+                          else np.ascontiguousarray(np.conj(factor).T))
+        self.z = z
+        self.omega = float(omega)
+        self.const_term = const_term
+        self.n_irs = n_irs
+        self.n_elements = n_elements
 
     @property
     def size(self) -> int:
         return self.n_irs * self.n_elements
 
+    @property
+    def j_hat(self) -> np.ndarray:
+        if self._j_hat is None:
+            self._j_hat = self.factor @ self._factor_h
+        return self._j_hat
+
+    def matvec(self, v) -> np.ndarray:
+        """j_hat @ v, without forming j_hat for a factored form."""
+        if self.factor is None:
+            return self._j_hat @ v
+        return np.dot(self.factor, np.dot(self._factor_h, v))
+
+    def shifted_trace(self) -> float:
+        """trace(j_hat + omega I); O(size * rank) for a factored form."""
+        if self.factor is None:
+            diag = np.trace(self._j_hat).real
+        else:
+            diag = np.vdot(self.factor, self.factor).real
+        return float(diag + self.omega * self.size)
+
+    def operator(self):
+        """j_hat + omega I for the descent kernel, which applies it with
+        ``@``: a matrix-free operator for a factored form, the dense array
+        for a dense one."""
+        if self.factor is not None:
+            return _FactoredOperator(self.factor, self._factor_h, self.omega)
+        if not self.omega:
+            return self._j_hat
+        q_mat = np.array(self._j_hat, dtype=complex)
+        q_mat.flat[::self.size + 1] += self.omega
+        return q_mat
+
+
+class _FactoredOperator:
+    """F F^H + omega I, applied matrix-free: ``@`` takes a vector."""
+
+    __slots__ = ("_f", "_fh", "_omega")
+
+    def __init__(self, factor, factor_h, omega):
+        self._f, self._fh, self._omega = factor, factor_h, omega
+
+    def __matmul__(self, v):
+        out = np.dot(self._f, np.dot(self._fh, v))
+        if self._omega:
+            out += self._omega * v
+        return out
+
 
 def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
                        mse_weights, weights, noise_power: float,
-                       omega: float | None = None) -> QuadraticForm:
-    """Collect the weighted MSE into a quadratic in the stacked phases.
+                       omega: float = 0.0) -> QuadraticForm:
+    """Collect the weighted MSE into a factored quadratic in the stacked
+    phases.
 
-    omega=None picks the Gershgorin row-sum bound of j_hat, the smallest
-    cheap shift that certifies j_hat + omega I is positive semidefinite.
+    Column (k, j) of the factor is sqrt(alpha_k q_k |u_k|^2) h_{l,k} o
+    conj(G_l w_j), rows stacked (surface, element). omega is an optional
+    diagonal shift; the factored quadratic is PSD without one.
     """
     w = _w_matrix(beamformers)
     u = np.asarray(decoders, dtype=complex)
@@ -57,6 +120,7 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     h_ru = channels.h_irs_user     # (L, K, M)
     h = channels.h_direct          # (K, n_tx)
     n_irs, n_el = channels.n_irs, channels.n_elements
+    n_users = u.shape[0]
     size = n_irs * n_el
 
     aq = alpha * q
@@ -68,30 +132,23 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     const = float(np.sum(aq * (np.abs(u) ** 2 * (quad_direct + noise_power)
                                - 2.0 * e_direct.real + 1.0)))
 
-    if size == 0:
-        return QuadraticForm(np.zeros((0, 0), dtype=complex),
-                             np.zeros(0, dtype=complex),
-                             0.0 if omega is None else float(omega),
-                             const, n_irs, n_el)
-
-    # Quadratic blocks: (sum_k aq_k |u_k|^2 h_{i,k} h_{j,k}^H) o (G_j W G_i^H)^T
+    # Quadratic factor: F[(l,m), (k,j)] = sqrt(aq_k |u_k|^2) h_{l,k}[m] conj((G_l w_j)[m])
     cu = aq * np.abs(u) ** 2
-    gw = np.einsum("lma,ab->lmb", g, w_gram)             # G_l @ W-gram
-    pair = np.einsum("k,ikm,jkn->ijmn", cu, h_ru, np.conj(h_ru))
-    ebar_t = np.einsum("jna,ima->ijmn", gw, np.conj(g))  # entry (m,n) = Ebar_{i,j}[n,m]
-    j_hat = (pair * ebar_t).transpose(0, 2, 1, 3).reshape(size, size)
-    j_hat = 0.5 * (j_hat + j_hat.conj().T)
+    if np.any(cu < 0):
+        raise ValueError("rate weights and MSE weights must be nonnegative")
+    gwk = np.einsum("lma,ka->lkm", g, w)                 # (G_l w_k)[m]
+    left = (np.sqrt(cu)[:, None] * h_ru).transpose(0, 2, 1)   # (L, M, K)
+    right = np.conj(gwk).transpose(0, 2, 1)                   # (L, M, K)
+    factor = (left[..., :, None] * right[..., None, :]).reshape(size, n_users ** 2)
 
     # Linear term from the diagonals of the direct-cross blocks.
+    gw = np.einsum("lma,ab->lmb", g, w_gram)             # G_l @ W-gram
     gwh = np.einsum("lma,ka->lkm", gw, h)                # (G_l W h_k)[m]
-    gwk = np.einsum("lma,ka->lkm", g, w)                 # (G_l w_k)[m]
     z_lkm = h_ru * (np.abs(u) ** 2)[None, :, None] * np.conj(gwh)
     z_lkm -= h_ru * u[None, :, None] * np.conj(gwk)
     z = np.einsum("k,lkm->lm", aq, z_lkm).reshape(size)
 
-    if omega is None:
-        omega = float(np.max(np.sum(np.abs(j_hat), axis=1)))
-    return QuadraticForm(j_hat, z, float(omega), const, n_irs, n_el)
+    return QuadraticForm(None, z, omega, const, n_irs, n_el, factor=factor)
 
 
 def _phase_vector(phases) -> np.ndarray:
@@ -111,7 +168,7 @@ def objective(form: QuadraticForm, phases) -> float:
         raise ValueError("phase vector length does not match the form")
     if v.size == 0:
         return 0.0
-    return float(np.vdot(v, form.j_hat @ v).real
+    return float(np.vdot(v, form.matvec(v)).real
                  + form.omega * form.size
                  + 2.0 * np.vdot(v, form.z).real)
 
@@ -120,7 +177,7 @@ def euclidean_gradient(form: QuadraticForm, v) -> np.ndarray:
     """Ambient gradient 2 (j_hat + omega I) v + 2 z; valid at any point."""
     v = np.asarray(v if not isinstance(v, PhaseConfig) else v.v_hat,
                    dtype=complex).reshape(-1)
-    return 2.0 * (form.j_hat @ v + form.omega * v + form.z)
+    return 2.0 * (form.matvec(v) + form.omega * v + form.z)
 
 
 def project_tangent(base, vec) -> np.ndarray:
@@ -162,8 +219,11 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
                max_backtracks: int = 40) -> tuple[PhaseConfig, RmcgTrace]:
     """Minimize the quadratic over the circle manifold from ``init``.
 
-    grad_tol defaults to 1e-6 * sqrt(size); initial_step to half the
-    reciprocal of the shifted matrix's inf-norm. The returned objective
+    grad_tol defaults to 1e-6 * sqrt(size); initial_step to
+    0.5 / trace(j_hat + omega I), an upper bound on 0.5 / lambda_max of
+    the PSD quadratic that costs O(size * rank) for a factored form. The
+    kernel multiplies by the form's own representation, so a factored
+    form never becomes a dense matrix here. The returned objective
     sequence is non-increasing; if the line search stalls the incumbent is
     returned with the failure flagged.
     """
@@ -174,12 +234,11 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
         return init, RmcgTrace(empty, np.array([0.0]), 0, True, False, 0.0)
     if grad_tol is None:
         grad_tol = 1e-6 * np.sqrt(form.size)
-    q_mat = form.j_hat + form.omega * np.eye(form.size)
     if initial_step is None:
-        inf_norm = float(np.max(np.sum(np.abs(q_mat), axis=1)))
-        initial_step = 0.5 / inf_norm if inf_norm > 0 else 1.0
+        trace_q = form.shifted_trace()
+        initial_step = 0.5 / trace_q if trace_q > 0 else 1.0
     v, n_iters, obj_hist, grad_hist, tang_res, failed, converged = _kernels.rmcg_core(
-        np.ascontiguousarray(q_mat),
+        form.operator(),
         np.ascontiguousarray(form.z),
         np.ascontiguousarray(init.v_hat),
         float(grad_tol), int(max_iters), float(initial_step),

@@ -15,7 +15,7 @@ import numpy as np
 
 from .beamformer import assemble_context, beamformers_at, power_g, solve_beamforming
 from .channels import ChannelSet, PhaseConfig, draw_channels, effective_channels
-from .phaseopt import assemble_quadratic, euclidean_gradient, objective
+from .phaseopt import QuadraticForm, assemble_quadratic, euclidean_gradient, objective
 from .scenario import desk_scenario
 from .solver import SolverOptions, solve
 from .wmmse import compute_mse, compute_rates, optimal_state, weighted_sum_rate, wmse_objective
@@ -84,15 +84,15 @@ def check_gradient(rng, n_instances=10, h=1e-5) -> CheckResult:
         a = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         j_hat = 0.5 * (a + a.conj().T)
         z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        form_like = _FormStub(j_hat, z, float(rng.uniform(0, 2)), size)
+        form = QuadraticForm(j_hat, z, float(rng.uniform(0, 2)), 0.0, 1, size)
 
         def f(vec):
             return float(np.vdot(vec, j_hat @ vec).real
-                         + form_like.omega * np.vdot(vec, vec).real
+                         + form.omega * np.vdot(vec, vec).real
                          + 2.0 * np.vdot(vec, z).real)
 
         v = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-        grad = euclidean_gradient(form_like, v)
+        grad = euclidean_gradient(form, v)
         num = np.empty(size, dtype=complex)
         for i in range(size):
             e = np.zeros(size, dtype=complex)
@@ -103,15 +103,6 @@ def check_gradient(rng, n_instances=10, h=1e-5) -> CheckResult:
         worst = max(worst, np.linalg.norm(num - grad) / np.linalg.norm(grad))
     return CheckResult("ambient gradient matches finite differences", worst < 1e-6,
                        f"worst rel err {worst:.2e} over {n_instances} instances")
-
-
-class _FormStub:
-    """Just enough of QuadraticForm for gradient evaluation."""
-
-    def __init__(self, j_hat, z, omega, size):
-        self.j_hat, self.z, self.omega = j_hat, z, omega
-        self.n_irs, self.n_elements = 1, size
-        self.size = size
 
 
 def check_power_curve(rng, n_instances=20) -> CheckResult:

@@ -4,7 +4,9 @@ Each outer iteration applies the four block updates in that order. The
 decoder/weight steps are closed-form, the beamformer step is globally
 optimal for the surrogate, and the phase step is a monotone manifold
 descent, so the weighted sum rate never decreases across iterations. The
-loop stops when its fractional increase falls below ``outer_tol``.
+loop stops when its fractional increase falls below ``outer_tol``; a
+decrease beyond rounding (``MONOTONE_TOL_REL``) also stops it, with a
+warning and ``converged=False``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .wmmse import (BeamformerSet, compute_mse, compute_rates, update_decoders,
 
 log = logging.getLogger(__name__)
 
+# A relative WSR drop larger than this is a failed monotone step, not
+# convergence; smaller dips are rounding.
+MONOTONE_TOL_REL = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverOptions:
@@ -34,7 +40,7 @@ class SolverOptions:
     phase_grad_tol: float | None = None  # None -> 1e-6 * sqrt(n_irs * n_elements)
     max_inner: int = 100           # phase-descent iteration cap
     optimize_phases: bool = True   # False freezes the initial phases
-    omega: float | None = None     # None -> Gershgorin shift
+    omega: float = 0.0             # diagonal shift of the (already PSD) phase quadratic
 
     def __post_init__(self):
         if self.outer_tol <= 0:
@@ -133,6 +139,10 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
 
         rel_gain = (wsr - prev_wsr) / max(abs(prev_wsr), 1e-300)
         prev_wsr = wsr
+        if rel_gain < -MONOTONE_TOL_REL:
+            log.warning("outer %d: weighted sum rate dropped by %.3e (relative); "
+                        "stopping unconverged", it, -rel_gain)
+            break
         if rel_gain < opts.outer_tol:
             converged = True
             break

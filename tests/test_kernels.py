@@ -4,6 +4,7 @@ import sys
 import numpy as np
 
 from irsopt import _kernels
+from irsopt.phaseopt import QuadraticForm
 from tests.conftest import complex_normal
 
 
@@ -24,16 +25,30 @@ def run_core(fn, q_mat, z, v0, step0, tol=None, iters=300):
     return fn(q_mat, z, v0, tol, iters, step0, 0.5, 1e-4, 40)
 
 
+def factored_kernel_inputs(rng, size, rank, omega):
+    """The same PSD quadratic F F^H + omega I as a matrix-free operator
+    and as a dense matrix."""
+    factor = complex_normal(rng, (size, rank))
+    z = complex_normal(rng, size)
+    form = QuadraticForm(None, z, omega, 0.0, 1, size, factor=factor)
+    dense = QuadraticForm(form.j_hat, z, omega, 0.0, 1, size)
+    return form.operator(), dense.operator(), z
+
+
 class TestKernelParity:
-    def test_compiled_and_numpy_paths_agree(self, rng):
-        # two implementations of the same descent: both must land on the
-        # same minimum and stay monotone
-        for size in (3, 8, 17):
-            q_mat, z, v0, step0 = random_kernel_inputs(rng, size)
+    def test_factored_and_dense_operators_agree(self, rng):
+        # one kernel, two representations of the same quadratic: both must
+        # land on the same minimum and stay on the manifold
+        for size, rank, omega in ((3, 4, 0.0), (8, 4, 0.0), (17, 9, 1.5)):
+            op_f, op_d, z = factored_kernel_inputs(rng, size, rank, omega)
+            assert not isinstance(op_f, np.ndarray)
+            assert isinstance(op_d, np.ndarray)
+            v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+            step0 = 0.5 / np.trace(op_d).real
             v_a, n_a, obj_a, _, _, _, conv_a = run_core(
-                _kernels.rmcg_core, q_mat, z, v0, step0)
+                _kernels.rmcg_core, op_f, z, v0, step0, iters=2000)
             v_b, n_b, obj_b, _, _, _, conv_b = run_core(
-                _kernels.rmcg_core_numpy, q_mat, z, v0, step0)
+                _kernels.rmcg_core, op_d, z, v0, step0, iters=2000)
             assert conv_a and conv_b
             assert np.isclose(obj_a[n_a], obj_b[n_b], rtol=1e-9)
             assert np.allclose(np.abs(v_a), 1.0, atol=1e-12)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsopt import (ChannelSet, PhaseConfig, assemble_quadratic, compute_mse,
-                    effective_channels, euclidean_gradient, objective,
-                    project_tangent, retract, rmcg_solve)
+from irsopt import (ChannelSet, PhaseConfig, QuadraticForm, assemble_quadratic,
+                    compute_mse, draw_channels, effective_channels,
+                    euclidean_gradient, objective, project_tangent, retract,
+                    rmcg_solve)
 from tests.conftest import complex_normal, random_channels
 
 
@@ -17,6 +18,32 @@ def random_form_inputs(rng, n_irs, n_el, n_users, n_tx):
     alpha = rng.uniform(0.2, 2.0, n_users)
     noise = 10.0 ** rng.uniform(-2, 0)
     return channels, w, u, q, alpha, noise
+
+
+def quadratic_oracle(channels, w, u, q, alpha, noise):
+    """The dense phase quadratic by its original 4-D einsum formula:
+    (j_hat, z, const_term)."""
+    w, u = np.asarray(w, dtype=complex), np.asarray(u, dtype=complex)
+    g, h_ru, h = channels.g_bs_irs, channels.h_irs_user, channels.h_direct
+    size = channels.n_irs * channels.n_elements
+    aq = alpha * q
+    w_gram = w.T @ np.conj(w)
+    quad_direct = np.einsum("ka,ab,kb->k", np.conj(h), w_gram, h).real
+    e_direct = u * np.sum(np.conj(w) * h, axis=1)
+    const = float(np.sum(aq * (np.abs(u) ** 2 * (quad_direct + noise)
+                               - 2.0 * e_direct.real + 1.0)))
+    cu = aq * np.abs(u) ** 2
+    gw = np.einsum("lma,ab->lmb", g, w_gram)
+    pair = np.einsum("k,ikm,jkn->ijmn", cu, h_ru, np.conj(h_ru))
+    ebar_t = np.einsum("jna,ima->ijmn", gw, np.conj(g))
+    j_hat = (pair * ebar_t).transpose(0, 2, 1, 3).reshape(size, size)
+    j_hat = 0.5 * (j_hat + j_hat.conj().T)
+    gwh = np.einsum("lma,ka->lkm", gw, h)
+    gwk = np.einsum("lma,ka->lkm", g, w)
+    z_lkm = h_ru * (np.abs(u) ** 2)[None, :, None] * np.conj(gwh)
+    z_lkm -= h_ru * u[None, :, None] * np.conj(gwk)
+    z = np.einsum("k,lkm->lm", aq, z_lkm).reshape(size)
+    return j_hat, z, const
 
 
 def weighted_mse_direct(channels, phases, w, u, q, alpha, noise):
@@ -77,6 +104,96 @@ class TestAssembleQuadratic:
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
         eigvals = np.linalg.eigvalsh(form.j_hat + form.omega * np.eye(form.size))
         assert eigvals.min() >= -1e-10 * max(form.omega, 1.0)
+
+
+class TestFactoredForm:
+    # (n_irs, n_elements, n_users, n_tx, zero-weight user)
+    CASES = {
+        "more_users_than_antennas": (2, 5, 4, 2, False),
+        "zero_weight_user": (3, 4, 3, 3, True),
+        "one_element": (3, 1, 2, 2, False),
+        "no_surfaces": (0, 4, 2, 2, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_factor_matches_oracle(self, rng, case):
+        n_irs, n_el, n_users, n_tx, zero_weight = self.CASES[case]
+        channels, w, u, q, alpha, noise = random_form_inputs(
+            rng, n_irs, n_el, n_users, n_tx)
+        if zero_weight:
+            alpha[1] = 0.0
+        j_oracle, z_oracle, const_oracle = quadratic_oracle(
+            channels, w, u, q, alpha, noise)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
+        assert form.factor.shape == (form.size, n_users ** 2)
+        gram = form.factor @ form.factor.conj().T
+        assert (np.linalg.norm(gram - j_oracle)
+                <= 1e-12 * np.linalg.norm(j_oracle))
+        assert (np.linalg.norm(form.z - z_oracle)
+                <= 1e-12 * np.linalg.norm(z_oracle))
+        assert form.const_term == pytest.approx(const_oracle, rel=1e-12)
+
+    def test_factor_matches_oracle_on_presets(self):
+        from irsopt import desk_scenario, full_scenario, initialize
+        from irsopt.wmmse import update_decoders, update_weights
+        for preset in (desk_scenario, full_scenario):
+            scenario = preset(user_seed=4)
+            channels = draw_channels(scenario, np.random.default_rng(5))
+            beams, phases = initialize(scenario, channels, np.random.default_rng(6))
+            hbar = effective_channels(channels, phases)
+            u = update_decoders(hbar, beams, scenario.noise_power)
+            q = update_weights(compute_mse(hbar, beams, u, scenario.noise_power))
+            args = (channels, beams.w, u, q, scenario.weights, scenario.noise_power)
+            j_oracle, _, _ = quadratic_oracle(*args)
+            form = assemble_quadratic(*args)
+            assert (np.linalg.norm(form.j_hat - j_oracle)
+                    <= 1e-12 * np.linalg.norm(j_oracle))
+
+    def test_descent_never_forms_the_dense_matrix(self, rng):
+        channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 6, 3, 3)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
+        rmcg_solve(form, PhaseConfig.random(2, 6, rng))
+        objective(form, PhaseConfig.random(2, 6, rng))
+        assert form._j_hat is None
+
+    @pytest.mark.parametrize("omega", [0.0, 2.5])
+    def test_factored_and_dense_descents_agree(self, rng, omega):
+        # the kernel on F (F^H v) and on the dense F F^H reach the same minimum
+        channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 6, 3, 2)
+        factored = assemble_quadratic(channels, w, u, q, alpha, noise, omega=omega)
+        dense = QuadraticForm(factored.factor @ factored.factor.conj().T,
+                              factored.z, omega, factored.const_term, 1, 6)
+        v0 = PhaseConfig.random(1, 6, rng)
+        # tolerance relative to the starting gradient: the absolute default
+        # sits near rounding level for these unit-scale channels
+        g0 = np.linalg.norm(project_tangent(v0, euclidean_gradient(factored, v0.v_hat)))
+        out_f, trace_f = rmcg_solve(factored, v0, grad_tol=1e-7 * g0, max_iters=500)
+        out_d, trace_d = rmcg_solve(dense, v0, grad_tol=1e-7 * g0, max_iters=500)
+        assert trace_f.converged and trace_d.converged
+        assert objective(factored, out_f) == pytest.approx(trace_f.objectives[-1], rel=1e-9)
+        assert objective(dense, out_d) == pytest.approx(trace_d.objectives[-1], rel=1e-9)
+        assert trace_f.objectives[-1] == pytest.approx(trace_d.objectives[-1], rel=1e-9)
+
+    def test_dense_forms_by_position_and_keyword(self, rng):
+        j_hat = np.diag([1.0, 2.0]).astype(complex)
+        z = complex_normal(rng, 2)
+        by_pos = QuadraticForm(j_hat, z, 0.5, 1.0, 1, 2)
+        by_kw = QuadraticForm(j_hat=j_hat, z=z, omega=0.5, const_term=1.0,
+                              n_irs=1, n_elements=2)
+        for form in (by_pos, by_kw):
+            assert form.j_hat is j_hat
+            assert form.factor is None
+            assert form.shifted_trace() == pytest.approx(3.0 + 0.5 * 2)
+        with pytest.raises(ValueError):
+            QuadraticForm(j_hat, z, 0.0, 0.0, 1, 2, factor=np.ones((2, 1)))
+        with pytest.raises(ValueError):
+            QuadraticForm(None, z, 0.0, 0.0, 1, 2)
+
+    def test_trace_step_matches_dense_trace(self, rng):
+        channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 5, 3, 2)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise, omega=1.5)
+        expected = np.trace(form.j_hat).real + 1.5 * form.size
+        assert form.shifted_trace() == pytest.approx(expected, rel=1e-12)
 
 
 class TestObjective:
@@ -251,7 +368,7 @@ class TestRmcgSolve:
         # 1-degree grid over two phases: same argmin cell with and without shift
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 2, 2, 2)
         f0 = assemble_quadratic(channels, w, u, q, alpha, noise, omega=0.0)
-        f_big = assemble_quadratic(channels, w, u, q, alpha, noise)
+        f_big = assemble_quadratic(channels, w, u, q, alpha, noise, omega=5.0)
         theta = np.deg2rad(np.arange(360.0))
         t1, t2 = np.meshgrid(theta, theta, indexing="ij")
         v_grid = np.stack([np.exp(1j * t1).ravel(), np.exp(1j * t2).ravel()])

@@ -208,3 +208,38 @@ class TestSolverOptions:
             SolverOptions(outer_tol=0.0)
         with pytest.raises(ValueError):
             SolverOptions(max_outer=0)
+
+
+class TestConvergenceFlag:
+    def test_wsr_drop_is_not_converged(self, desk_setup, monkeypatch, caplog):
+        # a phase step that maximizes the weighted MSE instead of minimizing it
+        scenario, channels = desk_setup
+        real_rmcg = rmcg_solve
+
+        def worse_phases(form, init, **kwargs):
+            from irsopt.phaseopt import QuadraticForm
+            flipped = QuadraticForm(-form.j_hat, -form.z, 0.0, 0.0,
+                                    form.n_irs, form.n_elements)
+            return real_rmcg(flipped, init, **kwargs)
+
+        monkeypatch.setattr("irsopt.solver.rmcg_solve", worse_phases)
+        with caplog.at_level("WARNING", logger="irsopt.solver"):
+            _, _, trace = solve(scenario, channels, rng=np.random.default_rng(3))
+        prev = np.concatenate([[trace.initial_wsr], trace.wsr[:-1]])
+        assert trace.wsr[-1] < prev[-1] * (1 - 1e-12)
+        assert not trace.converged
+        assert any("dropped" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("drop, converged", [(1e-14, True), (1e-9, False)])
+    def test_rounding_dip_still_converges(self, desk_setup, monkeypatch,
+                                          caplog, drop, converged):
+        # the WSR is reported as 1.0 before the loop and 1 - drop after it
+        scenario, channels = desk_setup
+        values = iter([1.0, 1.0 - drop])
+        monkeypatch.setattr("irsopt.solver.weighted_sum_rate",
+                            lambda alpha, rates: next(values))
+        with caplog.at_level("WARNING", logger="irsopt.solver"):
+            _, _, trace = solve(scenario, channels, rng=np.random.default_rng(3))
+        assert trace.n_outer == 1
+        assert trace.converged is converged
+        assert any("dropped" in rec.message for rec in caplog.records) is not converged
