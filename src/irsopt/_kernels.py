@@ -17,7 +17,9 @@ through ctypes. The file name is keyed by the source, the flags, the
 compiler (its resolved path, size and modification time, which change with
 its version) and the host CPU; a build is written under a temporary name
 and renamed into place, so processes that import at the same time (a
-worker pool) never load a partial file. ``rmcg_core`` is the entry point
+worker pool) never load a partial file. A new build deletes the other
+``rmcg-*.so`` files in the cache (a process that finds its own deleted
+before loading it builds once more). ``rmcg_core`` is the entry point
 callers look up: the compiled kernel when it loaded (``JIT_ENABLED`` is
 True), else the numpy reference, after a logged WARNING that says why.
 The compiled kernel runs a dense array or a ``ShiftedOperator`` and hands
@@ -268,6 +270,13 @@ def _build() -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # older builds are stale; *.tmp files may belong to a concurrent build
+    for old in target.parent.glob("rmcg-*.so"):
+        if old.name != target.name:
+            try:
+                old.unlink()
+            except OSError:
+                pass
     return target
 
 
@@ -282,7 +291,15 @@ class _Args(ctypes.Structure):
 
 
 def _load():
-    run = ctypes.CDLL(str(_build())).rmcg_run
+    path = _build()
+    try:
+        lib = ctypes.CDLL(str(path))
+    except OSError:
+        if path.exists():
+            raise
+        # another process's build pruned this one before it was loaded
+        lib = ctypes.CDLL(str(_build()))
+    run = lib.rmcg_run
     run.argtypes = (ctypes.POINTER(_Args), ctypes.c_void_p)
     run.restype = ctypes.c_int64
     return run

@@ -3,13 +3,19 @@
 The stationarity condition of the power-constrained weighted-MSE problem
 gives w_k = (H + lam*I)^-1 alpha_k q_k u_k hbar_k with H the weighted
 channel Gram matrix. Working in H's positive eigenbasis makes the total
-transmit power a cheap closed-form function of the dual variable lam,
-which a bisection drives to the complementary-slackness point.
+transmit power a closed-form function of the dual variable lam,
+g(lam) = sum_i c_i / (d_i + lam)^2 over the positive eigenvalues d_i,
+with c_i the weighted power each mode carries. A safeguarded Newton
+search on g(lam)^-1/2 - p_max^-1/2, which is concave and increasing in
+lam (Moré and Sorensen, "Computing a trust region step", SIAM J. Sci.
+Stat. Comput. 1983), drives lam to the complementary-slackness point in
+a few probes; a [lo, hi] bracket catches any step that leaves it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +37,7 @@ class LagrangianContext:
     rhs      : (n_users, n_tx) right-hand sides alpha_k q_k u_k hbar_k
     zdiag    : (n_users, n_pos) |u_k|^2 |eigvecs^H hbar_k|^2 per mode
     coef     : (n_users,) alpha_k^2 q_k^2
+    mode_coef: (n_pos,) coef @ zdiag, the power-curve numerator c_i per mode
     """
 
     gram: np.ndarray
@@ -39,6 +46,10 @@ class LagrangianContext:
     rhs: np.ndarray
     zdiag: np.ndarray
     coef: np.ndarray
+    mode_coef: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mode_coef", self.coef @ self.zdiag)
 
 
 def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
@@ -83,20 +94,56 @@ def beamformers_at(lam: float, ctx: LagrangianContext) -> BeamformerSet:
     return BeamformerSet(w.T)
 
 
+def _power_and_slope(lam: float, c: list, d: list) -> tuple[float, float]:
+    """g(lam) and g'(lam) in one pass over the modes, as plain floats."""
+    g = slope = 0.0
+    for ci, di in zip(c, d):
+        r = 1.0 / (di + lam)
+        t = ci * r * r
+        g += t
+        slope += t * r
+    return g, -2.0 * slope
+
+
 def power_g(lam: float, ctx: LagrangianContext) -> float:
     """Total transmit power of beamformers_at(lam), evaluated in closed form."""
     if lam < 0:
         raise ValueError("dual variable must be nonnegative")
-    if ctx.eigvals.size == 0:
-        return 0.0
-    return float(np.sum(ctx.coef[:, None] * ctx.zdiag / (ctx.eigvals + lam) ** 2))
+    return _power_and_slope(lam, ctx.mode_coef.tolist(), ctx.eigvals.tolist())[0]
 
 
 def lambda_upper_bound(ctx: LagrangianContext, p_max: float) -> float:
     """Smallest dual value guaranteed to satisfy the power cap."""
     if p_max <= 0:
         raise ValueError("p_max must be positive")
-    return float(np.sqrt(np.sum(ctx.coef[:, None] * ctx.zdiag) / p_max))
+    return math.sqrt(float(ctx.mode_coef.sum()) / p_max)
+
+
+def dual_search(c: list, d: list, p_max: float, lam_max: float, lam0: float,
+                power_tol: float, lam_tol: float) -> tuple[float, int]:
+    """Root of g(lam) = p_max on [0, lam_max], from lam0, where
+    g(lam) = sum_i c_i / (d_i + lam)^2.
+
+    Newton steps on g^-1/2 - p_max^-1/2; a step that leaves the current
+    bracket becomes its midpoint. Stops when |g - p_max| <= power_tol or
+    the bracket is narrower than lam_tol, then returning its feasible end.
+    Returns (lam, n_probes), one probe per evaluation of g.
+    """
+    lo, hi = 0.0, lam_max
+    lam = lam0
+    probes = 0
+    while hi - lo > lam_tol:
+        probes += 1
+        g, slope = _power_and_slope(lam, c, d)
+        if abs(g - p_max) <= power_tol:
+            return lam, probes
+        if g > p_max:
+            lo = lam
+        else:
+            hi = lam
+        step = lam + 2.0 * g * (1.0 - math.sqrt(g / p_max)) / slope
+        lam = step if lo < step < hi else 0.5 * (lo + hi)
+    return hi, probes
 
 
 def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
@@ -108,32 +155,22 @@ def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
     """Solve the power-constrained subproblem to global optimality.
 
     Returns (beamformers, lam_star, n_probes). If the unconstrained
-    solution already fits the budget, lam_star = 0; otherwise lam_star is
-    bisected until the power matches p_max within power_tol_rel * p_max or
-    the bracket shrinks below lambda_tol_rel * lambda_max.
+    solution already fits the budget, lam_star = 0 with no probes;
+    otherwise ``dual_search`` finds lam_star until the power matches p_max
+    within power_tol_rel * p_max or its bracket shrinks below
+    lambda_tol_rel * lambda_max. It starts from max(0, max_i sqrt(c_i /
+    p_max) - d_i): each mode alone bounds the root from below, and from
+    the left of the root the Newton iterates rise monotonically to it.
+    The g(0) and g(lambda_max) checks are not counted as probes.
     """
     ctx = assemble_context(hbar, decoders, mse_weights, weights)
     if power_g(0.0, ctx) <= p_max:
         return beamformers_at(0.0, ctx), 0.0, 0
     lam_max = lambda_upper_bound(ctx, p_max)
     if power_g(lam_max, ctx) > p_max * (1.0 + 1e-9):
-        raise NumericalError("bisection bracket is invalid; upper bound violated")
-    power_tol = power_tol_rel * p_max
-    lam_tol = lambda_tol_rel * lam_max
-    lo, hi = 0.0, lam_max
-    probes = 0
-    lam = lam_max
-    while hi - lo > lam_tol:
-        mid = 0.5 * (lo + hi)
-        probes += 1
-        g_mid = power_g(mid, ctx)
-        if abs(g_mid - p_max) <= power_tol:
-            lam = mid
-            break
-        if g_mid > p_max:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        lam = hi  # feasible side of the bracket
+        raise NumericalError("dual search bracket is invalid; upper bound violated")
+    c, d = ctx.mode_coef.tolist(), ctx.eigvals.tolist()
+    lam0 = max(0.0, *(math.sqrt(ci / p_max) - di for ci, di in zip(c, d)))
+    lam, probes = dual_search(c, d, p_max, lam_max, lam0,
+                              power_tol_rel * p_max, lambda_tol_rel * lam_max)
     return beamformers_at(lam, ctx), lam, probes

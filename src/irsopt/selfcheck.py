@@ -106,22 +106,34 @@ def check_gradient(rng, n_instances=10, h=1e-5) -> CheckResult:
 
 
 def check_power_curve(rng, n_instances=20) -> CheckResult:
+    """Closed-form power against the beamformers' power, feasibility at a
+    1 W cap (often slack), and the dual search at a binding cap 0.25 g(0),
+    where the power must meet the cap within power_tol_rel."""
+    tol = SolverOptions().power_tol_rel
     worst = 0.0
     feasible = True
+    worst_miss = 0.0
+    probes = []
     for _ in range(n_instances):
         hbar, w, alpha, noise = _random_instance(rng, 4, 6)
         state = optimal_state(hbar, w, noise)
-        ctx = assemble_context(hbar, state.decoders, state.mse_weights, alpha)
+        args = (hbar, state.decoders, state.mse_weights, alpha)
+        ctx = assemble_context(*args)
         lam = float(10.0 ** rng.uniform(-3, 2))
         direct = beamformers_at(lam, ctx).total_power
         closed = power_g(lam, ctx)
         worst = max(worst, abs(direct - closed) / max(direct, 1e-30))
-        beams, lam_star, _ = solve_beamforming(hbar, state.decoders,
-                                               state.mse_weights, alpha, 1.0)
+        beams, _, _ = solve_beamforming(*args, 1.0)
         feasible &= beams.total_power <= 1.0 * (1 + 1e-6)
-    ok = worst < 1e-10 and feasible
-    return CheckResult("closed-form power curve and power feasibility", ok,
-                       f"worst rel gap {worst:.2e}, feasible={feasible}")
+        p_bind = 0.25 * power_g(0.0, ctx)
+        beams, _, n_probes = solve_beamforming(*args, p_bind, power_tol_rel=tol)
+        worst_miss = max(worst_miss, abs(beams.total_power - p_bind) / p_bind)
+        probes.append(n_probes)
+    ok = worst < 1e-10 and feasible and worst_miss <= tol
+    return CheckResult("closed-form power curve, power feasibility and dual search", ok,
+                       f"worst rel gap {worst:.2e}, feasible={feasible}; at a binding "
+                       f"cap: worst rel power miss {worst_miss:.2e}, probes mean "
+                       f"{np.mean(probes):.1f} max {max(probes)}")
 
 
 def check_monotone_solve(rng) -> CheckResult:

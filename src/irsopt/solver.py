@@ -35,8 +35,8 @@ MONOTONE_TOL_REL = 1e-12
 class SolverOptions:
     outer_tol: float = 1e-4        # stop when fractional WSR increase is below this
     max_outer: int = 100
-    power_tol_rel: float = 1e-8    # beamformer bisection, relative to p_max
-    lambda_tol_rel: float = 1e-12  # beamformer bisection, relative to lambda_max
+    power_tol_rel: float = 1e-8    # beamformer dual search, relative to p_max
+    lambda_tol_rel: float = 1e-12  # dual-search bracket width, relative to lambda_max
     phase_grad_tol: float | None = None  # None -> 1e-6 * sqrt(n_irs * n_elements)
     max_inner: int = 100           # phase-descent iteration cap
     optimize_phases: bool = True   # False freezes the initial phases
@@ -56,6 +56,7 @@ class SolveTrace:
     wsr: np.ndarray           # weighted sum rate (nats) after each iteration
     wmse_obj: np.ndarray      # surrogate objective at the same points
     lam: np.ndarray           # beamformer dual value per iteration
+    probes: np.ndarray        # beamformer dual-search probes per iteration
     inner_iters: np.ndarray   # phase-descent iterations per outer iteration
     wall_time_s: np.ndarray
     initial_wsr: float
@@ -108,14 +109,14 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     prev_wsr = weighted_sum_rate(alpha, compute_rates(hbar, beams, noise))
     initial_wsr = prev_wsr
 
-    wsr_hist, wmse_hist, lam_hist, inner_hist, time_hist = [], [], [], [], []
+    wsr_hist, wmse_hist, lam_hist, probe_hist, inner_hist, time_hist = [], [], [], [], [], []
     converged = False
     for it in range(opts.max_outer):
         t0 = time.perf_counter()
         u = update_decoders(hbar, beams, noise)
         mse = compute_mse(hbar, beams, u, noise)
         q = update_weights(mse)
-        beams, lam, _ = solve_beamforming(
+        beams, lam, probes = solve_beamforming(
             hbar, u, q, alpha, scenario.p_max,
             power_tol_rel=opts.power_tol_rel, lambda_tol_rel=opts.lambda_tol_rel)
         inner = 0
@@ -133,9 +134,11 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         wsr_hist.append(wsr)
         wmse_hist.append(wmse_now)
         lam_hist.append(lam)
+        probe_hist.append(probes)
         inner_hist.append(inner)
         time_hist.append(time.perf_counter() - t0)
-        log.debug("outer %d: wsr=%.6f lam=%.3e inner=%d", it, wsr, lam, inner)
+        log.debug("outer %d: wsr=%.6f lam=%.3e probes=%d inner=%d",
+                  it, wsr, lam, probes, inner)
 
         rel_gain = (wsr - prev_wsr) / max(abs(prev_wsr), 1e-300)
         prev_wsr = wsr
@@ -148,7 +151,8 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             break
 
     trace = SolveTrace(wsr=np.array(wsr_hist), wmse_obj=np.array(wmse_hist),
-                       lam=np.array(lam_hist), inner_iters=np.array(inner_hist),
+                       lam=np.array(lam_hist), probes=np.array(probe_hist, dtype=int),
+                       inner_iters=np.array(inner_hist),
                        wall_time_s=np.array(time_hist),
                        initial_wsr=initial_wsr, converged=converged)
     return beams, phases, trace

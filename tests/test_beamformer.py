@@ -1,10 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsopt import (BeamformerSet, assemble_context, beamformers_at,
-                    compute_mse, lambda_upper_bound, optimal_state, power_g,
-                    solve_beamforming)
+from irsopt import (BeamformerSet, NumericalError, assemble_context,
+                    beamformers_at, compute_mse, lambda_upper_bound,
+                    optimal_state, power_g, solve_beamforming)
+from irsopt import beamformer as beamformer_mod
 from tests.conftest import complex_normal, random_wmmse_instance
+
+POWER_TOL_REL = 1e-8   # solve_beamforming's defaults
+LAMBDA_TOL_REL = 1e-12
 
 
 def surrogate_cost(hbar, w, u, q, alpha, noise):
@@ -149,12 +157,16 @@ class TestLambdaUpperBound:
 
 class TestSolveBeamforming:
     def test_slack_constraint_gives_zero_dual(self, rng):
-        hbar, u, q, alpha, _ = random_subproblem(rng)
-        beams, lam, probes = solve_beamforming(hbar, u, q, alpha, 1e12)
-        assert lam == 0.0
-        assert probes == 0
+        for _ in range(20):
+            hbar, u, q, alpha, _ = random_subproblem(rng)
+            g0 = power_g(0.0, assemble_context(hbar, u, q, alpha))
+            for p_max in (1e12, g0, g0 * (1 + 1e-9)):  # far and barely slack
+                beams, lam, probes = solve_beamforming(hbar, u, q, alpha, p_max)
+                assert lam == 0.0
+                assert probes == 0
 
     def test_active_constraint_pins_power(self, rng):
+        all_probes = []
         for _ in range(20):
             hbar, u, q, alpha, _ = random_subproblem(rng, 4, 6)
             ctx = assemble_context(hbar, u, q, alpha)
@@ -164,6 +176,8 @@ class TestSolveBeamforming:
             assert beams.total_power == pytest.approx(p_max, rel=1e-7)
             assert abs(beams.total_power - p_max) <= 1e-8 * p_max * 1.01
             assert probes <= int(np.ceil(np.log2(1e12)))
+            all_probes.append(probes)
+        assert np.mean(all_probes) <= 8
 
     def test_never_worse_than_feasible_incumbent(self, rng):
         # block-coordinate descent property against random feasible points
@@ -207,6 +221,96 @@ class TestSolveBeamforming:
                                           np.ones(3), np.ones(3), 1.0)
         assert beams.total_power == 0.0
         assert lam == 0.0
+
+
+def reference_root(ctx, p_max):
+    """Root of the power curve by plain bisection down to adjacent floats,
+    on g evaluated from its definition (coef and zdiag, not mode_coef)."""
+    def g(lam):
+        return float(np.sum(ctx.coef[:, None] * ctx.zdiag / (ctx.eigvals + lam) ** 2))
+    lo, hi = 0.0, 1.0
+    while g(hi) > p_max:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if g(mid) > p_max:
+            lo = mid
+        else:
+            hi = mid
+
+
+@st.composite
+def dual_problems(draw):
+    """Beamformer subproblems over channel scale, power cap, user count,
+    a zero-weight user and the spread of the Gram eigenvalues."""
+    n_tx = draw(st.integers(1, 5))
+    n_users = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** draw(st.floats(-6.0, 2.0))
+    spread = 10.0 ** draw(st.floats(-10.0, 0.0))  # smallest / largest Gram eigenvalue
+    rank = min(n_users, n_tx)
+    left, _ = np.linalg.qr(complex_normal(rng, (n_users, rank)))
+    right, _ = np.linalg.qr(complex_normal(rng, (n_tx, rank)))
+    sigma = np.sqrt(spread) ** np.linspace(0.0, 1.0, rank)
+    hbar = scale * (left * sigma) @ np.conj(right).T
+    u = complex_normal(rng, n_users)
+    q = rng.uniform(0.5, 2.0, n_users)
+    alpha = rng.uniform(0.2, 2.0, n_users)
+    zero_user = draw(st.one_of(st.none(), st.integers(0, n_users - 1)))
+    if zero_user is not None:
+        alpha[zero_user] = 0.0
+    g0 = power_g(0.0, assemble_context(hbar, u, q, alpha))
+    ratio = 10.0 ** draw(st.floats(-4.0, 3.0))
+    p_max = ratio * g0 if g0 > 0 else ratio
+    return hbar, u, q, alpha, p_max
+
+
+class TestDualSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(dual_problems())
+    def test_matches_reference_bisection(self, problem):
+        hbar, u, q, alpha, p_max = problem
+        beams, lam, probes = solve_beamforming(hbar, u, q, alpha, p_max)
+        ctx = assemble_context(hbar, u, q, alpha)
+        assert probes <= 40
+        assert beams.total_power <= p_max * (1 + POWER_TOL_REL)
+        if power_g(0.0, ctx) <= p_max:
+            assert lam == 0.0 and probes == 0
+            return
+        assert abs(beams.total_power - p_max) <= POWER_TOL_REL * p_max
+        # lam is pinned only to the window where the power rule accepts it,
+        # |lam - root| <~ power_tol / |g'(root)|, or to the bracket width
+        root = reference_root(ctx, p_max)
+        slope = 2.0 * float(np.sum(ctx.mode_coef / (ctx.eigvals + root) ** 3))
+        lam_max = lambda_upper_bound(ctx, p_max)
+        window = 1.01 * POWER_TOL_REL * p_max / slope + 4 * np.finfo(float).eps * root
+        assert abs(lam - root) <= LAMBDA_TOL_REL * lam_max + window
+
+    def test_overshooting_newton_step_is_safeguarded(self):
+        # two modes far apart: from the right end of the bracket the Newton
+        # step of g^-1/2 - p_max^-1/2 lands below 0, so it must be replaced
+        c, d = [1e-6, 1.0], [1e-3, 1.0]
+        p_max = 0.9 * sum(ci / di ** 2 for ci, di in zip(c, d))
+        lam_max = math.sqrt(sum(c) / p_max)
+        g, slope = beamformer_mod._power_and_slope(lam_max, c, d)
+        assert lam_max + 2.0 * g * (1.0 - math.sqrt(g / p_max)) / slope < 0.0
+        lam, probes = beamformer_mod.dual_search(
+            c, d, p_max, lam_max, lam_max, POWER_TOL_REL * p_max,
+            LAMBDA_TOL_REL * lam_max)
+        g_lam = sum(ci / (di + lam) ** 2 for ci, di in zip(c, d))
+        assert abs(g_lam - p_max) <= POWER_TOL_REL * p_max
+        assert 0 < probes <= 40
+
+    def test_invalid_bracket_raises(self, rng, monkeypatch):
+        hbar, u, q, alpha, _ = random_subproblem(rng)
+        p_max = 0.25 * power_g(0.0, assemble_context(hbar, u, q, alpha))
+        true_bound = beamformer_mod.lambda_upper_bound
+        monkeypatch.setattr(beamformer_mod, "lambda_upper_bound",
+                            lambda ctx, p: 0.1 * true_bound(ctx, p))
+        with pytest.raises(NumericalError, match="bracket is invalid"):
+            solve_beamforming(hbar, u, q, alpha, p_max)
 
 
 class TestBeamformerSet:

@@ -12,7 +12,12 @@ class TestSolveCommand:
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == TRACE_HEADER
+        assert TRACE_HEADER.endswith(",time_ms,probes")
         assert len(lines) >= 2
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == len(TRACE_HEADER.split(","))
+            assert 0 <= int(fields[-1]) <= 40
         err = capsys.readouterr().err
         assert "converged=" in err
 
@@ -70,4 +75,5 @@ class TestValidateCommand:
         assert main(["validate", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.count("ok:") == 5
+        assert "at a binding cap" in out and "probes mean" in out
         assert "FAIL" not in out

@@ -157,6 +157,42 @@ class TestEnvFlag:
         built = sorted(p.name for p in (tmp_path / "irsopt").iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
 
+    @pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None
+                        and shutil.which("clang") is None,
+                        reason="no C compiler on PATH")
+    def test_new_build_prunes_stale_builds(self, tmp_path):
+        # builds for an older source, compiler or CPU go; a temporary file
+        # may belong to a concurrent build and stays
+        cache = tmp_path / "irsopt"
+        cache.mkdir()
+        stale = ["rmcg-00000000000000000000.so", "rmcg-11111111111111111111.so"]
+        for name in stale:
+            (cache / name).write_bytes(b"not a library")
+        (cache / "rmcg-22222222222222222222.abc.tmp").write_bytes(b"")
+        code = "from irsopt import _kernels; print(_kernels.JIT_ENABLED)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, timeout=300,
+                             env=_subprocess_env(XDG_CACHE_HOME=str(tmp_path)))
+        assert out.stdout.strip() == "True", out.stderr
+        left = sorted(p.name for p in cache.iterdir())
+        built = [name for name in left if name.endswith(".so")]
+        assert len(built) == 1 and built[0] not in stale, left
+        assert "rmcg-22222222222222222222.abc.tmp" in left
+
+    @pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernel not loaded")
+    def test_build_pruned_before_loading_is_rebuilt(self, tmp_path, monkeypatch):
+        builds = []
+        real_build = _kernels._build
+
+        def build():
+            builds.append(None)
+            # the first build is pruned by another process before it loads
+            return tmp_path / "rmcg-pruned.so" if len(builds) == 1 else real_build()
+
+        monkeypatch.setattr(_kernels, "_build", build)
+        assert callable(_kernels._load())
+        assert len(builds) == 2
+
     def test_default_state_is_consistent(self):
         if _kernels.JIT_ENABLED:
             assert _kernels.rmcg_core is not _kernels.rmcg_core_numpy

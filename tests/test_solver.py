@@ -107,6 +107,7 @@ class TestSolve:
         _, _, t2 = solve(scenario, channels, rng=np.random.default_rng(3))
         assert np.array_equal(t1.wsr, t2.wsr)
         assert np.array_equal(t1.lam, t2.lam)
+        assert np.array_equal(t1.probes, t2.probes)
         assert np.array_equal(t1.inner_iters, t2.inner_iters)
 
     def test_feasible_solution(self, desk_setup):
