@@ -9,8 +9,12 @@ object with ``@`` on vectors.
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
 the vectorized numpy reference. ``_rmcg.c`` is a C port of it, step for
-step: on first import the system C compiler (``cc``, ``gcc`` or ``clang``
-on PATH) builds it with ``-O3 -march=native -ffp-contract=off`` (no
+step, except that a factored candidate is scored by ||F^H x||^2: on a
+factored operator a line-search trial point costs the one product
+t = F^H x (f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)), and F t + omega x
+is formed for the accepted point alone. On first import the system C
+compiler (``cc``, ``gcc`` or ``clang`` on PATH) builds it with
+``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
 ``$XDG_CACHE_HOME/irsopt`` (default ``~/.cache/irsopt``), and it is loaded
 through ctypes. The file name is keyed by the source, the flags, the
@@ -33,8 +37,10 @@ transport (restarted when the coefficient turns negative, capped by the
 Fletcher-Reeves value to keep the backtracking-only search stable),
 Armijo backtracking warm-started from twice the previously accepted step,
 a parabolic refinement of the accepted step (plain Armijo can keep
-overshooting the minimizer along the path, stalling in a two-cycle), and
-entrywise renormalization onto the circles.
+overshooting the minimizer along the path, stalling in a two-cycle; it is
+skipped when the fitted curvature is below ``CURV_FLOOR`` times the
+objective's size, i.e. within its rounding), and entrywise renormalization
+onto the circles.
 
 Both kernels return (v, n_iters, obj_hist, grad_hist, tangency_residual,
 line_search_failed, converged); the histories hold entries 0..n_iters and
@@ -59,6 +65,11 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 ENV_FLAG = "IRSOPT_NO_NUMBA"
+# A parabolic refinement needs a curvature above the rounding of the
+# objective values it is fitted to (2**-46 is 64 ulp); below it the fit is
+# noise and its far step is taken or not by the order of the sums. The
+# same floor is in _rmcg.c.
+CURV_FLOOR = 2.0 ** -46
 _SOURCE = Path(__file__).with_name("_rmcg.c")
 _CFLAGS = ("-std=gnu99", "-O3", "-march=native", "-ffp-contract=off",
            "-fno-math-errno", "-fPIC", "-shared")
@@ -169,7 +180,7 @@ def rmcg_core_numpy(q_op, z, v0, grad_tol, max_iters, step0, shrink,
             failed = True
             break
         curv = f_new - f_cur - step * slope
-        if curv > 0.0:
+        if curv > CURV_FLOOR * (abs(f_cur) + abs(f_new)):
             step_fit = -0.5 * slope * step * step / curv
             if step_fit > 0.0:
                 cand = v + step_fit * direction

@@ -2,7 +2,8 @@
 
    A port of irsopt._kernels.rmcg_core_numpy to C99 with GNU vector types
    (gcc, clang), step for step: same direction rule, line search,
-   parabolic refinement, tangency check, history padding and flags.
+   parabolic refinement, tangency check, history padding and flags,
+   except that a factored candidate is scored by ||F^H x||^2.
    irsopt._kernels builds this file into a shared library on first import
    and calls rmcg_run through ctypes.
 
@@ -11,6 +12,14 @@
    n x n matrix or F F^H given as F (n x r) and F^H (r x n), both
    row-major, so that every product is a set of contiguous row dot
    products.
+
+   The line search needs only objective values, and for the factored
+   form f(x) = ||t||^2 + omega ||x||^2 + 2 Re(z^H x) with t = F^H x: a
+   trial point costs the one product F^H x, and F t + omega x, which the
+   gradient needs, is formed for the accepted point alone. An iteration
+   with k trial points thus does k + 1 such products instead of 2 k. Every
+   objective value of a run comes from evaluate(), so all comparisons see
+   the same rounding.
 
    Build without -ffast-math and with -ffp-contract=off, so that each
    operation rounds as written; -fno-math-errno only lets sqrt vectorize
@@ -103,24 +112,46 @@ typedef struct {
     ptrdiff_t n, r;
     const double *q, *f, *fh;
     double omega;
-    double *xr, *xi, *t, *tr, *ti;   /* work space */
+    double *xr, *xi, *tr, *ti;   /* work space */
 } quad_op;
 
-/* y = (Q + omega I) x */
-static void apply(const quad_op *op, const double *x, double *y)
+/* f(x) = x^H (Q + omega I) x + 2 Re(z^H x). aux receives what finish()
+   needs to form (Q + omega I) x: that product itself for a dense Q (n
+   complex entries), t = F^H x for a factored one (r complex entries). */
+static double evaluate(const quad_op *op, const double *x, const double *z,
+                       double *aux)
 {
-    ptrdiff_t i;
+    ptrdiff_t i, m = 2 * op->n;
+    double f;
     split(x, op->n, op->xr, op->xi);
     if (op->q) {
-        row_dots(op->q, op->n, op->n, op->xr, op->xi, y);
-    } else {
-        row_dots(op->fh, op->r, op->n, op->xr, op->xi, op->t);
-        split(op->t, op->r, op->tr, op->ti);
-        row_dots(op->f, op->n, op->r, op->tr, op->ti, y);
+        row_dots(op->q, op->n, op->n, op->xr, op->xi, aux);
+        if (op->omega != 0.0)
+            for (i = 0; i < m; i++)
+                aux[i] += op->omega * x[i];
+        return dot(x, aux, m) + 2.0 * dot(x, z, m);
     }
+    row_dots(op->fh, op->r, op->n, op->xr, op->xi, aux);
+    f = dot(aux, aux, 2 * op->r);
+    if (op->omega != 0.0)
+        f += op->omega * dot(x, x, m);
+    return f + 2.0 * dot(x, z, m);
+}
+
+/* (Q + omega I) x from evaluate()'s aux for the same x: aux itself for a
+   dense Q, else F t + omega x, written to y. */
+static const double *finish(const quad_op *op, const double *x,
+                            const double *aux, double *y)
+{
+    ptrdiff_t i;
+    if (op->q)
+        return aux;
+    split(aux, op->r, op->tr, op->ti);
+    row_dots(op->f, op->n, op->r, op->tr, op->ti, y);
     if (op->omega != 0.0)
         for (i = 0; i < 2 * op->n; i++)
             y[i] += op->omega * x[i];
+    return y;
 }
 
 /* out = Retr(v + step d): entrywise onto the unit circle */
@@ -180,11 +211,11 @@ static void tangency(const double *a, const double *b, const double *v,
     memcpy(&worst[1], &wb, sizeof wb);
 }
 
-static double quad_value(const double *v, const double *qv, const double *z,
-                         ptrdiff_t n)
-{
-    return dot(v, qv, 2 * n) + 2.0 * dot(v, z, 2 * n);
-}
+/* The parabolic refinement needs a curvature above the rounding of the
+   objective values it is taken from (2^-46 is 64 ulp); below it the fit is
+   noise, and the far step it proposes would be taken or not depending on
+   the order of the sums. _kernels.py has the same CURV_FLOOR. */
+#define CURV_FLOOR 0x1p-46
 
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
@@ -214,30 +245,32 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     const double *z = buf + m;
     double *obj_hist = buf + 2 * m, *grad_hist = obj_hist + max_iters + 1,
         *info = grad_hist + max_iters + 1;
-    double *mem, *v, *qv, *cand, *qcand, *v_new, *qv_new, *rgrad, *rgrad_new,
-        *dir, *tmp;
+    const ptrdiff_t na = m > 2 * (ptrdiff_t)r ? m : 2 * (ptrdiff_t)r;
+    double *mem, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
+        *rgrad_new, *dir, *tmp;
     double f_cur, gnorm2, prev_step, tang_res = 0.0;
     int failed = 0;
     quad_op op;
 
-    mem = malloc(sizeof(double) * (size_t)(12 * m + 6 * r + 1));
+    /* aux_cand and aux_new hold evaluate()'s aux for cand and v_new; qv
+       receives finish()'s product for a factored form */
+    mem = malloc(sizeof(double) * (size_t)(10 * m + 2 * na + 4 * r + 1));
     if (!mem)
         return -1;
-    v = mem; qv = v + m; cand = qv + m; qcand = cand + m;
-    v_new = qcand + m; qv_new = v_new + m; rgrad = qv_new + m;
-    rgrad_new = rgrad + m; dir = rgrad_new + m; tmp = dir + m;
+    v = mem; qv = v + m; cand = qv + m; v_new = cand + m;
+    rgrad = v_new + m; rgrad_new = rgrad + m; dir = rgrad_new + m;
+    tmp = dir + m; aux_cand = tmp + m; aux_new = aux_cand + na;
     op.n = n; op.r = r; op.q = a->q; op.f = a->f; op.fh = a->fh;
     op.omega = a->omega;
-    op.xr = tmp + m; op.xi = op.xr + m;
-    op.t = op.xi + m; op.tr = op.t + 2 * r; op.ti = op.tr + 2 * r;
+    op.xr = aux_new + na; op.xi = op.xr + m;
+    op.tr = op.xi + m; op.ti = op.tr + 2 * r;
 
     for (i = 0; i <= max_iters; i++)
         obj_hist[i] = grad_hist[i] = NAN;
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
-    apply(&op, v, qv);
-    f_cur = quad_value(v, qv, z, n);
-    riemannian_grad(qv, z, v, n, rgrad);
+    f_cur = evaluate(&op, v, z, aux_new);
+    riemannian_grad(finish(&op, v, aux_new, qv), z, v, n, rgrad);
     gnorm2 = dot(rgrad, rgrad, m);
     for (i = 0; i < m; i++)
         dir[i] = -rgrad[i];
@@ -260,12 +293,11 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
         for (b = 0; b < a->max_backtracks; b++) {
             double f_cand;
             retract(v, dir, step, n, cand);
-            apply(&op, cand, qcand);
-            f_cand = quad_value(cand, qcand, z, n);
+            f_cand = evaluate(&op, cand, z, aux_cand);
             if (f_cand <= f_cur + armijo_c * step * slope) {
                 accepted = 1;
                 SWAP(cand, v_new);
-                SWAP(qcand, qv_new);
+                SWAP(aux_cand, aux_new);
                 f_new = f_cand;
                 break;
             }
@@ -276,24 +308,24 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
             break;
         }
         curv = f_new - f_cur - step * slope;
-        if (curv > 0.0) {
+        if (curv > CURV_FLOOR * (fabs(f_cur) + fabs(f_new))) {
             double step_fit = -0.5 * slope * step * step / curv;
             if (step_fit > 0.0) {
                 double f_cand;
                 retract(v, dir, step_fit, n, cand);
-                apply(&op, cand, qcand);
-                f_cand = quad_value(cand, qcand, z, n);
+                f_cand = evaluate(&op, cand, z, aux_cand);
                 if (f_cand < f_new) {
                     step = step_fit;
                     SWAP(cand, v_new);
-                    SWAP(qcand, qv_new);
+                    SWAP(aux_cand, aux_new);
                     f_new = f_cand;
                 }
             }
         }
         prev_step = step;
 
-        riemannian_grad(qv_new, z, v_new, n, rgrad_new);
+        riemannian_grad(finish(&op, v_new, aux_new, qv), z, v_new, n,
+                        rgrad_new);
         gnorm2_new = dot(rgrad_new, rgrad_new, m);
         beta = 0.0;
         if (gnorm2 > 0.0) {
@@ -325,7 +357,6 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
             tang_res = worst[1];
 
         SWAP(v, v_new);
-        SWAP(qv, qv_new);
         SWAP(rgrad, rgrad_new);
         f_cur = f_new;
         gnorm2 = gnorm2_new;

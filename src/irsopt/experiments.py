@@ -21,14 +21,14 @@ import numpy as np
 
 from .channels import ChannelSet, draw_channels, strip_irs
 from .scenario import ScenarioParams
-from .solver import SolverOptions, solve
+from .solver import SolverOptions, SolveTrace, solve
 
 log = logging.getLogger(__name__)
 
 SCHEMES = ("proposed", "random_phase", "no_irs")
 SWEEP_AXES = ("p_max", "n_elements")
 CSV_FIELDS = ("scheme", "sweep_name", "sweep_value", "trial", "seed",
-              "wsr_nats", "wsr_bits", "outer_iters", "time_ms")
+              "wsr_nats", "wsr_bits", "outer_iters", "time_ms", "inner_unconverged")
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ class ResultRow:
     wsr_bits: float
     outer_iters: int
     time_ms: float
+    inner_unconverged: int   # phase descents of the solve that stopped unconverged
 
 
 def scenario_at(base: ScenarioParams, sweep_name: str, value) -> ScenarioParams:
@@ -96,8 +97,8 @@ def _cell_rngs(base_seed: int, sweep_idx: int, trial: int):
 
 
 def run_scheme(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
-               opts: SolverOptions, rng: np.random.Generator):
-    """Solve one scheme on a fixed realization; returns (wsr, outer_iters).
+               opts: SolverOptions, rng: np.random.Generator) -> SolveTrace:
+    """Solve one scheme on a fixed realization; returns its trace.
 
     no_irs drops every reflected path and freezes the (empty) phases;
     random_phase keeps the reflected paths but freezes the seeded random
@@ -114,7 +115,7 @@ def run_scheme(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     _, _, trace = solve(scenario, channels, opts, rng=rng)
-    return float(trace.wsr[-1]), int(trace.n_outer)
+    return trace
 
 
 def run_baseline(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
@@ -125,8 +126,8 @@ def run_baseline(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
         raise ValueError(f"unknown baseline scheme {scheme!r}")
     if rng is None:
         rng = np.random.default_rng(scenario.rng_seed)
-    wsr, _ = run_scheme(scheme, scenario, channels, opts or SolverOptions(), rng)
-    return wsr
+    trace = run_scheme(scheme, scenario, channels, opts or SolverOptions(), rng)
+    return float(trace.wsr[-1])
 
 
 def _run_cell(args) -> list[ResultRow]:
@@ -139,11 +140,13 @@ def _run_cell(args) -> list[ResultRow]:
     rows = []
     for scheme in schemes:
         t0 = time.perf_counter()
-        wsr, outer = run_scheme(scheme, scenario, channels, opts,
-                                np.random.default_rng(init_seed))
+        trace = run_scheme(scheme, scenario, channels, opts,
+                           np.random.default_rng(init_seed))
         elapsed_ms = 1e3 * (time.perf_counter() - t0)
+        wsr = float(trace.wsr[-1])
         rows.append(ResultRow(scheme, sweep_name, float(value), trial, seed,
-                              wsr, wsr / math.log(2.0), outer, elapsed_ms))
+                              wsr, wsr / math.log(2.0), trace.n_outer, elapsed_ms,
+                              int(np.count_nonzero(~trace.inner_converged))))
     return rows
 
 
@@ -184,7 +187,7 @@ def write_rows(handle, rows: list[ResultRow]) -> None:
     for r in rows:
         writer.writerow([r.scheme, r.sweep_name, repr(r.sweep_value), r.trial,
                          r.seed, repr(r.wsr_nats), repr(r.wsr_bits),
-                         r.outer_iters, f"{r.time_ms:.3f}"])
+                         r.outer_iters, f"{r.time_ms:.3f}", r.inner_unconverged])
 
 
 def read_rows(path) -> list[ResultRow]:
@@ -195,7 +198,7 @@ def read_rows(path) -> list[ResultRow]:
         return [ResultRow(r["scheme"], r["sweep_name"], float(r["sweep_value"]),
                           int(r["trial"]), int(r["seed"]), float(r["wsr_nats"]),
                           float(r["wsr_bits"]), int(r["outer_iters"]),
-                          float(r["time_ms"]))
+                          float(r["time_ms"]), int(r["inner_unconverged"]))
                 for r in reader]
 
 

@@ -5,9 +5,11 @@ objective is an explicit Hermitian quadratic in the stacked reflection
 vector. Its matrix ``j_hat`` is a Hadamard product of two positive
 semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
 (size, n_users**2) factor ``F`` (Schur product theorem). Assembly builds
-``F``, and the conjugate-gradient descent in ``_kernels`` runs on the
-matrix-free product ``F (F^H v)``: the dense matrix is formed only when a
-caller reads ``j_hat``. Since the quadratic is already convex, no shift is
+``F``, and the conjugate-gradient descent in ``_kernels`` runs matrix-free:
+the compiled kernel scores each line-search candidate by ||F^H x||^2 (one
+product with ``F^H``) and forms ``F (F^H v)`` only for the accepted point,
+where the gradient needs it. The dense matrix is formed only when a caller
+reads ``j_hat``. Since the quadratic is already convex, no shift is
 needed; an optional ``omega I`` adds omega * size on the manifold and
 leaves the constrained minimizer where it is.
 """

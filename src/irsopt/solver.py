@@ -58,6 +58,8 @@ class SolveTrace:
     lam: np.ndarray           # beamformer dual value per iteration
     probes: np.ndarray        # beamformer dual-search probes per iteration
     inner_iters: np.ndarray   # phase-descent iterations per outer iteration
+    inner_converged: np.ndarray     # bool: the phase descent met its gradient tolerance
+    line_search_failed: np.ndarray  # bool: the phase descent's line search stalled
     wall_time_s: np.ndarray
     initial_wsr: float
     converged: bool
@@ -110,6 +112,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     initial_wsr = prev_wsr
 
     wsr_hist, wmse_hist, lam_hist, probe_hist, inner_hist, time_hist = [], [], [], [], [], []
+    inner_ok_hist, failed_hist = [], []
     converged = False
     for it in range(opts.max_outer):
         t0 = time.perf_counter()
@@ -119,7 +122,8 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         beams, lam, probes = solve_beamforming(
             hbar, u, q, alpha, scenario.p_max,
             power_tol_rel=opts.power_tol_rel, lambda_tol_rel=opts.lambda_tol_rel)
-        inner = 0
+        # frozen phases count as a converged descent without a failure
+        inner, inner_ok, failed = 0, True, False
         if do_phases:
             form = assemble_quadratic(channels, beams, u, q, alpha, noise,
                                       omega=opts.omega)
@@ -127,6 +131,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
                                         grad_tol=opts.phase_grad_tol,
                                         max_iters=opts.max_inner)
             inner = ptrace.n_iters
+            inner_ok, failed = ptrace.converged, ptrace.line_search_failed
             hbar = effective_channels(channels, phases)
 
         wsr = weighted_sum_rate(alpha, compute_rates(hbar, beams, noise))
@@ -136,9 +141,12 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         lam_hist.append(lam)
         probe_hist.append(probes)
         inner_hist.append(inner)
+        inner_ok_hist.append(inner_ok)
+        failed_hist.append(failed)
         time_hist.append(time.perf_counter() - t0)
-        log.debug("outer %d: wsr=%.6f lam=%.3e probes=%d inner=%d",
-                  it, wsr, lam, probes, inner)
+        log.debug("outer %d: wsr=%.6f lam=%.3e probes=%d inner=%d "
+                  "inner_converged=%s line_search_failed=%s",
+                  it, wsr, lam, probes, inner, inner_ok, failed)
 
         rel_gain = (wsr - prev_wsr) / max(abs(prev_wsr), 1e-300)
         prev_wsr = wsr
@@ -153,6 +161,8 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     trace = SolveTrace(wsr=np.array(wsr_hist), wmse_obj=np.array(wmse_hist),
                        lam=np.array(lam_hist), probes=np.array(probe_hist, dtype=int),
                        inner_iters=np.array(inner_hist),
+                       inner_converged=np.array(inner_ok_hist, dtype=bool),
+                       line_search_failed=np.array(failed_hist, dtype=bool),
                        wall_time_s=np.array(time_hist),
                        initial_wsr=initial_wsr, converged=converged)
     return beams, phases, trace

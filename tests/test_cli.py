@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsopt import desk_scenario, save_scenario
+from irsopt import _kernels, desk_scenario, save_scenario
 from irsopt.cli import TRACE_HEADER, main
 
 
@@ -12,12 +12,14 @@ class TestSolveCommand:
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == TRACE_HEADER
-        assert TRACE_HEADER.endswith(",time_ms,probes")
+        assert TRACE_HEADER.endswith(
+            ",time_ms,probes,inner_converged,line_search_failed")
         assert len(lines) >= 2
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == len(TRACE_HEADER.split(","))
-            assert 0 <= int(fields[-1]) <= 40
+            assert 0 <= int(fields[-3]) <= 40
+            assert fields[-2] in ("0", "1") and fields[-1] in ("0", "1")
         err = capsys.readouterr().err
         assert "converged=" in err
 
@@ -74,6 +76,8 @@ class TestValidateCommand:
     def test_passes_on_healthy_build(self, capsys):
         assert main(["validate", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok:") == 5
+        assert out.count("ok:") == 6
         assert "at a binding cap" in out and "probes mean" in out
+        kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
+        assert f"kernel {kernel}, worst rel objective gap" in out
         assert "FAIL" not in out

@@ -4,7 +4,8 @@ import pytest
 from irsopt import (ChannelSet, ExperimentSpec, SolverOptions, desk_scenario,
                     draw_channels, run_baseline, run_experiment, solve,
                     summarize)
-from irsopt.experiments import CSV_FIELDS, read_rows, run_scheme, scenario_at
+from irsopt.experiments import (CSV_FIELDS, SCHEMES, read_rows, run_scheme,
+                                 scenario_at)
 
 
 @pytest.fixture(scope="module")
@@ -116,17 +117,32 @@ class TestRunExperiment:
         rows_a = run_experiment(spec)
         rows_b = run_experiment(spec)
         strip = lambda r: (r.scheme, r.sweep_name, r.sweep_value, r.trial,
-                           r.seed, r.wsr_nats, r.wsr_bits, r.outer_iters)
+                           r.seed, r.wsr_nats, r.wsr_bits, r.outer_iters,
+                           r.inner_unconverged)
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
+
+    def test_unconverged_descents_are_counted(self, desk_setup):
+        # a cap of 3 inner iterations leaves descents unconverged; the
+        # baselines run no descent
+        spec = tiny_spec(desk_setup[0], sweep_values=(0.5, 1.0), n_trials=2,
+                         schemes=SCHEMES,
+                         options=SolverOptions(max_inner=3))
+        rows = run_experiment(spec)
+        proposed = [r for r in rows if r.scheme == "proposed"]
+        assert all(0 <= r.inner_unconverged <= r.outer_iters for r in proposed)
+        assert any(r.inner_unconverged > 0 for r in proposed)
+        assert all(r.inner_unconverged == 0 for r in rows if r.scheme != "proposed")
 
     def test_csv_round_trip_byte_identical(self, desk_setup, tmp_path):
         out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_experiment(tiny_spec(desk_setup[0], out_path=out_a, n_trials=2))
         run_experiment(tiny_spec(desk_setup[0], out_path=out_b, n_trials=2))
 
+        col = CSV_FIELDS.index("time_ms")
+
         def censor_time(path):
-            lines = path.read_text().splitlines()
-            return [line.rsplit(",", 1)[0] for line in lines]
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            return [row[:col] + row[col + 1:] for row in rows]
 
         assert censor_time(out_a) == censor_time(out_b)
 
@@ -137,6 +153,8 @@ class TestRunExperiment:
         assert len(loaded) == len(rows)
         assert loaded[0].wsr_nats == rows[0].wsr_nats
         assert loaded[0].seed == rows[0].seed
+        assert [r.inner_unconverged for r in loaded] == [
+            r.inner_unconverged for r in rows]
 
     def test_unwritable_output_fails_before_compute(self, desk_setup, tmp_path):
         spec = tiny_spec(desk_setup[0], out_path=tmp_path / "missing" / "x.csv",

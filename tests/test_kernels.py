@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsopt import _kernels
 from irsopt.phaseopt import QuadraticForm
@@ -100,6 +102,80 @@ class TestKernelParity:
         assert got[1] == want[1]
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[2], want[2], equal_nan=True)
+
+
+@st.composite
+def factored_operators(draw):
+    """F F^H + omega I as the solver hands it to the kernel, over size,
+    rank (also above the size), shift, the scales of F and z, and z inside
+    or outside range(F); with a unit-modulus start."""
+    size = draw(st.integers(1, 300))
+    rank = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    f_scale = 10.0 ** draw(st.floats(-8.0, 2.0))
+    z_scale = 10.0 ** draw(st.floats(-8.0, 2.0))
+    omega = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1e2))) * f_scale ** 2
+    factor = f_scale * complex_normal(rng, (size, rank))
+    if draw(st.booleans()):
+        z = factor @ (z_scale / f_scale * complex_normal(rng, rank))
+    else:
+        z = z_scale * complex_normal(rng, size)
+    v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+    return _kernels.ShiftedOperator(factor=factor, omega=omega), z, v0
+
+
+def rounding_spread(q_op, z, v0, step0, n_iters, n_variants=8):
+    """How far ``rmcg_core_numpy`` drifts from itself when only its
+    rounding changes: its objective history, and per entry the largest gap
+    to reruns on the same problem permuted (phase elements and the
+    factor's columns), scaled by c^2 in [0.5, 2] and turned by a global
+    phase, whose objective is c^2 times the original along the same path
+    (inf where a rerun stopped earlier). Near a rounding tie, or where a
+    far parabolic step amplifies rounding, this is the spread any
+    correctly rounded kernel may show."""
+    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, z, v0, 0.0, n_iters, step0,
+                                             0.5, 1e-4, 40)
+    obj = obj[:n + 1]
+    spread = np.zeros(n + 1)
+    rng = np.random.default_rng(0)
+    for _ in range(n_variants):
+        rows = rng.permutation(q_op.size)
+        cols = rng.permutation(q_op.rank)
+        c2 = rng.uniform(0.5, 2.0)
+        turn = np.exp(2j * np.pi * rng.uniform())
+        op = _kernels.ShiftedOperator(factor=np.sqrt(c2) * q_op.factor[rows][:, cols],
+                                      omega=c2 * q_op.omega)
+        _, m, other, *_ = _kernels.rmcg_core_numpy(
+            op, c2 * turn * z[rows], turn * v0[rows], 0.0, n_iters, step0 / c2,
+            0.5, 1e-4, 40)
+        m = min(m, n) + 1
+        spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
+        spread[m:] = np.inf
+    return obj, spread
+
+
+class TestFactoredProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(factored_operators())
+    def test_descent_on_factored_operators(self, problem):
+        q_op, z, v0 = problem
+        dense = q_op.factor @ q_op.factor_h + q_op.omega * np.eye(q_op.size)
+        trace = float(np.trace(dense).real)
+        scale = trace + 2.0 * float(np.sum(np.abs(z)))
+        step0 = 0.5 / trace
+        v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, z, v0, 0.0, 60, step0,
+                                                   0.5, 1e-4, 40)
+        assert np.all(np.diff(obj[:n + 1]) <= 0.0)
+        at_v = np.vdot(v, dense @ v).real + 2.0 * np.vdot(v, z).real
+        assert abs(obj[n] - at_v) <= 1e-10 * scale
+        assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-12
+        # the first iterations take the reference's steps: as close to it as
+        # the reference is to itself under other rounding, or 1e-9 of the
+        # scale
+        _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, z, v0, 0.0, 5, step0, 0.5, 1e-4, 40)
+        obj_r, spread = rounding_spread(q_op, z, v0, step0, 5)
+        k = min(n_c + 1, obj_r.size)
+        assert np.all(np.abs(obj_c[:k] - obj_r[:k]) <= 1e-9 * scale + 10.0 * spread[:k])
 
 
 def _subprocess_env(**overrides):

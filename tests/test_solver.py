@@ -109,6 +109,39 @@ class TestSolve:
         assert np.array_equal(t1.lam, t2.lam)
         assert np.array_equal(t1.probes, t2.probes)
         assert np.array_equal(t1.inner_iters, t2.inner_iters)
+        assert np.array_equal(t1.inner_converged, t2.inner_converged)
+        assert np.array_equal(t1.line_search_failed, t2.line_search_failed)
+        for flags in (t1.inner_converged, t1.line_search_failed):
+            assert flags.dtype == bool and flags.shape == (t1.n_outer,)
+
+    def test_descent_health_matches_each_descent(self, desk_setup, monkeypatch):
+        # the per-outer flags are the ones each phase descent reported; a
+        # cap of 3 inner iterations leaves some descents unconverged
+        scenario, channels = desk_setup
+        descents = []
+
+        def recording(form, init, **kwargs):
+            phases, ptrace = rmcg_solve(form, init, **kwargs)
+            descents.append(ptrace)
+            return phases, ptrace
+
+        monkeypatch.setattr("irsopt.solver.rmcg_solve", recording)
+        _, _, trace = solve(scenario, channels, SolverOptions(max_inner=3),
+                            rng=np.random.default_rng(3))
+        assert len(descents) == trace.n_outer
+        assert trace.inner_converged.tolist() == [d.converged for d in descents]
+        assert trace.line_search_failed.tolist() == [
+            d.line_search_failed for d in descents]
+        assert not trace.inner_converged.all()
+
+    def test_frozen_phases_count_as_converged(self, desk_setup):
+        scenario, channels = desk_setup
+        _, _, trace = solve(scenario, channels,
+                            SolverOptions(optimize_phases=False),
+                            rng=np.random.default_rng(3))
+        assert trace.inner_converged.all()
+        assert not trace.line_search_failed.any()
+        assert not trace.inner_iters.any()
 
     def test_feasible_solution(self, desk_setup):
         scenario, channels = desk_setup
