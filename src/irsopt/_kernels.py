@@ -1,20 +1,21 @@
 """Hot numerical kernel: the manifold conjugate-gradient inner loop.
 
 The descent loop dominates solver runtime, so it lives here, apart from
-the bookkeeping in ``phaseopt``. It touches the quadratic only through
-``q_op @ x``. ``q_op`` is a dense (size, size) array, a
-``ShiftedOperator`` (Q + omega I with Q dense or given by its low-rank
-factor, never formed as a matrix; ``phaseopt`` passes one), or any other
-object with ``@`` on vectors.
+the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``
+(Q + omega I, with Q dense or given by its low-rank factor, never formed
+as a matrix). Both kernels first check the arguments the same way
+(``z`` and ``v0`` of the form's size, a nonnegative ``max_iters``).
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
-the vectorized numpy reference. ``_rmcg.c`` is a C port of it, step for
-step, except that a factored candidate is scored by ||F^H x||^2: on a
-factored operator a line-search trial point costs the one product
-t = F^H x (f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)), and F t + omega x
-is formed for the accepted point alone. On first import the system C
-compiler (``cc``, ``gcc`` or ``clang`` on PATH) builds it with
-``-O3 -march=native -ffp-contract=off`` (no
+the vectorized numpy reference; it touches the form only through
+``form @ x``. ``_rmcg.c`` is a C port of it, step for step, that reads
+the form's arrays and omega itself, except that a factored candidate is
+scored by ||F^H x||^2: on a factored form a line-search trial point costs
+the one product t = F^H x (f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)),
+and F t is formed for the accepted point alone (its radial omega x is
+left out, since the tangent projection of the gradient removes it). On
+first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
+builds it with ``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
 ``$XDG_CACHE_HOME/irsopt`` (default ``~/.cache/irsopt``), and it is loaded
 through ctypes. The file name is keyed by the source, the flags, the
@@ -26,9 +27,6 @@ worker pool) never load a partial file. A new build deletes the other
 before loading it builds once more). ``rmcg_core`` is the entry point
 callers look up: the compiled kernel when it loaded (``JIT_ENABLED`` is
 True), else the numpy reference, after a logged WARNING that says why.
-The compiled kernel runs a dense array or a ``ShiftedOperator`` and hands
-any other operator to the reference. Setting IRSOPT_NO_NUMBA=1 (the flag
-keeps its old name) skips the build and forces the reference.
 ``benchmarks/bench_kernels.py`` times both.
 
 Algorithm: ambient gradient 2(Qv + z), projection onto the tangent space
@@ -64,7 +62,6 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-ENV_FLAG = "IRSOPT_NO_NUMBA"
 # A parabolic refinement needs a curvature above the rounding of the
 # objective values it is fitted to (2**-46 is 64 ulp); below it the fit is
 # noise and its far step is taken or not by the order of the sums. The
@@ -76,72 +73,25 @@ _CFLAGS = ("-std=gnu99", "-O3", "-march=native", "-ffp-contract=off",
 _COMPILERS = ("cc", "gcc", "clang")
 
 
-class ShiftedOperator:
-    """Q + omega I, with Q a dense (size, size) ``matrix`` or F F^H given
-    by a (size, rank) ``factor`` and its conjugate transpose ``factor_h``.
-
-    ``@`` applies it to a vector with numpy; the compiled kernel reads
-    the arrays and the scalar shift itself, so neither F F^H nor Q + omega I
-    is ever formed. The operator is immutable, since it keeps the arrays'
-    data addresses for the compiled kernel.
-    """
-
-    __slots__ = ("matrix", "factor", "factor_h", "omega", "size", "rank",
-                 "_addresses")
-
-    def __init__(self, matrix=None, factor=None, factor_h=None, omega=0.0):
-        if (matrix is None) == (factor is None):
-            raise ValueError("give exactly one of matrix and factor")
-        if matrix is not None:
-            matrix = np.ascontiguousarray(matrix, dtype=complex)
-            if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-                raise ValueError("matrix must be square")
-            size, rank = matrix.shape[0], 0
-        else:
-            factor = np.ascontiguousarray(factor, dtype=complex)
-            if factor.ndim != 2:
-                raise ValueError("factor must be (size, rank)")
-            factor_h = np.ascontiguousarray(
-                np.conj(factor).T if factor_h is None else factor_h, dtype=complex)
-            if factor_h.shape != factor.shape[::-1]:
-                raise ValueError("factor_h must be (rank, size)")
-            size, rank = factor.shape
-        for name, value in zip(self.__slots__, (matrix, factor, factor_h, float(omega),
-                                                size, rank, None)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ShiftedOperator is immutable")
-
-    def __matmul__(self, v):
-        if self.matrix is not None:
-            out = self.matrix @ v
-        else:
-            out = np.dot(self.factor, np.dot(self.factor_h, v))
-        if self.omega:
-            out += self.omega * v
-        return out
-
-    def addresses(self) -> tuple[int, int, int]:
-        """(matrix, factor, factor_h) data addresses, 0 for an absent
-        array; read once, since reading one costs microseconds."""
-        if self._addresses is None:
-            object.__setattr__(self, "_addresses", tuple(
-                0 if a is None else a.ctypes.data
-                for a in (self.matrix, self.factor, self.factor_h)))
-        return self._addresses
+def _check(form, z, v0, max_iters) -> None:
+    """The argument checks both kernels make before they start."""
+    if z.shape != (form.size,) or v0.shape != (form.size,):
+        raise ValueError("z and v0 must be vectors of the form's size")
+    if max_iters < 0:
+        raise ValueError("max_iters must be nonnegative")
 
 
-def rmcg_core_numpy(q_op, z, v0, grad_tol, max_iters, step0, shrink,
+def rmcg_core_numpy(form, z, v0, grad_tol, max_iters, step0, shrink,
                     armijo_c, max_backtracks):
-    """Vectorized descent loop; ``q_op`` needs only ``@`` on vectors."""
+    """Vectorized descent loop; it applies the form only through ``@``."""
+    _check(form, z, v0, max_iters)
     v = v0.copy()
     obj_hist = np.full(max_iters + 1, np.nan)
     grad_hist = np.full(max_iters + 1, np.nan)
     tang_res = 0.0
     failed = False
 
-    qv = q_op @ v
+    qv = form @ v
     f_cur = np.vdot(v, qv).real + 2.0 * np.vdot(v, z).real
     egrad = 2.0 * (qv + z)
     rgrad = egrad - (np.conj(egrad) * v).real * v
@@ -167,7 +117,7 @@ def rmcg_core_numpy(q_op, z, v0, grad_tol, max_iters, step0, shrink,
         for _ in range(max_backtracks):
             cand = v + step * direction
             cand = cand / np.abs(cand)
-            qv_cand = q_op @ cand
+            qv_cand = form @ cand
             f_cand = np.vdot(cand, qv_cand).real + 2.0 * np.vdot(cand, z).real
             if f_cand <= f_cur + armijo_c * step * slope:
                 accepted = True
@@ -185,7 +135,7 @@ def rmcg_core_numpy(q_op, z, v0, grad_tol, max_iters, step0, shrink,
             if step_fit > 0.0:
                 cand = v + step_fit * direction
                 cand = cand / np.abs(cand)
-                qv_cand = q_op @ cand
+                qv_cand = form @ cand
                 f_cand = np.vdot(cand, qv_cand).real + 2.0 * np.vdot(cand, z).real
                 if f_cand < f_new:
                     step = step_fit
@@ -227,8 +177,6 @@ def rmcg_core_numpy(q_op, z, v0, grad_tol, max_iters, step0, shrink,
 
     converged = np.sqrt(gnorm2) < grad_tol
     return v, n_done, obj_hist, grad_hist, tang_res, failed, converged
-
-
 
 
 def _compiler() -> str:
@@ -316,30 +264,19 @@ def _load():
     return run
 
 
-def rmcg_core_compiled(q_op, z, v0, grad_tol, max_iters, step0, shrink,
+def rmcg_core_compiled(form, z, v0, grad_tol, max_iters, step0, shrink,
                        armijo_c, max_backtracks):
-    """``rmcg_core_numpy``'s contract on the compiled kernel. A dense array
-    or a ``ShiftedOperator`` runs in C; any other operator runs the
-    reference."""
-    if type(q_op) is np.ndarray:
-        q_op = ShiftedOperator(q_op)
-    elif not isinstance(q_op, ShiftedOperator):
-        return rmcg_core_numpy(q_op, z, v0, grad_tol, max_iters, step0, shrink,
-                               armijo_c, max_backtracks)
-    n, m = q_op.size, int(max_iters)
-    if z.shape != (n,) or v0.shape != (n,):
-        raise ValueError("z and v0 must be vectors of the operator's size")
-    if m < 0:
-        raise ValueError("max_iters must be nonnegative")
+    """``rmcg_core_numpy``'s contract on the compiled kernel."""
+    _check(form, z, v0, max_iters)
+    n, m = form.size, int(max_iters)
     # one buffer in and out: v0 (becomes v) | z | obj_hist | grad_hist | info
     raw = (ctypes.c_double * (4 * n + 2 * m + 5))()
     buf = np.frombuffer(raw)
     vz = buf[:4 * n].view(complex)
     vz[:n] = v0
     vz[n:] = z
-    q_addr, f_addr, fh_addr = q_op.addresses()
-    n_done = _run(_Args(q_addr, f_addr, fh_addr, n, q_op.rank, m, max_backtracks,
-                        q_op.omega, grad_tol, step0, shrink, armijo_c), raw)
+    n_done = _run(_Args(*form.addresses, n, form.rank, m, max_backtracks,
+                        form.omega, grad_tol, step0, shrink, armijo_c), raw)
     if n_done < 0:
         raise MemoryError("descent kernel could not allocate its work space")
     hist = 4 * n
@@ -349,14 +286,11 @@ def rmcg_core_compiled(q_op, z, v0, grad_tol, max_iters, step0, shrink,
 
 
 _run = None
-if os.environ.get(ENV_FLAG, "").strip().lower() in ("1", "true", "yes"):
-    log.info("%s is set: the descent runs the numpy reference kernel", ENV_FLAG)
-else:
-    try:
-        _run = _load()
-    except (OSError, AttributeError, subprocess.SubprocessError) as exc:
-        log.warning("compiled descent kernel unavailable, running the numpy "
-                    "reference kernel instead: %s", exc)
+try:
+    _run = _load()
+except (OSError, AttributeError, subprocess.SubprocessError) as exc:
+    log.warning("compiled descent kernel unavailable, running the numpy "
+                "reference kernel instead: %s", exc)
 
 JIT_ENABLED = _run is not None
 rmcg_core = rmcg_core_compiled if JIT_ENABLED else rmcg_core_numpy

@@ -15,8 +15,9 @@
 
    The line search needs only objective values, and for the factored
    form f(x) = ||t||^2 + omega ||x||^2 + 2 Re(z^H x) with t = F^H x: a
-   trial point costs the one product F^H x, and F t + omega x, which the
-   gradient needs, is formed for the accepted point alone. An iteration
+   trial point costs the one product F^H x, and F t, which the gradient
+   needs, is formed for the accepted point alone (without omega x, which is
+   radial and projected away). An iteration
    with k trial points thus does k + 1 such products instead of 2 k. Every
    objective value of a run comes from evaluate(), so all comparisons see
    the same rounding.
@@ -116,8 +117,8 @@ typedef struct {
 } quad_op;
 
 /* f(x) = x^H (Q + omega I) x + 2 Re(z^H x). aux receives what finish()
-   needs to form (Q + omega I) x: that product itself for a dense Q (n
-   complex entries), t = F^H x for a factored one (r complex entries). */
+   needs: (Q + omega I) x for a dense Q (n complex entries), t = F^H x for
+   a factored one (r complex entries). */
 static double evaluate(const quad_op *op, const double *x, const double *z,
                        double *aux)
 {
@@ -138,19 +139,16 @@ static double evaluate(const quad_op *op, const double *x, const double *z,
     return f + 2.0 * dot(x, z, m);
 }
 
-/* (Q + omega I) x from evaluate()'s aux for the same x: aux itself for a
-   dense Q, else F t + omega x, written to y. */
-static const double *finish(const quad_op *op, const double *x,
-                            const double *aux, double *y)
+/* The product riemannian_grad() projects, from evaluate()'s aux for the
+   same x: aux itself, (Q + omega I) x, for a dense Q; else F t, written to
+   y. F t lacks the radial omega x, which the tangent projection would
+   remove again at x on the circles. */
+static const double *finish(const quad_op *op, const double *aux, double *y)
 {
-    ptrdiff_t i;
     if (op->q)
         return aux;
     split(aux, op->r, op->tr, op->ti);
     row_dots(op->f, op->n, op->r, op->tr, op->ti, y);
-    if (op->omega != 0.0)
-        for (i = 0; i < 2 * op->n; i++)
-            y[i] += op->omega * x[i];
     return y;
 }
 
@@ -270,7 +268,7 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
     f_cur = evaluate(&op, v, z, aux_new);
-    riemannian_grad(finish(&op, v, aux_new, qv), z, v, n, rgrad);
+    riemannian_grad(finish(&op, aux_new, qv), z, v, n, rgrad);
     gnorm2 = dot(rgrad, rgrad, m);
     for (i = 0; i < m; i++)
         dir[i] = -rgrad[i];
@@ -324,8 +322,7 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
         }
         prev_step = step;
 
-        riemannian_grad(finish(&op, v_new, aux_new, qv), z, v_new, n,
-                        rgrad_new);
+        riemannian_grad(finish(&op, aux_new, qv), z, v_new, n, rgrad_new);
         gnorm2_new = dot(rgrad_new, rgrad_new, m);
         beta = 0.0;
         if (gnorm2 > 0.0) {

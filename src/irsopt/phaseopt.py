@@ -5,13 +5,14 @@ objective is an explicit Hermitian quadratic in the stacked reflection
 vector. Its matrix ``j_hat`` is a Hadamard product of two positive
 semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
 (size, n_users**2) factor ``F`` (Schur product theorem). Assembly builds
-``F``, and the conjugate-gradient descent in ``_kernels`` runs matrix-free:
-the compiled kernel scores each line-search candidate by ||F^H x||^2 (one
-product with ``F^H``) and forms ``F (F^H v)`` only for the accepted point,
-where the gradient needs it. The dense matrix is formed only when a caller
-reads ``j_hat``. Since the quadratic is already convex, no shift is
-needed; an optional ``omega I`` adds omega * size on the manifold and
-leaves the constrained minimizer where it is.
+``F``, and ``QuadraticForm`` is the one operator the conjugate-gradient
+descent in ``_kernels`` runs, matrix-free: the compiled kernel scores each
+line-search candidate by ||F^H x||^2 (one product with ``F^H``) and forms
+``F (F^H v)`` only for the accepted point, where the gradient needs it.
+The dense matrix is formed only when a caller reads ``j_hat``. Since the
+quadratic is already convex, assembly adds no shift; a form built with a
+scalar shift omega I gains omega * size on the manifold and keeps its
+constrained minimizer.
 """
 
 from __future__ import annotations
@@ -28,95 +29,84 @@ from .wmmse import _w_matrix
 class QuadraticForm:
     """f(v) = v^H (j_hat + omega I) v + 2 Re(v^H z), plus bookkeeping.
 
-    The form holds either a dense Hermitian ``j_hat`` or, with
-    ``j_hat=None``, a ``factor`` F with j_hat = F F^H; ``j_hat`` is then
-    formed (once) on first read. const_term collects the terms of the
-    weighted MSE that do not depend on the phases, so that for any
-    unit-modulus v
+    The form holds either a dense Hermitian (size, size) ``j_hat`` or,
+    with ``j_hat=None``, a (size, rank) ``factor`` F with j_hat = F F^H,
+    where size = n_irs * n_elements; ``j_hat`` is then formed (once) on
+    first read. ``form @ v`` applies j_hat + omega I; neither F F^H nor
+    j_hat + omega I is formed. It is the one operator both descent kernels
+    run: the numpy reference through ``@``, the compiled one by reading the
+    C-contiguous complex arrays (dense ``j_hat``, or ``factor`` and its
+    conjugate transpose ``factor_h``) at ``addresses`` and the scalar
+    omega. The form is immutable, so a descent always runs the quadratic
+    the form describes. const_term collects the terms of the weighted MSE
+    that do not depend on the phases, so that for any unit-modulus v
 
         f(v) + const_term - omega * size == sum_k alpha_k q_k E_k.
     """
+
+    __slots__ = ("_j_hat", "factor", "factor_h", "z", "omega", "const_term",
+                 "n_irs", "n_elements", "size", "rank", "addresses", "_trace")
 
     def __init__(self, j_hat, z, omega, const_term, n_irs, n_elements, *,
                  factor=None):
         if (j_hat is None) == (factor is None):
             raise ValueError("give exactly one of j_hat and factor")
-        self._j_hat = j_hat
-        self.factor = factor
-        # F^H stored C-contiguous: np.dot on it beats a transposed view
-        self._factor_h = (None if factor is None
-                          else np.ascontiguousarray(np.conj(factor).T))
-        self.z = z
-        self.omega = float(omega)
-        self.const_term = const_term
-        self.n_irs = n_irs
-        self.n_elements = n_elements
-        self._trace = None
-        self._shifted = None
+        size = n_irs * n_elements
+        factor_h = None
+        if factor is None:
+            j_hat = np.ascontiguousarray(j_hat, dtype=complex)
+            if j_hat.shape != (size, size):
+                raise ValueError(f"j_hat must be ({size}, {size})")
+            rank, trace = 0, float(np.trace(j_hat).real)
+        else:
+            factor = np.ascontiguousarray(factor, dtype=complex)
+            if factor.ndim != 2 or factor.shape[0] != size:
+                raise ValueError(f"factor must be ({size}, rank)")
+            # F^H stored C-contiguous: np.dot on it beats a transposed view
+            factor_h = np.ascontiguousarray(np.conj(factor).T)
+            rank, trace = factor.shape[1], float(np.vdot(factor, factor).real)
+        z = np.ascontiguousarray(z, dtype=complex)
+        if z.shape != (size,):
+            raise ValueError(f"z must be a vector of length {size}")
+        addresses = tuple(0 if a is None else a.ctypes.data
+                          for a in (j_hat, factor, factor_h))
+        for name, value in zip(self.__slots__, (
+                j_hat, factor, factor_h, z, float(omega), const_term, n_irs,
+                n_elements, size, rank, addresses, trace)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def size(self) -> int:
-        return self.n_irs * self.n_elements
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadraticForm is immutable")
 
     @property
     def j_hat(self) -> np.ndarray:
         if self._j_hat is None:
-            self._j_hat = self.factor @ self._factor_h
+            object.__setattr__(self, "_j_hat", self.factor @ self.factor_h)
         return self._j_hat
 
-    def matvec(self, v) -> np.ndarray:
-        """j_hat @ v, without forming j_hat for a factored form."""
+    def __matmul__(self, v) -> np.ndarray:
+        """(j_hat + omega I) v, without forming j_hat for a factored form."""
         if self.factor is None:
-            return self._j_hat @ v
-        return np.dot(self.factor, np.dot(self._factor_h, v))
+            out = self._j_hat @ v
+        else:
+            out = np.dot(self.factor, np.dot(self.factor_h, v))
+        if self.omega:
+            out += self.omega * v
+        return out
 
     def shifted_trace(self) -> float:
-        """trace(j_hat + omega I); O(size * rank) for a factored form, and
-        trace(j_hat) is computed once per form."""
-        if self._trace is None:
-            if self.factor is None:
-                self._trace = float(np.trace(self._j_hat).real)
-            else:
-                self._trace = float(np.vdot(self.factor, self.factor).real)
+        """trace(j_hat + omega I); O(size * rank) for a factored form."""
         return self._trace + self.omega * self.size
-
-    def operator(self):
-        """j_hat + omega I, applied with ``@``: a matrix-free
-        ``ShiftedOperator`` for a factored form, the dense array (shifted
-        on a copy of its diagonal when omega != 0) for a dense one."""
-        if self.factor is not None:
-            return self._kernel_operator()
-        if not self.omega:
-            return self._j_hat
-        q_mat = np.array(self._j_hat, dtype=complex)
-        q_mat.flat[::self.size + 1] += self.omega
-        return q_mat
-
-    def _kernel_operator(self) -> _kernels.ShiftedOperator:
-        """j_hat + omega I as ``rmcg_solve`` hands it to the kernel: the
-        shift stays a scalar and neither representation is copied. Built
-        once per form (and again if omega is changed)."""
-        op = self._shifted
-        if op is None or op.omega != self.omega:
-            if self.factor is None:
-                op = _kernels.ShiftedOperator(self._j_hat, omega=self.omega)
-            else:
-                op = _kernels.ShiftedOperator(factor=self.factor,
-                                              factor_h=self._factor_h,
-                                              omega=self.omega)
-            self._shifted = op
-        return op
 
 
 def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
-                       mse_weights, weights, noise_power: float,
-                       omega: float = 0.0) -> QuadraticForm:
+                       mse_weights, weights, noise_power: float) -> QuadraticForm:
     """Collect the weighted MSE into a factored quadratic in the stacked
     phases.
 
     Column (k, j) of the factor is sqrt(alpha_k q_k |u_k|^2) h_{l,k} o
-    conj(G_l w_j), rows stacked (surface, element). omega is an optional
-    diagonal shift; the factored quadratic is PSD without one.
+    conj(G_l w_j), rows stacked (surface, element). The factored
+    quadratic is PSD, so the form carries no shift (omega = 0).
     """
     w = _w_matrix(beamformers)
     u = np.asarray(decoders, dtype=complex)
@@ -154,7 +144,7 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     z_lkm -= h_ru * u[None, :, None] * np.conj(gwk)
     z = np.einsum("k,lkm->lm", aq, z_lkm).reshape(size)
 
-    return QuadraticForm(None, z, omega, const, n_irs, n_el, factor=factor)
+    return QuadraticForm(None, z, 0.0, const, n_irs, n_el, factor=factor)
 
 
 def _phase_vector(phases) -> np.ndarray:
@@ -167,23 +157,21 @@ def _phase_vector(phases) -> np.ndarray:
 
 
 def objective(form: QuadraticForm, phases) -> float:
-    """Quadratic value at a feasible point; the shift contributes exactly
-    omega * size for any unit-modulus argument."""
+    """Quadratic value at a feasible point; the shift contributes omega *
+    size for any unit-modulus argument."""
     v = _phase_vector(phases)
     if v.size != form.size:
         raise ValueError("phase vector length does not match the form")
     if v.size == 0:
         return 0.0
-    return float(np.vdot(v, form.matvec(v)).real
-                 + form.omega * form.size
-                 + 2.0 * np.vdot(v, form.z).real)
+    return float(np.vdot(v, form @ v).real + 2.0 * np.vdot(v, form.z).real)
 
 
 def euclidean_gradient(form: QuadraticForm, v) -> np.ndarray:
     """Ambient gradient 2 (j_hat + omega I) v + 2 z; valid at any point."""
     v = np.asarray(v if not isinstance(v, PhaseConfig) else v.v_hat,
                    dtype=complex).reshape(-1)
-    return 2.0 * (form.matvec(v) + form.omega * v + form.z)
+    return 2.0 * (form @ v + form.z)
 
 
 def project_tangent(base, vec) -> np.ndarray:
@@ -228,9 +216,8 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
     grad_tol defaults to 1e-6 * sqrt(size); initial_step to
     0.5 / trace(j_hat + omega I), an upper bound on 0.5 / lambda_max of
     the PSD quadratic that costs O(size * rank) for a factored form. The
-    kernel multiplies by the form's own representation plus the scalar
-    shift, so a factored form never becomes a dense matrix here and a
-    dense one is not copied. The returned objective
+    kernel runs the form itself, so a factored form never becomes a dense
+    matrix here and a dense one is not copied. The returned objective
     sequence is non-increasing; if the line search stalls the incumbent is
     returned with the failure flagged.
     """
@@ -245,10 +232,7 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
         trace_q = form.shifted_trace()
         initial_step = 0.5 / trace_q if trace_q > 0 else 1.0
     v, n_iters, obj_hist, grad_hist, tang_res, failed, converged = _kernels.rmcg_core(
-        form._kernel_operator(),
-        np.ascontiguousarray(form.z),
-        np.ascontiguousarray(init.v_hat),
-        float(grad_tol), int(max_iters), float(initial_step),
+        form, form.z, init.v_hat, float(grad_tol), int(max_iters), float(initial_step),
         float(shrink), float(armijo_c), int(max_backtracks))
     trace = RmcgTrace(objectives=obj_hist[:n_iters + 1],
                       grad_norms=grad_hist[:n_iters + 1],

@@ -166,7 +166,7 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
                              factor=_cplx(rng, (size, rank)))
         v0 = PhaseConfig.random(1, size, rng).v_hat
         trace = form.shifted_trace()
-        args = (form.operator(), form.z, v0, 0.0, n_iters, 0.5 / trace, 0.5, 1e-4, 40)
+        args = (form, form.z, v0, 0.0, n_iters, 0.5 / trace, 0.5, 1e-4, 40)
         _, n_a, obj_a, *_ = _kernels.rmcg_core(*args)
         _, n_b, obj_b, *_ = _kernels.rmcg_core_numpy(*args)
         k = min(n_a, n_b) + 1

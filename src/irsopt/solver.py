@@ -40,13 +40,14 @@ class SolverOptions:
     phase_grad_tol: float | None = None  # None -> 1e-6 * sqrt(n_irs * n_elements)
     max_inner: int = 100           # phase-descent iteration cap
     optimize_phases: bool = True   # False freezes the initial phases
-    omega: float = 0.0             # diagonal shift of the (already PSD) phase quadratic
 
     def __post_init__(self):
         if self.outer_tol <= 0:
             raise ValueError("outer_tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
+        if self.max_inner < 0:
+            raise ValueError("max_inner must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         # frozen phases count as a converged descent without a failure
         inner, inner_ok, failed = 0, True, False
         if do_phases:
-            form = assemble_quadratic(channels, beams, u, q, alpha, noise,
-                                      omega=opts.omega)
+            form = assemble_quadratic(channels, beams, u, q, alpha, noise)
             phases, ptrace = rmcg_solve(form, phases,
                                         grad_tol=opts.phase_grad_tol,
                                         max_iters=opts.max_inner)

@@ -24,39 +24,40 @@ def random_kernel_inputs(rng, size):
     z = complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
     step0 = 0.5 / max(float(np.max(np.sum(np.abs(q_mat), axis=1))), 1e-300)
-    return q_mat, z, v0, step0
+    return QuadraticForm(q_mat, z, 0.0, 0.0, 1, size), z, v0, step0
 
 
-def run_core(fn, q_mat, z, v0, step0, tol=None, iters=300):
+def run_core(fn, form, z, v0, step0, tol=None, iters=300):
     if tol is None:
         tol = 1e-6 * np.sqrt(z.size)
-    return fn(q_mat, z, v0, tol, iters, step0, 0.5, 1e-4, 40)
+    return fn(form, z, v0, tol, iters, step0, 0.5, 1e-4, 40)
 
 
 def factored_kernel_inputs(rng, size, rank, omega):
-    """The same PSD quadratic F F^H + omega I as a matrix-free operator
-    and as a dense matrix."""
+    """The same PSD quadratic F F^H + omega I as a factored form, a dense
+    form with the shift on its diagonal and a dense form with a scalar
+    shift."""
     factor = complex_normal(rng, (size, rank))
     z = complex_normal(rng, size)
     form = QuadraticForm(None, z, omega, 0.0, 1, size, factor=factor)
-    dense = QuadraticForm(form.j_hat, z, omega, 0.0, 1, size)
-    return form.operator(), dense.operator(), z
+    dense = QuadraticForm(form.j_hat + omega * np.eye(size), z, 0.0, 0.0, 1, size)
+    shifted = QuadraticForm(form.j_hat, z, omega, 0.0, 1, size)
+    return form, dense, shifted, z
 
 
 class TestKernelParity:
     def test_factored_and_dense_operators_agree(self, rng):
-        # the same quadratic as a factored operator, a dense matrix and a
-        # dense matrix with a scalar shift, each run by the compiled kernel
-        # and by the numpy reference: all must land on the same minimum and
-        # stay on the manifold
+        # the same quadratic as a factored form, a dense form with the shift
+        # on its diagonal and a dense form with a scalar shift, each run by
+        # the compiled kernel and by the numpy reference: all must land on
+        # the same minimum and stay on the manifold
         for size, rank, omega in ((3, 4, 0.0), (8, 4, 0.0), (17, 9, 1.5),
                                   (1, 2, 0.0), (1, 1, 0.7), (6, 11, 2.0)):
-            op_f, op_d, z = factored_kernel_inputs(rng, size, rank, omega)
-            assert not isinstance(op_f, np.ndarray)
-            assert isinstance(op_d, np.ndarray)
-            op_s = _kernels.ShiftedOperator(op_d - omega * np.eye(size), omega=omega)
+            op_f, op_d, op_s, z = factored_kernel_inputs(rng, size, rank, omega)
+            assert op_f.factor is not None
+            assert op_d.factor is None and op_d.omega == 0.0
             v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-            step0 = 0.5 / np.trace(op_d).real
+            step0 = 0.5 / np.trace(op_d.j_hat).real
             finals = []
             for q_op in (op_f, op_d, op_s):
                 for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
@@ -68,18 +69,18 @@ class TestKernelParity:
             assert np.allclose(finals, finals[0], rtol=1e-9, atol=0.0)
 
     def test_histories_are_monotone(self, rng):
-        q_mat, z, v0, step0 = random_kernel_inputs(rng, 12)
+        form, z, v0, step0 = random_kernel_inputs(rng, 12)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-            _, n, obj, grad, tang, failed, _ = run_core(fn, q_mat, z, v0, step0)
+            _, n, obj, grad, tang, failed, _ = run_core(fn, form, z, v0, step0)
             diffs = np.diff(obj[:n + 1])
             assert np.all(diffs <= 1e-12 * np.maximum(np.abs(obj[:n]), 1.0))
             assert not failed
             assert tang < 1e-10
 
     def test_history_padding_is_nan(self, rng):
-        q_mat, z, v0, step0 = random_kernel_inputs(rng, 5)
+        form, z, v0, step0 = random_kernel_inputs(rng, 5)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-            _, n, obj, grad, _, _, _ = run_core(fn, q_mat, z, v0, step0,
+            _, n, obj, grad, _, _, _ = run_core(fn, form, z, v0, step0,
                                                 tol=1e-6, iters=300)
             assert n < 300
             assert obj.shape == grad.shape == (301,)
@@ -87,28 +88,24 @@ class TestKernelParity:
             assert np.all(np.isnan(grad[n + 1:]))
             assert not np.any(np.isnan(obj[:n + 1]))
 
-    def test_any_operator_with_matmul_runs(self, rng):
-        # an operator the compiled kernel cannot read runs the reference
-        class Wrapped:
-            def __init__(self, q):
-                self.q = q
-
-            def __matmul__(self, x):
-                return self.q @ x
-
-        q_mat, z, v0, step0 = random_kernel_inputs(rng, 6)
-        got = run_core(_kernels.rmcg_core, Wrapped(q_mat), z, v0, step0)
-        want = run_core(_kernels.rmcg_core_numpy, q_mat, z, v0, step0)
-        assert got[1] == want[1]
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[2], want[2], equal_nan=True)
+    def test_both_kernels_reject_bad_arguments(self, rng):
+        form, z, v0, step0 = random_kernel_inputs(rng, 5)
+        for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+            with pytest.raises(ValueError, match="max_iters"):
+                fn(form, z, v0, 0.0, -1, step0, 0.5, 1e-4, 40)
+            for bad_z, bad_v0 in ((z[:4], v0), (z, v0[:4]), (z, np.append(v0, 1.0))):
+                with pytest.raises(ValueError, match="size"):
+                    fn(form, bad_z, bad_v0, 0.0, 10, step0, 0.5, 1e-4, 40)
+            # a zero cap is allowed: the start point comes back
+            v, n, obj, *_ = fn(form, z, v0, 0.0, 0, step0, 0.5, 1e-4, 40)
+            assert n == 0 and obj.shape == (1,) and np.array_equal(v, v0)
 
 
 @st.composite
 def factored_operators(draw):
-    """F F^H + omega I as the solver hands it to the kernel, over size,
-    rank (also above the size), shift, the scales of F and z, and z inside
-    or outside range(F); with a unit-modulus start."""
+    """Factored forms F F^H + omega I as the solver hands them to the
+    kernel, over size, rank (also above the size), shift, the scales of F
+    and z, and z inside or outside range(F); with a unit-modulus start."""
     size = draw(st.integers(1, 300))
     rank = draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -121,7 +118,7 @@ def factored_operators(draw):
     else:
         z = z_scale * complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return _kernels.ShiftedOperator(factor=factor, omega=omega), z, v0
+    return QuadraticForm(None, z, omega, 0.0, 1, size, factor=factor), z, v0
 
 
 def rounding_spread(q_op, z, v0, step0, n_iters, n_variants=8):
@@ -143,11 +140,11 @@ def rounding_spread(q_op, z, v0, step0, n_iters, n_variants=8):
         cols = rng.permutation(q_op.rank)
         c2 = rng.uniform(0.5, 2.0)
         turn = np.exp(2j * np.pi * rng.uniform())
-        op = _kernels.ShiftedOperator(factor=np.sqrt(c2) * q_op.factor[rows][:, cols],
-                                      omega=c2 * q_op.omega)
+        z_var = c2 * turn * z[rows]
+        op = QuadraticForm(None, z_var, c2 * q_op.omega, 0.0, 1, q_op.size,
+                           factor=np.sqrt(c2) * q_op.factor[rows][:, cols])
         _, m, other, *_ = _kernels.rmcg_core_numpy(
-            op, c2 * turn * z[rows], turn * v0[rows], 0.0, n_iters, step0 / c2,
-            0.5, 1e-4, 40)
+            op, z_var, turn * v0[rows], 0.0, n_iters, step0 / c2, 0.5, 1e-4, 40)
         m = min(m, n) + 1
         spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
         spread[m:] = np.inf
@@ -182,21 +179,11 @@ def _subprocess_env(**overrides):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
-    env.pop(_kernels.ENV_FLAG, None)
     env.update(overrides)
     return env
 
 
 class TestEnvFlag:
-    def test_flag_disables_jit_in_subprocess(self):
-        code = ("import os; os.environ['IRSOPT_NO_NUMBA'] = '1'; "
-                "from irsopt import _kernels; "
-                "print(_kernels.JIT_ENABLED, "
-                "_kernels.rmcg_core is _kernels.rmcg_core_numpy)")
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False True"
-
     def test_no_compiler_falls_back_with_warning(self, tmp_path):
         code = ("import logging; logging.basicConfig(format='%(levelname)s %(message)s'); "
                 "import numpy as np, irsopt; from irsopt import _kernels; "
@@ -274,3 +261,19 @@ class TestEnvFlag:
             assert _kernels.rmcg_core is not _kernels.rmcg_core_numpy
         else:
             assert _kernels.rmcg_core is _kernels.rmcg_core_numpy
+
+
+def test_bench_kernels_script_runs(tmp_path):
+    script = SRC.parent / "benchmarks" / "bench_kernels.py"
+    out = subprocess.run([sys.executable, str(script), "--sizes", "8,16",
+                          "--iters", "2", "--users", "2"],
+                         capture_output=True, text=True, timeout=300,
+                         cwd=tmp_path, env=_subprocess_env())
+    assert out.returncode == 0, out.stderr
+    header = out.stdout.splitlines()[1].split()
+    kernels = ["compiled", "numpy"] if _kernels.JIT_ENABLED else ["numpy"]
+    assert header == ["size"] + [word for name in kernels
+                                 for op in ("factored", "dense") for word in (op, name)]
+    rows = [line.split() for line in out.stdout.splitlines()[2:4]]
+    assert [row[0] for row in rows] == ["8", "16"]
+    assert all(len(row) == 1 + 2 * len(kernels) for row in rows)

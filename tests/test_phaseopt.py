@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irsopt import _kernels
 from irsopt import (ChannelSet, PhaseConfig, QuadraticForm, assemble_quadratic,
                     compute_mse, draw_channels, effective_channels,
                     euclidean_gradient, objective, project_tangent, retract,
@@ -46,6 +47,12 @@ def quadratic_oracle(channels, w, u, q, alpha, noise):
     return j_hat, z, const
 
 
+def with_omega(form, omega):
+    """The assembled factored form with a scalar shift omega."""
+    return QuadraticForm(None, form.z, omega, form.const_term, form.n_irs,
+                         form.n_elements, factor=form.factor)
+
+
 def weighted_mse_direct(channels, phases, w, u, q, alpha, noise):
     """Route the objective through the effective channel and the MSE."""
     hbar = effective_channels(channels, phases)
@@ -73,7 +80,7 @@ class TestAssembleQuadratic:
         g = channels.g_bs_irs[0, 0, 0]
         h_r = channels.h_irs_user[0, 0, 0]
         w0, u0 = w[0, 0], u[0]
-        form = assemble_quadratic(channels, w, u, q, alpha, noise, omega=0.0)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
         # j = aq |u|^2 |h_r|^2 |g|^2 |w|^2 ; z = aq h_r (|u|^2 conj(g w conj(w) h) - u conj(g w))
         aq = alpha[0] * q[0]
         j_expected = aq * abs(u0) ** 2 * abs(h_r) ** 2 * abs(g) ** 2 * abs(w0) ** 2
@@ -151,16 +158,25 @@ class TestFactoredForm:
 
     def test_descent_never_forms_the_dense_matrix(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 6, 3, 3)
-        form = assemble_quadratic(channels, w, u, q, alpha, noise)
-        rmcg_solve(form, PhaseConfig.random(2, 6, rng))
-        objective(form, PhaseConfig.random(2, 6, rng))
-        assert form._j_hat is None
+        assembled = assemble_quadratic(channels, w, u, q, alpha, noise)
+        for form in (assembled, with_omega(assembled, 1.5)):
+            v = PhaseConfig.random(2, 6, rng)
+            rmcg_solve(form, v)
+            objective(form, v)
+            euclidean_gradient(form, v)
+            form.shifted_trace()
+            for kernel in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+                kernel(form, form.z, v.v_hat, 0.0, 5, 1e-3, 0.5, 1e-4, 40)
+            assert form._j_hat is None
+            # the kernel's matrix-free product is the dense one
+            dense = form.factor @ form.factor.conj().T + form.omega * np.eye(form.size)
+            assert np.allclose(form @ v.v_hat, dense @ v.v_hat, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("omega", [0.0, 2.5])
     def test_factored_and_dense_descents_agree(self, rng, omega):
         # the kernel on F (F^H v) and on the dense F F^H reach the same minimum
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 6, 3, 2)
-        factored = assemble_quadratic(channels, w, u, q, alpha, noise, omega=omega)
+        factored = with_omega(assemble_quadratic(channels, w, u, q, alpha, noise), omega)
         dense = QuadraticForm(factored.factor @ factored.factor.conj().T,
                               factored.z, omega, factored.const_term, 1, 6)
         v0 = PhaseConfig.random(1, 6, rng)
@@ -189,9 +205,41 @@ class TestFactoredForm:
         with pytest.raises(ValueError):
             QuadraticForm(None, z, 0.0, 0.0, 1, 2)
 
+    def test_construction_checks_shapes(self, rng):
+        # size = n_irs * n_elements = 2 * 3
+        j_hat, z = np.eye(6, dtype=complex), complex_normal(rng, 6)
+        factor = complex_normal(rng, (6, 4))
+        QuadraticForm(j_hat, z, 0.0, 0.0, 2, 3)
+        QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor=factor)
+        for bad_j_hat in (np.eye(5), np.ones((6, 5)), np.ones(6), np.eye(7)):
+            with pytest.raises(ValueError, match="j_hat"):
+                QuadraticForm(bad_j_hat, z, 0.0, 0.0, 2, 3)
+        for bad_factor in (factor[:5], np.vstack([factor, factor]), np.ones(6)):
+            with pytest.raises(ValueError, match="factor"):
+                QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor=bad_factor)
+        for bad_z in (z[:5], np.append(z, 1.0), z.reshape(2, 3)):
+            with pytest.raises(ValueError, match="z"):
+                QuadraticForm(j_hat, bad_z, 0.0, 0.0, 2, 3)
+            with pytest.raises(ValueError, match="z"):
+                QuadraticForm(None, bad_z, 0.0, 0.0, 2, 3, factor=factor)
+
+    def test_form_is_immutable(self, rng):
+        channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 4, 2, 2)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
+        v0 = PhaseConfig.random(1, 4, rng)
+        _, before = rmcg_solve(form, v0)
+        for name, value in (("z", -form.z), ("omega", 3.0), ("factor", 2.0 * form.factor),
+                            ("j_hat", np.eye(4)), ("const_term", 0.0), ("size", 3),
+                            ("new_attribute", 1)):
+            with pytest.raises(AttributeError):
+                setattr(form, name, value)
+        # the next descent runs the same quadratic
+        _, after = rmcg_solve(form, v0)
+        assert np.array_equal(before.objectives, after.objectives)
+
     def test_trace_step_matches_dense_trace(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 5, 3, 2)
-        form = assemble_quadratic(channels, w, u, q, alpha, noise, omega=1.5)
+        form = with_omega(assemble_quadratic(channels, w, u, q, alpha, noise), 1.5)
         expected = np.trace(form.j_hat).real + 1.5 * form.size
         assert form.shifted_trace() == pytest.approx(expected, rel=1e-12)
 
@@ -207,8 +255,8 @@ class TestObjective:
 
     def test_shift_adds_exactly_omega_times_size(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 3, 2, 2)
-        f0 = assemble_quadratic(channels, w, u, q, alpha, noise, omega=0.0)
-        f5 = assemble_quadratic(channels, w, u, q, alpha, noise, omega=5.0)
+        f0 = assemble_quadratic(channels, w, u, q, alpha, noise)
+        f5 = with_omega(f0, 5.0)
         phases = PhaseConfig.random(2, 3, rng)
         assert (objective(f5, phases) - objective(f0, phases)
                 == pytest.approx(5.0 * 6, abs=1e-9))
@@ -367,8 +415,8 @@ class TestRmcgSolve:
     def test_omega_choice_does_not_move_minimizer(self, rng):
         # 1-degree grid over two phases: same argmin cell with and without shift
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 2, 2, 2)
-        f0 = assemble_quadratic(channels, w, u, q, alpha, noise, omega=0.0)
-        f_big = assemble_quadratic(channels, w, u, q, alpha, noise, omega=5.0)
+        f0 = assemble_quadratic(channels, w, u, q, alpha, noise)
+        f_big = with_omega(f0, 5.0)
         theta = np.deg2rad(np.arange(360.0))
         t1, t2 = np.meshgrid(theta, theta, indexing="ij")
         v_grid = np.stack([np.exp(1j * t1).ravel(), np.exp(1j * t2).ravel()])

@@ -243,6 +243,11 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_outer=0)
 
+    def test_rejects_negative_inner_cap(self):
+        with pytest.raises(ValueError, match="max_inner"):
+            SolverOptions(max_inner=-1)
+        assert SolverOptions(max_inner=0).max_inner == 0
+
 
 class TestConvergenceFlag:
     def test_wsr_drop_is_not_converged(self, desk_setup, monkeypatch, caplog):
