@@ -12,8 +12,9 @@ the vectorized numpy reference; it touches the form only through
 the form's arrays and omega itself, except that a factored candidate is
 scored by ||F^H x||^2: on a factored form a line-search trial point costs
 the one product t = F^H x (f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)),
-and F t is formed for the accepted point alone (its radial omega x is
-left out, since the tangent projection of the gradient removes it). On
+and F t is formed for the accepted point alone; and that omega is left
+out of its gradient (the tangent projection removes the radial omega x)
+and of c2 below (where it cancels). On
 first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
 builds it with ``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
@@ -29,16 +30,20 @@ callers look up: the compiled kernel when it loaded (``JIT_ENABLED`` is
 True), else the numpy reference, after a logged WARNING that says why.
 ``benchmarks/bench_kernels.py`` times both.
 
-Algorithm: ambient gradient 2(Qv + z), projection onto the tangent space
-of the unit-circle product, Polak-Ribiere direction with projected
-transport (restarted when the coefficient turns negative, capped by the
-Fletcher-Reeves value to keep the backtracking-only search stable),
-Armijo backtracking warm-started from twice the previously accepted step,
-a parabolic refinement of the accepted step (plain Armijo can keep
-overshooting the minimizer along the path, stalling in a two-cycle; it is
-skipped when the fitted curvature is below ``CURV_FLOOR`` times the
-objective's size, i.e. within its rounding), and entrywise renormalization
-onto the circles.
+Algorithm: ambient gradient g = 2(Av + z) with A = Q + omega I,
+projection onto the tangent space of the unit-circle product,
+Polak-Ribiere direction d with projected transport (restarted when the
+coefficient turns negative, capped by the Fletcher-Reeves value to keep
+the backtracking-only search stable), Armijo backtracking, and entrywise
+renormalization onto the circles. The renormalization v/|v| is a
+second-order retraction (Absil and Malick, SIAM J. Optim. 2012): along it
+f = f(v) + t slope + t^2 c2 + O(t^3), with
+c2 = d^H A d - 1/2 sum_m |d_m|^2 Re(conj(v_m) g_m) (omega cancels in it),
+which costs one more product with Q, with F^H alone on a factored form.
+Each line search starts at the model's minimizer -slope / (2 c2), capped
+at 1 / max_m |d_m|, the step that turns the fastest element by 45 degrees
+and the one taken when c2 <= 0. The descent stops when the Riemannian
+gradient norm is at most grad_tol.
 
 Both kernels return (v, n_iters, obj_hist, grad_hist, tangency_residual,
 line_search_failed, converged); the histories hold entries 0..n_iters and
@@ -62,11 +67,13 @@ import numpy as np
 
 log = logging.getLogger(__name__)
 
-# A parabolic refinement needs a curvature above the rounding of the
-# objective values it is fitted to (2**-46 is 64 ulp); below it the fit is
-# noise and its far step is taken or not by the order of the sums. The
-# same floor is in _rmcg.c.
-CURV_FLOOR = 2.0 ** -46
+# Armijo backtracking: a trial step is accepted on a decrease of at least
+# ARMIJO_C * step * slope, else shrunk by SHRINK, at most MAX_BACKTRACKS
+# times before the line search has failed.
+SHRINK = 0.5
+ARMIJO_C = 1e-4
+MAX_BACKTRACKS = 40
+
 _SOURCE = Path(__file__).with_name("_rmcg.c")
 _CFLAGS = ("-std=gnu99", "-O3", "-march=native", "-ffp-contract=off",
            "-fno-math-errno", "-fPIC", "-shared")
@@ -81,8 +88,8 @@ def _check(form, z, v0, max_iters) -> None:
         raise ValueError("max_iters must be nonnegative")
 
 
-def rmcg_core_numpy(form, z, v0, grad_tol, max_iters, step0, shrink,
-                    armijo_c, max_backtracks):
+def rmcg_core_numpy(form, z, v0, grad_tol, max_iters, shrink, armijo_c,
+                    max_backtracks):
     """Vectorized descent loop; it applies the form only through ``@``."""
     _check(form, z, v0, max_iters)
     v = v0.copy()
@@ -94,60 +101,46 @@ def rmcg_core_numpy(form, z, v0, grad_tol, max_iters, step0, shrink,
     qv = form @ v
     f_cur = np.vdot(v, qv).real + 2.0 * np.vdot(v, z).real
     egrad = 2.0 * (qv + z)
-    rgrad = egrad - (np.conj(egrad) * v).real * v
+    radial = (np.conj(egrad) * v).real
+    rgrad = egrad - radial * v
     gnorm2 = np.vdot(rgrad, rgrad).real
     direction = -rgrad
     obj_hist[0] = f_cur
     grad_hist[0] = np.sqrt(gnorm2)
 
     n_done = 0
-    prev_step = 0.5 * step0
     for it in range(max_iters):
-        if np.sqrt(gnorm2) < grad_tol:
+        if np.sqrt(gnorm2) <= grad_tol:
             break
         slope = np.vdot(direction, rgrad).real
         if not np.isfinite(slope) or slope >= 0.0:
             direction = -rgrad
             slope = -gnorm2
-        step = 2.0 * prev_step
+        d2 = direction.real ** 2 + direction.imag ** 2
+        c2 = np.vdot(direction, form @ direction).real - 0.5 * np.dot(d2, radial)
+        reach = np.sqrt(np.max(d2))
+        # the model's minimizer, capped at 1 / reach; a NaN c2 fails the
+        # comparison and takes the cap
+        step = -slope / (2.0 * c2) if 2.0 * c2 > -slope * reach else 1.0 / reach
         accepted = False
-        v_new = v
-        qv_new = qv
-        f_new = f_cur
         for _ in range(max_backtracks):
             cand = v + step * direction
             cand = cand / np.abs(cand)
-            qv_cand = form @ cand
-            f_cand = np.vdot(cand, qv_cand).real + 2.0 * np.vdot(cand, z).real
+            qv = form @ cand
+            f_cand = np.vdot(cand, qv).real + 2.0 * np.vdot(cand, z).real
             if f_cand <= f_cur + armijo_c * step * slope:
                 accepted = True
-                v_new = cand
-                qv_new = qv_cand
-                f_new = f_cand
                 break
             step *= shrink
         if not accepted:
             failed = True
             break
-        curv = f_new - f_cur - step * slope
-        if curv > CURV_FLOOR * (abs(f_cur) + abs(f_new)):
-            step_fit = -0.5 * slope * step * step / curv
-            if step_fit > 0.0:
-                cand = v + step_fit * direction
-                cand = cand / np.abs(cand)
-                qv_cand = form @ cand
-                f_cand = np.vdot(cand, qv_cand).real + 2.0 * np.vdot(cand, z).real
-                if f_cand < f_new:
-                    step = step_fit
-                    v_new = cand
-                    qv_new = qv_cand
-                    f_new = f_cand
-        prev_step = step
 
-        egrad_new = 2.0 * (qv_new + z)
-        rgrad_new = egrad_new - (np.conj(egrad_new) * v_new).real * v_new
+        egrad = 2.0 * (qv + z)
+        radial = (np.conj(egrad) * cand).real
+        rgrad_new = egrad - radial * cand
         gnorm2_new = np.vdot(rgrad_new, rgrad_new).real
-        transported = rgrad - (np.conj(rgrad) * v_new).real * v_new
+        transported = rgrad - (np.conj(rgrad) * cand).real * cand
         beta = 0.0
         if gnorm2 > 0.0:
             beta = np.vdot(rgrad_new, rgrad_new - transported).real / gnorm2
@@ -156,26 +149,25 @@ def rmcg_core_numpy(form, z, v0, grad_tol, max_iters, step0, shrink,
                 beta = cap
         if beta < 0.0:
             beta = 0.0
-        dir_t = direction - (np.conj(direction) * v_new).real * v_new
+        dir_t = direction - (np.conj(direction) * cand).real * cand
         direction = -rgrad_new + beta * dir_t
 
-        res = np.max(np.abs((np.conj(rgrad_new) * v_new).real))
+        res = np.max(np.abs((np.conj(rgrad_new) * cand).real))
         if res > tang_res:
             tang_res = res
-        res = np.max(np.abs((np.conj(direction) * v_new).real))
+        res = np.max(np.abs((np.conj(direction) * cand).real))
         if res > tang_res:
             tang_res = res
 
-        v = v_new
-        qv = qv_new
-        f_cur = f_new
+        v = cand
+        f_cur = f_cand
         rgrad = rgrad_new
         gnorm2 = gnorm2_new
         n_done = it + 1
         obj_hist[n_done] = f_cur
         grad_hist[n_done] = np.sqrt(gnorm2)
 
-    converged = np.sqrt(gnorm2) < grad_tol
+    converged = np.sqrt(gnorm2) <= grad_tol
     return v, n_done, obj_hist, grad_hist, tang_res, failed, converged
 
 
@@ -241,12 +233,11 @@ def _build() -> Path:
 
 class _Args(ctypes.Structure):
     """rmcg_args of _rmcg.c: one struct costs less to pass through ctypes
-    than twelve separate arguments."""
+    than eleven separate arguments."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in ("q", "f", "fh")] + \
                [(name, ctypes.c_int64) for name in ("n", "r", "max_iters", "max_backtracks")] + \
-               [(name, ctypes.c_double) for name in ("omega", "grad_tol", "step0", "shrink",
-                                                     "armijo_c")]
+               [(name, ctypes.c_double) for name in ("omega", "grad_tol", "shrink", "armijo_c")]
 
 
 def _load():
@@ -264,8 +255,8 @@ def _load():
     return run
 
 
-def rmcg_core_compiled(form, z, v0, grad_tol, max_iters, step0, shrink,
-                       armijo_c, max_backtracks):
+def rmcg_core_compiled(form, z, v0, grad_tol, max_iters, shrink, armijo_c,
+                       max_backtracks):
     """``rmcg_core_numpy``'s contract on the compiled kernel."""
     _check(form, z, v0, max_iters)
     n, m = form.size, int(max_iters)
@@ -276,7 +267,7 @@ def rmcg_core_compiled(form, z, v0, grad_tol, max_iters, step0, shrink,
     vz[:n] = v0
     vz[n:] = z
     n_done = _run(_Args(*form.addresses, n, form.rank, m, max_backtracks,
-                        form.omega, grad_tol, step0, shrink, armijo_c), raw)
+                        form.omega, grad_tol, shrink, armijo_c), raw)
     if n_done < 0:
         raise MemoryError("descent kernel could not allocate its work space")
     hist = 4 * n

@@ -1,9 +1,11 @@
 /* Manifold conjugate-gradient descent on the product of unit circles.
 
    A port of irsopt._kernels.rmcg_core_numpy to C99 with GNU vector types
-   (gcc, clang), step for step: same direction rule, line search,
-   parabolic refinement, tangency check, history padding and flags,
-   except that a factored candidate is scored by ||F^H x||^2.
+   (gcc, clang), step for step: same direction rule, first step, line
+   search, tangency check, history padding and flags, except that a
+   factored candidate is scored by ||F^H x||^2, and that omega is left out
+   of the gradient, whose tangent projection removes it, and of the first
+   step's curvature, where it cancels.
    irsopt._kernels builds this file into a shared library on first import
    and calls rmcg_run through ctypes.
 
@@ -17,10 +19,11 @@
    form f(x) = ||t||^2 + omega ||x||^2 + 2 Re(z^H x) with t = F^H x: a
    trial point costs the one product F^H x, and F t, which the gradient
    needs, is formed for the accepted point alone (without omega x, which is
-   radial and projected away). An iteration
-   with k trial points thus does k + 1 such products instead of 2 k. Every
-   objective value of a run comes from evaluate(), so all comparisons see
-   the same rounding.
+   radial and projected away). An iteration with k trial points thus does
+   k + 2 such products: F^H d for the curvature of the first step, F^H x
+   for each trial point and F t for the accepted one, where scoring by
+   F (F^H x) would take 2 k + 1. Every objective value of a run comes from
+   evaluate(), so all comparisons see the same rounding.
 
    Build without -ffast-math and with -ffp-contract=off, so that each
    operation rounds as written; -fno-math-errno only lets sqrt vectorize
@@ -116,33 +119,35 @@ typedef struct {
     double *xr, *xi, *tr, *ti;   /* work space */
 } quad_op;
 
-/* f(x) = x^H (Q + omega I) x + 2 Re(z^H x). aux receives what finish()
-   needs: (Q + omega I) x for a dense Q (n complex entries), t = F^H x for
-   a factored one (r complex entries). */
-static double evaluate(const quad_op *op, const double *x, const double *z,
-                       double *aux)
+/* x^H Q x, without omega. aux receives what finish() needs: Q x for a
+   dense Q (n complex entries), t = F^H x for a factored one (r complex
+   entries). */
+static double quadratic(const quad_op *op, const double *x, double *aux)
 {
-    ptrdiff_t i, m = 2 * op->n;
-    double f;
     split(x, op->n, op->xr, op->xi);
     if (op->q) {
         row_dots(op->q, op->n, op->n, op->xr, op->xi, aux);
-        if (op->omega != 0.0)
-            for (i = 0; i < m; i++)
-                aux[i] += op->omega * x[i];
-        return dot(x, aux, m) + 2.0 * dot(x, z, m);
+        return dot(x, aux, 2 * op->n);
     }
     row_dots(op->fh, op->r, op->n, op->xr, op->xi, aux);
-    f = dot(aux, aux, 2 * op->r);
+    return dot(aux, aux, 2 * op->r);
+}
+
+/* f(x) = x^H (Q + omega I) x + 2 Re(z^H x), with quadratic()'s aux */
+static double evaluate(const quad_op *op, const double *x, const double *z,
+                       double *aux)
+{
+    ptrdiff_t m = 2 * op->n;
+    double f = quadratic(op, x, aux);
     if (op->omega != 0.0)
         f += op->omega * dot(x, x, m);
     return f + 2.0 * dot(x, z, m);
 }
 
 /* The product riemannian_grad() projects, from evaluate()'s aux for the
-   same x: aux itself, (Q + omega I) x, for a dense Q; else F t, written to
-   y. F t lacks the radial omega x, which the tangent projection would
-   remove again at x on the circles. */
+   same x: aux itself, Q x, for a dense Q; else F t, written to y. Both
+   lack the radial omega x, which the tangent projection would remove
+   again at x on the circles. */
 static const double *finish(const quad_op *op, const double *aux, double *y)
 {
     if (op->q)
@@ -173,9 +178,11 @@ static double radial(const double *x, const double *v, ptrdiff_t i)
     return x[2 * i] * v[2 * i] + x[2 * i + 1] * v[2 * i + 1];
 }
 
-/* out = projection of the ambient gradient 2 (qv + z) at v */
+/* out = projection of the ambient gradient 2 (qv + z) at v; rad receives
+   its radial parts (n doubles) */
 static void riemannian_grad(const double *qv, const double *z,
-                            const double *v, ptrdiff_t n, double *out)
+                            const double *v, ptrdiff_t n, double *out,
+                            double *rad)
 {
     ptrdiff_t i;
     for (i = 0; i < n; i++) {
@@ -184,6 +191,7 @@ static void riemannian_grad(const double *qv, const double *z,
         double p = re * v[2 * i] + im * v[2 * i + 1];
         out[2 * i] = re - p * v[2 * i];
         out[2 * i + 1] = im - p * v[2 * i + 1];
+        rad[i] = p;
     }
 }
 
@@ -209,12 +217,6 @@ static void tangency(const double *a, const double *b, const double *v,
     memcpy(&worst[1], &wb, sizeof wb);
 }
 
-/* The parabolic refinement needs a curvature above the rounding of the
-   objective values it is taken from (2^-46 is 64 ulp); below it the fit is
-   noise, and the far step it proposes would be taken or not depending on
-   the order of the sums. _kernels.py has the same CURV_FLOOR. */
-#define CURV_FLOOR 0x1p-46
-
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
 /* Arguments of rmcg_run; q is the dense matrix, or NULL for the factored
@@ -222,7 +224,7 @@ static void tangency(const double *a, const double *b, const double *v,
 typedef struct {
     const double *q, *f, *fh;
     int64_t n, r, max_iters, max_backtracks;
-    double omega, grad_tol, step0, shrink, armijo_c;
+    double omega, grad_tol, shrink, armijo_c;
 } rmcg_args;
 
 /* Minimize v^H (Q + omega I) v + 2 Re(v^H z) over unit-modulus v.
@@ -245,14 +247,15 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
         *info = grad_hist + max_iters + 1;
     const ptrdiff_t na = m > 2 * (ptrdiff_t)r ? m : 2 * (ptrdiff_t)r;
     double *mem, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
-        *rgrad_new, *dir, *tmp;
-    double f_cur, gnorm2, prev_step, tang_res = 0.0;
+        *rgrad_new, *dir, *tmp, *rad;
+    double f_cur, gnorm2, tang_res = 0.0;
     int failed = 0;
     quad_op op;
 
     /* aux_cand and aux_new hold evaluate()'s aux for cand and v_new; qv
-       receives finish()'s product for a factored form */
-    mem = malloc(sizeof(double) * (size_t)(10 * m + 2 * na + 4 * r + 1));
+       receives finish()'s product for a factored form; rad holds the
+       gradient's radial parts at v */
+    mem = malloc(sizeof(double) * (size_t)(10 * m + n + 2 * na + 4 * r + 1));
     if (!mem)
         return -1;
     v = mem; qv = v + m; cand = qv + m; v_new = cand + m;
@@ -262,24 +265,25 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     op.omega = a->omega;
     op.xr = aux_new + na; op.xi = op.xr + m;
     op.tr = op.xi + m; op.ti = op.tr + 2 * r;
+    rad = op.ti + 2 * r;
 
     for (i = 0; i <= max_iters; i++)
         obj_hist[i] = grad_hist[i] = NAN;
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
     f_cur = evaluate(&op, v, z, aux_new);
-    riemannian_grad(finish(&op, aux_new, qv), z, v, n, rgrad);
+    riemannian_grad(finish(&op, aux_new, qv), z, v, n, rgrad, rad);
     gnorm2 = dot(rgrad, rgrad, m);
     for (i = 0; i < m; i++)
         dir[i] = -rgrad[i];
     obj_hist[0] = f_cur;
     grad_hist[0] = sqrt(gnorm2);
 
-    prev_step = 0.5 * a->step0;
     for (it = 0; it < max_iters; it++) {
-        double slope, step, f_new = f_cur, curv, gnorm2_new, beta, worst[2];
+        double slope, d2max = 0.0, c2, reach, step, f_new = f_cur, gnorm2_new,
+            beta, worst[2];
         int accepted = 0;
-        if (sqrt(gnorm2) < grad_tol)
+        if (sqrt(gnorm2) <= grad_tol)
             break;
         slope = dot(dir, rgrad, m);
         if (!isfinite(slope) || slope >= 0.0) {
@@ -287,7 +291,15 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
                 dir[i] = -rgrad[i];
             slope = -gnorm2;
         }
-        step = 2.0 * prev_step;
+        for (i = 0; i < n; i++) {        /* tmp = |d_i|^2 */
+            tmp[i] = dir[2 * i] * dir[2 * i] + dir[2 * i + 1] * dir[2 * i + 1];
+            d2max = tmp[i] > d2max ? tmp[i] : d2max;
+        }
+        c2 = quadratic(&op, dir, aux_cand) - 0.5 * dot(tmp, rad, n);
+        reach = sqrt(d2max);
+        /* the model's minimizer, capped at 1 / reach; a NaN c2 fails the
+           comparison and takes the cap */
+        step = 2.0 * c2 > -slope * reach ? -slope / (2.0 * c2) : 1.0 / reach;
         for (b = 0; b < a->max_backtracks; b++) {
             double f_cand;
             retract(v, dir, step, n, cand);
@@ -305,24 +317,8 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
             failed = 1;
             break;
         }
-        curv = f_new - f_cur - step * slope;
-        if (curv > CURV_FLOOR * (fabs(f_cur) + fabs(f_new))) {
-            double step_fit = -0.5 * slope * step * step / curv;
-            if (step_fit > 0.0) {
-                double f_cand;
-                retract(v, dir, step_fit, n, cand);
-                f_cand = evaluate(&op, cand, z, aux_cand);
-                if (f_cand < f_new) {
-                    step = step_fit;
-                    SWAP(cand, v_new);
-                    SWAP(aux_cand, aux_new);
-                    f_new = f_cand;
-                }
-            }
-        }
-        prev_step = step;
 
-        riemannian_grad(finish(&op, aux_new, qv), z, v_new, n, rgrad_new);
+        riemannian_grad(finish(&op, aux_new, qv), z, v_new, n, rgrad_new, rad);
         gnorm2_new = dot(rgrad_new, rgrad_new, m);
         beta = 0.0;
         if (gnorm2 > 0.0) {
@@ -365,7 +361,7 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     memcpy(buf, v, sizeof(double) * (size_t)m);
     info[0] = tang_res;
     info[1] = failed;
-    info[2] = sqrt(gnorm2) < grad_tol;
+    info[2] = sqrt(gnorm2) <= grad_tol;
     free(mem);
     return n_done;
 }

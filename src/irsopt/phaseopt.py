@@ -37,15 +37,16 @@ class QuadraticForm:
     run: the numpy reference through ``@``, the compiled one by reading the
     C-contiguous complex arrays (dense ``j_hat``, or ``factor`` and its
     conjugate transpose ``factor_h``) at ``addresses`` and the scalar
-    omega. The form is immutable, so a descent always runs the quadratic
-    the form describes. const_term collects the terms of the weighted MSE
+    omega. The form is immutable: it holds read-only copies of the arrays
+    it is given, so a descent always runs the quadratic the form
+    describes. const_term collects the terms of the weighted MSE
     that do not depend on the phases, so that for any unit-modulus v
 
         f(v) + const_term - omega * size == sum_k alpha_k q_k E_k.
     """
 
     __slots__ = ("_j_hat", "factor", "factor_h", "z", "omega", "const_term",
-                 "n_irs", "n_elements", "size", "rank", "addresses", "_trace")
+                 "n_irs", "n_elements", "size", "rank", "addresses")
 
     def __init__(self, j_hat, z, omega, const_term, n_irs, n_elements, *,
                  factor=None):
@@ -54,25 +55,28 @@ class QuadraticForm:
         size = n_irs * n_elements
         factor_h = None
         if factor is None:
-            j_hat = np.ascontiguousarray(j_hat, dtype=complex)
+            j_hat = np.array(j_hat, dtype=complex, order="C")
             if j_hat.shape != (size, size):
                 raise ValueError(f"j_hat must be ({size}, {size})")
-            rank, trace = 0, float(np.trace(j_hat).real)
+            rank = 0
         else:
-            factor = np.ascontiguousarray(factor, dtype=complex)
+            factor = np.array(factor, dtype=complex, order="C")
             if factor.ndim != 2 or factor.shape[0] != size:
                 raise ValueError(f"factor must be ({size}, rank)")
             # F^H stored C-contiguous: np.dot on it beats a transposed view
             factor_h = np.ascontiguousarray(np.conj(factor).T)
-            rank, trace = factor.shape[1], float(np.vdot(factor, factor).real)
-        z = np.ascontiguousarray(z, dtype=complex)
+            rank = factor.shape[1]
+        z = np.array(z, dtype=complex)
         if z.shape != (size,):
             raise ValueError(f"z must be a vector of length {size}")
+        for a in (j_hat, factor, factor_h, z):
+            if a is not None:
+                a.setflags(write=False)
         addresses = tuple(0 if a is None else a.ctypes.data
                           for a in (j_hat, factor, factor_h))
         for name, value in zip(self.__slots__, (
                 j_hat, factor, factor_h, z, float(omega), const_term, n_irs,
-                n_elements, size, rank, addresses, trace)):
+                n_elements, size, rank, addresses)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -81,7 +85,9 @@ class QuadraticForm:
     @property
     def j_hat(self) -> np.ndarray:
         if self._j_hat is None:
-            object.__setattr__(self, "_j_hat", self.factor @ self.factor_h)
+            j_hat = self.factor @ self.factor_h
+            j_hat.setflags(write=False)
+            object.__setattr__(self, "_j_hat", j_hat)
         return self._j_hat
 
     def __matmul__(self, v) -> np.ndarray:
@@ -93,10 +99,6 @@ class QuadraticForm:
         if self.omega:
             out += self.omega * v
         return out
-
-    def shifted_trace(self) -> float:
-        """trace(j_hat + omega I); O(size * rank) for a factored form."""
-        return self._trace + self.omega * self.size
 
 
 def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
@@ -206,20 +208,18 @@ class RmcgTrace:
 
 def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
                grad_tol: float | None = None,
-               max_iters: int = 100,
-               initial_step: float | None = None,
-               shrink: float = 0.5,
-               armijo_c: float = 1e-4,
-               max_backtracks: int = 40) -> tuple[PhaseConfig, RmcgTrace]:
+               max_iters: int = 100) -> tuple[PhaseConfig, RmcgTrace]:
     """Minimize the quadratic over the circle manifold from ``init``.
 
-    grad_tol defaults to 1e-6 * sqrt(size); initial_step to
-    0.5 / trace(j_hat + omega I), an upper bound on 0.5 / lambda_max of
-    the PSD quadratic that costs O(size * rank) for a factored form. The
-    kernel runs the form itself, so a factored form never becomes a dense
-    matrix here and a dense one is not copied. The returned objective
-    sequence is non-increasing; if the line search stalls the incumbent is
-    returned with the failure flagged.
+    The descent stops once the Riemannian gradient norm is at most
+    grad_tol, 1e-6 * sqrt(size) by default, or after max_iters
+    iterations. Each line search starts at the minimizer of the
+    second-order model of the objective along the retraction (see
+    ``_kernels``), so no step size is given. The kernel runs the form
+    itself, so a factored form never becomes a dense matrix here and a
+    dense one is not copied. The returned objective sequence is
+    non-increasing; if the line search stalls the incumbent is returned
+    with the failure flagged.
     """
     if init.size != form.size:
         raise ValueError("initial point does not match the form size")
@@ -228,12 +228,9 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
         return init, RmcgTrace(empty, np.array([0.0]), 0, True, False, 0.0)
     if grad_tol is None:
         grad_tol = 1e-6 * np.sqrt(form.size)
-    if initial_step is None:
-        trace_q = form.shifted_trace()
-        initial_step = 0.5 / trace_q if trace_q > 0 else 1.0
     v, n_iters, obj_hist, grad_hist, tang_res, failed, converged = _kernels.rmcg_core(
-        form, form.z, init.v_hat, float(grad_tol), int(max_iters), float(initial_step),
-        float(shrink), float(armijo_c), int(max_backtracks))
+        form, form.z, init.v_hat, float(grad_tol), int(max_iters), _kernels.SHRINK,
+        _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
     trace = RmcgTrace(objectives=obj_hist[:n_iters + 1],
                       grad_norms=grad_hist[:n_iters + 1],
                       n_iters=int(n_iters),

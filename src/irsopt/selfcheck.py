@@ -165,12 +165,13 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
         form = QuadraticForm(None, _cplx(rng, size), omega, 0.0, 1, size,
                              factor=_cplx(rng, (size, rank)))
         v0 = PhaseConfig.random(1, size, rng).v_hat
-        trace = form.shifted_trace()
-        args = (form, form.z, v0, 0.0, n_iters, 0.5 / trace, 0.5, 1e-4, 40)
+        args = (form, form.z, v0, 0.0, n_iters, _kernels.SHRINK, _kernels.ARMIJO_C,
+                _kernels.MAX_BACKTRACKS)
         _, n_a, obj_a, *_ = _kernels.rmcg_core(*args)
         _, n_b, obj_b, *_ = _kernels.rmcg_core_numpy(*args)
         k = min(n_a, n_b) + 1
-        scale = trace + 2.0 * float(np.sum(np.abs(form.z)))
+        scale = (float(np.vdot(form.factor, form.factor).real) + omega * size
+                 + 2.0 * float(np.sum(np.abs(form.z))))
         worst = max(worst, float(np.max(np.abs(obj_a[:k] - obj_b[:k]))) / scale)
     return CheckResult("descent kernel matches the numpy reference", worst <= 1e-9,
                        f"kernel {kernel}, worst rel objective gap {worst:.2e} over "

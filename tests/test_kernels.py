@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from irsopt.phaseopt import QuadraticForm
 from tests.conftest import complex_normal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+LINE_SEARCH = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
 
 
 def random_kernel_inputs(rng, size):
@@ -23,14 +25,13 @@ def random_kernel_inputs(rng, size):
     q_mat = j_hat + omega * np.eye(size)
     z = complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    step0 = 0.5 / max(float(np.max(np.sum(np.abs(q_mat), axis=1))), 1e-300)
-    return QuadraticForm(q_mat, z, 0.0, 0.0, 1, size), z, v0, step0
+    return QuadraticForm(q_mat, z, 0.0, 0.0, 1, size), z, v0
 
 
-def run_core(fn, form, z, v0, step0, tol=None, iters=300):
+def run_core(fn, form, z, v0, tol=None, iters=300):
     if tol is None:
         tol = 1e-6 * np.sqrt(z.size)
-    return fn(form, z, v0, tol, iters, step0, 0.5, 1e-4, 40)
+    return fn(form, z, v0, tol, iters, *LINE_SEARCH)
 
 
 def factored_kernel_inputs(rng, size, rank, omega):
@@ -57,31 +58,28 @@ class TestKernelParity:
             assert op_f.factor is not None
             assert op_d.factor is None and op_d.omega == 0.0
             v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-            step0 = 0.5 / np.trace(op_d.j_hat).real
             finals = []
             for q_op in (op_f, op_d, op_s):
                 for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                    v, n, obj, _, _, _, conv = run_core(fn, q_op, z, v0, step0,
-                                                        iters=2000)
+                    v, n, obj, _, _, _, conv = run_core(fn, q_op, z, v0, iters=2000)
                     assert conv
                     assert np.allclose(np.abs(v), 1.0, rtol=0.0, atol=1e-12)
                     finals.append(obj[n])
             assert np.allclose(finals, finals[0], rtol=1e-9, atol=0.0)
 
     def test_histories_are_monotone(self, rng):
-        form, z, v0, step0 = random_kernel_inputs(rng, 12)
+        form, z, v0 = random_kernel_inputs(rng, 12)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-            _, n, obj, grad, tang, failed, _ = run_core(fn, form, z, v0, step0)
+            _, n, obj, grad, tang, failed, _ = run_core(fn, form, z, v0)
             diffs = np.diff(obj[:n + 1])
             assert np.all(diffs <= 1e-12 * np.maximum(np.abs(obj[:n]), 1.0))
             assert not failed
             assert tang < 1e-10
 
     def test_history_padding_is_nan(self, rng):
-        form, z, v0, step0 = random_kernel_inputs(rng, 5)
+        form, z, v0 = random_kernel_inputs(rng, 5)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-            _, n, obj, grad, _, _, _ = run_core(fn, form, z, v0, step0,
-                                                tol=1e-6, iters=300)
+            _, n, obj, grad, _, _, _ = run_core(fn, form, z, v0, tol=1e-6, iters=300)
             assert n < 300
             assert obj.shape == grad.shape == (301,)
             assert np.all(np.isnan(obj[n + 1:]))
@@ -89,16 +87,39 @@ class TestKernelParity:
             assert not np.any(np.isnan(obj[:n + 1]))
 
     def test_both_kernels_reject_bad_arguments(self, rng):
-        form, z, v0, step0 = random_kernel_inputs(rng, 5)
+        form, z, v0 = random_kernel_inputs(rng, 5)
+        # f(v) = |v|^2 - 4 Re(v) is stationary at v = 1: its gradient is 0
+        still = QuadraticForm(None, [-2.0], 0.0, 0.0, 1, 1, factor=[[1.0]])
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with pytest.raises(ValueError, match="max_iters"):
-                fn(form, z, v0, 0.0, -1, step0, 0.5, 1e-4, 40)
+                fn(form, z, v0, 0.0, -1, *LINE_SEARCH)
             for bad_z, bad_v0 in ((z[:4], v0), (z, v0[:4]), (z, np.append(v0, 1.0))):
                 with pytest.raises(ValueError, match="size"):
-                    fn(form, bad_z, bad_v0, 0.0, 10, step0, 0.5, 1e-4, 40)
+                    fn(form, bad_z, bad_v0, 0.0, 10, *LINE_SEARCH)
             # a zero cap is allowed: the start point comes back
-            v, n, obj, *_ = fn(form, z, v0, 0.0, 0, step0, 0.5, 1e-4, 40)
+            v, n, obj, *_ = fn(form, z, v0, 0.0, 0, *LINE_SEARCH)
             assert n == 0 and obj.shape == (1,) and np.array_equal(v, v0)
+            # so does an exactly stationary start, converged even at grad_tol 0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                v, n, _, grad, _, failed, conv = fn(still, still.z, np.ones(1, complex),
+                                                    0.0, 100, *LINE_SEARCH)
+            assert n == 0 and grad[0] == 0.0 and conv and not failed
+            assert np.array_equal(v, [1.0])
+
+    def test_nearly_constant_one_element_forms_converge(self, rng):
+        # one element: the quadratic term is constant on the circle, so only
+        # z (|z| = 141) sets the curvature along the path, far below the
+        # trace (1.7e6); a first step scaled to the trace would crawl
+        for _ in range(50):
+            factor = complex_normal(rng, (1, 4))
+            factor *= np.sqrt(1.7e6) / np.linalg.norm(factor)
+            z = 141.0 * np.exp(2j * np.pi * rng.uniform(size=1))
+            form = QuadraticForm(None, z, 0.0, 0.0, 1, 1, factor=factor)
+            v0 = np.exp(2j * np.pi * rng.uniform(size=1))
+            for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+                _, n, _, _, _, failed, conv = run_core(fn, form, z, v0, iters=100)
+                assert conv and not failed and n <= 10
 
 
 @st.composite
@@ -121,17 +142,16 @@ def factored_operators(draw):
     return QuadraticForm(None, z, omega, 0.0, 1, size, factor=factor), z, v0
 
 
-def rounding_spread(q_op, z, v0, step0, n_iters, n_variants=8):
+def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
     """How far ``rmcg_core_numpy`` drifts from itself when only its
     rounding changes: its objective history, and per entry the largest gap
     to reruns on the same problem permuted (phase elements and the
     factor's columns), scaled by c^2 in [0.5, 2] and turned by a global
     phase, whose objective is c^2 times the original along the same path
     (inf where a rerun stopped earlier). Near a rounding tie, or where a
-    far parabolic step amplifies rounding, this is the spread any
-    correctly rounded kernel may show."""
-    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, z, v0, 0.0, n_iters, step0,
-                                             0.5, 1e-4, 40)
+    backtracking test or a step's curvature amplifies rounding, this is
+    the spread any correctly rounded kernel may show."""
+    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, z, v0, 0.0, n_iters, *LINE_SEARCH)
     obj = obj[:n + 1]
     spread = np.zeros(n + 1)
     rng = np.random.default_rng(0)
@@ -144,7 +164,7 @@ def rounding_spread(q_op, z, v0, step0, n_iters, n_variants=8):
         op = QuadraticForm(None, z_var, c2 * q_op.omega, 0.0, 1, q_op.size,
                            factor=np.sqrt(c2) * q_op.factor[rows][:, cols])
         _, m, other, *_ = _kernels.rmcg_core_numpy(
-            op, z_var, turn * v0[rows], 0.0, n_iters, step0 / c2, 0.5, 1e-4, 40)
+            op, z_var, turn * v0[rows], 0.0, n_iters, *LINE_SEARCH)
         m = min(m, n) + 1
         spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
         spread[m:] = np.inf
@@ -159,9 +179,7 @@ class TestFactoredProperties:
         dense = q_op.factor @ q_op.factor_h + q_op.omega * np.eye(q_op.size)
         trace = float(np.trace(dense).real)
         scale = trace + 2.0 * float(np.sum(np.abs(z)))
-        step0 = 0.5 / trace
-        v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, z, v0, 0.0, 60, step0,
-                                                   0.5, 1e-4, 40)
+        v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, z, v0, 0.0, 60, *LINE_SEARCH)
         assert np.all(np.diff(obj[:n + 1]) <= 0.0)
         at_v = np.vdot(v, dense @ v).real + 2.0 * np.vdot(v, z).real
         assert abs(obj[n] - at_v) <= 1e-10 * scale
@@ -169,8 +187,8 @@ class TestFactoredProperties:
         # the first iterations take the reference's steps: as close to it as
         # the reference is to itself under other rounding, or 1e-9 of the
         # scale
-        _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, z, v0, 0.0, 5, step0, 0.5, 1e-4, 40)
-        obj_r, spread = rounding_spread(q_op, z, v0, step0, 5)
+        _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, z, v0, 0.0, 5, *LINE_SEARCH)
+        obj_r, spread = rounding_spread(q_op, z, v0, 5)
         k = min(n_c + 1, obj_r.size)
         assert np.all(np.abs(obj_c[:k] - obj_r[:k]) <= 1e-9 * scale + 10.0 * spread[:k])
 

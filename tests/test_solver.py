@@ -1,11 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from irsopt import (BeamformerSet, PhaseConfig, SolverOptions, assemble_quadratic,
                     compute_mse, compute_rates, desk_scenario, draw_channels,
-                    effective_channels, initialize, rmcg_solve, solve,
+                    effective_channels, initialize, ring_scenario, rmcg_solve, solve,
                     solve_beamforming, strip_irs, update_decoders,
                     update_weights, weighted_sum_rate, wmse_objective)
+from irsopt.scenario import LOS_MODES
+from irsopt.solver import MONOTONE_TOL_REL
 
 
 def reference_wmmse_no_irs(hbar, alpha, noise, p_max, w0, n_iters=60):
@@ -282,3 +288,53 @@ class TestConvergenceFlag:
         assert trace.n_outer == 1
         assert trace.converged is converged
         assert any("dropped" in rec.message for rec in caplog.records) is not converged
+
+
+@st.composite
+def ring_problems(draw):
+    """A ring scenario, its channel draw and a start seed, over the
+    scenario space: budgets of 1e-4 to 1e3 W, noise of 1e-14 to 1e-8 W,
+    more users than antennas, zero-weight users, one to four surfaces,
+    both LoS models, and users within 1 m of a surface (a surface at
+    ground height with a disc radius below 1 m)."""
+    n_tx, n_users = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    weights = np.array([draw(st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+                        for _ in range(n_users)])
+    weights[draw(st.integers(0, n_users - 1))] = 1.0
+    scenario = ring_scenario(
+        n_tx, draw(st.integers(1, 4)), draw(st.integers(1, 12)), n_users,
+        user_seed=draw(st.integers(0, 2 ** 16)),
+        user_disc_radius=10.0 ** draw(st.floats(-1.0, 1.5)),
+        irs_height=draw(st.sampled_from((0.0, 10.0))),
+        p_max=10.0 ** draw(st.floats(-4.0, 3.0)),
+        noise_power=10.0 ** draw(st.floats(-14.0, -8.0)),
+        weights=weights, los_mode=draw(st.sampled_from(LOS_MODES)))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return scenario, draw_channels(scenario, np.random.default_rng(seed)), seed
+
+
+class TestScenarioSpace:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(problem=ring_problems())
+    def test_solve_invariants(self, problem, caplog):
+        # the solver's invariants hold away from the presets too
+        scenario, channels, seed = problem
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="irsopt"):
+            beams, phases, trace = solve(scenario, channels, SolverOptions(max_outer=30),
+                                         rng=np.random.default_rng(seed))
+        assert not caplog.records
+        assert np.all(np.isfinite(beams.w)) and np.all(np.isfinite(phases.v_hat))
+        assert beams.total_power <= scenario.p_max * (1.0 + 1e-8)
+        assert np.max(np.abs(np.abs(phases.v_hat) - 1.0)) <= 1e-12
+        history = np.concatenate(([trace.initial_wsr], trace.wsr))
+        assert np.all(np.isfinite(history))
+        assert np.all(np.diff(history) >= -MONOTONE_TOL_REL * np.abs(history[:-1]))
+        wsr = weighted_sum_rate(scenario.weights, compute_rates(
+            effective_channels(channels, phases), beams, scenario.noise_power))
+        assert wsr == pytest.approx(trace.wsr[-1], rel=1e-12)
+        for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
+                     "line_search_failed", "wall_time_s"):
+            values = getattr(trace, name)
+            assert values.shape == (trace.n_outer,) and np.all(np.isfinite(values))
