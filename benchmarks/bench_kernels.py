@@ -34,11 +34,11 @@ def make_forms(rng, size, n_users):
 def time_kernel(kernel, form, v0, iters, repeats=5):
     """Best seconds per iteration of the kernel on the form."""
     line_search = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
-    kernel(form, form.z, v0, 0.0, 3, *line_search)  # warm path
+    kernel(form, form.z, v0, 0.0, 0.0, 3, *line_search)  # warm path
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, n_done, *_ = kernel(form, form.z, v0, 0.0, iters, *line_search)
+        _, n_done, *_ = kernel(form, form.z, v0, 0.0, 0.0, iters, *line_search)
         if n_done > 0:
             best = min(best, (time.perf_counter() - t0) / n_done)
     return best

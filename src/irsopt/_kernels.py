@@ -4,7 +4,8 @@ The descent loop dominates solver runtime, so it lives here, apart from
 the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``
 (Q + omega I, with Q dense or given by its low-rank factor, never formed
 as a matrix). Both kernels first check the arguments the same way
-(``z`` and ``v0`` of the form's size, a nonnegative ``max_iters``).
+(``z`` and ``v0`` of the form's size, ``rel_tol`` in [0, 1), a
+nonnegative ``max_iters``).
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
 the vectorized numpy reference; it touches the form only through
@@ -43,7 +44,9 @@ which costs one more product with Q, with F^H alone on a factored form.
 Each line search starts at the model's minimizer -slope / (2 c2), capped
 at 1 / max_m |d_m|, the step that turns the fastest element by 45 degrees
 and the one taken when c2 <= 0. The descent stops when the Riemannian
-gradient norm is at most grad_tol.
+gradient norm is at most max(grad_tol, rel_tol * ||grad_0||), with grad_0
+the gradient at v0 (grad_hist[0], so the test costs no product); a NaN or
+infinite ||grad_0|| keeps grad_tol, and ``converged`` reports this test.
 
 Both kernels return (v, n_iters, obj_hist, grad_hist, tangency_residual,
 line_search_failed, converged); the histories hold entries 0..n_iters and
@@ -80,18 +83,20 @@ _CFLAGS = ("-std=gnu99", "-O3", "-march=native", "-ffp-contract=off",
 _COMPILERS = ("cc", "gcc", "clang")
 
 
-def _check(form, z, v0, max_iters) -> None:
+def _check(form, z, v0, rel_tol, max_iters) -> None:
     """The argument checks both kernels make before they start."""
     if z.shape != (form.size,) or v0.shape != (form.size,):
         raise ValueError("z and v0 must be vectors of the form's size")
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in [0, 1)")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
 
 
-def rmcg_core_numpy(form, z, v0, grad_tol, max_iters, shrink, armijo_c,
-                    max_backtracks):
+def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
+                    armijo_c, max_backtracks):
     """Vectorized descent loop; it applies the form only through ``@``."""
-    _check(form, z, v0, max_iters)
+    _check(form, z, v0, rel_tol, max_iters)
     v = v0.copy()
     obj_hist = np.full(max_iters + 1, np.nan)
     grad_hist = np.full(max_iters + 1, np.nan)
@@ -107,6 +112,9 @@ def rmcg_core_numpy(form, z, v0, grad_tol, max_iters, shrink, armijo_c,
     direction = -rgrad
     obj_hist[0] = f_cur
     grad_hist[0] = np.sqrt(gnorm2)
+    # a NaN or infinite start fails the test and keeps the absolute floor
+    if grad_tol < rel_tol * grad_hist[0] < np.inf:
+        grad_tol = rel_tol * grad_hist[0]
 
     n_done = 0
     for it in range(max_iters):
@@ -233,11 +241,12 @@ def _build() -> Path:
 
 class _Args(ctypes.Structure):
     """rmcg_args of _rmcg.c: one struct costs less to pass through ctypes
-    than eleven separate arguments."""
+    than twelve separate arguments."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in ("q", "f", "fh")] + \
                [(name, ctypes.c_int64) for name in ("n", "r", "max_iters", "max_backtracks")] + \
-               [(name, ctypes.c_double) for name in ("omega", "grad_tol", "shrink", "armijo_c")]
+               [(name, ctypes.c_double) for name in ("omega", "grad_tol", "rel_tol", "shrink",
+                                                    "armijo_c")]
 
 
 def _load():
@@ -255,10 +264,10 @@ def _load():
     return run
 
 
-def rmcg_core_compiled(form, z, v0, grad_tol, max_iters, shrink, armijo_c,
-                       max_backtracks):
+def rmcg_core_compiled(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
+                       armijo_c, max_backtracks):
     """``rmcg_core_numpy``'s contract on the compiled kernel."""
-    _check(form, z, v0, max_iters)
+    _check(form, z, v0, rel_tol, max_iters)
     n, m = form.size, int(max_iters)
     # one buffer in and out: v0 (becomes v) | z | obj_hist | grad_hist | info
     raw = (ctypes.c_double * (4 * n + 2 * m + 5))()
@@ -267,7 +276,7 @@ def rmcg_core_compiled(form, z, v0, grad_tol, max_iters, shrink, armijo_c,
     vz[:n] = v0
     vz[n:] = z
     n_done = _run(_Args(*form.addresses, n, form.rank, m, max_backtracks,
-                        form.omega, grad_tol, shrink, armijo_c), raw)
+                        form.omega, grad_tol, rel_tol, shrink, armijo_c), raw)
     if n_done < 0:
         raise MemoryError("descent kernel could not allocate its work space")
     hist = 4 * n

@@ -2,10 +2,10 @@
 
    A port of irsopt._kernels.rmcg_core_numpy to C99 with GNU vector types
    (gcc, clang), step for step: same direction rule, first step, line
-   search, tangency check, history padding and flags, except that a
-   factored candidate is scored by ||F^H x||^2, and that omega is left out
-   of the gradient, whose tangent projection removes it, and of the first
-   step's curvature, where it cancels.
+   search, stopping test, tangency check, history padding and flags,
+   except that a factored candidate is scored by ||F^H x||^2, and that
+   omega is left out of the gradient, whose tangent projection removes it,
+   and of the first step's curvature, where it cancels.
    irsopt._kernels builds this file into a shared library on first import
    and calls rmcg_run through ctypes.
 
@@ -24,6 +24,11 @@
    for each trial point and F t for the accepted one, where scoring by
    F (F^H x) would take 2 k + 1. Every objective value of a run comes from
    evaluate(), so all comparisons see the same rounding.
+
+   The descent stops at the first iterate whose Riemannian gradient norm
+   is at most max(grad_tol, rel_tol * ||grad_0||), grad_0 being the
+   gradient at v0; a NaN or infinite ||grad_0|| keeps grad_tol, and the
+   converged flag reports the same test.
 
    Build without -ffast-math and with -ffp-contract=off, so that each
    operation rounds as written; -fno-math-errno only lets sqrt vectorize
@@ -224,7 +229,7 @@ static void tangency(const double *a, const double *b, const double *v,
 typedef struct {
     const double *q, *f, *fh;
     int64_t n, r, max_iters, max_backtracks;
-    double omega, grad_tol, shrink, armijo_c;
+    double omega, grad_tol, rel_tol, shrink, armijo_c;
 } rmcg_args;
 
 /* Minimize v^H (Q + omega I) v + 2 Re(v^H z) over unit-modulus v.
@@ -238,8 +243,9 @@ typedef struct {
 int64_t rmcg_run(const rmcg_args *a, double *buf)
 {
     const int64_t n = a->n, r = a->r, max_iters = a->max_iters;
-    const double grad_tol = a->grad_tol, shrink = a->shrink,
+    const double rel_tol = a->rel_tol, shrink = a->shrink,
         armijo_c = a->armijo_c;
+    double grad_tol = a->grad_tol;
     ptrdiff_t i, m = 2 * (ptrdiff_t)n;
     int64_t it, b, n_done = 0;
     const double *z = buf + m;
@@ -278,6 +284,9 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
         dir[i] = -rgrad[i];
     obj_hist[0] = f_cur;
     grad_hist[0] = sqrt(gnorm2);
+    /* a NaN or infinite start fails the test and keeps the absolute floor */
+    if (grad_tol < rel_tol * grad_hist[0] && rel_tol * grad_hist[0] < INFINITY)
+        grad_tol = rel_tol * grad_hist[0];
 
     for (it = 0; it < max_iters; it++) {
         double slope, d2max = 0.0, c2, reach, step, f_new = f_cur, gnorm2_new,

@@ -125,8 +125,9 @@ def dual_search(c: list, d: list, p_max: float, lam_max: float, lam0: float,
     g(lam) = sum_i c_i / (d_i + lam)^2.
 
     Newton steps on g^-1/2 - p_max^-1/2; a step that leaves the current
-    bracket becomes its midpoint. Stops when |g - p_max| <= power_tol or
-    the bracket is narrower than lam_tol, then returning its feasible end.
+    bracket becomes its midpoint. Stops when |g - p_max| <= power_tol, or
+    when the bracket is narrower than lam_tol or has no double strictly
+    inside, then returning its feasible end.
     Returns (lam, n_probes), one probe per evaluation of g.
     """
     lo, hi = 0.0, lam_max
@@ -143,6 +144,9 @@ def dual_search(c: list, d: list, p_max: float, lam_max: float, lam0: float,
             hi = lam
         step = lam + 2.0 * g * (1.0 - math.sqrt(g / p_max)) / slope
         lam = step if lo < step < hi else 0.5 * (lo + hi)
+        if not lo < lam < hi:
+            # lo and hi are adjacent doubles: the bracket cannot shrink
+            break
     return hi, probes
 
 

@@ -111,7 +111,8 @@ class PhaseConfig:
         v = np.array(self.v_hat, dtype=complex).reshape(-1)
         if v.shape[0] != self.n_irs * self.n_elements:
             raise ValueError("v_hat length must be n_irs * n_elements")
-        if v.size and np.abs(np.abs(v) - 1.0).max() > UNIT_MODULUS_TOL:
+        # NaN fails the comparison, so NaN and inf entries are rejected
+        if v.size and not np.abs(np.abs(v) - 1.0).max() <= UNIT_MODULUS_TOL:
             raise ValueError("phase entries must be unit modulus")
         v.setflags(write=False)
         object.__setattr__(self, "v_hat", v)

@@ -153,7 +153,7 @@ def _phase_vector(phases) -> np.ndarray:
     if isinstance(phases, PhaseConfig):
         return phases.v_hat
     v = np.asarray(phases, dtype=complex).reshape(-1)
-    if v.size and np.max(np.abs(np.abs(v) - 1.0)) > UNIT_MODULUS_TOL:
+    if v.size and not np.max(np.abs(np.abs(v) - 1.0)) <= UNIT_MODULUS_TOL:
         raise ValueError("phase vector must be unit modulus")
     return v
 
@@ -207,19 +207,21 @@ class RmcgTrace:
 
 
 def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
-               grad_tol: float | None = None,
+               grad_tol: float | None = None, rel_tol: float = 0.0,
                max_iters: int = 100) -> tuple[PhaseConfig, RmcgTrace]:
     """Minimize the quadratic over the circle manifold from ``init``.
 
     The descent stops once the Riemannian gradient norm is at most
-    grad_tol, 1e-6 * sqrt(size) by default, or after max_iters
-    iterations. Each line search starts at the minimizer of the
-    second-order model of the objective along the retraction (see
-    ``_kernels``), so no step size is given. The kernel runs the form
-    itself, so a factored form never becomes a dense matrix here and a
-    dense one is not copied. The returned objective sequence is
-    non-increasing; if the line search stalls the incumbent is returned
-    with the failure flagged.
+    max(grad_tol, rel_tol * ||grad_0||), with grad_0 the gradient at
+    ``init``, or after max_iters iterations; ``converged`` reports that
+    test. grad_tol defaults to 1e-6 * sqrt(size); rel_tol in [0, 1)
+    defaults to 0, the absolute floor alone. Each line search starts at
+    the minimizer of the second-order model of the objective along the
+    retraction (see ``_kernels``), so no step size is given. The kernel
+    runs the form itself, so a factored form never becomes a dense matrix
+    here and a dense one is not copied. The returned objective sequence
+    is non-increasing; if the line search stalls the incumbent is
+    returned with the failure flagged.
     """
     if init.size != form.size:
         raise ValueError("initial point does not match the form size")
@@ -229,8 +231,8 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
     if grad_tol is None:
         grad_tol = 1e-6 * np.sqrt(form.size)
     v, n_iters, obj_hist, grad_hist, tang_res, failed, converged = _kernels.rmcg_core(
-        form, form.z, init.v_hat, float(grad_tol), int(max_iters), _kernels.SHRINK,
-        _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
+        form, form.z, init.v_hat, float(grad_tol), float(rel_tol), int(max_iters),
+        _kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
     trace = RmcgTrace(objectives=obj_hist[:n_iters + 1],
                       grad_norms=grad_hist[:n_iters + 1],
                       n_iters=int(n_iters),

@@ -20,7 +20,7 @@ from .beamformer import assemble_context, beamformers_at, power_g, solve_beamfor
 from .channels import ChannelSet, PhaseConfig, draw_channels, effective_channels
 from .phaseopt import QuadraticForm, assemble_quadratic, euclidean_gradient, objective
 from .scenario import desk_scenario
-from .solver import SolverOptions, solve
+from .solver import PHASE_REL_TOL, SolverOptions, solve
 from .wmmse import compute_mse, compute_rates, optimal_state, weighted_sum_rate, wmse_objective
 
 
@@ -156,26 +156,36 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
     """The descent kernel in use against the numpy reference on random
     factored forms, rank above and below the size, with and without a
     shift: the objective histories of the first iterations must agree to
-    1e-9 of the objective's scale, trace(j_hat + omega I) + 2 |z|_1."""
+    1e-9 of the objective's scale, trace(j_hat + omega I) + 2 |z|_1, and
+    runs stopped by the solver's relative gradient tolerance must stop
+    within one iteration of each other."""
     kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
+    line_search = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
     worst = 0.0
+    worst_stop = 0
     for _ in range(n_instances):
         size, rank = int(rng.integers(1, 161)), int(rng.integers(1, 65))
         omega = float(rng.choice([0.0, rng.uniform(0.1, 10.0)]))
         form = QuadraticForm(None, _cplx(rng, size), omega, 0.0, 1, size,
                              factor=_cplx(rng, (size, rank)))
         v0 = PhaseConfig.random(1, size, rng).v_hat
-        args = (form, form.z, v0, 0.0, n_iters, _kernels.SHRINK, _kernels.ARMIJO_C,
-                _kernels.MAX_BACKTRACKS)
+        args = (form, form.z, v0, 0.0, 0.0, n_iters, *line_search)
         _, n_a, obj_a, *_ = _kernels.rmcg_core(*args)
         _, n_b, obj_b, *_ = _kernels.rmcg_core_numpy(*args)
         k = min(n_a, n_b) + 1
         scale = (float(np.vdot(form.factor, form.factor).real) + omega * size
                  + 2.0 * float(np.sum(np.abs(form.z))))
         worst = max(worst, float(np.max(np.abs(obj_a[:k] - obj_b[:k]))) / scale)
-    return CheckResult("descent kernel matches the numpy reference", worst <= 1e-9,
+        args = (form, form.z, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner,
+                *line_search)
+        stops = [kernel_fn(*args)[1]
+                 for kernel_fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
+        worst_stop = max(worst_stop, abs(stops[0] - stops[1]))
+    return CheckResult("descent kernel matches the numpy reference",
+                       worst <= 1e-9 and worst_stop <= 1,
                        f"kernel {kernel}, worst rel objective gap {worst:.2e} over "
-                       f"{n_instances} factored forms, {n_iters} iterations")
+                       f"{n_instances} factored forms, {n_iters} iterations; worst "
+                       f"iteration-count gap {worst_stop} at rel_tol {PHASE_REL_TOL:g}")
 
 
 ALL_CHECKS = (check_rate_mse_equivalence, check_quadratic_identity, check_gradient,

@@ -303,6 +303,30 @@ class TestDualSearch:
         assert abs(g_lam - p_max) <= POWER_TOL_REL * p_max
         assert 0 < probes <= 40
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-20])
+    def test_tolerances_below_rounding_end(self, monkeypatch, tol):
+        # once lo and hi are adjacent doubles their midpoint is one of them,
+        # so a bracket-width test of 0 (or below rounding) is never met; the
+        # search must stop there instead of probing forever
+        real = beamformer_mod._power_and_slope
+        calls = []
+
+        def counted(lam, c, d):
+            calls.append(lam)
+            if len(calls) > 5000:
+                raise RuntimeError("dual search does not terminate")
+            return real(lam, c, d)
+
+        monkeypatch.setattr(beamformer_mod, "_power_and_slope", counted)
+        c, d = [1e-6, 1.0, 0.3], [1e-3, 1.0, 0.2]
+        p_max = 0.5 * sum(ci / di ** 2 for ci, di in zip(c, d))
+        lam_max = math.sqrt(sum(c) / p_max)
+        lam, probes = beamformer_mod.dual_search(c, d, p_max, lam_max, 0.0,
+                                                 tol * p_max, tol * lam_max)
+        assert probes == len(calls) <= 200
+        assert real(lam, c, d)[0] <= p_max * (1.0 + 1e-12)
+        assert abs(real(lam, c, d)[0] - p_max) <= 1e-12 * p_max
+
     def test_invalid_bracket_raises(self, rng, monkeypatch):
         hbar, u, q, alpha, _ = random_subproblem(rng)
         p_max = 0.25 * power_g(0.0, assemble_context(hbar, u, q, alpha))

@@ -198,6 +198,11 @@ class TestPhaseConfig:
         with pytest.raises(ValueError):
             PhaseConfig(np.array([1.0 + 0j, 0.5 + 0j]), 1, 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="unit modulus"):
+            PhaseConfig(np.array([bad, 1.0], dtype=complex), 1, 2)
+
     def test_accepts_within_tolerance(self):
         v = np.exp(1j * np.array([0.1, 2.0])) * (1 + 1e-13)
         PhaseConfig(v, 1, 2)

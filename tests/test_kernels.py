@@ -28,10 +28,10 @@ def random_kernel_inputs(rng, size):
     return QuadraticForm(q_mat, z, 0.0, 0.0, 1, size), z, v0
 
 
-def run_core(fn, form, z, v0, tol=None, iters=300):
+def run_core(fn, form, z, v0, tol=None, iters=300, rel_tol=0.0):
     if tol is None:
         tol = 1e-6 * np.sqrt(z.size)
-    return fn(form, z, v0, tol, iters, *LINE_SEARCH)
+    return fn(form, z, v0, tol, rel_tol, iters, *LINE_SEARCH)
 
 
 def factored_kernel_inputs(rng, size, rank, omega):
@@ -92,20 +92,61 @@ class TestKernelParity:
         still = QuadraticForm(None, [-2.0], 0.0, 0.0, 1, 1, factor=[[1.0]])
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with pytest.raises(ValueError, match="max_iters"):
-                fn(form, z, v0, 0.0, -1, *LINE_SEARCH)
+                fn(form, z, v0, 0.0, 0.0, -1, *LINE_SEARCH)
+            for bad_rel in (np.nan, -0.1, 1.0):
+                with pytest.raises(ValueError, match="rel_tol"):
+                    fn(form, z, v0, 0.0, bad_rel, 10, *LINE_SEARCH)
             for bad_z, bad_v0 in ((z[:4], v0), (z, v0[:4]), (z, np.append(v0, 1.0))):
                 with pytest.raises(ValueError, match="size"):
-                    fn(form, bad_z, bad_v0, 0.0, 10, *LINE_SEARCH)
+                    fn(form, bad_z, bad_v0, 0.0, 0.0, 10, *LINE_SEARCH)
             # a zero cap is allowed: the start point comes back
-            v, n, obj, *_ = fn(form, z, v0, 0.0, 0, *LINE_SEARCH)
+            v, n, obj, *_ = fn(form, z, v0, 0.0, 0.0, 0, *LINE_SEARCH)
             assert n == 0 and obj.shape == (1,) and np.array_equal(v, v0)
             # so does an exactly stationary start, converged even at grad_tol 0
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 v, n, _, grad, _, failed, conv = fn(still, still.z, np.ones(1, complex),
-                                                    0.0, 100, *LINE_SEARCH)
+                                                    0.0, 0.0, 100, *LINE_SEARCH)
             assert n == 0 and grad[0] == 0.0 and conv and not failed
             assert np.array_equal(v, [1.0])
+
+    @pytest.mark.parametrize("rel_tol", [0.0, 1e-2, 1e-1])
+    def test_relative_tolerance_truncates_the_absolute_run(self, rng, rel_tol):
+        # a run that ignores the gradient norm (grad_tol = rel_tol = 0) is
+        # followed bit for bit up to the first iterate whose norm is at most
+        # max(grad_tol, rel_tol ||grad_0||), where the descent stops converged;
+        # rel_tol = 0 is the absolute rule alone
+        for size, rank in ((40, 9), (120, 16)):
+            form, _, _, z = factored_kernel_inputs(rng, size, rank, 0.0)
+            v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+            grad_tol = 1e-2 * np.sqrt(size)
+            stops = []
+            for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+                _, n_ref, obj_ref, grad_ref, *_ = run_core(fn, form, z, v0, tol=0.0,
+                                                           iters=1000)
+                tol = max(grad_tol, rel_tol * grad_ref[0])
+                below = np.flatnonzero(grad_ref[:n_ref + 1] <= tol)
+                assert below.size, "the reference run never meets the tolerance"
+                first = int(below[0])
+                v, n, obj, grad, _, failed, conv = run_core(fn, form, z, v0, tol=grad_tol,
+                                                            iters=1000, rel_tol=rel_tol)
+                assert n == first and conv and not failed
+                assert np.array_equal(obj[:n + 1], obj_ref[:n + 1])
+                assert np.array_equal(grad[:n + 1], grad_ref[:n + 1])
+                v_ref, *_ = run_core(fn, form, z, v0, tol=0.0, iters=first)
+                assert np.array_equal(v, v_ref)
+                stops.append(n)
+            assert abs(stops[0] - stops[1]) <= 1
+
+    def test_relative_tolerance_keeps_the_floor_on_a_nonfinite_start(self):
+        # ||grad_0|| overflows to inf: the relative rule must not turn that
+        # into an infinite tolerance, so the descent is not flagged converged
+        form = QuadraticForm(None, [1e200j], 0.0, 0.0, 1, 1, factor=[[1.0]])
+        for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+            with np.errstate(all="ignore"):
+                _, _, _, grad, _, _, conv = fn(form, form.z, np.ones(1, complex), 1e-6,
+                                               1e-2, 100, *LINE_SEARCH)
+            assert grad[0] == np.inf and not conv
 
     def test_nearly_constant_one_element_forms_converge(self, rng):
         # one element: the quadratic term is constant on the circle, so only
@@ -151,7 +192,7 @@ def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
     (inf where a rerun stopped earlier). Near a rounding tie, or where a
     backtracking test or a step's curvature amplifies rounding, this is
     the spread any correctly rounded kernel may show."""
-    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, z, v0, 0.0, n_iters, *LINE_SEARCH)
+    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, z, v0, 0.0, 0.0, n_iters, *LINE_SEARCH)
     obj = obj[:n + 1]
     spread = np.zeros(n + 1)
     rng = np.random.default_rng(0)
@@ -164,7 +205,7 @@ def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
         op = QuadraticForm(None, z_var, c2 * q_op.omega, 0.0, 1, q_op.size,
                            factor=np.sqrt(c2) * q_op.factor[rows][:, cols])
         _, m, other, *_ = _kernels.rmcg_core_numpy(
-            op, z_var, turn * v0[rows], 0.0, n_iters, *LINE_SEARCH)
+            op, z_var, turn * v0[rows], 0.0, 0.0, n_iters, *LINE_SEARCH)
         m = min(m, n) + 1
         spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
         spread[m:] = np.inf
@@ -179,7 +220,7 @@ class TestFactoredProperties:
         dense = q_op.factor @ q_op.factor_h + q_op.omega * np.eye(q_op.size)
         trace = float(np.trace(dense).real)
         scale = trace + 2.0 * float(np.sum(np.abs(z)))
-        v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, z, v0, 0.0, 60, *LINE_SEARCH)
+        v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, z, v0, 0.0, 0.0, 60, *LINE_SEARCH)
         assert np.all(np.diff(obj[:n + 1]) <= 0.0)
         at_v = np.vdot(v, dense @ v).real + 2.0 * np.vdot(v, z).real
         assert abs(obj[n] - at_v) <= 1e-10 * scale
@@ -187,7 +228,7 @@ class TestFactoredProperties:
         # the first iterations take the reference's steps: as close to it as
         # the reference is to itself under other rounding, or 1e-9 of the
         # scale
-        _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, z, v0, 0.0, 5, *LINE_SEARCH)
+        _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, z, v0, 0.0, 0.0, 5, *LINE_SEARCH)
         obj_r, spread = rounding_spread(q_op, z, v0, 5)
         k = min(n_c + 1, obj_r.size)
         assert np.all(np.abs(obj_c[:k] - obj_r[:k]) <= 1e-9 * scale + 10.0 * spread[:k])

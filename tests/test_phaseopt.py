@@ -165,8 +165,8 @@ class TestFactoredForm:
             objective(form, v)
             euclidean_gradient(form, v)
             for kernel in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                kernel(form, form.z, v.v_hat, 0.0, 5, _kernels.SHRINK, _kernels.ARMIJO_C,
-                       _kernels.MAX_BACKTRACKS)
+                kernel(form, form.z, v.v_hat, 0.0, 0.0, 5, _kernels.SHRINK,
+                       _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
             assert form._j_hat is None
             # the kernel's matrix-free product is the dense one
             dense = form.factor @ form.factor.conj().T + form.omega * np.eye(form.size)
@@ -345,6 +345,12 @@ class TestTangentProjection:
         vec = complex_normal(rng, 8)
         out = project_tangent(v, vec)
         assert np.max(np.abs(np.real(out * np.conj(v)))) < 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_base(self, rng, bad):
+        v = np.array([bad, 1.0], dtype=complex)
+        with pytest.raises(ValueError, match="unit modulus"):
+            project_tangent(v, complex_normal(rng, 2))
 
 
 class TestRetract:

@@ -10,6 +10,7 @@ from irsopt import (BeamformerSet, PhaseConfig, SolverOptions, assemble_quadrati
                     effective_channels, initialize, ring_scenario, rmcg_solve, solve,
                     solve_beamforming, strip_irs, update_decoders,
                     update_weights, weighted_sum_rate, wmse_objective)
+from irsopt import solver as solver_mod
 from irsopt.scenario import LOS_MODES
 from irsopt.solver import MONOTONE_TOL_REL
 
@@ -254,6 +255,24 @@ class TestSolverOptions:
             SolverOptions(max_inner=-1)
         assert SolverOptions(max_inner=0).max_inner == 0
 
+    @pytest.mark.parametrize("field, value, ok", [
+        ("outer_tol", np.nan, False), ("outer_tol", np.inf, True),
+        ("phase_grad_tol", -1e-6, False), ("phase_grad_tol", np.nan, False),
+        ("phase_grad_tol", None, True), ("phase_grad_tol", 0.0, True),
+        ("phase_grad_tol", np.inf, True),
+        ("power_tol_rel", np.nan, False), ("power_tol_rel", 0.0, False),
+        ("power_tol_rel", -1e-8, False), ("lambda_tol_rel", np.nan, False),
+        ("lambda_tol_rel", 0.0, False), ("lambda_tol_rel", -1e-12, False),
+    ])
+    def test_tolerances(self, field, value, ok):
+        # NaN and out-of-range tolerances are rejected, not run into a
+        # descent that never converges or a dual search with no probe
+        if ok:
+            assert getattr(SolverOptions(**{field: value}), field) is value
+        else:
+            with pytest.raises(ValueError, match=field):
+                SolverOptions(**{field: value})
+
 
 class TestConvergenceFlag:
     def test_wsr_drop_is_not_converged(self, desk_setup, monkeypatch, caplog):
@@ -316,12 +335,15 @@ def ring_problems(draw):
 class TestScenarioSpace:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(problem=ring_problems())
-    def test_solve_invariants(self, problem, caplog):
-        # the solver's invariants hold away from the presets too
+    @given(problem=ring_problems(), rel_tol=st.sampled_from((0.0, 1e-2, 1e-1)))
+    def test_solve_invariants(self, problem, rel_tol, caplog, monkeypatch):
+        # the solver's invariants hold away from the presets too, whatever
+        # relative tolerance stops its phase descents
         scenario, channels, seed = problem
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="irsopt"):
+        with caplog.at_level(logging.WARNING, logger="irsopt"), \
+                monkeypatch.context() as patch:
+            patch.setattr(solver_mod, "PHASE_REL_TOL", rel_tol)
             beams, phases, trace = solve(scenario, channels, SolverOptions(max_outer=30),
                                          rng=np.random.default_rng(seed))
         assert not caplog.records
