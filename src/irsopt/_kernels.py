@@ -49,8 +49,8 @@ the gradient at v0 (grad_hist[0], so the test costs no product); a NaN or
 infinite ||grad_0|| keeps grad_tol, and ``converged`` reports this test.
 
 Both kernels return (v, n_iters, obj_hist, grad_hist, tangency_residual,
-line_search_failed, converged); the histories hold entries 0..n_iters and
-nan beyond. They sum in different orders, so they agree to rounding, not
+line_search_failed, converged), with n_iters, tangency_residual and the
+two flags as a Python int, float and bools; the histories hold entries 0..n_iters and nan beyond. They sum in different orders, so they agree to rounding, not
 bit for bit; each is deterministic on its own.
 """
 
@@ -175,8 +175,8 @@ def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
         obj_hist[n_done] = f_cur
         grad_hist[n_done] = np.sqrt(gnorm2)
 
-    converged = np.sqrt(gnorm2) <= grad_tol
-    return v, n_done, obj_hist, grad_hist, tang_res, failed, converged
+    converged = bool(np.sqrt(gnorm2) <= grad_tol)
+    return v, n_done, obj_hist, grad_hist, float(tang_res), failed, converged
 
 
 def _compiler() -> str:
@@ -270,19 +270,19 @@ def rmcg_core_compiled(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
     _check(form, z, v0, rel_tol, max_iters)
     n, m = form.size, int(max_iters)
     # one buffer in and out: v0 (becomes v) | z | obj_hist | grad_hist | info
-    raw = (ctypes.c_double * (4 * n + 2 * m + 5))()
+    hist, info = 4 * n, 4 * n + 2 * m + 2
+    raw = (ctypes.c_double * (info + 3))()
     buf = np.frombuffer(raw)
-    vz = buf[:4 * n].view(complex)
+    vz = np.frombuffer(raw, complex, 2 * n)
     vz[:n] = v0
     vz[n:] = z
     n_done = _run(_Args(*form.addresses, n, form.rank, m, max_backtracks,
                         form.omega, grad_tol, rel_tol, shrink, armijo_c), raw)
     if n_done < 0:
         raise MemoryError("descent kernel could not allocate its work space")
-    hist = 4 * n
-    return (vz[:n], n_done, buf[hist:hist + m + 1],
-            buf[hist + m + 1:hist + 2 * m + 2], buf.item(-3),
-            bool(buf.item(-2)), bool(buf.item(-1)))
+    tang_res, failed, converged = raw[info:]
+    return (vz[:n], n_done, buf[hist:hist + m + 1], buf[hist + m + 1:info],
+            tang_res, bool(failed), bool(converged))
 
 
 _run = None

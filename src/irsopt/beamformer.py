@@ -31,10 +31,16 @@ EIG_TRUNCATION_REL = 1e-12
 class LagrangianContext:
     """Eigen-factorized data of one beamforming subproblem.
 
+    Users are stacked as the rows of the (n_users, n_tx) effective channel
+    hbar, so every field below comes from products of 2-D arrays.
+
     gram     : (n_tx, n_tx) Hermitian PSD weighted channel Gram matrix
+               (hbar^T * scale) @ conj(hbar), scale_k = alpha_k q_k |u_k|^2
     eigvecs  : (n_tx, n_pos) eigenvectors of the positive eigenvalues
     eigvals  : (n_pos,) positive eigenvalues, ascending
     rhs      : (n_users, n_tx) right-hand sides alpha_k q_k u_k hbar_k
+    rhs_proj : (n_pos, n_users) eigvecs^H rhs^T, the right-hand sides in
+               the eigenbasis: (eigvecs^H hbar^T) diag(alpha_k q_k u_k)
     zdiag    : (n_users, n_pos) |u_k|^2 |eigvecs^H hbar_k|^2 per mode
     coef     : (n_users,) alpha_k^2 q_k^2
     mode_coef: (n_pos,) coef @ zdiag, the power-curve numerator c_i per mode
@@ -44,6 +50,7 @@ class LagrangianContext:
     eigvecs: np.ndarray
     eigvals: np.ndarray
     rhs: np.ndarray
+    rhs_proj: np.ndarray
     zdiag: np.ndarray
     coef: np.ndarray
     mode_coef: np.ndarray = field(init=False)
@@ -65,7 +72,7 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
     if np.any(q <= 0):
         raise ValueError("surrogate weights must be positive")
     scale = alpha * q * np.abs(u) ** 2
-    gram = np.einsum("k,kn,km->nm", scale, hbar, np.conj(hbar))
+    gram = (hbar.T * scale) @ np.conj(hbar)
     gram = 0.5 * (gram + gram.conj().T)
     try:
         eigvals, eigvecs = np.linalg.eigh(gram)
@@ -75,11 +82,12 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
     keep = eigvals > cutoff
     eigvals = eigvals[keep]
     eigvecs = eigvecs[:, keep]
-    rhs = (alpha * q * u)[:, None] * hbar
+    aqu = alpha * q * u
     proj = np.conj(eigvecs).T @ hbar.T  # (n_pos, n_users), column k = F1^H hbar_k
     zdiag = np.abs(u[:, None]) ** 2 * np.abs(proj.T) ** 2
     return LagrangianContext(gram=gram, eigvecs=eigvecs, eigvals=eigvals,
-                             rhs=rhs, zdiag=zdiag, coef=(alpha * q) ** 2)
+                             rhs=aqu[:, None] * hbar, rhs_proj=proj * aqu,
+                             zdiag=zdiag, coef=(alpha * q) ** 2)
 
 
 def beamformers_at(lam: float, ctx: LagrangianContext) -> BeamformerSet:
@@ -89,8 +97,7 @@ def beamformers_at(lam: float, ctx: LagrangianContext) -> BeamformerSet:
     n_users, n_tx = ctx.rhs.shape
     if ctx.eigvals.size == 0:
         return BeamformerSet(np.zeros((n_users, n_tx), dtype=complex))
-    proj = np.conj(ctx.eigvecs).T @ ctx.rhs.T      # (n_pos, n_users)
-    w = ctx.eigvecs @ (proj / (ctx.eigvals + lam)[:, None])
+    w = ctx.eigvecs @ (ctx.rhs_proj / (ctx.eigvals + lam)[:, None])
     return BeamformerSet(w.T)
 
 

@@ -15,6 +15,22 @@ import numpy as np
 UNIT_MODULUS_TOL = 1e-12
 
 
+def is_unit_modulus(v: np.ndarray) -> bool:
+    """Whether every entry of the 1-D complex v lies within
+    UNIT_MODULUS_TOL of the unit circle; NaN and inf entries fail.
+
+    A sum of squared deviations at most UNIT_MODULUS_TOL**2 bounds every
+    deviation, and a dot product costs less than an entrywise maximum,
+    so only a vector that fails it takes the entrywise test.
+    """
+    if not v.size:
+        return True
+    dev = np.abs(v)
+    dev -= 1.0
+    return bool(np.dot(dev, dev) <= UNIT_MODULUS_TOL ** 2
+                or np.abs(dev).max() <= UNIT_MODULUS_TOL)
+
+
 def path_loss(distance_m, exponent: float, ref_gain_db: float = -30.0):
     """Linear power gain 10**(ref_gain_db/10) * d**(-exponent), d clamped to >= 1 m.
 
@@ -111,8 +127,7 @@ class PhaseConfig:
         v = np.array(self.v_hat, dtype=complex).reshape(-1)
         if v.shape[0] != self.n_irs * self.n_elements:
             raise ValueError("v_hat length must be n_irs * n_elements")
-        # NaN fails the comparison, so NaN and inf entries are rejected
-        if v.size and not np.abs(np.abs(v) - 1.0).max() <= UNIT_MODULUS_TOL:
+        if not is_unit_modulus(v):
             raise ValueError("phase entries must be unit modulus")
         v.setflags(write=False)
         object.__setattr__(self, "v_hat", v)
@@ -190,6 +205,12 @@ def effective_channels(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
     """Combined channel per user: row k holds hbar_k with
     hbar_k^H = h_k^H + sum_l h_{l,k}^H diag(v_l) G_l.
 
+    The surfaces are stacked into 2-D arrays whose N = n_irs * n_elements
+    phase elements follow ``v_hat`` (surface, then element): G (N, n_tx)
+    holds the BS -> element links and H^T (n_users, N) the element -> user
+    links, so the reflected part is the one product
+    (H^T * conj(v_hat)) @ conj(G).
+
     Returns an (n_users, n_tx) array; hbar_k^H w is np.vdot(hbar[k], w).
     """
     if phases.n_irs != channels.n_irs:
@@ -198,10 +219,10 @@ def effective_channels(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
         return channels.h_direct.copy()
     if phases.n_elements != channels.n_elements:
         raise ValueError("phase config does not match element count")
-    v = phases.per_irs()
-    reflected = np.einsum("lmn,lm,lkm->kn", np.conj(channels.g_bs_irs),
-                          np.conj(v), channels.h_irs_user)
-    return channels.h_direct + reflected
+    size = phases.size
+    g = channels.g_bs_irs.reshape(size, channels.n_tx)
+    h_t = channels.h_irs_user.transpose(1, 0, 2).reshape(channels.n_users, size)
+    return channels.h_direct + (h_t * np.conj(phases.v_hat)) @ np.conj(g)
 
 
 def strip_irs(channels: ChannelSet) -> ChannelSet:

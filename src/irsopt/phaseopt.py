@@ -17,12 +17,13 @@ constrained minimizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .channels import UNIT_MODULUS_TOL, ChannelSet, PhaseConfig
+from .channels import ChannelSet, PhaseConfig, is_unit_modulus
 from .wmmse import _w_matrix
 
 
@@ -106,45 +107,48 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     """Collect the weighted MSE into a factored quadratic in the stacked
     phases.
 
-    Column (k, j) of the factor is sqrt(alpha_k q_k |u_k|^2) h_{l,k} o
-    conj(G_l w_j), rows stacked (surface, element). The factored
-    quadratic is PSD, so the form carries no shift (omega = 0).
+    The surfaces' links are stacked into 2-D arrays whose N = n_irs *
+    n_elements rows follow ``v_hat`` (surface, then element): G (N, n_tx)
+    with row (l, m) the BS -> element m link of surface l, and H (N, K)
+    with column k the element -> user k links. With GW = G W^T, column
+    (k, j) of the factor is sqrt(alpha_k q_k |u_k|^2) H[:, k] o
+    conj(GW[:, j]), and every term comes from a few matrix products:
+    the direct gains D = conj(h) W^T give the constant term, and
+    z = sum_k H[:, k] o conj(G y_k) with y_k = alpha_k q_k (|u_k|^2
+    W_gram h_k - conj(u_k) w_k). The factored quadratic is PSD, so the
+    form carries no shift (omega = 0).
     """
     w = _w_matrix(beamformers)
     u = np.asarray(decoders, dtype=complex)
     q = np.asarray(mse_weights, dtype=float)
     alpha = np.asarray(weights, dtype=float)
-    g = channels.g_bs_irs          # (L, M, n_tx)
-    h_ru = channels.h_irs_user     # (L, K, M)
     h = channels.h_direct          # (K, n_tx)
     n_irs, n_el = channels.n_irs, channels.n_elements
-    n_users = u.shape[0]
+    n_users, n_tx = h.shape
     size = n_irs * n_el
+    g = channels.g_bs_irs.reshape(size, n_tx)
+    h_ru = channels.h_irs_user.transpose(0, 2, 1).reshape(size, n_users)
 
     aq = alpha * q
-    w_gram = w.T @ np.conj(w)      # sum_k w_k w_k^H, (n_tx, n_tx)
-
-    # Phase-independent part: aq_k * (|u_k|^2 (h_k^H W h_k + noise) - 2 Re(u_k w_k^H h_k) + 1)
-    quad_direct = np.einsum("ka,ab,kb->k", np.conj(h), w_gram, h).real
-    e_direct = u * np.sum(np.conj(w) * h, axis=1)
-    const = float(np.sum(aq * (np.abs(u) ** 2 * (quad_direct + noise_power)
-                               - 2.0 * e_direct.real + 1.0)))
-
-    # Quadratic factor: F[(l,m), (k,j)] = sqrt(aq_k |u_k|^2) h_{l,k}[m] conj((G_l w_j)[m])
     cu = aq * np.abs(u) ** 2
     if np.any(cu < 0):
         raise ValueError("rate weights and MSE weights must be nonnegative")
-    gwk = np.einsum("lma,ka->lkm", g, w)                 # (G_l w_k)[m]
-    left = (np.sqrt(cu)[:, None] * h_ru).transpose(0, 2, 1)   # (L, M, K)
-    right = np.conj(gwk).transpose(0, 2, 1)                   # (L, M, K)
-    factor = (left[..., :, None] * right[..., None, :]).reshape(size, n_users ** 2)
+
+    # Phase-independent part: aq_k (|u_k|^2 (sum_j |D_kj|^2 + noise) - 2 Re(u_k conj(D_kk)) + 1)
+    gains = np.conj(h) @ w.T                    # D_kj = h_k^H w_j
+    const = float(np.sum(cu * (np.sum(gains.real ** 2 + gains.imag ** 2, axis=1)
+                               + noise_power)
+                         - 2.0 * aq * (u * np.conj(np.diagonal(gains))).real + aq))
+
+    # Quadratic factor: F[n, (k, j)] = sqrt(cu_k) H[n, k] conj(GW[n, j])
+    gw = g @ w.T                                # (N, K), GW[(l,m), j] = (G_l w_j)[m]
+    factor = ((h_ru * np.sqrt(cu))[:, :, None]
+              * np.conj(gw)[:, None, :]).reshape(size, n_users ** 2)
 
     # Linear term from the diagonals of the direct-cross blocks.
-    gw = np.einsum("lma,ab->lmb", g, w_gram)             # G_l @ W-gram
-    gwh = np.einsum("lma,ka->lkm", gw, h)                # (G_l W h_k)[m]
-    z_lkm = h_ru * (np.abs(u) ** 2)[None, :, None] * np.conj(gwh)
-    z_lkm -= h_ru * u[None, :, None] * np.conj(gwk)
-    z = np.einsum("k,lkm->lm", aq, z_lkm).reshape(size)
+    w_gram = w.T @ np.conj(w)                   # sum_j w_j w_j^H, (n_tx, n_tx)
+    y = (w_gram @ h.T) * cu - w.T * np.conj(aq * u)
+    z = np.sum(h_ru * np.conj(g @ y), axis=1)
 
     return QuadraticForm(None, z, 0.0, const, n_irs, n_el, factor=factor)
 
@@ -153,7 +157,7 @@ def _phase_vector(phases) -> np.ndarray:
     if isinstance(phases, PhaseConfig):
         return phases.v_hat
     v = np.asarray(phases, dtype=complex).reshape(-1)
-    if v.size and not np.max(np.abs(np.abs(v) - 1.0)) <= UNIT_MODULUS_TOL:
+    if not is_unit_modulus(v):
         raise ValueError("phase vector must be unit modulus")
     return v
 
@@ -194,9 +198,10 @@ def retract(v_plus, n_irs: int, n_elements: int) -> PhaseConfig:
     return PhaseConfig(v / mags, n_irs, n_elements)
 
 
-@dataclass(frozen=True)
-class RmcgTrace:
-    """Inner-iteration record of one conjugate-gradient run."""
+class RmcgTrace(NamedTuple):
+    """Inner-iteration record of one conjugate-gradient run. One is built
+    per descent, so it is a named tuple, which costs less to build than a
+    frozen dataclass."""
 
     objectives: np.ndarray   # length n_iters + 1, objective before/after each step
     grad_norms: np.ndarray   # Riemannian gradient norms at the same points
@@ -229,14 +234,12 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
         empty = np.array([0.0])
         return init, RmcgTrace(empty, np.array([0.0]), 0, True, False, 0.0)
     if grad_tol is None:
-        grad_tol = 1e-6 * np.sqrt(form.size)
+        grad_tol = 1e-6 * math.sqrt(form.size)
+    # both kernels return Python scalars, in RmcgTrace's types
     v, n_iters, obj_hist, grad_hist, tang_res, failed, converged = _kernels.rmcg_core(
         form, form.z, init.v_hat, float(grad_tol), float(rel_tol), int(max_iters),
         _kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
-    trace = RmcgTrace(objectives=obj_hist[:n_iters + 1],
-                      grad_norms=grad_hist[:n_iters + 1],
-                      n_iters=int(n_iters),
-                      converged=bool(converged),
-                      line_search_failed=bool(failed),
-                      tangency_residual=float(tang_res))
-    return PhaseConfig(v, form.n_irs, form.n_elements), trace
+    end = n_iters + 1
+    return (PhaseConfig(v, form.n_irs, form.n_elements),
+            RmcgTrace(obj_hist[:end], grad_hist[:end], n_iters, converged, failed,
+                      tang_res))

@@ -56,6 +56,23 @@ class TestAssembleContext:
         ctx = assemble_context(hbar, u, q, alpha)
         assert ctx.eigvals.size <= 3
 
+    @pytest.mark.parametrize("n_users, n_tx", [(5, 3), (3, 5)])
+    def test_gram_matches_outer_product_sum(self, rng, n_users, n_tx):
+        # oracle: sum_k alpha_k q_k |u_k|^2 hbar_k hbar_k^H, one user at a time,
+        # with decoders that are not the MMSE ones and one user of zero weight
+        hbar = complex_normal(rng, (n_users, n_tx))
+        u = complex_normal(rng, n_users)
+        q = rng.uniform(0.5, 2.0, n_users)
+        alpha = rng.uniform(0.2, 2.0, n_users)
+        alpha[1] = 0.0
+        ctx = assemble_context(hbar, u, q, alpha)
+        expected = np.zeros((n_tx, n_tx), dtype=complex)
+        for k in range(n_users):
+            expected += alpha[k] * q[k] * np.abs(u[k]) ** 2 * np.outer(hbar[k], np.conj(hbar[k]))
+        assert ctx.gram.shape == (n_tx, n_tx)
+        assert np.allclose(ctx.gram, expected, rtol=1e-12,
+                           atol=1e-14 * np.linalg.norm(expected))
+
     def test_zdiag_nonnegative_and_traces(self, rng):
         hbar, u, q, alpha, _ = random_subproblem(rng)
         ctx = assemble_context(hbar, u, q, alpha)
@@ -69,13 +86,18 @@ class TestAssembleContext:
 class TestBeamformersAt:
     def test_matches_dense_solve(self, rng):
         # oracle: direct dense solve of (gram + lam I) w = rhs
+        # and with one zero-weight user, whose right-hand side vanishes
         for _ in range(20):
             hbar, u, q, alpha, _ = random_subproblem(rng, 4, 6)
-            ctx = assemble_context(hbar, u, q, alpha)
-            lam = 0.1
-            dense = np.linalg.solve(ctx.gram + lam * np.eye(6), ctx.rhs.T).T
-            fast = beamformers_at(lam, ctx).w
-            assert np.allclose(fast, dense, rtol=1e-9, atol=1e-12)
+            zero_weight = alpha.copy()
+            zero_weight[2] = 0.0
+            for weights in (alpha, zero_weight):
+                ctx = assemble_context(hbar, u, q, weights)
+                lam = 0.1
+                dense = np.linalg.solve(ctx.gram + lam * np.eye(6), ctx.rhs.T).T
+                fast = beamformers_at(lam, ctx).w
+                assert np.allclose(fast, dense, rtol=1e-9, atol=1e-12)
+            assert np.all(fast[2] == 0.0)  # zero_weight's context ran last
 
     def test_vanishes_for_large_lambda(self, rng):
         hbar, u, q, alpha, _ = random_subproblem(rng)
