@@ -8,6 +8,13 @@ dense (size, size) matrix, plus the fitted scaling exponent of each. Both
 kernels are timed when the compiled one loaded: the compiled kernel and
 the numpy reference.
 
+Time per iteration alone misreads a preconditioned descent, whose
+iterations cost a little more and are far fewer. A second table runs each kernel on
+block-scaled factored forms (``selfcheck.block_scaled_form``, shaped like
+the solver's) from a random start to the solver's relative tolerance
+``PHASE_REL_TOL``, as the solver does, and reports the iterations and the
+milliseconds that takes.
+
 Usage: python benchmarks/bench_kernels.py [--sizes 32,120,240,480]
                                           [--users 8] [--iters 30]
 """
@@ -19,6 +26,10 @@ import numpy as np
 
 from irsopt import _kernels
 from irsopt.phaseopt import QuadraticForm
+from irsopt.selfcheck import block_scaled_form
+from irsopt.solver import PHASE_REL_TOL, SolverOptions
+
+LINE_SEARCH = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
 
 
 def make_forms(rng, size, n_users):
@@ -33,15 +44,28 @@ def make_forms(rng, size, n_users):
 
 def time_kernel(kernel, form, v0, iters, repeats=5):
     """Best seconds per iteration of the kernel on the form."""
-    line_search = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
-    kernel(form, form.z, v0, 0.0, 0.0, 3, *line_search)  # warm path
+    kernel(form, form.z, v0, 0.0, 0.0, 3, *LINE_SEARCH)  # warm path
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, n_done, *_ = kernel(form, form.z, v0, 0.0, 0.0, iters, *line_search)
+        _, n_done, *_ = kernel(form, form.z, v0, 0.0, 0.0, iters, *LINE_SEARCH)
         if n_done > 0:
             best = min(best, (time.perf_counter() - t0) / n_done)
     return best
+
+
+def time_to_tolerance(kernel, form, v0, repeats=5):
+    """Iterations and best seconds of one descent to PHASE_REL_TOL, with
+    the solver's default absolute floor and iteration cap."""
+    args = (form, form.z, v0, 1e-6 * np.sqrt(form.size), PHASE_REL_TOL,
+            SolverOptions().max_inner, *LINE_SEARCH)
+    kernel(*args)  # warm path
+    best = np.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        _, n_done, *_ = kernel(*args)
+        best = min(best, time.perf_counter() - t0)
+    return n_done, best
 
 
 def fit_exponent(sizes, times):
@@ -80,6 +104,19 @@ def main():
         print(f"{size:6d}" + "".join(f"{1e6 * t:19.2f}" for t in row))
     print("scaling exponent: " + ", ".join(
         f"{c} {fit_exponent(sizes, t):.2f}" for c, t in times.items()))
+
+    print(f"block-scaled factored forms, to rel_tol {PHASE_REL_TOL:g}: "
+          "iterations and ms per descent")
+    columns = [f"{what} {name}" for name in kernels for what in ("iters", "ms")]
+    print(f"{'size':>6s}" + "".join(f"{c:>16s}" for c in columns))
+    for size in sizes:
+        form = block_scaled_form(rng, size, args.users ** 2)
+        v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
+        row = ""
+        for kernel in kernels.values():
+            n_done, t = time_to_tolerance(kernel, form, v0)
+            row += f"{n_done:16d}{1e3 * t:16.3f}"
+        print(f"{size:6d}" + row)
 
 
 if __name__ == "__main__":

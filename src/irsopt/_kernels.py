@@ -8,14 +8,16 @@ as a matrix). Both kernels first check the arguments the same way
 nonnegative ``max_iters``).
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
-the vectorized numpy reference; it touches the form only through
-``form @ x``. ``_rmcg.c`` is a C port of it, step for step, that reads
-the form's arrays and omega itself, except that a factored candidate is
-scored by ||F^H x||^2: on a factored form a line-search trial point costs
-the one product t = F^H x (f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)),
-and F t is formed for the accepted point alone; and that omega is left
-out of its gradient (the tangent projection removes the radial omega x)
-and of c2 below (where it cancels). On
+the vectorized numpy reference; it touches the form through ``form @ x``
+and, once per call, the diagonal of j_hat (the factor's squared row norms
+on a factored form, whose ``j_hat`` it never reads). ``_rmcg.c`` is a C
+port of it, step for step, that reads the form's arrays and omega itself,
+except that a factored candidate is scored by ||F^H x||^2: on a factored
+form a line-search trial point costs the one product t = F^H x
+(f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)), and F t is formed for the
+accepted point alone; and that omega is left out of its gradient (the
+tangent projection removes the radial omega x), of c2 and of the Hessian
+diagonal h below (where it cancels). On
 first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
 builds it with ``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
@@ -32,13 +34,33 @@ True), else the numpy reference, after a logged WARNING that says why.
 ``benchmarks/bench_kernels.py`` times both.
 
 Algorithm: ambient gradient g = 2(Av + z) with A = Q + omega I,
-projection onto the tangent space of the unit-circle product,
-Polak-Ribiere direction d with projected transport (restarted when the
-coefficient turns negative, capped by the Fletcher-Reeves value to keep
-the backtracking-only search stable), Armijo backtracking, and entrywise
-renormalization onto the circles. The renormalization v/|v| is a
-second-order retraction (Absil and Malick, SIAM J. Optim. 2012): along it
-f = f(v) + t slope + t^2 c2 + O(t^3), with
+projection onto the tangent space of the unit-circle product (the
+Riemannian gradient rgrad), a diagonal preconditioner, a preconditioned
+Polak-Ribiere direction d with projected transport, Armijo backtracking,
+and entrywise renormalization onto the circles.
+
+The preconditioned gradient is pg = rgrad / h entrywise, with
+h_m = 2 Q_mm - Re(conj(g_m) v_m) the diagonal of the Riemannian Hessian
+at v (Mishra and Sepulchre, "Riemannian preconditioning", SIAM J. Optim.
+2016; Boumal, "An Introduction to Optimization on Smooth Manifolds",
+2023). omega cancels in it: the numpy radial part Re(conj(g_m) v_m)
+carries 2 omega, so that kernel takes 2 (Q_mm + omega) minus it, while
+the compiled gradient has no omega to remove. Q_mm is computed once per
+call. h is floored at PRECOND_FLOOR * max_m h_m; where some h_m is not
+finite or max_m h_m <= 0, pg = rgrad. The elements of a multi-surface
+form sit at different distances from the BS and the users, so h spans
+orders of magnitude, and plain conjugate gradient on such a badly scaled
+problem crawls. With <a, b> = Re(a^H b) and T the projection onto the
+new tangent space, the direction is d = -pg + beta T(d), with
+beta = <rgrad_new, pg_new - T(pg)> / <rgrad, pg> (Polak-Ribiere), capped
+at the Fletcher-Reeves value <rgrad_new, pg_new> / <rgrad, pg> to keep
+the backtracking-only search stable, and floored at 0; where d is not a
+descent direction the descent restarts at d = -pg, with slope
+-<rgrad, pg>. The step rule, the search and the stopping test below are
+those of the plain method.
+
+The renormalization v/|v| is a second-order retraction (Absil and Malick,
+SIAM J. Optim. 2012): along it f = f(v) + t slope + t^2 c2 + O(t^3), with
 c2 = d^H A d - 1/2 sum_m |d_m|^2 Re(conj(v_m) g_m) (omega cancels in it),
 which costs one more product with Q, with F^H alone on a factored form.
 Each line search starts at the model's minimizer -slope / (2 c2), capped
@@ -50,8 +72,9 @@ infinite ||grad_0|| keeps grad_tol, and ``converged`` reports this test.
 
 Both kernels return (v, n_iters, obj_hist, grad_hist, tangency_residual,
 line_search_failed, converged), with n_iters, tangency_residual and the
-two flags as a Python int, float and bools; the histories hold entries 0..n_iters and nan beyond. They sum in different orders, so they agree to rounding, not
-bit for bit; each is deterministic on its own.
+two flags as a Python int, float and bools; the histories hold entries
+0..n_iters and nan beyond. They sum in different orders, so they agree to
+rounding, not bit for bit; each is deterministic on its own.
 """
 
 from __future__ import annotations
@@ -76,6 +99,9 @@ log = logging.getLogger(__name__)
 SHRINK = 0.5
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 40
+# The preconditioner's diagonal h is floored at this fraction of its
+# largest entry.
+PRECOND_FLOOR = 1e-3
 
 _SOURCE = Path(__file__).with_name("_rmcg.c")
 _CFLAGS = ("-std=gnu99", "-O3", "-march=native", "-ffp-contract=off",
@@ -93,15 +119,47 @@ def _check(form, z, v0, rel_tol, max_iters) -> None:
         raise ValueError("max_iters must be nonnegative")
 
 
+def _diagonal(form):
+    """The real diagonal of j_hat (omega left out): the squared row norms
+    of the factor, or the dense matrix's diagonal."""
+    if form.factor is not None:
+        f = form.factor
+        return np.sum(f.real ** 2 + f.imag ** 2, axis=1)
+    return np.diagonal(form.j_hat).real
+
+
+def hessian_diagonal(form, v):
+    """The diagonal of the Riemannian Hessian at the unit-modulus v that
+    both kernels precondition with, 2 Q_mm - Re(conj(g_m) v_m) with g the
+    ambient gradient; omega cancels in it and is left out."""
+    egrad = 2.0 * (form @ v - form.omega * v + form.z)
+    return 2.0 * _diagonal(form) - (np.conj(egrad) * v).real
+
+
+def _precondition(hess_diag, rgrad):
+    """rgrad * (1 / h), h = hess_diag floored at PRECOND_FLOOR *
+    max(hess_diag); rgrad itself when an entry of hess_diag is not finite
+    or none is positive. Returns it with <rgrad, rgrad / h>."""
+    h_max = hess_diag.max()
+    if not (h_max > 0.0 and np.isfinite(hess_diag).all()):
+        return rgrad, np.vdot(rgrad, rgrad).real
+    pg = rgrad * (1.0 / np.maximum(hess_diag, PRECOND_FLOOR * h_max))
+    return pg, np.vdot(rgrad, pg).real
+
+
 def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
                     armijo_c, max_backtracks):
-    """Vectorized descent loop; it applies the form only through ``@``."""
+    """Vectorized descent loop; it applies the form through ``@`` and
+    reads the diagonal of j_hat once."""
     _check(form, z, v0, rel_tol, max_iters)
     v = v0.copy()
     obj_hist = np.full(max_iters + 1, np.nan)
     grad_hist = np.full(max_iters + 1, np.nan)
     tang_res = 0.0
     failed = False
+    # radial below includes 2 omega, so 2 (Q_mm + omega) - radial is the
+    # omega-free Hessian diagonal 2 Q_mm - rad_m
+    q_diag2 = 2.0 * (_diagonal(form) + form.omega)
 
     qv = form @ v
     f_cur = np.vdot(v, qv).real + 2.0 * np.vdot(v, z).real
@@ -109,7 +167,8 @@ def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
     radial = (np.conj(egrad) * v).real
     rgrad = egrad - radial * v
     gnorm2 = np.vdot(rgrad, rgrad).real
-    direction = -rgrad
+    pg, gpg = _precondition(q_diag2 - radial, rgrad)
+    direction = -pg
     obj_hist[0] = f_cur
     grad_hist[0] = np.sqrt(gnorm2)
     # a NaN or infinite start fails the test and keeps the absolute floor
@@ -122,8 +181,8 @@ def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
             break
         slope = np.vdot(direction, rgrad).real
         if not np.isfinite(slope) or slope >= 0.0:
-            direction = -rgrad
-            slope = -gnorm2
+            direction = -pg
+            slope = -gpg
         d2 = direction.real ** 2 + direction.imag ** 2
         c2 = np.vdot(direction, form @ direction).real - 0.5 * np.dot(d2, radial)
         reach = np.sqrt(np.max(d2))
@@ -148,17 +207,18 @@ def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
         radial = (np.conj(egrad) * cand).real
         rgrad_new = egrad - radial * cand
         gnorm2_new = np.vdot(rgrad_new, rgrad_new).real
-        transported = rgrad - (np.conj(rgrad) * cand).real * cand
+        pg_new, gpg_new = _precondition(q_diag2 - radial, rgrad_new)
+        transported = pg - (np.conj(pg) * cand).real * cand
         beta = 0.0
-        if gnorm2 > 0.0:
-            beta = np.vdot(rgrad_new, rgrad_new - transported).real / gnorm2
-            cap = gnorm2_new / gnorm2
+        if gpg > 0.0:
+            beta = np.vdot(rgrad_new, pg_new - transported).real / gpg
+            cap = gpg_new / gpg
             if beta > cap:
                 beta = cap
         if beta < 0.0:
             beta = 0.0
         dir_t = direction - (np.conj(direction) * cand).real * cand
-        direction = -rgrad_new + beta * dir_t
+        direction = -pg_new + beta * dir_t
 
         res = np.max(np.abs((np.conj(rgrad_new) * cand).real))
         if res > tang_res:
@@ -171,6 +231,8 @@ def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
         f_cur = f_cand
         rgrad = rgrad_new
         gnorm2 = gnorm2_new
+        pg = pg_new
+        gpg = gpg_new
         n_done = it + 1
         obj_hist[n_done] = f_cur
         grad_hist[n_done] = np.sqrt(gnorm2)
@@ -246,7 +308,7 @@ class _Args(ctypes.Structure):
     _fields_ = [(name, ctypes.c_void_p) for name in ("q", "f", "fh")] + \
                [(name, ctypes.c_int64) for name in ("n", "r", "max_iters", "max_backtracks")] + \
                [(name, ctypes.c_double) for name in ("omega", "grad_tol", "rel_tol", "shrink",
-                                                    "armijo_c")]
+                                                    "armijo_c", "precond_floor")]
 
 
 def _load():
@@ -277,7 +339,8 @@ def rmcg_core_compiled(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
     vz[:n] = v0
     vz[n:] = z
     n_done = _run(_Args(*form.addresses, n, form.rank, m, max_backtracks,
-                        form.omega, grad_tol, rel_tol, shrink, armijo_c), raw)
+                        form.omega, grad_tol, rel_tol, shrink, armijo_c,
+                        PRECOND_FLOOR), raw)
     if n_done < 0:
         raise MemoryError("descent kernel could not allocate its work space")
     tang_res, failed, converged = raw[info:]

@@ -1,11 +1,23 @@
 /* Manifold conjugate-gradient descent on the product of unit circles.
 
    A port of irsopt._kernels.rmcg_core_numpy to C99 with GNU vector types
-   (gcc, clang), step for step: same direction rule, first step, line
-   search, stopping test, tangency check, history padding and flags,
-   except that a factored candidate is scored by ||F^H x||^2, and that
-   omega is left out of the gradient, whose tangent projection removes it,
-   and of the first step's curvature, where it cancels.
+   (gcc, clang), step for step: same preconditioner, direction rule, first
+   step, line search, stopping test, tangency check, history padding and
+   flags, except that a factored candidate is scored by ||F^H x||^2, and
+   that omega is left out of the gradient, whose tangent projection
+   removes it, and of the first step's curvature and the Hessian diagonal,
+   where it cancels.
+
+   The direction is preconditioned by the diagonal of the Riemannian
+   Hessian, h_i = 2 Q_ii - rad_i, with rad_i = Re(conj(g_i) v_i) the
+   radial part the gradient projection computes anyway and Q_ii (the
+   squared row norms of F, or the real diagonal of a dense Q) computed
+   once per call: pg = rgrad / h, with h floored at precond_floor *
+   max_i h_i, or pg = rgrad where some h_i is not finite or max_i h_i <= 0.
+   The direction is -pg + beta T(d), beta the Polak-Ribiere value
+   <rgrad_new, pg_new - T(pg)> / <rgrad, pg> capped at the Fletcher-Reeves
+   value <rgrad_new, pg_new> / <rgrad, pg> and floored at 0, and a restart
+   takes -pg with slope -<rgrad, pg>.
    irsopt._kernels builds this file into a shared library on first import
    and calls rmcg_run through ctypes.
 
@@ -222,14 +234,55 @@ static void tangency(const double *a, const double *b, const double *v,
     memcpy(&worst[1], &wb, sizeof wb);
 }
 
+/* pg = g * (1 / h) entrywise, with h_i = 2 Q_ii - rad_i (the diagonal of
+   the Riemannian Hessian, omega left out) floored at h_floor * max_i h_i;
+   g itself when some h_i is not finite or max_i h_i <= 0. h is work space
+   for the unfloored h_i (n doubles). Returns Re(g^H pg). The finiteness test and
+   the maximum (over max(h_i, 0), where the order of nonnegative doubles
+   is that of their bit patterns) are integer operations, which vectorize
+   where floating-point reductions do not. */
+static double precondition(const double *q_diag, const double *rad,
+                           const double *g, ptrdiff_t n, double h_floor,
+                           double *h, double *pg)
+{
+    const uint64_t exponent = 0x7ff0000000000000u;
+    uint64_t top = 0, top_exponent = 0;
+    double h_max;
+    ptrdiff_t i;
+    for (i = 0; i < n; i++) {
+        double hi = 2.0 * q_diag[i] - rad[i];
+        uint64_t bits, pos_bits, exp_bits;
+        memcpy(&bits, &hi, sizeof bits);
+        pos_bits = bits >> 63 ? 0 : bits;      /* the bits of max(h_i, 0) */
+        exp_bits = bits & exponent;
+        top_exponent = exp_bits > top_exponent ? exp_bits : top_exponent;
+        top = pos_bits > top ? pos_bits : top;
+        h[i] = hi;
+    }
+    memcpy(&h_max, &top, sizeof h_max);
+    /* an all-ones exponent field is an infinity or a NaN */
+    if (top_exponent == exponent || !(h_max > 0.0)) {
+        memcpy(pg, g, sizeof(double) * (size_t)(2 * n));
+        return dot(g, g, 2 * n);
+    }
+    h_floor *= h_max;
+    for (i = 0; i < n; i++) {
+        double scale = 1.0 / (h[i] > h_floor ? h[i] : h_floor);
+        pg[2 * i] = g[2 * i] * scale;
+        pg[2 * i + 1] = g[2 * i + 1] * scale;
+    }
+    return dot(g, pg, 2 * n);
+}
+
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
 /* Arguments of rmcg_run; q is the dense matrix, or NULL for the factored
-   form (f, fh, rank r). */
+   form (f, fh, rank r); precond_floor is irsopt._kernels.PRECOND_FLOOR,
+   the one value both kernels floor h with. */
 typedef struct {
     const double *q, *f, *fh;
     int64_t n, r, max_iters, max_backtracks;
-    double omega, grad_tol, rel_tol, shrink, armijo_c;
+    double omega, grad_tol, rel_tol, shrink, armijo_c, precond_floor;
 } rmcg_args;
 
 /* Minimize v^H (Q + omega I) v + 2 Re(v^H z) over unit-modulus v.
@@ -244,7 +297,7 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
 {
     const int64_t n = a->n, r = a->r, max_iters = a->max_iters;
     const double rel_tol = a->rel_tol, shrink = a->shrink,
-        armijo_c = a->armijo_c;
+        armijo_c = a->armijo_c, h_floor = a->precond_floor;
     double grad_tol = a->grad_tol;
     ptrdiff_t i, m = 2 * (ptrdiff_t)n;
     int64_t it, b, n_done = 0;
@@ -253,35 +306,41 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
         *info = grad_hist + max_iters + 1;
     const ptrdiff_t na = m > 2 * (ptrdiff_t)r ? m : 2 * (ptrdiff_t)r;
     double *mem, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
-        *rgrad_new, *dir, *tmp, *rad;
-    double f_cur, gnorm2, tang_res = 0.0;
+        *rgrad_new, *pg, *pg_new, *dir, *tmp, *rad, *q_diag;
+    double f_cur, gnorm2, gpg, tang_res = 0.0;
     int failed = 0;
     quad_op op;
 
     /* aux_cand and aux_new hold evaluate()'s aux for cand and v_new; qv
        receives finish()'s product for a factored form; rad holds the
-       gradient's radial parts at v */
-    mem = malloc(sizeof(double) * (size_t)(10 * m + n + 2 * na + 4 * r + 1));
+       gradient's radial parts at v; pg the preconditioned gradient and
+       q_diag the real diagonal of Q */
+    mem = malloc(sizeof(double) * (size_t)(12 * m + 2 * n + 2 * na + 4 * r + 1));
     if (!mem)
         return -1;
     v = mem; qv = v + m; cand = qv + m; v_new = cand + m;
-    rgrad = v_new + m; rgrad_new = rgrad + m; dir = rgrad_new + m;
+    rgrad = v_new + m; rgrad_new = rgrad + m; pg = rgrad_new + m;
+    pg_new = pg + m; dir = pg_new + m;
     tmp = dir + m; aux_cand = tmp + m; aux_new = aux_cand + na;
     op.n = n; op.r = r; op.q = a->q; op.f = a->f; op.fh = a->fh;
     op.omega = a->omega;
     op.xr = aux_new + na; op.xi = op.xr + m;
     op.tr = op.xi + m; op.ti = op.tr + 2 * r;
-    rad = op.ti + 2 * r;
+    rad = op.ti + 2 * r; q_diag = rad + n;
 
     for (i = 0; i <= max_iters; i++)
         obj_hist[i] = grad_hist[i] = NAN;
+    for (i = 0; i < n; i++)        /* squared row norms of F, or Re Q_ii */
+        q_diag[i] = op.q ? op.q[2 * (i * n + i)]
+                         : dot(op.f + 2 * i * r, op.f + 2 * i * r, 2 * r);
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
     f_cur = evaluate(&op, v, z, aux_new);
     riemannian_grad(finish(&op, aux_new, qv), z, v, n, rgrad, rad);
     gnorm2 = dot(rgrad, rgrad, m);
+    gpg = precondition(q_diag, rad, rgrad, n, h_floor, tmp, pg);
     for (i = 0; i < m; i++)
-        dir[i] = -rgrad[i];
+        dir[i] = -pg[i];
     obj_hist[0] = f_cur;
     grad_hist[0] = sqrt(gnorm2);
     /* a NaN or infinite start fails the test and keeps the absolute floor */
@@ -290,15 +349,15 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
 
     for (it = 0; it < max_iters; it++) {
         double slope, d2max = 0.0, c2, reach, step, f_new = f_cur, gnorm2_new,
-            beta, worst[2];
+            gpg_new, beta, worst[2];
         int accepted = 0;
         if (sqrt(gnorm2) <= grad_tol)
             break;
         slope = dot(dir, rgrad, m);
         if (!isfinite(slope) || slope >= 0.0) {
             for (i = 0; i < m; i++)
-                dir[i] = -rgrad[i];
-            slope = -gnorm2;
+                dir[i] = -pg[i];
+            slope = -gpg;
         }
         for (i = 0; i < n; i++) {        /* tmp = |d_i|^2 */
             tmp[i] = dir[2 * i] * dir[2 * i] + dir[2 * i + 1] * dir[2 * i + 1];
@@ -329,26 +388,27 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
 
         riemannian_grad(finish(&op, aux_new, qv), z, v_new, n, rgrad_new, rad);
         gnorm2_new = dot(rgrad_new, rgrad_new, m);
+        gpg_new = precondition(q_diag, rad, rgrad_new, n, h_floor, tmp, pg_new);
         beta = 0.0;
-        if (gnorm2 > 0.0) {
+        if (gpg > 0.0) {
             double cap;
-            for (i = 0; i < n; i++) {    /* rgrad_new - transported rgrad */
-                double p = radial(rgrad, v_new, i);
-                tmp[2 * i] = rgrad_new[2 * i] - (rgrad[2 * i] - p * v_new[2 * i]);
-                tmp[2 * i + 1] = rgrad_new[2 * i + 1]
-                    - (rgrad[2 * i + 1] - p * v_new[2 * i + 1]);
+            for (i = 0; i < n; i++) {    /* pg_new - transported pg */
+                double p = radial(pg, v_new, i);
+                tmp[2 * i] = pg_new[2 * i] - (pg[2 * i] - p * v_new[2 * i]);
+                tmp[2 * i + 1] = pg_new[2 * i + 1]
+                    - (pg[2 * i + 1] - p * v_new[2 * i + 1]);
             }
-            beta = dot(rgrad_new, tmp, m) / gnorm2;
-            cap = gnorm2_new / gnorm2;
+            beta = dot(rgrad_new, tmp, m) / gpg;
+            cap = gpg_new / gpg;
             if (beta > cap)
                 beta = cap;
         }
         if (beta < 0.0)
             beta = 0.0;
-        for (i = 0; i < n; i++) {        /* -rgrad_new + beta transported dir */
+        for (i = 0; i < n; i++) {        /* -pg_new + beta transported dir */
             double p = radial(dir, v_new, i);
-            dir[2 * i] = -rgrad_new[2 * i] + beta * (dir[2 * i] - p * v_new[2 * i]);
-            dir[2 * i + 1] = -rgrad_new[2 * i + 1]
+            dir[2 * i] = -pg_new[2 * i] + beta * (dir[2 * i] - p * v_new[2 * i]);
+            dir[2 * i + 1] = -pg_new[2 * i + 1]
                 + beta * (dir[2 * i + 1] - p * v_new[2 * i + 1]);
         }
 
@@ -360,8 +420,10 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
 
         SWAP(v, v_new);
         SWAP(rgrad, rgrad_new);
+        SWAP(pg, pg_new);
         f_cur = f_new;
         gnorm2 = gnorm2_new;
+        gpg = gpg_new;
         n_done = it + 1;
         obj_hist[n_done] = f_cur;
         grad_hist[n_done] = sqrt(gnorm2);

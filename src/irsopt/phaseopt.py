@@ -220,9 +220,13 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
     max(grad_tol, rel_tol * ||grad_0||), with grad_0 the gradient at
     ``init``, or after max_iters iterations; ``converged`` reports that
     test. grad_tol defaults to 1e-6 * sqrt(size); rel_tol in [0, 1)
-    defaults to 0, the absolute floor alone. Each line search starts at
-    the minimizer of the second-order model of the objective along the
-    retraction (see ``_kernels``), so no step size is given. The kernel
+    defaults to 0, the absolute floor alone. Each search direction is
+    the conjugate-gradient direction of the gradient scaled entrywise by
+    the inverse diagonal of the Riemannian Hessian, 2 Q_mm - Re(conj(g_m)
+    v_m) with g the ambient gradient (floored; see ``_kernels``), while
+    the stopping test reads the unscaled gradient. Each line search
+    starts at the minimizer of the second-order model of the objective
+    along the retraction, so no step size is given. The kernel
     runs the form itself, so a factored form never becomes a dense matrix
     here and a dense one is not copied. The returned objective sequence
     is non-increasing; if the line search stalls the incumbent is

@@ -43,6 +43,25 @@ def _cplx(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# Scales of the four blocks of elements in block_scaled_form.
+BLOCK_SCALES = (1e-3, 1e-2, 1e-1, 1.0)
+
+
+def block_scaled_form(rng, size, rank) -> QuadraticForm:
+    """A random factored form shaped like the solver's phase quadratic.
+
+    The elements fall into four blocks, like surfaces at different
+    distances from the BS and the users, whose rows of F and entries of z
+    are scaled by BLOCK_SCALES; F is small beside z (|F_m|^2 about
+    0.02 |z_m|^2 at scale 1). The Hessian diagonal thus spans orders of
+    magnitude, and at a random point it is nonpositive on about half the
+    elements, so the preconditioner's floor binds."""
+    scale = np.asarray(BLOCK_SCALES)[np.arange(size) * len(BLOCK_SCALES) // size]
+    factor = (0.1 / np.sqrt(rank)) * scale[:, None] * _cplx(rng, (size, rank))
+    return QuadraticForm(None, scale * _cplx(rng, size), 0.0, 0.0, 1, size,
+                         factor=factor)
+
+
 def _random_channels(rng, n_irs, n_el, n_users, n_tx) -> ChannelSet:
     return ChannelSet(_cplx(rng, (n_users, n_tx)),
                       _cplx(rng, (n_irs, n_el, n_tx)),
@@ -153,39 +172,53 @@ def check_monotone_solve(rng) -> CheckResult:
 
 
 def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
-    """The descent kernel in use against the numpy reference on random
-    factored forms, rank above and below the size, with and without a
-    shift: the objective histories of the first iterations must agree to
-    1e-9 of the objective's scale, trace(j_hat + omega I) + 2 |z|_1, and
-    runs stopped by the solver's relative gradient tolerance must stop
-    within one iteration of each other."""
+    """The descent kernel in use against the numpy reference. Each
+    instance draws a random factored form (rank above and below the size,
+    with and without a shift), runs it and its dense twin, and runs a
+    block-scaled factored form (``block_scaled_form``), on which the
+    preconditioner's floor binds. On each, the objective histories of the
+    first iterations must agree to 1e-9 of the objective's scale,
+    trace(j_hat + omega I) + 2 |z|_1, and runs stopped by the solver's
+    relative gradient tolerance must stop within one iteration of each
+    other."""
     kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
     line_search = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
     worst = 0.0
     worst_stop = 0
+    floor_bound = 0
     for _ in range(n_instances):
         size, rank = int(rng.integers(1, 161)), int(rng.integers(1, 65))
         omega = float(rng.choice([0.0, rng.uniform(0.1, 10.0)]))
-        form = QuadraticForm(None, _cplx(rng, size), omega, 0.0, 1, size,
-                             factor=_cplx(rng, (size, rank)))
-        v0 = PhaseConfig.random(1, size, rng).v_hat
-        args = (form, form.z, v0, 0.0, 0.0, n_iters, *line_search)
-        _, n_a, obj_a, *_ = _kernels.rmcg_core(*args)
-        _, n_b, obj_b, *_ = _kernels.rmcg_core_numpy(*args)
-        k = min(n_a, n_b) + 1
-        scale = (float(np.vdot(form.factor, form.factor).real) + omega * size
-                 + 2.0 * float(np.sum(np.abs(form.z))))
-        worst = max(worst, float(np.max(np.abs(obj_a[:k] - obj_b[:k]))) / scale)
-        args = (form, form.z, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner,
-                *line_search)
-        stops = [kernel_fn(*args)[1]
-                 for kernel_fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
-        worst_stop = max(worst_stop, abs(stops[0] - stops[1]))
+        factored = QuadraticForm(None, _cplx(rng, size), omega, 0.0, 1, size,
+                                 factor=_cplx(rng, (size, rank)))
+        dense = QuadraticForm(factored.j_hat, factored.z, omega, 0.0, 1, size)
+        scaled = block_scaled_form(rng, int(rng.integers(8, 161)), rank)
+        for form in (factored, dense, scaled):
+            v0 = PhaseConfig.random(1, form.size, rng).v_hat
+            if form is scaled:
+                hess = _kernels.hessian_diagonal(form, v0)
+                h_max = np.max(hess)
+                floor_bound += bool(0.0 < h_max and np.min(hess) < _kernels.PRECOND_FLOOR * h_max)
+            args = (form, form.z, v0, 0.0, 0.0, n_iters, *line_search)
+            _, n_a, obj_a, *_ = _kernels.rmcg_core(*args)
+            _, n_b, obj_b, *_ = _kernels.rmcg_core_numpy(*args)
+            k = min(n_a, n_b) + 1
+            scale = (float(np.trace(form.j_hat).real) + form.omega * form.size
+                     + 2.0 * float(np.sum(np.abs(form.z))))
+            worst = max(worst, float(np.max(np.abs(obj_a[:k] - obj_b[:k]))) / scale)
+            args = (form, form.z, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner,
+                    *line_search)
+            stops = [kernel_fn(*args)[1]
+                     for kernel_fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
+            worst_stop = max(worst_stop, abs(stops[0] - stops[1]))
     return CheckResult("descent kernel matches the numpy reference",
                        worst <= 1e-9 and worst_stop <= 1,
                        f"kernel {kernel}, worst rel objective gap {worst:.2e} over "
-                       f"{n_instances} factored forms, {n_iters} iterations; worst "
-                       f"iteration-count gap {worst_stop} at rel_tol {PHASE_REL_TOL:g}")
+                       f"{n_instances} factored forms, their dense twins and "
+                       f"{n_instances} block-scaled forms (preconditioner floor "
+                       f"binding at the start on {floor_bound}), {n_iters} iterations; "
+                       f"worst iteration-count gap {worst_stop} at rel_tol "
+                       f"{PHASE_REL_TOL:g}")
 
 
 ALL_CHECKS = (check_rate_mse_equivalence, check_quadratic_identity, check_gradient,

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from irsopt import _kernels
 from irsopt.phaseopt import QuadraticForm
+from irsopt.selfcheck import block_scaled_form
+from irsopt.solver import PHASE_REL_TOL, SolverOptions
 from tests.conftest import complex_normal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -161,6 +163,93 @@ class TestKernelParity:
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
                 _, n, _, _, _, failed, conv = run_core(fn, form, z, v0, iters=100)
                 assert conv and not failed and n <= 10
+
+
+def with_overflowing_pair(form, v0):
+    """The block-scaled form with two more elements, as a factored and a
+    dense form, and the start point extended to them. The pair's diagonal
+    entries overflow the Hessian diagonal (F rows of four 2^511 entries,
+    so Q_mm = 2^1024 = inf; a dense Q_mm = 2^1023, so 2 Q_mm = inf), but
+    its rows are equal and the pair starts and stays at (u, -u), with z
+    entries (w, -w), so that its products with x vanish exactly and the
+    objective stays finite."""
+    size, rank = form.size, form.rank
+    pair = np.exp(0.7j) * np.array([1.0, -1.0])
+    z = np.concatenate([form.z, 0.3 * np.exp(2.1j) * np.array([1.0, -1.0])])
+    factor = np.zeros((size + 2, rank + 4), complex)
+    factor[:size, :rank] = form.factor
+    factor[size:, rank:] = 2.0 ** 511
+    j_hat = np.zeros((size + 2, size + 2), complex)
+    j_hat[:size, :size] = form.j_hat
+    j_hat[size:, size:] = 2.0 ** 1023
+    return (QuadraticForm(None, z, 0.0, 0.0, 1, size + 2, factor=factor),
+            QuadraticForm(j_hat, z, 0.0, 0.0, 1, size + 2),
+            np.concatenate([v0, pair]))
+
+
+def preconditioner_cases(case, seed):
+    """(factored form, dense form, start, objective scale) for one of the
+    three branches of the preconditioner, on a block-scaled form; the
+    scale is trace(j_hat) + 2 |z|_1 of the block-scaled part."""
+    rng = np.random.default_rng(seed)
+    form = block_scaled_form(rng, 120, 36)
+    scale = float(np.trace(form.j_hat).real) + 2.0 * float(np.sum(np.abs(form.z)))
+    if case == "nonpositive max":
+        # at the maximizer of the linear term every radial part exceeds 2 Q_mm
+        v0 = form.z / np.abs(form.z)
+    else:
+        v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
+    if case == "non-finite":
+        factored, dense, v0 = with_overflowing_pair(form, v0)
+    else:
+        factored, dense = form, QuadraticForm(form.j_hat, form.z, 0.0, 0.0, 1, form.size)
+    return factored, dense, v0, scale
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["floor", "non-finite", "nonpositive max"])
+    def test_kernels_agree_on_each_branch(self, case, seed):
+        # the floor binds (some 2 Q_mm - rad_m <= 0 < max), or the diagonal
+        # is not finite, or its max is not positive (both fall back to the
+        # plain gradient): on each, factored and dense, the compiled kernel
+        # and the numpy reference follow one path and stop together
+        factored, dense, v0, scale = preconditioner_cases(case, seed)
+        for form in (factored, dense):
+            with np.errstate(over="ignore"):
+                hess = _kernels.hessian_diagonal(form, v0)
+            if case == "floor":
+                assert np.min(hess) <= 0.0 < np.max(hess)
+            elif case == "non-finite":
+                assert not np.all(np.isfinite(hess))
+            else:
+                assert np.max(hess) <= 0.0
+            runs = []
+            for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+                with np.errstate(over="ignore"):
+                    runs.append(run_core(fn, form, form.z, v0, rel_tol=PHASE_REL_TOL,
+                                         iters=SolverOptions().max_inner))
+            (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = runs
+            k = min(n_a, n_b) + 1
+            assert np.max(np.abs(obj_a[:k] - obj_b[:k])) <= 1e-9 * scale
+            assert abs(n_a - n_b) <= 1
+            for v, n, obj, grad, tang, failed, conv in runs:
+                assert conv and not failed
+                assert np.all(np.diff(obj[:n + 1]) <= 0.0)
+                assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-12
+                assert tang <= 1e-9 * np.max(grad[:n + 1])
+
+    def test_block_scaled_descent_is_short(self):
+        # one fixed block-scaled form at the solver's size (N = 240, K = 8):
+        # both kernels take 20 iterations to the solver's relative
+        # tolerance; with the plain gradient they took 57
+        rng = np.random.default_rng(7)
+        form = block_scaled_form(rng, 240, 64)
+        v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
+        for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+            _, n, *_, failed, conv = run_core(fn, form, form.z, v0, rel_tol=PHASE_REL_TOL,
+                                              iters=SolverOptions().max_inner)
+            assert conv and not failed and n <= 30
 
 
 @st.composite
@@ -336,3 +425,16 @@ def test_bench_kernels_script_runs(tmp_path):
     rows = [line.split() for line in out.stdout.splitlines()[2:4]]
     assert [row[0] for row in rows] == ["8", "16"]
     assert all(len(row) == 1 + 2 * len(kernels) for row in rows)
+    # iterations and time to the solver's tolerance on block-scaled forms
+    lines = out.stdout.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("block-scaled"))
+    assert lines[start + 1].split() == ["size"] + [word for name in kernels
+                                                   for what in ("iters", "ms")
+                                                   for word in (what, name)]
+    rows = [line.split() for line in lines[start + 2:]]
+    assert [row[0] for row in rows] == ["8", "16"]
+    for row in rows:
+        assert len(row) == 1 + 2 * len(kernels)
+        iters, ms = [int(w) for w in row[1::2]], [float(w) for w in row[2::2]]
+        assert all(0 < n <= SolverOptions().max_inner for n in iters)
+        assert all(t > 0.0 for t in ms)
