@@ -1,10 +1,11 @@
 """Benchmark the phase-descent kernel: factored operator vs dense matrix.
 
 Runs the conjugate-gradient inner loop on random PSD phase quadratics
-j_hat = F F^H with a (size, K**2) factor, K users, and reports the wall
-time per iteration with the kernel applying the factor matrix-free (what
-``rmcg_solve`` does for an assembled form) next to the same kernel on the
-dense (size, size) matrix, plus the fitted scaling exponent of each. Both
+j_hat = F F^H, each given by its (K**2, size) factor F^H as the solver's
+forms are, K users, and reports the wall time per iteration with the
+kernel applying the factor matrix-free (what ``rmcg_solve`` does for an
+assembled form) next to the same kernel on the dense (size, size)
+matrix, plus the fitted scaling exponent of each. Both
 kernels are timed when the compiled one loaded: the compiled kernel and
 the numpy reference.
 
@@ -33,10 +34,10 @@ LINE_SEARCH = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
 
 
 def make_forms(rng, size, n_users):
-    shape = (size, n_users ** 2)
-    factor = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    shape = (n_users ** 2, size)
+    factor_h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    factored = QuadraticForm(None, z, 0.0, 0.0, 1, size, factor=factor)
+    factored = QuadraticForm(None, z, 0.0, 0.0, 1, size, factor_h=factor_h)
     dense = QuadraticForm(factored.j_hat, z, 0.0, 0.0, 1, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
     return factored, dense, v0

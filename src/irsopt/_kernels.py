@@ -2,23 +2,23 @@
 
 The descent loop dominates solver runtime, so it lives here, apart from
 the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``
-(Q + omega I, with Q dense or given by its low-rank factor, never formed
-as a matrix). Both kernels first check the arguments the same way
-(``z`` and ``v0`` of the form's size, ``rel_tol`` in [0, 1), a
-nonnegative ``max_iters``).
+(Q + omega I, with Q dense or Q = F F^H given by the one stored array
+F^H, never formed as a matrix). Both kernels first check the arguments
+the same way (``z`` and ``v0`` of the form's size, ``rel_tol`` in
+[0, 1), a nonnegative ``max_iters``).
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
 the vectorized numpy reference; it touches the form through ``form @ x``
-and, once per call, the diagonal of j_hat (the factor's squared row norms
-on a factored form, whose ``j_hat`` it never reads). ``_rmcg.c`` is a C
-port of it, step for step, that reads the form's arrays and omega itself,
-except that a factored candidate is scored by ||F^H x||^2: on a factored
-form a line-search trial point costs the one product t = F^H x
-(f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)), and F t is formed for the
-accepted point alone; and that omega is left out of its gradient (the
-tangent projection removes the radial omega x), of c2 and of the Hessian
-diagonal h below (where it cancels). On
-first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
+and, once per call, the diagonal of j_hat (the squared column norms of
+F^H on a factored form, whose ``j_hat`` it never reads). ``_rmcg.c`` is a
+C port of it, step for step, that reads the form's arrays and omega
+itself, except that a factored candidate is scored by ||F^H x||^2: on a
+factored form a line-search trial point costs the one product t = F^H x
+(f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)), and F t, a pass over the
+rows of F^H, is formed for the accepted point alone; and that omega is
+left out of its gradient (the tangent projection removes the radial
+omega x), of c2 and of the Hessian diagonal h below (where it cancels).
+On first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
 builds it with ``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
 ``$XDG_CACHE_HOME/irsopt`` (default ``~/.cache/irsopt``), and it is loaded
@@ -120,11 +120,11 @@ def _check(form, z, v0, rel_tol, max_iters) -> None:
 
 
 def _diagonal(form):
-    """The real diagonal of j_hat (omega left out): the squared row norms
-    of the factor, or the dense matrix's diagonal."""
-    if form.factor is not None:
-        f = form.factor
-        return np.sum(f.real ** 2 + f.imag ** 2, axis=1)
+    """The real diagonal of j_hat (omega left out): the squared column
+    norms of F^H, or the dense matrix's diagonal."""
+    if form.factor_h is not None:
+        fh = form.factor_h
+        return np.sum(fh.real ** 2 + fh.imag ** 2, axis=0)
     return np.diagonal(form.j_hat).real
 
 
@@ -140,7 +140,7 @@ def _precondition(hess_diag, rgrad):
     """rgrad * (1 / h), h = hess_diag floored at PRECOND_FLOOR *
     max(hess_diag); rgrad itself when an entry of hess_diag is not finite
     or none is positive. Returns it with <rgrad, rgrad / h>."""
-    h_max = hess_diag.max()
+    h_max = hess_diag.max(initial=-np.inf)
     if not (h_max > 0.0 and np.isfinite(hess_diag).all()):
         return rgrad, np.vdot(rgrad, rgrad).real
     pg = rgrad * (1.0 / np.maximum(hess_diag, PRECOND_FLOOR * h_max))
@@ -305,7 +305,7 @@ class _Args(ctypes.Structure):
     """rmcg_args of _rmcg.c: one struct costs less to pass through ctypes
     than twelve separate arguments."""
 
-    _fields_ = [(name, ctypes.c_void_p) for name in ("q", "f", "fh")] + \
+    _fields_ = [(name, ctypes.c_void_p) for name in ("q", "fh")] + \
                [(name, ctypes.c_int64) for name in ("n", "r", "max_iters", "max_backtracks")] + \
                [(name, ctypes.c_double) for name in ("omega", "grad_tol", "rel_tol", "shrink",
                                                     "armijo_c", "precond_floor")]

@@ -11,9 +11,10 @@
    The direction is preconditioned by the diagonal of the Riemannian
    Hessian, h_i = 2 Q_ii - rad_i, with rad_i = Re(conj(g_i) v_i) the
    radial part the gradient projection computes anyway and Q_ii (the
-   squared row norms of F, or the real diagonal of a dense Q) computed
-   once per call: pg = rgrad / h, with h floored at precond_floor *
-   max_i h_i, or pg = rgrad where some h_i is not finite or max_i h_i <= 0.
+   squared column norms of F^H, or the real diagonal of a dense Q)
+   computed once per call: pg = rgrad / h, with h floored at
+   precond_floor * max_i h_i, or pg = rgrad where some h_i is not finite
+   or max_i h_i <= 0.
    The direction is -pg + beta T(d), beta the Polak-Ribiere value
    <rgrad_new, pg_new - T(pg)> / <rgrad, pg> capped at the Fletcher-Reeves
    value <rgrad_new, pg_new> / <rgrad, pg> and floored at 0, and a restart
@@ -23,15 +24,17 @@
 
    Complex vectors are numpy complex128 buffers, interleaved (re, im)
    doubles. The quadratic is Q + omega I, with Q either a dense row-major
-   n x n matrix or F F^H given as F (n x r) and F^H (r x n), both
-   row-major, so that every product is a set of contiguous row dot
-   products.
+   n x n matrix or F F^H given by F^H alone (r x n, row-major; F is not
+   stored). Q x and F^H x are contiguous row dot products; F t
+   accumulates ROWS rows of F^H at a time into an n-vector, and the
+   squared column norms of F^H one row at a time.
 
    The line search needs only objective values, and for the factored
    form f(x) = ||t||^2 + omega ||x||^2 + 2 Re(z^H x) with t = F^H x: a
    trial point costs the one product F^H x, and F t, which the gradient
-   needs, is formed for the accepted point alone (without omega x, which is
-   radial and projected away). An iteration with k trial points thus does
+   needs, is formed (a pass over the rows of F^H) for the accepted point
+   alone (without omega x, which is radial and projected away). An
+   iteration with k trial points thus does
    k + 2 such products: F^H d for the curvature of the first step, F^H x
    for each trial point and F t for the accepted one, where scoring by
    F (F^H x) would take 2 k + 1. Every objective value of a run comes from
@@ -118,6 +121,57 @@ static void row_dots(const double *a, ptrdiff_t rows, ptrdiff_t cols,
     }
 }
 
+/* Rows of F^H per pass of F t over an n-vector: four at a time, F t is no
+   slower than row dot products over a stored F; one at a time, it takes
+   about half as long again. The four terms of a block are summed
+   pairwise before they join the running sum, so a sum over r rows rounds
+   about r / 4 + 2 times in a row, not r times. */
+#define ROWS 4
+
+/* y += A^H t over rows (at most ROWS) rows of the row-major complex A
+   (rows x n), that is y_i += sum_s conj(A_si) t_s */
+static inline void adjoint_rows(const double *a, ptrdiff_t n, int rows,
+                                const double *t, double *y)
+{
+    ptrdiff_t i;
+    int s;
+    for (i = 0; i < n; i++) {
+        double re[ROWS] = {0.0}, im[ROWS] = {0.0};
+        for (s = 0; s < rows; s++) {
+            double ar = a[2 * (s * n + i)], ai = a[2 * (s * n + i) + 1];
+            re[s] = ar * t[2 * s] + ai * t[2 * s + 1];
+            im[s] = ar * t[2 * s + 1] - ai * t[2 * s];
+        }
+        y[2 * i] += (re[0] + re[1]) + (re[2] + re[3]);
+        y[2 * i + 1] += (im[0] + im[1]) + (im[2] + im[3]);
+    }
+}
+
+/* y = A^H t (n complex entries) for the row-major complex A (r x n):
+   rows go ROWS at a time, the last r % ROWS one at a time */
+static void adjoint(const double *a, ptrdiff_t r, ptrdiff_t n,
+                    const double *t, double *y)
+{
+    ptrdiff_t k;
+    memset(y, 0, sizeof(double) * (size_t)(2 * n));
+    for (k = 0; k + ROWS <= r; k += ROWS)
+        adjoint_rows(a + 2 * k * n, n, ROWS, t + 2 * k, y);
+    for (; k < r; k++)
+        adjoint_rows(a + 2 * k * n, n, 1, t + 2 * k, y);
+}
+
+/* q = the squared column norms of A (n doubles), a row at a time */
+static void column_norms(const double *a, ptrdiff_t r, ptrdiff_t n,
+                         double *q)
+{
+    ptrdiff_t i, k;
+    memset(q, 0, sizeof(double) * (size_t)n);
+    for (k = 0; k < r; k++)
+        for (i = 0; i < n; i++)
+            q[i] += a[2 * (k * n + i)] * a[2 * (k * n + i)]
+                + a[2 * (k * n + i) + 1] * a[2 * (k * n + i) + 1];
+}
+
 static void split(const double *x, ptrdiff_t m, double *xr, double *xi)
 {
     ptrdiff_t i;
@@ -131,9 +185,9 @@ static void split(const double *x, ptrdiff_t m, double *xr, double *xi)
 
 typedef struct {
     ptrdiff_t n, r;
-    const double *q, *f, *fh;
+    const double *q, *fh;
     double omega;
-    double *xr, *xi, *tr, *ti;   /* work space */
+    double *xr, *xi;   /* work space */
 } quad_op;
 
 /* x^H Q x, without omega. aux receives what finish() needs: Q x for a
@@ -162,15 +216,14 @@ static double evaluate(const quad_op *op, const double *x, const double *z,
 }
 
 /* The product riemannian_grad() projects, from evaluate()'s aux for the
-   same x: aux itself, Q x, for a dense Q; else F t, written to y. Both
-   lack the radial omega x, which the tangent projection would remove
-   again at x on the circles. */
+   same x: aux itself, Q x, for a dense Q; else F t = (F^H)^H t, written
+   to y. Both lack the radial omega x, which the tangent projection would
+   remove again at x on the circles. */
 static const double *finish(const quad_op *op, const double *aux, double *y)
 {
     if (op->q)
         return aux;
-    split(aux, op->r, op->tr, op->ti);
-    row_dots(op->f, op->n, op->r, op->tr, op->ti, y);
+    adjoint(op->fh, op->r, op->n, aux, y);
     return y;
 }
 
@@ -277,10 +330,10 @@ static double precondition(const double *q_diag, const double *rad,
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
 /* Arguments of rmcg_run; q is the dense matrix, or NULL for the factored
-   form (f, fh, rank r); precond_floor is irsopt._kernels.PRECOND_FLOOR,
+   form (fh, rank r); precond_floor is irsopt._kernels.PRECOND_FLOOR,
    the one value both kernels floor h with. */
 typedef struct {
-    const double *q, *f, *fh;
+    const double *q, *fh;
     int64_t n, r, max_iters, max_backtracks;
     double omega, grad_tol, rel_tol, shrink, armijo_c, precond_floor;
 } rmcg_args;
@@ -315,24 +368,25 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
        receives finish()'s product for a factored form; rad holds the
        gradient's radial parts at v; pg the preconditioned gradient and
        q_diag the real diagonal of Q */
-    mem = malloc(sizeof(double) * (size_t)(12 * m + 2 * n + 2 * na + 4 * r + 1));
+    mem = malloc(sizeof(double) * (size_t)(12 * m + 2 * n + 2 * na + 1));
     if (!mem)
         return -1;
     v = mem; qv = v + m; cand = qv + m; v_new = cand + m;
     rgrad = v_new + m; rgrad_new = rgrad + m; pg = rgrad_new + m;
     pg_new = pg + m; dir = pg_new + m;
     tmp = dir + m; aux_cand = tmp + m; aux_new = aux_cand + na;
-    op.n = n; op.r = r; op.q = a->q; op.f = a->f; op.fh = a->fh;
+    op.n = n; op.r = r; op.q = a->q; op.fh = a->fh;
     op.omega = a->omega;
     op.xr = aux_new + na; op.xi = op.xr + m;
-    op.tr = op.xi + m; op.ti = op.tr + 2 * r;
-    rad = op.ti + 2 * r; q_diag = rad + n;
+    rad = op.xi + m; q_diag = rad + n;
 
     for (i = 0; i <= max_iters; i++)
         obj_hist[i] = grad_hist[i] = NAN;
-    for (i = 0; i < n; i++)        /* squared row norms of F, or Re Q_ii */
-        q_diag[i] = op.q ? op.q[2 * (i * n + i)]
-                         : dot(op.f + 2 * i * r, op.f + 2 * i * r, 2 * r);
+    if (op.q)                      /* Re Q_ii, or squared column norms of F^H */
+        for (i = 0; i < n; i++)
+            q_diag[i] = op.q[2 * (i * n + i)];
+    else
+        column_norms(op.fh, r, n, q_diag);
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
     f_cur = evaluate(&op, v, z, aux_new);

@@ -4,15 +4,16 @@ With decoders, weights, and beamformers held fixed, the weighted-MSE
 objective is an explicit Hermitian quadratic in the stacked reflection
 vector. Its matrix ``j_hat`` is a Hadamard product of two positive
 semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
-(size, n_users**2) factor ``F`` (Schur product theorem). Assembly builds
-``F``, and ``QuadraticForm`` is the one operator the conjugate-gradient
-descent in ``_kernels`` runs, matrix-free: the compiled kernel scores each
-line-search candidate by ||F^H x||^2 (one product with ``F^H``) and forms
-``F (F^H v)`` only for the accepted point, where the gradient needs it.
-The dense matrix is formed only when a caller reads ``j_hat``. Since the
-quadratic is already convex, assembly adds no shift; a form built with a
-scalar shift omega I gains omega * size on the manifold and keeps its
-constrained minimizer.
+(size, n_users**2) factor ``F`` (Schur product theorem). Assembly writes
+``F^H`` in place, and ``QuadraticForm`` keeps it as the one stored factor:
+it is the one operator the conjugate-gradient descent in ``_kernels``
+runs, matrix-free. The compiled kernel scores each line-search candidate
+by ||F^H x||^2 (one pass over the rows of ``F^H``) and forms
+``F (F^H v)`` only for the accepted point, where the gradient needs it,
+as a second pass over the same rows. The dense matrix is formed only when
+a caller reads ``j_hat``. Since the quadratic is already convex, assembly
+adds no shift; a form built with a scalar shift omega I gains
+omega * size on the manifold and keeps its constrained minimizer.
 """
 
 from __future__ import annotations
@@ -27,56 +28,63 @@ from .channels import ChannelSet, PhaseConfig, is_unit_modulus
 from .wmmse import _w_matrix
 
 
+def _frozen(a) -> np.ndarray:
+    """``a`` as a read-only, C-contiguous complex array the caller cannot
+    write through: a read-only array that owns its data, as assembly hands
+    over, is kept as is, and any other is copied."""
+    a = np.asarray(a)
+    if (a.flags.writeable or a.base is not None or a.dtype != complex
+            or not a.flags.c_contiguous):
+        a = np.array(a, dtype=complex, order="C")
+        a.setflags(write=False)
+    return a
+
+
 class QuadraticForm:
     """f(v) = v^H (j_hat + omega I) v + 2 Re(v^H z), plus bookkeeping.
 
     The form holds either a dense Hermitian (size, size) ``j_hat`` or,
-    with ``j_hat=None``, a (size, rank) ``factor`` F with j_hat = F F^H,
-    where size = n_irs * n_elements; ``j_hat`` is then formed (once) on
-    first read. ``form @ v`` applies j_hat + omega I; neither F F^H nor
-    j_hat + omega I is formed. It is the one operator both descent kernels
-    run: the numpy reference through ``@``, the compiled one by reading the
-    C-contiguous complex arrays (dense ``j_hat``, or ``factor`` and its
-    conjugate transpose ``factor_h``) at ``addresses`` and the scalar
-    omega. The form is immutable: it holds read-only copies of the arrays
-    it is given, so a descent always runs the quadratic the form
-    describes. const_term collects the terms of the weighted MSE
-    that do not depend on the phases, so that for any unit-modulus v
+    with ``j_hat=None``, a (rank, size) ``factor_h`` F^H with
+    j_hat = F F^H, where size = n_irs * n_elements; ``j_hat`` is then
+    formed (once) on first read. ``form @ v`` applies j_hat + omega I;
+    neither F F^H nor j_hat + omega I is formed, and F is never stored:
+    F t = conj((F^H)^T conj(t)). It is the one operator both descent
+    kernels run: the numpy reference through ``@``, the compiled one by
+    reading the C-contiguous complex arrays (dense ``j_hat``, or
+    ``factor_h``) at ``addresses`` and the scalar omega. The form is
+    immutable: its arrays are read-only, and one the caller could still
+    write through is copied, so a descent always runs the quadratic the
+    form describes. const_term collects the terms of the weighted MSE that
+    do not depend on the phases, so that for any unit-modulus v
 
         f(v) + const_term - omega * size == sum_k alpha_k q_k E_k.
     """
 
-    __slots__ = ("_j_hat", "factor", "factor_h", "z", "omega", "const_term",
+    __slots__ = ("_j_hat", "factor_h", "z", "omega", "const_term",
                  "n_irs", "n_elements", "size", "rank", "addresses")
 
     def __init__(self, j_hat, z, omega, const_term, n_irs, n_elements, *,
-                 factor=None):
-        if (j_hat is None) == (factor is None):
-            raise ValueError("give exactly one of j_hat and factor")
+                 factor_h=None):
+        if (j_hat is None) == (factor_h is None):
+            raise ValueError("give exactly one of j_hat and factor_h")
         size = n_irs * n_elements
-        factor_h = None
-        if factor is None:
-            j_hat = np.array(j_hat, dtype=complex, order="C")
+        if factor_h is None:
+            j_hat = _frozen(j_hat)
             if j_hat.shape != (size, size):
                 raise ValueError(f"j_hat must be ({size}, {size})")
             rank = 0
         else:
-            factor = np.array(factor, dtype=complex, order="C")
-            if factor.ndim != 2 or factor.shape[0] != size:
-                raise ValueError(f"factor must be ({size}, rank)")
-            # F^H stored C-contiguous: np.dot on it beats a transposed view
-            factor_h = np.ascontiguousarray(np.conj(factor).T)
-            rank = factor.shape[1]
-        z = np.array(z, dtype=complex)
+            factor_h = _frozen(factor_h)
+            if factor_h.ndim != 2 or factor_h.shape[1] != size:
+                raise ValueError(f"factor_h must be (rank, {size})")
+            rank = factor_h.shape[0]
+        z = _frozen(z)
         if z.shape != (size,):
             raise ValueError(f"z must be a vector of length {size}")
-        for a in (j_hat, factor, factor_h, z):
-            if a is not None:
-                a.setflags(write=False)
         addresses = tuple(0 if a is None else a.ctypes.data
-                          for a in (j_hat, factor, factor_h))
+                          for a in (j_hat, factor_h))
         for name, value in zip(self.__slots__, (
-                j_hat, factor, factor_h, z, float(omega), const_term, n_irs,
+                j_hat, factor_h, z, float(omega), const_term, n_irs,
                 n_elements, size, rank, addresses)):
             object.__setattr__(self, name, value)
 
@@ -86,17 +94,18 @@ class QuadraticForm:
     @property
     def j_hat(self) -> np.ndarray:
         if self._j_hat is None:
-            j_hat = self.factor @ self.factor_h
+            j_hat = self.factor_h.conj().T @ self.factor_h
             j_hat.setflags(write=False)
             object.__setattr__(self, "_j_hat", j_hat)
         return self._j_hat
 
     def __matmul__(self, v) -> np.ndarray:
         """(j_hat + omega I) v, without forming j_hat for a factored form."""
-        if self.factor is None:
+        if self.factor_h is None:
             out = self._j_hat @ v
         else:
-            out = np.dot(self.factor, np.dot(self.factor_h, v))
+            out = np.dot(self.factor_h.T, np.dot(self.factor_h, v).conj())
+            np.conjugate(out, out=out)
         if self.omega:
             out += self.omega * v
         return out
@@ -111,9 +120,11 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     n_elements rows follow ``v_hat`` (surface, then element): G (N, n_tx)
     with row (l, m) the BS -> element m link of surface l, and H (N, K)
     with column k the element -> user k links. With GW = G W^T, column
-    (k, j) of the factor is sqrt(alpha_k q_k |u_k|^2) H[:, k] o
-    conj(GW[:, j]), and every term comes from a few matrix products:
-    the direct gains D = conj(h) W^T give the constant term, and
+    (k, j) of F is sqrt(alpha_k q_k |u_k|^2) H[:, k] o conj(GW[:, j]),
+    so row (k, j) of F^H, the one array the form stores, is
+    sqrt(alpha_k q_k |u_k|^2) conj(H[:, k]) o GW[:, j]; one broadcast
+    product writes it in place. The other terms come from a few matrix
+    products: the direct gains D = conj(h) W^T give the constant term, and
     z = sum_k H[:, k] o conj(G y_k) with y_k = alpha_k q_k (|u_k|^2
     W_gram h_k - conj(u_k) w_k). The factored quadratic is PSD, so the
     form carries no shift (omega = 0).
@@ -140,17 +151,19 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
                                + noise_power)
                          - 2.0 * aq * (u * np.conj(np.diagonal(gains))).real + aq))
 
-    # Quadratic factor: F[n, (k, j)] = sqrt(cu_k) H[n, k] conj(GW[n, j])
+    # Quadratic factor: F^H[(k, j), n] = sqrt(cu_k) conj(H[n, k]) GW[n, j]
     gw = g @ w.T                                # (N, K), GW[(l,m), j] = (G_l w_j)[m]
-    factor = ((h_ru * np.sqrt(cu))[:, :, None]
-              * np.conj(gw)[:, None, :]).reshape(size, n_users ** 2)
+    factor_h = np.empty((n_users ** 2, size), complex)
+    np.multiply((np.conj(h_ru) * np.sqrt(cu)).T[:, None, :], gw.T[None, :, :],
+                out=factor_h.reshape(n_users, n_users, size))
+    factor_h.setflags(write=False)
 
     # Linear term from the diagonals of the direct-cross blocks.
     w_gram = w.T @ np.conj(w)                   # sum_j w_j w_j^H, (n_tx, n_tx)
     y = (w_gram @ h.T) * cu - w.T * np.conj(aq * u)
     z = np.sum(h_ru * np.conj(g @ y), axis=1)
 
-    return QuadraticForm(None, z, 0.0, const, n_irs, n_el, factor=factor)
+    return QuadraticForm(None, z, 0.0, const, n_irs, n_el, factor_h=factor_h)
 
 
 def _phase_vector(phases) -> np.ndarray:
@@ -234,9 +247,6 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
     """
     if init.size != form.size:
         raise ValueError("initial point does not match the form size")
-    if form.size == 0:
-        empty = np.array([0.0])
-        return init, RmcgTrace(empty, np.array([0.0]), 0, True, False, 0.0)
     if grad_tol is None:
         grad_tol = 1e-6 * math.sqrt(form.size)
     # both kernels return Python scalars, in RmcgTrace's types

@@ -51,15 +51,15 @@ def block_scaled_form(rng, size, rank) -> QuadraticForm:
     """A random factored form shaped like the solver's phase quadratic.
 
     The elements fall into four blocks, like surfaces at different
-    distances from the BS and the users, whose rows of F and entries of z
-    are scaled by BLOCK_SCALES; F is small beside z (|F_m|^2 about
+    distances from the BS and the users, whose columns of F^H and entries
+    of z are scaled by BLOCK_SCALES; F is small beside z (|F_m|^2 about
     0.02 |z_m|^2 at scale 1). The Hessian diagonal thus spans orders of
     magnitude, and at a random point it is nonpositive on about half the
     elements, so the preconditioner's floor binds."""
     scale = np.asarray(BLOCK_SCALES)[np.arange(size) * len(BLOCK_SCALES) // size]
     factor = (0.1 / np.sqrt(rank)) * scale[:, None] * _cplx(rng, (size, rank))
     return QuadraticForm(None, scale * _cplx(rng, size), 0.0, 0.0, 1, size,
-                         factor=factor)
+                         factor_h=factor.conj().T)
 
 
 def _random_channels(rng, n_irs, n_el, n_users, n_tx) -> ChannelSet:
@@ -190,7 +190,7 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
         size, rank = int(rng.integers(1, 161)), int(rng.integers(1, 65))
         omega = float(rng.choice([0.0, rng.uniform(0.1, 10.0)]))
         factored = QuadraticForm(None, _cplx(rng, size), omega, 0.0, 1, size,
-                                 factor=_cplx(rng, (size, rank)))
+                                 factor_h=_cplx(rng, (size, rank)).conj().T)
         dense = QuadraticForm(factored.j_hat, factored.z, omega, 0.0, 1, size)
         scaled = block_scaled_form(rng, int(rng.integers(8, 161)), rank)
         for form in (factored, dense, scaled):

@@ -42,7 +42,7 @@ def factored_kernel_inputs(rng, size, rank, omega):
     shift."""
     factor = complex_normal(rng, (size, rank))
     z = complex_normal(rng, size)
-    form = QuadraticForm(None, z, omega, 0.0, 1, size, factor=factor)
+    form = QuadraticForm(None, z, omega, 0.0, 1, size, factor_h=factor.conj().T)
     dense = QuadraticForm(form.j_hat + omega * np.eye(size), z, 0.0, 0.0, 1, size)
     shifted = QuadraticForm(form.j_hat, z, omega, 0.0, 1, size)
     return form, dense, shifted, z
@@ -53,12 +53,16 @@ class TestKernelParity:
         # the same quadratic as a factored form, a dense form with the shift
         # on its diagonal and a dense form with a scalar shift, each run by
         # the compiled kernel and by the numpy reference: all must land on
-        # the same minimum and stay on the manifold
+        # the same minimum and stay on the manifold; the sizes include an
+        # empty form, and ranks and sizes that leave remainders in the
+        # compiled kernel's row blocks and vector lanes
         for size, rank, omega in ((3, 4, 0.0), (8, 4, 0.0), (17, 9, 1.5),
-                                  (1, 2, 0.0), (1, 1, 0.7), (6, 11, 2.0)):
+                                  (1, 2, 0.0), (1, 1, 0.7), (6, 11, 2.0),
+                                  (0, 3, 0.0), (0, 1, 1.5), (33, 5, 0.0),
+                                  (17, 7, 1.5), (9, 2, 0.0)):
             op_f, op_d, op_s, z = factored_kernel_inputs(rng, size, rank, omega)
-            assert op_f.factor is not None
-            assert op_d.factor is None and op_d.omega == 0.0
+            assert op_f.factor_h is not None
+            assert op_d.factor_h is None and op_d.omega == 0.0
             v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
             finals = []
             for q_op in (op_f, op_d, op_s):
@@ -91,7 +95,7 @@ class TestKernelParity:
     def test_both_kernels_reject_bad_arguments(self, rng):
         form, z, v0 = random_kernel_inputs(rng, 5)
         # f(v) = |v|^2 - 4 Re(v) is stationary at v = 1: its gradient is 0
-        still = QuadraticForm(None, [-2.0], 0.0, 0.0, 1, 1, factor=[[1.0]])
+        still = QuadraticForm(None, [-2.0], 0.0, 0.0, 1, 1, factor_h=[[1.0]])
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with pytest.raises(ValueError, match="max_iters"):
                 fn(form, z, v0, 0.0, 0.0, -1, *LINE_SEARCH)
@@ -143,7 +147,7 @@ class TestKernelParity:
     def test_relative_tolerance_keeps_the_floor_on_a_nonfinite_start(self):
         # ||grad_0|| overflows to inf: the relative rule must not turn that
         # into an infinite tolerance, so the descent is not flagged converged
-        form = QuadraticForm(None, [1e200j], 0.0, 0.0, 1, 1, factor=[[1.0]])
+        form = QuadraticForm(None, [1e200j], 0.0, 0.0, 1, 1, factor_h=[[1.0]])
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with np.errstate(all="ignore"):
                 _, _, _, grad, _, _, conv = fn(form, form.z, np.ones(1, complex), 1e-6,
@@ -158,7 +162,7 @@ class TestKernelParity:
             factor = complex_normal(rng, (1, 4))
             factor *= np.sqrt(1.7e6) / np.linalg.norm(factor)
             z = 141.0 * np.exp(2j * np.pi * rng.uniform(size=1))
-            form = QuadraticForm(None, z, 0.0, 0.0, 1, 1, factor=factor)
+            form = QuadraticForm(None, z, 0.0, 0.0, 1, 1, factor_h=factor.conj().T)
             v0 = np.exp(2j * np.pi * rng.uniform(size=1))
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
                 _, n, _, _, _, failed, conv = run_core(fn, form, z, v0, iters=100)
@@ -168,7 +172,7 @@ class TestKernelParity:
 def with_overflowing_pair(form, v0):
     """The block-scaled form with two more elements, as a factored and a
     dense form, and the start point extended to them. The pair's diagonal
-    entries overflow the Hessian diagonal (F rows of four 2^511 entries,
+    entries overflow the Hessian diagonal (F^H columns of four 2^511 entries,
     so Q_mm = 2^1024 = inf; a dense Q_mm = 2^1023, so 2 Q_mm = inf), but
     its rows are equal and the pair starts and stays at (u, -u), with z
     entries (w, -w), so that its products with x vanish exactly and the
@@ -176,13 +180,13 @@ def with_overflowing_pair(form, v0):
     size, rank = form.size, form.rank
     pair = np.exp(0.7j) * np.array([1.0, -1.0])
     z = np.concatenate([form.z, 0.3 * np.exp(2.1j) * np.array([1.0, -1.0])])
-    factor = np.zeros((size + 2, rank + 4), complex)
-    factor[:size, :rank] = form.factor
-    factor[size:, rank:] = 2.0 ** 511
+    factor_h = np.zeros((rank + 4, size + 2), complex)
+    factor_h[:rank, :size] = form.factor_h
+    factor_h[rank:, size:] = 2.0 ** 511
     j_hat = np.zeros((size + 2, size + 2), complex)
     j_hat[:size, :size] = form.j_hat
     j_hat[size:, size:] = 2.0 ** 1023
-    return (QuadraticForm(None, z, 0.0, 0.0, 1, size + 2, factor=factor),
+    return (QuadraticForm(None, z, 0.0, 0.0, 1, size + 2, factor_h=factor_h),
             QuadraticForm(j_hat, z, 0.0, 0.0, 1, size + 2),
             np.concatenate([v0, pair]))
 
@@ -269,7 +273,7 @@ def factored_operators(draw):
     else:
         z = z_scale * complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(None, z, omega, 0.0, 1, size, factor=factor), z, v0
+    return QuadraticForm(None, z, omega, 0.0, 1, size, factor_h=factor.conj().T), z, v0
 
 
 def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
@@ -292,7 +296,7 @@ def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
         turn = np.exp(2j * np.pi * rng.uniform())
         z_var = c2 * turn * z[rows]
         op = QuadraticForm(None, z_var, c2 * q_op.omega, 0.0, 1, q_op.size,
-                           factor=np.sqrt(c2) * q_op.factor[rows][:, cols])
+                           factor_h=np.sqrt(c2) * q_op.factor_h[cols][:, rows])
         _, m, other, *_ = _kernels.rmcg_core_numpy(
             op, z_var, turn * v0[rows], 0.0, 0.0, n_iters, *LINE_SEARCH)
         m = min(m, n) + 1
@@ -306,7 +310,7 @@ class TestFactoredProperties:
     @given(factored_operators())
     def test_descent_on_factored_operators(self, problem):
         q_op, z, v0 = problem
-        dense = q_op.factor @ q_op.factor_h + q_op.omega * np.eye(q_op.size)
+        dense = q_op.factor_h.conj().T @ q_op.factor_h + q_op.omega * np.eye(q_op.size)
         trace = float(np.trace(dense).real)
         scale = trace + 2.0 * float(np.sum(np.abs(z)))
         v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, z, v0, 0.0, 0.0, 60, *LINE_SEARCH)
@@ -331,6 +335,11 @@ def _subprocess_env(**overrides):
     return env
 
 
+needs_compiler = pytest.mark.skipif(
+    shutil.which("cc") is None and shutil.which("gcc") is None
+    and shutil.which("clang") is None, reason="no C compiler on PATH")
+
+
 class TestEnvFlag:
     def test_no_compiler_falls_back_with_warning(self, tmp_path):
         code = ("import logging; logging.basicConfig(format='%(levelname)s %(message)s'); "
@@ -347,9 +356,7 @@ class TestEnvFlag:
         assert "WARNING compiled descent kernel unavailable" in out.stderr
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None
-                        and shutil.which("clang") is None,
-                        reason="no C compiler on PATH")
+    @needs_compiler
     def test_concurrent_first_imports_share_one_build(self, tmp_path):
         # two interpreters start on the same empty cache: both build, the
         # renames are atomic, and both load a complete library
@@ -368,9 +375,16 @@ class TestEnvFlag:
         built = sorted(p.name for p in (tmp_path / "irsopt").iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
 
-    @pytest.mark.skipif(shutil.which("cc") is None and shutil.which("gcc") is None
-                        and shutil.which("clang") is None,
-                        reason="no C compiler on PATH")
+    @needs_compiler
+    def test_source_builds_without_warnings(self, tmp_path):
+        # the kernel's own flags plus every common warning, as errors
+        proc = subprocess.run([_kernels._compiler(), *_kernels._CFLAGS, "-Wall",
+                               "-Wextra", "-Werror", "-o", str(tmp_path / "rmcg.so"),
+                               str(_kernels._SOURCE)],
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    @needs_compiler
     def test_new_build_prunes_stale_builds(self, tmp_path):
         # builds for an older source, compiler or CPU go; a temporary file
         # may belong to a concurrent build and stays

@@ -50,7 +50,7 @@ def quadratic_oracle(channels, w, u, q, alpha, noise):
 def with_omega(form, omega):
     """The assembled factored form with a scalar shift omega."""
     return QuadraticForm(None, form.z, omega, form.const_term, form.n_irs,
-                         form.n_elements, factor=form.factor)
+                         form.n_elements, factor_h=form.factor_h)
 
 
 def weighted_mse_direct(channels, phases, w, u, q, alpha, noise):
@@ -132,8 +132,8 @@ class TestFactoredForm:
         j_oracle, z_oracle, const_oracle = quadratic_oracle(
             channels, w, u, q, alpha, noise)
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
-        assert form.factor.shape == (form.size, n_users ** 2)
-        gram = form.factor @ form.factor.conj().T
+        assert form.factor_h.shape == (n_users ** 2, form.size)
+        gram = form.factor_h.conj().T @ form.factor_h
         assert (np.linalg.norm(gram - j_oracle)
                 <= 1e-12 * np.linalg.norm(j_oracle))
         assert (np.linalg.norm(form.z - z_oracle)
@@ -169,7 +169,7 @@ class TestFactoredForm:
                        _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
             assert form._j_hat is None
             # the kernel's matrix-free product is the dense one
-            dense = form.factor @ form.factor.conj().T + form.omega * np.eye(form.size)
+            dense = form.factor_h.conj().T @ form.factor_h + form.omega * np.eye(form.size)
             assert np.allclose(form @ v.v_hat, dense @ v.v_hat, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("omega", [0.0, 2.5])
@@ -177,7 +177,7 @@ class TestFactoredForm:
         # the kernel on F (F^H v) and on the dense F F^H reach the same minimum
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 6, 3, 2)
         factored = with_omega(assemble_quadratic(channels, w, u, q, alpha, noise), omega)
-        dense = QuadraticForm(factored.factor @ factored.factor.conj().T,
+        dense = QuadraticForm(factored.factor_h.conj().T @ factored.factor_h,
                               factored.z, omega, factored.const_term, 1, 6)
         v0 = PhaseConfig.random(1, 6, rng)
         # tolerance relative to the starting gradient: the absolute default
@@ -198,51 +198,71 @@ class TestFactoredForm:
                               n_irs=1, n_elements=2)
         for form in (by_pos, by_kw):
             assert np.array_equal(form.j_hat, j_hat)
-            assert form.factor is None
+            assert form.factor_h is None
         with pytest.raises(ValueError):
-            QuadraticForm(j_hat, z, 0.0, 0.0, 1, 2, factor=np.ones((2, 1)))
+            QuadraticForm(j_hat, z, 0.0, 0.0, 1, 2, factor_h=np.ones((1, 2)))
         with pytest.raises(ValueError):
             QuadraticForm(None, z, 0.0, 0.0, 1, 2)
 
     def test_construction_checks_shapes(self, rng):
         # size = n_irs * n_elements = 2 * 3
         j_hat, z = np.eye(6, dtype=complex), complex_normal(rng, 6)
-        factor = complex_normal(rng, (6, 4))
+        factor_h = complex_normal(rng, (6, 4)).T
         QuadraticForm(j_hat, z, 0.0, 0.0, 2, 3)
-        QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor=factor)
+        QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor_h=factor_h)
         for bad_j_hat in (np.eye(5), np.ones((6, 5)), np.ones(6), np.eye(7)):
             with pytest.raises(ValueError, match="j_hat"):
                 QuadraticForm(bad_j_hat, z, 0.0, 0.0, 2, 3)
-        for bad_factor in (factor[:5], np.vstack([factor, factor]), np.ones(6)):
-            with pytest.raises(ValueError, match="factor"):
-                QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor=bad_factor)
+        for bad_factor_h in (factor_h[:, :5], np.hstack([factor_h, factor_h]), np.ones(6)):
+            with pytest.raises(ValueError, match="factor_h"):
+                QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor_h=bad_factor_h)
         for bad_z in (z[:5], np.append(z, 1.0), z.reshape(2, 3)):
             with pytest.raises(ValueError, match="z"):
                 QuadraticForm(j_hat, bad_z, 0.0, 0.0, 2, 3)
             with pytest.raises(ValueError, match="z"):
-                QuadraticForm(None, bad_z, 0.0, 0.0, 2, 3, factor=factor)
+                QuadraticForm(None, bad_z, 0.0, 0.0, 2, 3, factor_h=factor_h)
+
+    def test_assembled_form_stores_one_factor(self, rng):
+        # F^H is the form's one (K^2, N) array: C-contiguous, read-only and
+        # the array the compiled kernel reads
+        channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 5, 3, 2)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
+        assert not hasattr(form, "factor")
+        factor_h = form.factor_h
+        assert factor_h.shape == (9, 10) and factor_h.flags.c_contiguous
+        assert not factor_h.flags.writeable
+        assert form.addresses == (0, factor_h.ctypes.data)
+        # a read-only array that owns its data is kept as is; a read-only
+        # view is copied, since its base may still be written
+        kept = QuadraticForm(None, form.z, 0.0, 0.0, 2, 5, factor_h=factor_h)
+        assert kept.factor_h is factor_h
+        base = np.array(factor_h)
+        view = base[:]
+        view.setflags(write=False)
+        copied = QuadraticForm(None, form.z, 0.0, 0.0, 2, 5, factor_h=view)
+        assert not np.shares_memory(copied.factor_h, base)
 
     def test_form_is_immutable(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 4, 2, 2)
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
         v0 = PhaseConfig.random(1, 4, rng)
         _, before = rmcg_solve(form, v0)
-        for name, value in (("z", -form.z), ("omega", 3.0), ("factor", 2.0 * form.factor),
+        for name, value in (("z", -form.z), ("omega", 3.0), ("factor_h", 2.0 * form.factor_h),
                             ("j_hat", np.eye(4)), ("const_term", 0.0), ("size", 3),
                             ("new_attribute", 1)):
             with pytest.raises(AttributeError):
                 setattr(form, name, value)
-        # its arrays are read-only copies: an in-place write cannot leave
-        # factor_h (which the compiled kernel reads) stale
+        # its arrays are read-only: an in-place write cannot change the
+        # quadratic under a built form
         dense = QuadraticForm(form.j_hat, form.z, 0.0, 0.0, 1, 4)
-        for arr in (form.factor, form.factor_h, form.z, form.j_hat, dense.j_hat):
+        for arr in (form.factor_h, form.z, form.j_hat, dense.j_hat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] *= 3.0
         # the caller's array stays writable, and writing it leaves the form as is
-        given = np.array(form.factor)
-        copied = QuadraticForm(None, form.z, 0.0, 0.0, 1, 4, factor=given)
+        given = np.array(form.factor_h)
+        copied = QuadraticForm(None, form.z, 0.0, 0.0, 1, 4, factor_h=given)
         given[0] *= 3.0
-        assert np.array_equal(copied.factor, form.factor)
+        assert np.array_equal(copied.factor_h, form.factor_h)
         # the next descent runs the same quadratic
         _, after = rmcg_solve(form, v0)
         assert np.array_equal(before.objectives, after.objectives)
