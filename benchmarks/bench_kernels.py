@@ -30,8 +30,6 @@ from irsopt.phaseopt import QuadraticForm
 from irsopt.selfcheck import block_scaled_form
 from irsopt.solver import PHASE_REL_TOL, SolverOptions
 
-LINE_SEARCH = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
-
 
 def make_forms(rng, size, n_users):
     shape = (n_users ** 2, size)
@@ -45,11 +43,11 @@ def make_forms(rng, size, n_users):
 
 def time_kernel(kernel, form, v0, iters, repeats=5):
     """Best seconds per iteration of the kernel on the form."""
-    kernel(form, form.z, v0, 0.0, 0.0, 3, *LINE_SEARCH)  # warm path
+    kernel(form, v0, 0.0, 0.0, 3)  # warm path
     best = np.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        _, n_done, *_ = kernel(form, form.z, v0, 0.0, 0.0, iters, *LINE_SEARCH)
+        _, n_done, *_ = kernel(form, v0, 0.0, 0.0, iters)
         if n_done > 0:
             best = min(best, (time.perf_counter() - t0) / n_done)
     return best
@@ -58,8 +56,7 @@ def time_kernel(kernel, form, v0, iters, repeats=5):
 def time_to_tolerance(kernel, form, v0, repeats=5):
     """Iterations and best seconds of one descent to PHASE_REL_TOL, with
     the solver's default absolute floor and iteration cap."""
-    args = (form, form.z, v0, 1e-6 * np.sqrt(form.size), PHASE_REL_TOL,
-            SolverOptions().max_inner, *LINE_SEARCH)
+    args = (form, v0, 1e-6 * np.sqrt(form.size), PHASE_REL_TOL, SolverOptions().max_inner)
     kernel(*args)  # warm path
     best = np.inf
     for _ in range(repeats):

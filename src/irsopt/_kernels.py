@@ -3,9 +3,10 @@
 The descent loop dominates solver runtime, so it lives here, apart from
 the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``
 (Q + omega I, with Q dense or Q = F F^H given by the one stored array
-F^H, never formed as a matrix). Both kernels first check the arguments
-the same way (``z`` and ``v0`` of the form's size, ``rel_tol`` in
-[0, 1), a nonnegative ``max_iters``).
+F^H, never formed as a matrix) and its linear term ``z``. Both kernels
+first check the arguments the same way (``v0`` of the form's size,
+``grad_tol`` neither NaN nor negative, ``rel_tol`` in [0, 1), a
+nonnegative ``max_iters``).
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
 the vectorized numpy reference; it touches the form through ``form @ x``
@@ -95,7 +96,8 @@ log = logging.getLogger(__name__)
 
 # Armijo backtracking: a trial step is accepted on a decrease of at least
 # ARMIJO_C * step * slope, else shrunk by SHRINK, at most MAX_BACKTRACKS
-# times before the line search has failed.
+# times before the line search has failed. Both kernels read them from here
+# on each call: constants, not arguments, since one value of each is in use.
 SHRINK = 0.5
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 40
@@ -109,10 +111,12 @@ _CFLAGS = ("-std=gnu99", "-O3", "-march=native", "-ffp-contract=off",
 _COMPILERS = ("cc", "gcc", "clang")
 
 
-def _check(form, z, v0, rel_tol, max_iters) -> None:
+def _check(form, v0, grad_tol, rel_tol, max_iters) -> None:
     """The argument checks both kernels make before they start."""
-    if z.shape != (form.size,) or v0.shape != (form.size,):
-        raise ValueError("z and v0 must be vectors of the form's size")
+    if v0.shape != (form.size,):
+        raise ValueError("v0 must be a vector of the form's size")
+    if not grad_tol >= 0.0:
+        raise ValueError("grad_tol must be nonnegative")
     if not 0.0 <= rel_tol < 1.0:
         raise ValueError("rel_tol must lie in [0, 1)")
     if max_iters < 0:
@@ -147,11 +151,11 @@ def _precondition(hess_diag, rgrad):
     return pg, np.vdot(rgrad, pg).real
 
 
-def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
-                    armijo_c, max_backtracks):
+def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
     """Vectorized descent loop; it applies the form through ``@`` and
     reads the diagonal of j_hat once."""
-    _check(form, z, v0, rel_tol, max_iters)
+    _check(form, v0, grad_tol, rel_tol, max_iters)
+    z = form.z
     v = v0.copy()
     obj_hist = np.full(max_iters + 1, np.nan)
     grad_hist = np.full(max_iters + 1, np.nan)
@@ -190,15 +194,15 @@ def rmcg_core_numpy(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
         # comparison and takes the cap
         step = -slope / (2.0 * c2) if 2.0 * c2 > -slope * reach else 1.0 / reach
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = v + step * direction
             cand = cand / np.abs(cand)
             qv = form @ cand
             f_cand = np.vdot(cand, qv).real + 2.0 * np.vdot(cand, z).real
-            if f_cand <= f_cur + armijo_c * step * slope:
+            if f_cand <= f_cur + ARMIJO_C * step * slope:
                 accepted = True
                 break
-            step *= shrink
+            step *= SHRINK
         if not accepted:
             failed = True
             break
@@ -303,9 +307,9 @@ def _build() -> Path:
 
 class _Args(ctypes.Structure):
     """rmcg_args of _rmcg.c: one struct costs less to pass through ctypes
-    than twelve separate arguments."""
+    than thirteen separate arguments."""
 
-    _fields_ = [(name, ctypes.c_void_p) for name in ("q", "fh")] + \
+    _fields_ = [(name, ctypes.c_void_p) for name in ("q", "fh", "z")] + \
                [(name, ctypes.c_int64) for name in ("n", "r", "max_iters", "max_backtracks")] + \
                [(name, ctypes.c_double) for name in ("omega", "grad_tol", "rel_tol", "shrink",
                                                     "armijo_c", "precond_floor")]
@@ -326,25 +330,23 @@ def _load():
     return run
 
 
-def rmcg_core_compiled(form, z, v0, grad_tol, rel_tol, max_iters, shrink,
-                       armijo_c, max_backtracks):
+def rmcg_core_compiled(form, v0, grad_tol, rel_tol, max_iters):
     """``rmcg_core_numpy``'s contract on the compiled kernel."""
-    _check(form, z, v0, rel_tol, max_iters)
+    _check(form, v0, grad_tol, rel_tol, max_iters)
     n, m = form.size, int(max_iters)
-    # one buffer in and out: v0 (becomes v) | z | obj_hist | grad_hist | info
-    hist, info = 4 * n, 4 * n + 2 * m + 2
+    # one buffer in and out: v0 (becomes v) | obj_hist | grad_hist | info
+    hist, info = 2 * n, 2 * n + 2 * m + 2
     raw = (ctypes.c_double * (info + 3))()
     buf = np.frombuffer(raw)
-    vz = np.frombuffer(raw, complex, 2 * n)
-    vz[:n] = v0
-    vz[n:] = z
-    n_done = _run(_Args(*form.addresses, n, form.rank, m, max_backtracks,
-                        form.omega, grad_tol, rel_tol, shrink, armijo_c,
+    v = np.frombuffer(raw, complex, n)
+    v[:] = v0
+    n_done = _run(_Args(*form.addresses, n, form.rank, m, MAX_BACKTRACKS,
+                        form.omega, grad_tol, rel_tol, SHRINK, ARMIJO_C,
                         PRECOND_FLOOR), raw)
     if n_done < 0:
         raise MemoryError("descent kernel could not allocate its work space")
     tang_res, failed, converged = raw[info:]
-    return (vz[:n], n_done, buf[hist:hist + m + 1], buf[hist + m + 1:info],
+    return (v, n_done, buf[hist:hist + m + 1], buf[hist + m + 1:info],
             tang_res, bool(failed), bool(converged))
 
 

@@ -330,10 +330,11 @@ static double precondition(const double *q_diag, const double *rad,
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
 /* Arguments of rmcg_run; q is the dense matrix, or NULL for the factored
-   form (fh, rank r); precond_floor is irsopt._kernels.PRECOND_FLOOR,
-   the one value both kernels floor h with. */
+   form (fh, rank r), and z its linear term (n complex), all read in place
+   from the form; shrink, armijo_c, max_backtracks and precond_floor are
+   the irsopt._kernels constants both kernels use. */
 typedef struct {
-    const double *q, *fh;
+    const double *q, *fh, *z;
     int64_t n, r, max_iters, max_backtracks;
     double omega, grad_tol, rel_tol, shrink, armijo_c, precond_floor;
 } rmcg_args;
@@ -341,10 +342,9 @@ typedef struct {
 /* Minimize v^H (Q + omega I) v + 2 Re(v^H z) over unit-modulus v.
 
    buf holds, in order: v0 (n complex, overwritten with the final point),
-   z (n complex), the objective and the Riemannian gradient norm before
-   and after each iteration (max_iters + 1 doubles each, NaN beyond the
-   last iteration), and (tangency residual, line search failed,
-   converged). Returns the number of iterations done, or -1 if work
+   the objective and the Riemannian gradient norm before and after each
+   iteration (max_iters + 1 doubles each, NaN beyond the last iteration),
+   and (tangency residual, line search failed, converged). Returns the number of iterations done, or -1 if work
    memory cannot be allocated. */
 int64_t rmcg_run(const rmcg_args *a, double *buf)
 {
@@ -354,8 +354,8 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     double grad_tol = a->grad_tol;
     ptrdiff_t i, m = 2 * (ptrdiff_t)n;
     int64_t it, b, n_done = 0;
-    const double *z = buf + m;
-    double *obj_hist = buf + 2 * m, *grad_hist = obj_hist + max_iters + 1,
+    const double *z = a->z;
+    double *obj_hist = buf + m, *grad_hist = obj_hist + max_iters + 1,
         *info = grad_hist + max_iters + 1;
     const ptrdiff_t na = m > 2 * (ptrdiff_t)r ? m : 2 * (ptrdiff_t)r;
     double *mem, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,

@@ -25,6 +25,11 @@ from .wmmse import BeamformerSet
 # Eigenvalues at or below this fraction of the largest one are treated as
 # the null space; the Gram matrix has rank <= n_users in practice.
 EIG_TRUNCATION_REL = 1e-12
+# The dual search stops at a power within POWER_TOL_REL * p_max of the cap
+# or a bracket narrower than LAMBDA_TOL_REL * lambda_max; constants, not
+# options, since one value of each is in use.
+POWER_TOL_REL = 1e-8
+LAMBDA_TOL_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -159,17 +164,14 @@ def dual_search(c: list, d: list, p_max: float, lam_max: float, lam0: float,
 
 def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
                       mse_weights: np.ndarray, weights: np.ndarray,
-                      p_max: float, *,
-                      power_tol_rel: float = 1e-8,
-                      lambda_tol_rel: float = 1e-12,
-                      ) -> tuple[BeamformerSet, float, int]:
+                      p_max: float) -> tuple[BeamformerSet, float, int]:
     """Solve the power-constrained subproblem to global optimality.
 
     Returns (beamformers, lam_star, n_probes). If the unconstrained
     solution already fits the budget, lam_star = 0 with no probes;
     otherwise ``dual_search`` finds lam_star until the power matches p_max
-    within power_tol_rel * p_max or its bracket shrinks below
-    lambda_tol_rel * lambda_max. It starts from max(0, max_i sqrt(c_i /
+    within ``POWER_TOL_REL`` * p_max or its bracket shrinks below
+    ``LAMBDA_TOL_REL`` * lambda_max. It starts from max(0, max_i sqrt(c_i /
     p_max) - d_i): each mode alone bounds the root from below, and from
     the left of the root the Newton iterates rise monotonically to it.
     The g(0) and g(lambda_max) checks are not counted as probes.
@@ -183,5 +185,5 @@ def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
     c, d = ctx.mode_coef.tolist(), ctx.eigvals.tolist()
     lam0 = max(0.0, *(math.sqrt(ci / p_max) - di for ci, di in zip(c, d)))
     lam, probes = dual_search(c, d, p_max, lam_max, lam0,
-                              power_tol_rel * p_max, lambda_tol_rel * lam_max)
+                              POWER_TOL_REL * p_max, LAMBDA_TOL_REL * lam_max)
     return beamformers_at(lam, ctx), lam, probes

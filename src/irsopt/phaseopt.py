@@ -50,12 +50,12 @@ class QuadraticForm:
     neither F F^H nor j_hat + omega I is formed, and F is never stored:
     F t = conj((F^H)^T conj(t)). It is the one operator both descent
     kernels run: the numpy reference through ``@``, the compiled one by
-    reading the C-contiguous complex arrays (dense ``j_hat``, or
-    ``factor_h``) at ``addresses`` and the scalar omega. The form is
-    immutable: its arrays are read-only, and one the caller could still
-    write through is copied, so a descent always runs the quadratic the
-    form describes. const_term collects the terms of the weighted MSE that
-    do not depend on the phases, so that for any unit-modulus v
+    reading the C-contiguous complex arrays (dense ``j_hat`` or
+    ``factor_h``, and ``z``) at ``addresses`` and the scalar omega. The
+    form is immutable: its arrays are read-only, and one the caller could
+    still write through is copied, so a descent always runs the quadratic
+    the form describes. const_term collects the terms of the weighted MSE
+    that do not depend on the phases, so that for any unit-modulus v
 
         f(v) + const_term - omega * size == sum_k alpha_k q_k E_k.
     """
@@ -82,7 +82,7 @@ class QuadraticForm:
         if z.shape != (size,):
             raise ValueError(f"z must be a vector of length {size}")
         addresses = tuple(0 if a is None else a.ctypes.data
-                          for a in (j_hat, factor_h))
+                          for a in (j_hat, factor_h, z))
         for name, value in zip(self.__slots__, (
                 j_hat, factor_h, z, float(omega), const_term, n_irs,
                 n_elements, size, rank, addresses)):
@@ -239,20 +239,20 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
     v_m) with g the ambient gradient (floored; see ``_kernels``), while
     the stopping test reads the unscaled gradient. Each line search
     starts at the minimizer of the second-order model of the objective
-    along the retraction, so no step size is given. The kernel
-    runs the form itself, so a factored form never becomes a dense matrix
-    here and a dense one is not copied. The returned objective sequence
-    is non-increasing; if the line search stalls the incumbent is
-    returned with the failure flagged.
+    along the retraction, so no step size is given; its Armijo constants
+    are ``_kernels``' module constants, not arguments. The kernel runs
+    the form itself, so a factored form never becomes a dense matrix here
+    and a dense one is not copied; its argument check raises
+    ``ValueError`` for an ``init`` of another size, a NaN or negative
+    grad_tol, a rel_tol outside [0, 1) or a negative max_iters. The
+    returned objective sequence is non-increasing; if the line search
+    stalls the incumbent is returned with the failure flagged.
     """
-    if init.size != form.size:
-        raise ValueError("initial point does not match the form size")
     if grad_tol is None:
         grad_tol = 1e-6 * math.sqrt(form.size)
     # both kernels return Python scalars, in RmcgTrace's types
     v, n_iters, obj_hist, grad_hist, tang_res, failed, converged = _kernels.rmcg_core(
-        form, form.z, init.v_hat, float(grad_tol), float(rel_tol), int(max_iters),
-        _kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
+        form, init.v_hat, float(grad_tol), float(rel_tol), int(max_iters))
     end = n_iters + 1
     return (PhaseConfig(v, form.n_irs, form.n_elements),
             RmcgTrace(obj_hist[:end], grad_hist[:end], n_iters, converged, failed,

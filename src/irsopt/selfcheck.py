@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .beamformer import assemble_context, beamformers_at, power_g, solve_beamforming
+from .beamformer import (POWER_TOL_REL, assemble_context, beamformers_at, power_g,
+                         solve_beamforming)
 from .channels import ChannelSet, PhaseConfig, draw_channels, effective_channels
 from .phaseopt import QuadraticForm, assemble_quadratic, euclidean_gradient, objective
 from .scenario import desk_scenario
@@ -132,8 +133,7 @@ def check_gradient(rng, n_instances=10, h=1e-5) -> CheckResult:
 def check_power_curve(rng, n_instances=20) -> CheckResult:
     """Closed-form power against the beamformers' power, feasibility at a
     1 W cap (often slack), and the dual search at a binding cap 0.25 g(0),
-    where the power must meet the cap within power_tol_rel."""
-    tol = SolverOptions().power_tol_rel
+    where the power must meet the cap within POWER_TOL_REL."""
     worst = 0.0
     feasible = True
     worst_miss = 0.0
@@ -150,10 +150,10 @@ def check_power_curve(rng, n_instances=20) -> CheckResult:
         beams, _, _ = solve_beamforming(*args, 1.0)
         feasible &= beams.total_power <= 1.0 * (1 + 1e-6)
         p_bind = 0.25 * power_g(0.0, ctx)
-        beams, _, n_probes = solve_beamforming(*args, p_bind, power_tol_rel=tol)
+        beams, _, n_probes = solve_beamforming(*args, p_bind)
         worst_miss = max(worst_miss, abs(beams.total_power - p_bind) / p_bind)
         probes.append(n_probes)
-    ok = worst < 1e-10 and feasible and worst_miss <= tol
+    ok = worst < 1e-10 and feasible and worst_miss <= POWER_TOL_REL
     return CheckResult("closed-form power curve, power feasibility and dual search", ok,
                        f"worst rel gap {worst:.2e}, feasible={feasible}; at a binding "
                        f"cap: worst rel power miss {worst_miss:.2e}, probes mean "
@@ -182,7 +182,6 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
     relative gradient tolerance must stop within one iteration of each
     other."""
     kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
-    line_search = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
     worst = 0.0
     worst_stop = 0
     floor_bound = 0
@@ -199,15 +198,14 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
                 hess = _kernels.hessian_diagonal(form, v0)
                 h_max = np.max(hess)
                 floor_bound += bool(0.0 < h_max and np.min(hess) < _kernels.PRECOND_FLOOR * h_max)
-            args = (form, form.z, v0, 0.0, 0.0, n_iters, *line_search)
+            args = (form, v0, 0.0, 0.0, n_iters)
             _, n_a, obj_a, *_ = _kernels.rmcg_core(*args)
             _, n_b, obj_b, *_ = _kernels.rmcg_core_numpy(*args)
             k = min(n_a, n_b) + 1
             scale = (float(np.trace(form.j_hat).real) + form.omega * form.size
                      + 2.0 * float(np.sum(np.abs(form.z))))
             worst = max(worst, float(np.max(np.abs(obj_a[:k] - obj_b[:k]))) / scale)
-            args = (form, form.z, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner,
-                    *line_search)
+            args = (form, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner)
             stops = [kernel_fn(*args)[1]
                      for kernel_fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
             worst_stop = max(worst_stop, abs(stops[0] - stops[1]))

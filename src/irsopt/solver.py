@@ -31,29 +31,27 @@ log = logging.getLogger(__name__)
 # convergence; smaller dips are rounding.
 MONOTONE_TOL_REL = 1e-12
 # Each phase descent stops once its Riemannian gradient norm is at most this
-# fraction of its starting one (or at phase_grad_tol, if that is larger):
-# the outer loop needs a monotone phase step, not an exact block minimizer.
+# fraction of its starting one (or at rmcg_solve's absolute floor, if that
+# is larger): the outer loop needs a monotone phase step, not an exact
+# block minimizer.
 PHASE_REL_TOL = 1e-2
 
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """The outer loop's settings. The inner solvers' tolerances are
+    module constants (``PHASE_REL_TOL``, ``beamformer.POWER_TOL_REL`` and
+    ``LAMBDA_TOL_REL``), not fields: one value of each is in use."""
+
     outer_tol: float = 1e-4        # stop when fractional WSR increase is below this
     max_outer: int = 100
-    power_tol_rel: float = 1e-8    # beamformer dual search, relative to p_max
-    lambda_tol_rel: float = 1e-12  # dual-search bracket width, relative to lambda_max
-    phase_grad_tol: float | None = None  # None -> 1e-6 * sqrt(n_irs * n_elements)
     max_inner: int = 100           # phase-descent iteration cap
     optimize_phases: bool = True   # False freezes the initial phases
 
     def __post_init__(self):
-        # written so that NaN fails each test
+        # written so that NaN fails the test
         if not self.outer_tol > 0:
             raise ValueError("outer_tol must be positive")
-        if not (self.power_tol_rel > 0 and self.lambda_tol_rel > 0):
-            raise ValueError("power_tol_rel and lambda_tol_rel must be positive")
-        if self.phase_grad_tol is not None and not self.phase_grad_tol >= 0:
-            raise ValueError("phase_grad_tol must be nonnegative or None")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
         if self.max_inner < 0:
@@ -130,16 +128,12 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         u = update_decoders(hbar, beams, noise)
         mse = compute_mse(hbar, beams, u, noise)
         q = update_weights(mse)
-        beams, lam, probes = solve_beamforming(
-            hbar, u, q, alpha, scenario.p_max,
-            power_tol_rel=opts.power_tol_rel, lambda_tol_rel=opts.lambda_tol_rel)
+        beams, lam, probes = solve_beamforming(hbar, u, q, alpha, scenario.p_max)
         # frozen phases count as a converged descent without a failure
         inner, inner_ok, failed = 0, True, False
         if do_phases:
             form = assemble_quadratic(channels, beams, u, q, alpha, noise)
-            phases, ptrace = rmcg_solve(form, phases,
-                                        grad_tol=opts.phase_grad_tol,
-                                        rel_tol=PHASE_REL_TOL,
+            phases, ptrace = rmcg_solve(form, phases, rel_tol=PHASE_REL_TOL,
                                         max_iters=opts.max_inner)
             inner = ptrace.n_iters
             inner_ok, failed = ptrace.converged, ptrace.line_search_failed

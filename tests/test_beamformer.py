@@ -9,10 +9,8 @@ from irsopt import (BeamformerSet, NumericalError, assemble_context,
                     beamformers_at, compute_mse, lambda_upper_bound,
                     optimal_state, power_g, solve_beamforming)
 from irsopt import beamformer as beamformer_mod
+from irsopt.beamformer import LAMBDA_TOL_REL, POWER_TOL_REL
 from tests.conftest import complex_normal, random_wmmse_instance
-
-POWER_TOL_REL = 1e-8   # solve_beamforming's defaults
-LAMBDA_TOL_REL = 1e-12
 
 
 def surrogate_cost(hbar, w, u, q, alpha, noise):
@@ -196,8 +194,8 @@ class TestSolveBeamforming:
             beams, lam, probes = solve_beamforming(hbar, u, q, alpha, p_max)
             assert lam > 0
             assert beams.total_power == pytest.approx(p_max, rel=1e-7)
-            assert abs(beams.total_power - p_max) <= 1e-8 * p_max * 1.01
-            assert probes <= int(np.ceil(np.log2(1e12)))
+            assert abs(beams.total_power - p_max) <= POWER_TOL_REL * p_max * 1.01
+            assert probes <= int(np.ceil(-np.log2(LAMBDA_TOL_REL)))
             all_probes.append(probes)
         assert np.mean(all_probes) <= 8
 

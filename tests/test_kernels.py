@@ -17,7 +17,6 @@ from irsopt.solver import PHASE_REL_TOL, SolverOptions
 from tests.conftest import complex_normal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-LINE_SEARCH = (_kernels.SHRINK, _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
 
 
 def random_kernel_inputs(rng, size):
@@ -27,13 +26,13 @@ def random_kernel_inputs(rng, size):
     q_mat = j_hat + omega * np.eye(size)
     z = complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(q_mat, z, 0.0, 0.0, 1, size), z, v0
+    return QuadraticForm(q_mat, z, 0.0, 0.0, 1, size), v0
 
 
-def run_core(fn, form, z, v0, tol=None, iters=300, rel_tol=0.0):
+def run_core(fn, form, v0, tol=None, iters=300, rel_tol=0.0):
     if tol is None:
-        tol = 1e-6 * np.sqrt(z.size)
-    return fn(form, z, v0, tol, rel_tol, iters, *LINE_SEARCH)
+        tol = 1e-6 * np.sqrt(form.size)
+    return fn(form, v0, tol, rel_tol, iters)
 
 
 def factored_kernel_inputs(rng, size, rank, omega):
@@ -45,7 +44,7 @@ def factored_kernel_inputs(rng, size, rank, omega):
     form = QuadraticForm(None, z, omega, 0.0, 1, size, factor_h=factor.conj().T)
     dense = QuadraticForm(form.j_hat + omega * np.eye(size), z, 0.0, 0.0, 1, size)
     shifted = QuadraticForm(form.j_hat, z, omega, 0.0, 1, size)
-    return form, dense, shifted, z
+    return form, dense, shifted
 
 
 class TestKernelParity:
@@ -60,32 +59,32 @@ class TestKernelParity:
                                   (1, 2, 0.0), (1, 1, 0.7), (6, 11, 2.0),
                                   (0, 3, 0.0), (0, 1, 1.5), (33, 5, 0.0),
                                   (17, 7, 1.5), (9, 2, 0.0)):
-            op_f, op_d, op_s, z = factored_kernel_inputs(rng, size, rank, omega)
+            op_f, op_d, op_s = factored_kernel_inputs(rng, size, rank, omega)
             assert op_f.factor_h is not None
             assert op_d.factor_h is None and op_d.omega == 0.0
             v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
             finals = []
             for q_op in (op_f, op_d, op_s):
                 for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                    v, n, obj, _, _, _, conv = run_core(fn, q_op, z, v0, iters=2000)
+                    v, n, obj, _, _, _, conv = run_core(fn, q_op, v0, iters=2000)
                     assert conv
                     assert np.allclose(np.abs(v), 1.0, rtol=0.0, atol=1e-12)
                     finals.append(obj[n])
             assert np.allclose(finals, finals[0], rtol=1e-9, atol=0.0)
 
     def test_histories_are_monotone(self, rng):
-        form, z, v0 = random_kernel_inputs(rng, 12)
+        form, v0 = random_kernel_inputs(rng, 12)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-            _, n, obj, grad, tang, failed, _ = run_core(fn, form, z, v0)
+            _, n, obj, grad, tang, failed, _ = run_core(fn, form, v0)
             diffs = np.diff(obj[:n + 1])
             assert np.all(diffs <= 1e-12 * np.maximum(np.abs(obj[:n]), 1.0))
             assert not failed
             assert tang < 1e-10
 
     def test_history_padding_is_nan(self, rng):
-        form, z, v0 = random_kernel_inputs(rng, 5)
+        form, v0 = random_kernel_inputs(rng, 5)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-            _, n, obj, grad, _, _, _ = run_core(fn, form, z, v0, tol=1e-6, iters=300)
+            _, n, obj, grad, _, _, _ = run_core(fn, form, v0, tol=1e-6, iters=300)
             assert n < 300
             assert obj.shape == grad.shape == (301,)
             assert np.all(np.isnan(obj[n + 1:]))
@@ -93,26 +92,30 @@ class TestKernelParity:
             assert not np.any(np.isnan(obj[:n + 1]))
 
     def test_both_kernels_reject_bad_arguments(self, rng):
-        form, z, v0 = random_kernel_inputs(rng, 5)
+        form, v0 = random_kernel_inputs(rng, 5)
         # f(v) = |v|^2 - 4 Re(v) is stationary at v = 1: its gradient is 0
         still = QuadraticForm(None, [-2.0], 0.0, 0.0, 1, 1, factor_h=[[1.0]])
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with pytest.raises(ValueError, match="max_iters"):
-                fn(form, z, v0, 0.0, 0.0, -1, *LINE_SEARCH)
+                fn(form, v0, 0.0, 0.0, -1)
             for bad_rel in (np.nan, -0.1, 1.0):
                 with pytest.raises(ValueError, match="rel_tol"):
-                    fn(form, z, v0, 0.0, bad_rel, 10, *LINE_SEARCH)
-            for bad_z, bad_v0 in ((z[:4], v0), (z, v0[:4]), (z, np.append(v0, 1.0))):
+                    fn(form, v0, 0.0, bad_rel, 10)
+            # a NaN grad_tol would fail every stopping test and run to the cap
+            for bad_grad in (np.nan, -1e-6):
+                with pytest.raises(ValueError, match="grad_tol"):
+                    fn(form, v0, bad_grad, 0.0, 10)
+            for bad_v0 in (v0[:4], np.append(v0, 1.0)):
                 with pytest.raises(ValueError, match="size"):
-                    fn(form, bad_z, bad_v0, 0.0, 0.0, 10, *LINE_SEARCH)
+                    fn(form, bad_v0, 0.0, 0.0, 10)
             # a zero cap is allowed: the start point comes back
-            v, n, obj, *_ = fn(form, z, v0, 0.0, 0.0, 0, *LINE_SEARCH)
+            v, n, obj, *_ = fn(form, v0, 0.0, 0.0, 0)
             assert n == 0 and obj.shape == (1,) and np.array_equal(v, v0)
             # so does an exactly stationary start, converged even at grad_tol 0
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                v, n, _, grad, _, failed, conv = fn(still, still.z, np.ones(1, complex),
-                                                    0.0, 0.0, 100, *LINE_SEARCH)
+                v, n, _, grad, _, failed, conv = fn(still, np.ones(1, complex),
+                                                    0.0, 0.0, 100)
             assert n == 0 and grad[0] == 0.0 and conv and not failed
             assert np.array_equal(v, [1.0])
 
@@ -123,23 +126,23 @@ class TestKernelParity:
         # max(grad_tol, rel_tol ||grad_0||), where the descent stops converged;
         # rel_tol = 0 is the absolute rule alone
         for size, rank in ((40, 9), (120, 16)):
-            form, _, _, z = factored_kernel_inputs(rng, size, rank, 0.0)
+            form, _, _ = factored_kernel_inputs(rng, size, rank, 0.0)
             v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
             grad_tol = 1e-2 * np.sqrt(size)
             stops = []
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                _, n_ref, obj_ref, grad_ref, *_ = run_core(fn, form, z, v0, tol=0.0,
+                _, n_ref, obj_ref, grad_ref, *_ = run_core(fn, form, v0, tol=0.0,
                                                            iters=1000)
                 tol = max(grad_tol, rel_tol * grad_ref[0])
                 below = np.flatnonzero(grad_ref[:n_ref + 1] <= tol)
                 assert below.size, "the reference run never meets the tolerance"
                 first = int(below[0])
-                v, n, obj, grad, _, failed, conv = run_core(fn, form, z, v0, tol=grad_tol,
+                v, n, obj, grad, _, failed, conv = run_core(fn, form, v0, tol=grad_tol,
                                                             iters=1000, rel_tol=rel_tol)
                 assert n == first and conv and not failed
                 assert np.array_equal(obj[:n + 1], obj_ref[:n + 1])
                 assert np.array_equal(grad[:n + 1], grad_ref[:n + 1])
-                v_ref, *_ = run_core(fn, form, z, v0, tol=0.0, iters=first)
+                v_ref, *_ = run_core(fn, form, v0, tol=0.0, iters=first)
                 assert np.array_equal(v, v_ref)
                 stops.append(n)
             assert abs(stops[0] - stops[1]) <= 1
@@ -150,8 +153,7 @@ class TestKernelParity:
         form = QuadraticForm(None, [1e200j], 0.0, 0.0, 1, 1, factor_h=[[1.0]])
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with np.errstate(all="ignore"):
-                _, _, _, grad, _, _, conv = fn(form, form.z, np.ones(1, complex), 1e-6,
-                                               1e-2, 100, *LINE_SEARCH)
+                _, _, _, grad, _, _, conv = fn(form, np.ones(1, complex), 1e-6, 1e-2, 100)
             assert grad[0] == np.inf and not conv
 
     def test_nearly_constant_one_element_forms_converge(self, rng):
@@ -165,7 +167,7 @@ class TestKernelParity:
             form = QuadraticForm(None, z, 0.0, 0.0, 1, 1, factor_h=factor.conj().T)
             v0 = np.exp(2j * np.pi * rng.uniform(size=1))
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                _, n, _, _, _, failed, conv = run_core(fn, form, z, v0, iters=100)
+                _, n, _, _, _, failed, conv = run_core(fn, form, v0, iters=100)
                 assert conv and not failed and n <= 10
 
 
@@ -231,7 +233,7 @@ class TestPreconditioner:
             runs = []
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
                 with np.errstate(over="ignore"):
-                    runs.append(run_core(fn, form, form.z, v0, rel_tol=PHASE_REL_TOL,
+                    runs.append(run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
                                          iters=SolverOptions().max_inner))
             (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = runs
             k = min(n_a, n_b) + 1
@@ -251,7 +253,7 @@ class TestPreconditioner:
         form = block_scaled_form(rng, 240, 64)
         v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-            _, n, *_, failed, conv = run_core(fn, form, form.z, v0, rel_tol=PHASE_REL_TOL,
+            _, n, *_, failed, conv = run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
                                               iters=SolverOptions().max_inner)
             assert conv and not failed and n <= 30
 
@@ -273,10 +275,10 @@ def factored_operators(draw):
     else:
         z = z_scale * complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(None, z, omega, 0.0, 1, size, factor_h=factor.conj().T), z, v0
+    return QuadraticForm(None, z, omega, 0.0, 1, size, factor_h=factor.conj().T), v0
 
 
-def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
+def rounding_spread(q_op, v0, n_iters, n_variants=8):
     """How far ``rmcg_core_numpy`` drifts from itself when only its
     rounding changes: its objective history, and per entry the largest gap
     to reruns on the same problem permuted (phase elements and the
@@ -285,7 +287,7 @@ def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
     (inf where a rerun stopped earlier). Near a rounding tie, or where a
     backtracking test or a step's curvature amplifies rounding, this is
     the spread any correctly rounded kernel may show."""
-    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, z, v0, 0.0, 0.0, n_iters, *LINE_SEARCH)
+    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, v0, 0.0, 0.0, n_iters)
     obj = obj[:n + 1]
     spread = np.zeros(n + 1)
     rng = np.random.default_rng(0)
@@ -294,11 +296,10 @@ def rounding_spread(q_op, z, v0, n_iters, n_variants=8):
         cols = rng.permutation(q_op.rank)
         c2 = rng.uniform(0.5, 2.0)
         turn = np.exp(2j * np.pi * rng.uniform())
-        z_var = c2 * turn * z[rows]
+        z_var = c2 * turn * q_op.z[rows]
         op = QuadraticForm(None, z_var, c2 * q_op.omega, 0.0, 1, q_op.size,
                            factor_h=np.sqrt(c2) * q_op.factor_h[cols][:, rows])
-        _, m, other, *_ = _kernels.rmcg_core_numpy(
-            op, z_var, turn * v0[rows], 0.0, 0.0, n_iters, *LINE_SEARCH)
+        _, m, other, *_ = _kernels.rmcg_core_numpy(op, turn * v0[rows], 0.0, 0.0, n_iters)
         m = min(m, n) + 1
         spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
         spread[m:] = np.inf
@@ -309,20 +310,20 @@ class TestFactoredProperties:
     @settings(max_examples=100, deadline=None)
     @given(factored_operators())
     def test_descent_on_factored_operators(self, problem):
-        q_op, z, v0 = problem
+        q_op, v0 = problem
         dense = q_op.factor_h.conj().T @ q_op.factor_h + q_op.omega * np.eye(q_op.size)
         trace = float(np.trace(dense).real)
-        scale = trace + 2.0 * float(np.sum(np.abs(z)))
-        v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, z, v0, 0.0, 0.0, 60, *LINE_SEARCH)
+        scale = trace + 2.0 * float(np.sum(np.abs(q_op.z)))
+        v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, v0, 0.0, 0.0, 60)
         assert np.all(np.diff(obj[:n + 1]) <= 0.0)
-        at_v = np.vdot(v, dense @ v).real + 2.0 * np.vdot(v, z).real
+        at_v = np.vdot(v, dense @ v).real + 2.0 * np.vdot(v, q_op.z).real
         assert abs(obj[n] - at_v) <= 1e-10 * scale
         assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-12
         # the first iterations take the reference's steps: as close to it as
         # the reference is to itself under other rounding, or 1e-9 of the
         # scale
-        _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, z, v0, 0.0, 0.0, 5, *LINE_SEARCH)
-        obj_r, spread = rounding_spread(q_op, z, v0, 5)
+        _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, v0, 0.0, 0.0, 5)
+        obj_r, spread = rounding_spread(q_op, v0, 5)
         k = min(n_c + 1, obj_r.size)
         assert np.all(np.abs(obj_c[:k] - obj_r[:k]) <= 1e-9 * scale + 10.0 * spread[:k])
 

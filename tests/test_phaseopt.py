@@ -165,8 +165,7 @@ class TestFactoredForm:
             objective(form, v)
             euclidean_gradient(form, v)
             for kernel in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                kernel(form, form.z, v.v_hat, 0.0, 0.0, 5, _kernels.SHRINK,
-                       _kernels.ARMIJO_C, _kernels.MAX_BACKTRACKS)
+                kernel(form, v.v_hat, 0.0, 0.0, 5)
             assert form._j_hat is None
             # the kernel's matrix-free product is the dense one
             dense = form.factor_h.conj().T @ form.factor_h + form.omega * np.eye(form.size)
@@ -231,7 +230,7 @@ class TestFactoredForm:
         factor_h = form.factor_h
         assert factor_h.shape == (9, 10) and factor_h.flags.c_contiguous
         assert not factor_h.flags.writeable
-        assert form.addresses == (0, factor_h.ctypes.data)
+        assert form.addresses == (0, factor_h.ctypes.data, form.z.ctypes.data)
         # a read-only array that owns its data is kept as is; a read-only
         # view is copied, since its base may still be written
         kept = QuadraticForm(None, form.z, 0.0, 0.0, 2, 5, factor_h=factor_h)

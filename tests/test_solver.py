@@ -11,6 +11,7 @@ from irsopt import (BeamformerSet, PhaseConfig, SolverOptions, assemble_quadrati
                     solve_beamforming, strip_irs, update_decoders,
                     update_weights, weighted_sum_rate, wmse_objective)
 from irsopt import solver as solver_mod
+from irsopt.beamformer import POWER_TOL_REL
 from irsopt.scenario import LOS_MODES
 from irsopt.solver import MONOTONE_TOL_REL
 
@@ -257,16 +258,10 @@ class TestSolverOptions:
 
     @pytest.mark.parametrize("field, value, ok", [
         ("outer_tol", np.nan, False), ("outer_tol", np.inf, True),
-        ("phase_grad_tol", -1e-6, False), ("phase_grad_tol", np.nan, False),
-        ("phase_grad_tol", None, True), ("phase_grad_tol", 0.0, True),
-        ("phase_grad_tol", np.inf, True),
-        ("power_tol_rel", np.nan, False), ("power_tol_rel", 0.0, False),
-        ("power_tol_rel", -1e-8, False), ("lambda_tol_rel", np.nan, False),
-        ("lambda_tol_rel", 0.0, False), ("lambda_tol_rel", -1e-12, False),
     ])
     def test_tolerances(self, field, value, ok):
-        # NaN and out-of-range tolerances are rejected, not run into a
-        # descent that never converges or a dual search with no probe
+        # a NaN outer_tol is rejected, not run into a loop whose stopping
+        # test never passes
         if ok:
             assert getattr(SolverOptions(**{field: value}), field) is value
         else:
@@ -362,7 +357,7 @@ class TestScenarioSpace:
                                          rng=np.random.default_rng(seed))
         assert not caplog.records
         assert np.all(np.isfinite(beams.w)) and np.all(np.isfinite(phases.v_hat))
-        assert beams.total_power <= scenario.p_max * (1.0 + 1e-8)
+        assert beams.total_power <= scenario.p_max * (1.0 + POWER_TOL_REL)
         assert np.max(np.abs(np.abs(phases.v_hat) - 1.0)) <= 1e-12
         history = np.concatenate(([trace.initial_wsr], trace.wsr))
         assert np.all(np.isfinite(history))
