@@ -1,13 +1,10 @@
-"""Benchmark the phase-descent kernel: factored operator vs dense matrix.
+"""Benchmark the phase-descent kernel: compiled vs numpy reference.
 
 Runs the conjugate-gradient inner loop on random PSD phase quadratics
 j_hat = F F^H, each given by its (K**2, size) factor F^H as the solver's
-forms are, K users, and reports the wall time per iteration with the
-kernel applying the factor matrix-free (what ``rmcg_solve`` does for an
-assembled form) next to the same kernel on the dense (size, size)
-matrix, plus the fitted scaling exponent of each. Both
-kernels are timed when the compiled one loaded: the compiled kernel and
-the numpy reference.
+forms are, K users, and reports the wall time per iteration of each
+kernel, plus its fitted scaling exponent. The compiled kernel is timed
+when it loaded, the numpy reference always.
 
 Time per iteration alone misreads a preconditioned descent, whose
 iterations cost a little more and are far fewer. A second table runs each kernel on
@@ -31,14 +28,12 @@ from irsopt.selfcheck import block_scaled_form
 from irsopt.solver import PHASE_REL_TOL, SolverOptions
 
 
-def make_forms(rng, size, n_users):
+def make_form(rng, size, n_users):
     shape = (n_users ** 2, size)
     factor_h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    factored = QuadraticForm(None, z, 0.0, 0.0, 1, size, factor_h=factor_h)
-    dense = QuadraticForm(factored.j_hat, z, 0.0, 0.0, 1, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return factored, dense, v0
+    return QuadraticForm(factor_h, z, 0.0, 1, size), v0
 
 
 def time_kernel(kernel, form, v0, iters, repeats=5):
@@ -88,20 +83,15 @@ def main():
         kernels = {"compiled": _kernels.rmcg_core_compiled, **kernels}
 
     print(f"factor rank K^2 = {args.users ** 2}; us per iteration")
-    columns = [f"{op} {name}" for name in kernels for op in ("factored", "dense")]
-    print(f"{'size':>6s}" + "".join(f"{c:>19s}" for c in columns))
-    times = {c: [] for c in columns}
+    print(f"{'size':>6s}" + "".join(f"{name:>16s}" for name in kernels))
+    times = {name: [] for name in kernels}
     for size in sizes:
-        factored, dense, v0 = make_forms(rng, size, args.users)
-        row = []
+        form, v0 = make_form(rng, size, args.users)
         for name, kernel in kernels.items():
-            for op, form in (("factored", factored), ("dense", dense)):
-                t = time_kernel(kernel, form, v0, args.iters)
-                times[f"{op} {name}"].append(t)
-                row.append(t)
-        print(f"{size:6d}" + "".join(f"{1e6 * t:19.2f}" for t in row))
+            times[name].append(time_kernel(kernel, form, v0, args.iters))
+        print(f"{size:6d}" + "".join(f"{1e6 * t[-1]:16.2f}" for t in times.values()))
     print("scaling exponent: " + ", ".join(
-        f"{c} {fit_exponent(sizes, t):.2f}" for c, t in times.items()))
+        f"{name} {fit_exponent(sizes, t):.2f}" for name, t in times.items()))
 
     print(f"block-scaled factored forms, to rel_tol {PHASE_REL_TOL:g}: "
           "iterations and ms per descent")

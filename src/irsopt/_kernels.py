@@ -1,24 +1,20 @@
 """Hot numerical kernel: the manifold conjugate-gradient inner loop.
 
 The descent loop dominates solver runtime, so it lives here, apart from
-the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``
-(Q + omega I, with Q dense or Q = F F^H given by the one stored array
-F^H, never formed as a matrix) and its linear term ``z``. Both kernels
-first check the arguments the same way (``v0`` of the form's size,
-``grad_tol`` neither NaN nor negative, ``rel_tol`` in [0, 1), a
-nonnegative ``max_iters``).
+the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``:
+Q = F F^H, given by the one stored array F^H and never formed as a
+matrix, and its linear term ``z``. Both kernels first check the arguments
+the same way (``v0`` of the form's size, ``grad_tol`` neither NaN nor
+negative, ``rel_tol`` in [0, 1), a nonnegative ``max_iters``).
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
 the vectorized numpy reference; it touches the form through ``form @ x``
-and, once per call, the diagonal of j_hat (the squared column norms of
-F^H on a factored form, whose ``j_hat`` it never reads). ``_rmcg.c`` is a
-C port of it, step for step, that reads the form's arrays and omega
-itself, except that a factored candidate is scored by ||F^H x||^2: on a
-factored form a line-search trial point costs the one product t = F^H x
-(f = ||t||^2 + omega ||x||^2 + 2 Re(z^H x)), and F t, a pass over the
-rows of F^H, is formed for the accepted point alone; and that omega is
-left out of its gradient (the tangent projection removes the radial
-omega x), of c2 and of the Hessian diagonal h below (where it cancels).
+and, once per call, the diagonal of Q (the squared column norms of F^H;
+it never reads ``j_hat``). ``_rmcg.c`` is a C port of it, step for step,
+that reads the form's arrays itself, except that it scores a candidate by
+||F^H x||^2: a line-search trial point costs the one product t = F^H x
+(f = ||t||^2 + 2 Re(z^H x)), and F t, a pass over the rows of F^H, is
+formed for the accepted point alone.
 On first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
 builds it with ``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
@@ -34,36 +30,33 @@ callers look up: the compiled kernel when it loaded (``JIT_ENABLED`` is
 True), else the numpy reference, after a logged WARNING that says why.
 ``benchmarks/bench_kernels.py`` times both.
 
-Algorithm: ambient gradient g = 2(Av + z) with A = Q + omega I,
-projection onto the tangent space of the unit-circle product (the
-Riemannian gradient rgrad), a diagonal preconditioner, a preconditioned
-Polak-Ribiere direction d with projected transport, Armijo backtracking,
-and entrywise renormalization onto the circles.
+Algorithm: ambient gradient g = 2(Qv + z), projection onto the tangent
+space of the unit-circle product (the Riemannian gradient rgrad), a
+diagonal preconditioner, a preconditioned Polak-Ribiere direction d with
+projected transport, Armijo backtracking, and entrywise renormalization
+onto the circles.
 
 The preconditioned gradient is pg = rgrad / h entrywise, with
 h_m = 2 Q_mm - Re(conj(g_m) v_m) the diagonal of the Riemannian Hessian
 at v (Mishra and Sepulchre, "Riemannian preconditioning", SIAM J. Optim.
 2016; Boumal, "An Introduction to Optimization on Smooth Manifolds",
-2023). omega cancels in it: the numpy radial part Re(conj(g_m) v_m)
-carries 2 omega, so that kernel takes 2 (Q_mm + omega) minus it, while
-the compiled gradient has no omega to remove. Q_mm is computed once per
-call. h is floored at PRECOND_FLOOR * max_m h_m; where some h_m is not
-finite or max_m h_m <= 0, pg = rgrad. The elements of a multi-surface
-form sit at different distances from the BS and the users, so h spans
-orders of magnitude, and plain conjugate gradient on such a badly scaled
-problem crawls. With <a, b> = Re(a^H b) and T the projection onto the
-new tangent space, the direction is d = -pg + beta T(d), with
-beta = <rgrad_new, pg_new - T(pg)> / <rgrad, pg> (Polak-Ribiere), capped
-at the Fletcher-Reeves value <rgrad_new, pg_new> / <rgrad, pg> to keep
-the backtracking-only search stable, and floored at 0; where d is not a
-descent direction the descent restarts at d = -pg, with slope
--<rgrad, pg>. The step rule, the search and the stopping test below are
-those of the plain method.
+2023). Q_mm is computed once per call. h is floored at PRECOND_FLOOR *
+max_m h_m; where some h_m is not finite or max_m h_m <= 0, pg = rgrad.
+The elements of a multi-surface form sit at different distances from the
+BS and the users, so h spans orders of magnitude, and plain conjugate
+gradient on such a badly scaled problem crawls. With <a, b> = Re(a^H b)
+and T the projection onto the new tangent space, the direction is
+d = -pg + beta T(d), with beta = <rgrad_new, pg_new - T(pg)> / <rgrad, pg>
+(Polak-Ribiere), capped at the Fletcher-Reeves value
+<rgrad_new, pg_new> / <rgrad, pg> to keep the backtracking-only search
+stable, and floored at 0; where d is not a descent direction the descent
+restarts at d = -pg, with slope -<rgrad, pg>. The step rule, the search
+and the stopping test below are those of the plain method.
 
 The renormalization v/|v| is a second-order retraction (Absil and Malick,
 SIAM J. Optim. 2012): along it f = f(v) + t slope + t^2 c2 + O(t^3), with
-c2 = d^H A d - 1/2 sum_m |d_m|^2 Re(conj(v_m) g_m) (omega cancels in it),
-which costs one more product with Q, with F^H alone on a factored form.
+c2 = d^H Q d - 1/2 sum_m |d_m|^2 Re(conj(v_m) g_m), which costs one more
+product, with F^H alone.
 Each line search starts at the model's minimizer -slope / (2 c2), capped
 at 1 / max_m |d_m|, the step that turns the fastest element by 45 degrees
 and the one taken when c2 <= 0. The descent stops when the Riemannian
@@ -124,19 +117,16 @@ def _check(form, v0, grad_tol, rel_tol, max_iters) -> None:
 
 
 def _diagonal(form):
-    """The real diagonal of j_hat (omega left out): the squared column
-    norms of F^H, or the dense matrix's diagonal."""
-    if form.factor_h is not None:
-        fh = form.factor_h
-        return np.sum(fh.real ** 2 + fh.imag ** 2, axis=0)
-    return np.diagonal(form.j_hat).real
+    """The diagonal of Q: the squared column norms of F^H."""
+    fh = form.factor_h
+    return np.sum(fh.real ** 2 + fh.imag ** 2, axis=0)
 
 
 def hessian_diagonal(form, v):
     """The diagonal of the Riemannian Hessian at the unit-modulus v that
     both kernels precondition with, 2 Q_mm - Re(conj(g_m) v_m) with g the
-    ambient gradient; omega cancels in it and is left out."""
-    egrad = 2.0 * (form @ v - form.omega * v + form.z)
+    ambient gradient."""
+    egrad = 2.0 * (form @ v + form.z)
     return 2.0 * _diagonal(form) - (np.conj(egrad) * v).real
 
 
@@ -153,7 +143,7 @@ def _precondition(hess_diag, rgrad):
 
 def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
     """Vectorized descent loop; it applies the form through ``@`` and
-    reads the diagonal of j_hat once."""
+    reads the diagonal of Q once."""
     _check(form, v0, grad_tol, rel_tol, max_iters)
     z = form.z
     v = v0.copy()
@@ -161,9 +151,7 @@ def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
     grad_hist = np.full(max_iters + 1, np.nan)
     tang_res = 0.0
     failed = False
-    # radial below includes 2 omega, so 2 (Q_mm + omega) - radial is the
-    # omega-free Hessian diagonal 2 Q_mm - rad_m
-    q_diag2 = 2.0 * (_diagonal(form) + form.omega)
+    q_diag2 = 2.0 * _diagonal(form)
 
     qv = form @ v
     f_cur = np.vdot(v, qv).real + 2.0 * np.vdot(v, z).real
@@ -307,11 +295,11 @@ def _build() -> Path:
 
 class _Args(ctypes.Structure):
     """rmcg_args of _rmcg.c: one struct costs less to pass through ctypes
-    than thirteen separate arguments."""
+    than eleven separate arguments."""
 
-    _fields_ = [(name, ctypes.c_void_p) for name in ("q", "fh", "z")] + \
+    _fields_ = [(name, ctypes.c_void_p) for name in ("fh", "z")] + \
                [(name, ctypes.c_int64) for name in ("n", "r", "max_iters", "max_backtracks")] + \
-               [(name, ctypes.c_double) for name in ("omega", "grad_tol", "rel_tol", "shrink",
+               [(name, ctypes.c_double) for name in ("grad_tol", "rel_tol", "shrink",
                                                     "armijo_c", "precond_floor")]
 
 
@@ -341,8 +329,7 @@ def rmcg_core_compiled(form, v0, grad_tol, rel_tol, max_iters):
     v = np.frombuffer(raw, complex, n)
     v[:] = v0
     n_done = _run(_Args(*form.addresses, n, form.rank, m, MAX_BACKTRACKS,
-                        form.omega, grad_tol, rel_tol, SHRINK, ARMIJO_C,
-                        PRECOND_FLOOR), raw)
+                        grad_tol, rel_tol, SHRINK, ARMIJO_C, PRECOND_FLOOR), raw)
     if n_done < 0:
         raise MemoryError("descent kernel could not allocate its work space")
     tang_res, failed, converged = raw[info:]

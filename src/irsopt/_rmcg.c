@@ -3,18 +3,14 @@
    A port of irsopt._kernels.rmcg_core_numpy to C99 with GNU vector types
    (gcc, clang), step for step: same preconditioner, direction rule, first
    step, line search, stopping test, tangency check, history padding and
-   flags, except that a factored candidate is scored by ||F^H x||^2, and
-   that omega is left out of the gradient, whose tangent projection
-   removes it, and of the first step's curvature and the Hessian diagonal,
-   where it cancels.
+   flags, except that a candidate is scored by ||F^H x||^2.
 
    The direction is preconditioned by the diagonal of the Riemannian
    Hessian, h_i = 2 Q_ii - rad_i, with rad_i = Re(conj(g_i) v_i) the
    radial part the gradient projection computes anyway and Q_ii (the
-   squared column norms of F^H, or the real diagonal of a dense Q)
-   computed once per call: pg = rgrad / h, with h floored at
-   precond_floor * max_i h_i, or pg = rgrad where some h_i is not finite
-   or max_i h_i <= 0.
+   squared column norms of F^H) computed once per call: pg = rgrad / h,
+   with h floored at precond_floor * max_i h_i, or pg = rgrad where some
+   h_i is not finite or max_i h_i <= 0.
    The direction is -pg + beta T(d), beta the Polak-Ribiere value
    <rgrad_new, pg_new - T(pg)> / <rgrad, pg> capped at the Fletcher-Reeves
    value <rgrad_new, pg_new> / <rgrad, pg> and floored at 0, and a restart
@@ -23,21 +19,18 @@
    and calls rmcg_run through ctypes.
 
    Complex vectors are numpy complex128 buffers, interleaved (re, im)
-   doubles. The quadratic is Q + omega I, with Q either a dense row-major
-   n x n matrix or F F^H given by F^H alone (r x n, row-major; F is not
-   stored). Q x and F^H x are contiguous row dot products; F t
-   accumulates ROWS rows of F^H at a time into an n-vector, and the
-   squared column norms of F^H one row at a time.
+   doubles. The quadratic is Q = F F^H, given by F^H alone (r x n,
+   row-major; neither F nor Q is stored). F^H x takes contiguous row dot
+   products; F t accumulates ROWS rows of F^H at a time into an n-vector,
+   and the squared column norms of F^H one row at a time.
 
-   The line search needs only objective values, and for the factored
-   form f(x) = ||t||^2 + omega ||x||^2 + 2 Re(z^H x) with t = F^H x: a
-   trial point costs the one product F^H x, and F t, which the gradient
-   needs, is formed (a pass over the rows of F^H) for the accepted point
-   alone (without omega x, which is radial and projected away). An
-   iteration with k trial points thus does
-   k + 2 such products: F^H d for the curvature of the first step, F^H x
-   for each trial point and F t for the accepted one, where scoring by
-   F (F^H x) would take 2 k + 1. Every objective value of a run comes from
+   The line search needs only objective values, f(x) = ||t||^2 +
+   2 Re(z^H x) with t = F^H x: a trial point costs the one product F^H x,
+   and F t, which the gradient needs, is formed (a pass over the rows of
+   F^H) for the accepted point alone. An iteration with k trial points
+   thus does k + 2 such products: F^H d for the curvature of the first
+   step, F^H x for each trial point and F t for the accepted one, where
+   scoring by F (F^H x) would take 2 k + 1. Every objective value of a run comes from
    evaluate(), so all comparisons see the same rounding.
 
    The descent stops at the first iterate whose Riemannian gradient norm
@@ -185,44 +178,30 @@ static void split(const double *x, ptrdiff_t m, double *xr, double *xi)
 
 typedef struct {
     ptrdiff_t n, r;
-    const double *q, *fh;
-    double omega;
+    const double *fh;
     double *xr, *xi;   /* work space */
 } quad_op;
 
-/* x^H Q x, without omega. aux receives what finish() needs: Q x for a
-   dense Q (n complex entries), t = F^H x for a factored one (r complex
-   entries). */
+/* x^H Q x = ||t||^2; aux receives t = F^H x (r complex entries), which
+   finish() needs */
 static double quadratic(const quad_op *op, const double *x, double *aux)
 {
     split(x, op->n, op->xr, op->xi);
-    if (op->q) {
-        row_dots(op->q, op->n, op->n, op->xr, op->xi, aux);
-        return dot(x, aux, 2 * op->n);
-    }
     row_dots(op->fh, op->r, op->n, op->xr, op->xi, aux);
     return dot(aux, aux, 2 * op->r);
 }
 
-/* f(x) = x^H (Q + omega I) x + 2 Re(z^H x), with quadratic()'s aux */
+/* f(x) = x^H Q x + 2 Re(z^H x), with quadratic()'s aux */
 static double evaluate(const quad_op *op, const double *x, const double *z,
                        double *aux)
 {
-    ptrdiff_t m = 2 * op->n;
-    double f = quadratic(op, x, aux);
-    if (op->omega != 0.0)
-        f += op->omega * dot(x, x, m);
-    return f + 2.0 * dot(x, z, m);
+    return quadratic(op, x, aux) + 2.0 * dot(x, z, 2 * op->n);
 }
 
-/* The product riemannian_grad() projects, from evaluate()'s aux for the
-   same x: aux itself, Q x, for a dense Q; else F t = (F^H)^H t, written
-   to y. Both lack the radial omega x, which the tangent projection would
-   remove again at x on the circles. */
+/* y = Q x = F t, from evaluate()'s aux t for the same x: the product
+   riemannian_grad() projects */
 static const double *finish(const quad_op *op, const double *aux, double *y)
 {
-    if (op->q)
-        return aux;
     adjoint(op->fh, op->r, op->n, aux, y);
     return y;
 }
@@ -288,7 +267,7 @@ static void tangency(const double *a, const double *b, const double *v,
 }
 
 /* pg = g * (1 / h) entrywise, with h_i = 2 Q_ii - rad_i (the diagonal of
-   the Riemannian Hessian, omega left out) floored at h_floor * max_i h_i;
+   the Riemannian Hessian) floored at h_floor * max_i h_i;
    g itself when some h_i is not finite or max_i h_i <= 0. h is work space
    for the unfloored h_i (n doubles). Returns Re(g^H pg). The finiteness test and
    the maximum (over max(h_i, 0), where the order of nonnegative doubles
@@ -329,17 +308,17 @@ static double precondition(const double *q_diag, const double *rad,
 
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
-/* Arguments of rmcg_run; q is the dense matrix, or NULL for the factored
-   form (fh, rank r), and z its linear term (n complex), all read in place
-   from the form; shrink, armijo_c, max_backtracks and precond_floor are
-   the irsopt._kernels constants both kernels use. */
+/* Arguments of rmcg_run; fh is the form's factor F^H (rank r) and z its
+   linear term (n complex), both read in place from the form; shrink,
+   armijo_c, max_backtracks and precond_floor are the irsopt._kernels
+   constants both kernels use. */
 typedef struct {
-    const double *q, *fh, *z;
+    const double *fh, *z;
     int64_t n, r, max_iters, max_backtracks;
-    double omega, grad_tol, rel_tol, shrink, armijo_c, precond_floor;
+    double grad_tol, rel_tol, shrink, armijo_c, precond_floor;
 } rmcg_args;
 
-/* Minimize v^H (Q + omega I) v + 2 Re(v^H z) over unit-modulus v.
+/* Minimize v^H Q v + 2 Re(v^H z) over unit-modulus v.
 
    buf holds, in order: v0 (n complex, overwritten with the final point),
    the objective and the Riemannian gradient norm before and after each
@@ -357,7 +336,7 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     const double *z = a->z;
     double *obj_hist = buf + m, *grad_hist = obj_hist + max_iters + 1,
         *info = grad_hist + max_iters + 1;
-    const ptrdiff_t na = m > 2 * (ptrdiff_t)r ? m : 2 * (ptrdiff_t)r;
+    const ptrdiff_t na = 2 * (ptrdiff_t)r;
     double *mem, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
         *rgrad_new, *pg, *pg_new, *dir, *tmp, *rad, *q_diag;
     double f_cur, gnorm2, gpg, tang_res = 0.0;
@@ -365,9 +344,8 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     quad_op op;
 
     /* aux_cand and aux_new hold evaluate()'s aux for cand and v_new; qv
-       receives finish()'s product for a factored form; rad holds the
-       gradient's radial parts at v; pg the preconditioned gradient and
-       q_diag the real diagonal of Q */
+       receives finish()'s product; rad holds the gradient's radial parts
+       at v; pg the preconditioned gradient and q_diag the diagonal of Q */
     mem = malloc(sizeof(double) * (size_t)(12 * m + 2 * n + 2 * na + 1));
     if (!mem)
         return -1;
@@ -375,18 +353,13 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     rgrad = v_new + m; rgrad_new = rgrad + m; pg = rgrad_new + m;
     pg_new = pg + m; dir = pg_new + m;
     tmp = dir + m; aux_cand = tmp + m; aux_new = aux_cand + na;
-    op.n = n; op.r = r; op.q = a->q; op.fh = a->fh;
-    op.omega = a->omega;
+    op.n = n; op.r = r; op.fh = a->fh;
     op.xr = aux_new + na; op.xi = op.xr + m;
     rad = op.xi + m; q_diag = rad + n;
 
     for (i = 0; i <= max_iters; i++)
         obj_hist[i] = grad_hist[i] = NAN;
-    if (op.q)                      /* Re Q_ii, or squared column norms of F^H */
-        for (i = 0; i < n; i++)
-            q_diag[i] = op.q[2 * (i * n + i)];
-    else
-        column_norms(op.fh, r, n, q_diag);
+    column_norms(op.fh, r, n, q_diag);
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
     f_cur = evaluate(&op, v, z, aux_new);

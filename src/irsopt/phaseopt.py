@@ -5,15 +5,14 @@ objective is an explicit Hermitian quadratic in the stacked reflection
 vector. Its matrix ``j_hat`` is a Hadamard product of two positive
 semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
 (size, n_users**2) factor ``F`` (Schur product theorem). Assembly writes
-``F^H`` in place, and ``QuadraticForm`` keeps it as the one stored factor:
-it is the one operator the conjugate-gradient descent in ``_kernels``
-runs, matrix-free. The compiled kernel scores each line-search candidate
-by ||F^H x||^2 (one pass over the rows of ``F^H``) and forms
-``F (F^H v)`` only for the accepted point, where the gradient needs it,
-as a second pass over the same rows. The dense matrix is formed only when
-a caller reads ``j_hat``. Since the quadratic is already convex, assembly
-adds no shift; a form built with a scalar shift omega I gains
-omega * size on the manifold and keeps its constrained minimizer.
+``F^H`` in place, and ``QuadraticForm`` keeps it as its one stored
+factor: it is the one operator the conjugate-gradient descent in
+``_kernels`` runs, matrix-free. The compiled kernel scores each
+line-search candidate by ||F^H x||^2 (one pass over the rows of ``F^H``)
+and forms ``F (F^H v)`` only for the accepted point, where the gradient
+needs it, as a second pass over the same rows. The dense matrix is formed
+only when a caller reads ``j_hat``. The quadratic is already convex, so
+the form carries no shift.
 """
 
 from __future__ import annotations
@@ -41,51 +40,38 @@ def _frozen(a) -> np.ndarray:
 
 
 class QuadraticForm:
-    """f(v) = v^H (j_hat + omega I) v + 2 Re(v^H z), plus bookkeeping.
+    """f(v) = v^H j_hat v + 2 Re(v^H z), with j_hat = F F^H, plus
+    bookkeeping.
 
-    The form holds either a dense Hermitian (size, size) ``j_hat`` or,
-    with ``j_hat=None``, a (rank, size) ``factor_h`` F^H with
-    j_hat = F F^H, where size = n_irs * n_elements; ``j_hat`` is then
-    formed (once) on first read. ``form @ v`` applies j_hat + omega I;
-    neither F F^H nor j_hat + omega I is formed, and F is never stored:
-    F t = conj((F^H)^T conj(t)). It is the one operator both descent
-    kernels run: the numpy reference through ``@``, the compiled one by
-    reading the C-contiguous complex arrays (dense ``j_hat`` or
-    ``factor_h``, and ``z``) at ``addresses`` and the scalar omega. The
-    form is immutable: its arrays are read-only, and one the caller could
-    still write through is copied, so a descent always runs the quadratic
-    the form describes. const_term collects the terms of the weighted MSE
+    The form holds the (rank, size) factor ``factor_h`` F^H, where size =
+    n_irs * n_elements, and the linear term ``z``. ``form @ v`` applies
+    j_hat without forming it, and F is never stored: F t = conj((F^H)^T
+    conj(t)). ``j_hat`` is formed (once) only when a caller reads it. The
+    form is the one operator both descent kernels run: the numpy
+    reference through ``@``, the compiled one by reading the C-contiguous
+    complex arrays ``factor_h`` and ``z`` at ``addresses``. It is
+    immutable: its arrays are read-only, and one the caller could still
+    write through is copied, so a descent always runs the quadratic the
+    form describes. const_term collects the terms of the weighted MSE
     that do not depend on the phases, so that for any unit-modulus v
 
-        f(v) + const_term - omega * size == sum_k alpha_k q_k E_k.
+        f(v) + const_term == sum_k alpha_k q_k E_k.
     """
 
-    __slots__ = ("_j_hat", "factor_h", "z", "omega", "const_term",
-                 "n_irs", "n_elements", "size", "rank", "addresses")
+    __slots__ = ("factor_h", "z", "const_term", "n_irs", "n_elements", "size",
+                 "rank", "addresses", "_j_hat")
 
-    def __init__(self, j_hat, z, omega, const_term, n_irs, n_elements, *,
-                 factor_h=None):
-        if (j_hat is None) == (factor_h is None):
-            raise ValueError("give exactly one of j_hat and factor_h")
+    def __init__(self, factor_h, z, const_term, n_irs, n_elements):
         size = n_irs * n_elements
-        if factor_h is None:
-            j_hat = _frozen(j_hat)
-            if j_hat.shape != (size, size):
-                raise ValueError(f"j_hat must be ({size}, {size})")
-            rank = 0
-        else:
-            factor_h = _frozen(factor_h)
-            if factor_h.ndim != 2 or factor_h.shape[1] != size:
-                raise ValueError(f"factor_h must be (rank, {size})")
-            rank = factor_h.shape[0]
+        factor_h = _frozen(factor_h)
+        if factor_h.ndim != 2 or factor_h.shape[1] != size:
+            raise ValueError(f"factor_h must be (rank, {size})")
         z = _frozen(z)
         if z.shape != (size,):
             raise ValueError(f"z must be a vector of length {size}")
-        addresses = tuple(0 if a is None else a.ctypes.data
-                          for a in (j_hat, factor_h, z))
         for name, value in zip(self.__slots__, (
-                j_hat, factor_h, z, float(omega), const_term, n_irs,
-                n_elements, size, rank, addresses)):
+                factor_h, z, const_term, n_irs, n_elements, size,
+                factor_h.shape[0], (factor_h.ctypes.data, z.ctypes.data), None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -100,15 +86,9 @@ class QuadraticForm:
         return self._j_hat
 
     def __matmul__(self, v) -> np.ndarray:
-        """(j_hat + omega I) v, without forming j_hat for a factored form."""
-        if self.factor_h is None:
-            out = self._j_hat @ v
-        else:
-            out = np.dot(self.factor_h.T, np.dot(self.factor_h, v).conj())
-            np.conjugate(out, out=out)
-        if self.omega:
-            out += self.omega * v
-        return out
+        """j_hat v, as F (F^H v), without forming j_hat."""
+        out = np.dot(self.factor_h.T, np.dot(self.factor_h, v).conj())
+        return np.conjugate(out, out=out)
 
 
 def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
@@ -126,8 +106,7 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     product writes it in place. The other terms come from a few matrix
     products: the direct gains D = conj(h) W^T give the constant term, and
     z = sum_k H[:, k] o conj(G y_k) with y_k = alpha_k q_k (|u_k|^2
-    W_gram h_k - conj(u_k) w_k). The factored quadratic is PSD, so the
-    form carries no shift (omega = 0).
+    W_gram h_k - conj(u_k) w_k).
     """
     w = _w_matrix(beamformers)
     u = np.asarray(decoders, dtype=complex)
@@ -163,7 +142,7 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     y = (w_gram @ h.T) * cu - w.T * np.conj(aq * u)
     z = np.sum(h_ru * np.conj(g @ y), axis=1)
 
-    return QuadraticForm(None, z, 0.0, const, n_irs, n_el, factor_h=factor_h)
+    return QuadraticForm(factor_h, z, const, n_irs, n_el)
 
 
 def _phase_vector(phases) -> np.ndarray:
@@ -176,8 +155,7 @@ def _phase_vector(phases) -> np.ndarray:
 
 
 def objective(form: QuadraticForm, phases) -> float:
-    """Quadratic value at a feasible point; the shift contributes omega *
-    size for any unit-modulus argument."""
+    """Quadratic value at a feasible point."""
     v = _phase_vector(phases)
     if v.size != form.size:
         raise ValueError("phase vector length does not match the form")
@@ -187,7 +165,7 @@ def objective(form: QuadraticForm, phases) -> float:
 
 
 def euclidean_gradient(form: QuadraticForm, v) -> np.ndarray:
-    """Ambient gradient 2 (j_hat + omega I) v + 2 z; valid at any point."""
+    """Ambient gradient 2 j_hat v + 2 z; valid at any point."""
     v = np.asarray(v if not isinstance(v, PhaseConfig) else v.v_hat,
                    dtype=complex).reshape(-1)
     return 2.0 * (form @ v + form.z)
@@ -241,10 +219,9 @@ def rmcg_solve(form: QuadraticForm, init: PhaseConfig, *,
     starts at the minimizer of the second-order model of the objective
     along the retraction, so no step size is given; its Armijo constants
     are ``_kernels``' module constants, not arguments. The kernel runs
-    the form itself, so a factored form never becomes a dense matrix here
-    and a dense one is not copied; its argument check raises
-    ``ValueError`` for an ``init`` of another size, a NaN or negative
-    grad_tol, a rel_tol outside [0, 1) or a negative max_iters. The
+    the form itself, so ``j_hat`` is never formed here; its argument
+    check raises ``ValueError`` for an ``init`` of another size, a NaN or
+    negative grad_tol, a rel_tol outside [0, 1) or a negative max_iters. The
     returned objective sequence is non-increasing; if the line search
     stalls the incumbent is returned with the failure flagged.
     """

@@ -20,13 +20,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def random_kernel_inputs(rng, size):
-    a = complex_normal(rng, (size, size))
-    j_hat = 0.5 * (a + a.conj().T)
-    omega = float(np.max(np.sum(np.abs(j_hat), axis=1)))
-    q_mat = j_hat + omega * np.eye(size)
+    """A full-rank factored form: a square F^H, N^2 entries like j_hat."""
+    factor_h = complex_normal(rng, (size, size))
     z = complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(q_mat, z, 0.0, 0.0, 1, size), v0
+    return QuadraticForm(factor_h, z, 0.0, 1, size), v0
 
 
 def run_core(fn, form, v0, tol=None, iters=300, rel_tol=0.0):
@@ -35,36 +33,32 @@ def run_core(fn, form, v0, tol=None, iters=300, rel_tol=0.0):
     return fn(form, v0, tol, rel_tol, iters)
 
 
-def factored_kernel_inputs(rng, size, rank, omega):
-    """The same PSD quadratic F F^H + omega I as a factored form, a dense
-    form with the shift on its diagonal and a dense form with a scalar
-    shift."""
+def factored_kernel_inputs(rng, size, rank):
+    """The same PSD quadratic F F^H given by the (rank, size) factor F^H
+    and by a dense one, the square (size, size) factor U sqrt(L) U^H of
+    the eigendecomposition F F^H = U L U^H."""
     factor = complex_normal(rng, (size, rank))
     z = complex_normal(rng, size)
-    form = QuadraticForm(None, z, omega, 0.0, 1, size, factor_h=factor.conj().T)
-    dense = QuadraticForm(form.j_hat + omega * np.eye(size), z, 0.0, 0.0, 1, size)
-    shifted = QuadraticForm(form.j_hat, z, omega, 0.0, 1, size)
-    return form, dense, shifted
+    form = QuadraticForm(factor.conj().T, z, 0.0, 1, size)
+    eigvals, eigvecs = np.linalg.eigh(form.j_hat)
+    root = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
+    return form, QuadraticForm(root, z, 0.0, 1, size)
 
 
 class TestKernelParity:
     def test_factored_and_dense_operators_agree(self, rng):
-        # the same quadratic as a factored form, a dense form with the shift
-        # on its diagonal and a dense form with a scalar shift, each run by
-        # the compiled kernel and by the numpy reference: all must land on
-        # the same minimum and stay on the manifold; the sizes include an
-        # empty form, and ranks and sizes that leave remainders in the
-        # compiled kernel's row blocks and vector lanes
-        for size, rank, omega in ((3, 4, 0.0), (8, 4, 0.0), (17, 9, 1.5),
-                                  (1, 2, 0.0), (1, 1, 0.7), (6, 11, 2.0),
-                                  (0, 3, 0.0), (0, 1, 1.5), (33, 5, 0.0),
-                                  (17, 7, 1.5), (9, 2, 0.0)):
-            op_f, op_d, op_s = factored_kernel_inputs(rng, size, rank, omega)
-            assert op_f.factor_h is not None
-            assert op_d.factor_h is None and op_d.omega == 0.0
+        # the same quadratic by a low-rank and by a dense square factor,
+        # each run by the compiled kernel and by the numpy reference: all
+        # must land on the same minimum and stay on the manifold; the sizes
+        # include an empty form, and ranks and sizes that leave remainders
+        # in the compiled kernel's row blocks and vector lanes
+        for size, rank in ((3, 4), (8, 4), (17, 9), (1, 2), (1, 1), (6, 11),
+                           (0, 3), (0, 1), (33, 5), (17, 7), (9, 2)):
+            op_f, op_d = factored_kernel_inputs(rng, size, rank)
+            assert op_f.rank == rank and op_d.rank == size
             v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
             finals = []
-            for q_op in (op_f, op_d, op_s):
+            for q_op in (op_f, op_d):
                 for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
                     v, n, obj, _, _, _, conv = run_core(fn, q_op, v0, iters=2000)
                     assert conv
@@ -94,7 +88,7 @@ class TestKernelParity:
     def test_both_kernels_reject_bad_arguments(self, rng):
         form, v0 = random_kernel_inputs(rng, 5)
         # f(v) = |v|^2 - 4 Re(v) is stationary at v = 1: its gradient is 0
-        still = QuadraticForm(None, [-2.0], 0.0, 0.0, 1, 1, factor_h=[[1.0]])
+        still = QuadraticForm([[1.0]], [-2.0], 0.0, 1, 1)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with pytest.raises(ValueError, match="max_iters"):
                 fn(form, v0, 0.0, 0.0, -1)
@@ -126,7 +120,7 @@ class TestKernelParity:
         # max(grad_tol, rel_tol ||grad_0||), where the descent stops converged;
         # rel_tol = 0 is the absolute rule alone
         for size, rank in ((40, 9), (120, 16)):
-            form, _, _ = factored_kernel_inputs(rng, size, rank, 0.0)
+            form, _ = factored_kernel_inputs(rng, size, rank)
             v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
             grad_tol = 1e-2 * np.sqrt(size)
             stops = []
@@ -150,7 +144,7 @@ class TestKernelParity:
     def test_relative_tolerance_keeps_the_floor_on_a_nonfinite_start(self):
         # ||grad_0|| overflows to inf: the relative rule must not turn that
         # into an infinite tolerance, so the descent is not flagged converged
-        form = QuadraticForm(None, [1e200j], 0.0, 0.0, 1, 1, factor_h=[[1.0]])
+        form = QuadraticForm([[1.0]], [1e200j], 0.0, 1, 1)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with np.errstate(all="ignore"):
                 _, _, _, grad, _, _, conv = fn(form, np.ones(1, complex), 1e-6, 1e-2, 100)
@@ -164,7 +158,7 @@ class TestKernelParity:
             factor = complex_normal(rng, (1, 4))
             factor *= np.sqrt(1.7e6) / np.linalg.norm(factor)
             z = 141.0 * np.exp(2j * np.pi * rng.uniform(size=1))
-            form = QuadraticForm(None, z, 0.0, 0.0, 1, 1, factor_h=factor.conj().T)
+            form = QuadraticForm(factor.conj().T, z, 0.0, 1, 1)
             v0 = np.exp(2j * np.pi * rng.uniform(size=1))
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
                 _, n, _, _, _, failed, conv = run_core(fn, form, v0, iters=100)
@@ -172,31 +166,26 @@ class TestKernelParity:
 
 
 def with_overflowing_pair(form, v0):
-    """The block-scaled form with two more elements, as a factored and a
-    dense form, and the start point extended to them. The pair's diagonal
-    entries overflow the Hessian diagonal (F^H columns of four 2^511 entries,
-    so Q_mm = 2^1024 = inf; a dense Q_mm = 2^1023, so 2 Q_mm = inf), but
-    its rows are equal and the pair starts and stays at (u, -u), with z
-    entries (w, -w), so that its products with x vanish exactly and the
-    objective stays finite."""
+    """The block-scaled form with two more elements, and the start point
+    extended to them. The pair's diagonal entries overflow the Hessian
+    diagonal (F^H columns of four 2^511 entries, so Q_mm = 2^1024 = inf),
+    but its columns are equal and the pair starts and stays at (u, -u),
+    with z entries (w, -w), so that its products with x vanish exactly and
+    the objective stays finite."""
     size, rank = form.size, form.rank
     pair = np.exp(0.7j) * np.array([1.0, -1.0])
     z = np.concatenate([form.z, 0.3 * np.exp(2.1j) * np.array([1.0, -1.0])])
     factor_h = np.zeros((rank + 4, size + 2), complex)
     factor_h[:rank, :size] = form.factor_h
     factor_h[rank:, size:] = 2.0 ** 511
-    j_hat = np.zeros((size + 2, size + 2), complex)
-    j_hat[:size, :size] = form.j_hat
-    j_hat[size:, size:] = 2.0 ** 1023
-    return (QuadraticForm(None, z, 0.0, 0.0, 1, size + 2, factor_h=factor_h),
-            QuadraticForm(j_hat, z, 0.0, 0.0, 1, size + 2),
+    return (QuadraticForm(factor_h, z, 0.0, 1, size + 2),
             np.concatenate([v0, pair]))
 
 
 def preconditioner_cases(case, seed):
-    """(factored form, dense form, start, objective scale) for one of the
-    three branches of the preconditioner, on a block-scaled form; the
-    scale is trace(j_hat) + 2 |z|_1 of the block-scaled part."""
+    """(form, start, objective scale) for one of the three branches of the
+    preconditioner, on a block-scaled form; the scale is
+    trace(j_hat) + 2 |z|_1 of the block-scaled part."""
     rng = np.random.default_rng(seed)
     form = block_scaled_form(rng, 120, 36)
     scale = float(np.trace(form.j_hat).real) + 2.0 * float(np.sum(np.abs(form.z)))
@@ -206,10 +195,8 @@ def preconditioner_cases(case, seed):
     else:
         v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
     if case == "non-finite":
-        factored, dense, v0 = with_overflowing_pair(form, v0)
-    else:
-        factored, dense = form, QuadraticForm(form.j_hat, form.z, 0.0, 0.0, 1, form.size)
-    return factored, dense, v0, scale
+        form, v0 = with_overflowing_pair(form, v0)
+    return form, v0, scale
 
 
 class TestPreconditioner:
@@ -218,32 +205,31 @@ class TestPreconditioner:
     def test_kernels_agree_on_each_branch(self, case, seed):
         # the floor binds (some 2 Q_mm - rad_m <= 0 < max), or the diagonal
         # is not finite, or its max is not positive (both fall back to the
-        # plain gradient): on each, factored and dense, the compiled kernel
-        # and the numpy reference follow one path and stop together
-        factored, dense, v0, scale = preconditioner_cases(case, seed)
-        for form in (factored, dense):
+        # plain gradient): on each, the compiled kernel and the numpy
+        # reference follow one path and stop together
+        form, v0, scale = preconditioner_cases(case, seed)
+        with np.errstate(over="ignore"):
+            hess = _kernels.hessian_diagonal(form, v0)
+        if case == "floor":
+            assert np.min(hess) <= 0.0 < np.max(hess)
+        elif case == "non-finite":
+            assert not np.all(np.isfinite(hess))
+        else:
+            assert np.max(hess) <= 0.0
+        runs = []
+        for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with np.errstate(over="ignore"):
-                hess = _kernels.hessian_diagonal(form, v0)
-            if case == "floor":
-                assert np.min(hess) <= 0.0 < np.max(hess)
-            elif case == "non-finite":
-                assert not np.all(np.isfinite(hess))
-            else:
-                assert np.max(hess) <= 0.0
-            runs = []
-            for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                with np.errstate(over="ignore"):
-                    runs.append(run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
-                                         iters=SolverOptions().max_inner))
-            (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = runs
-            k = min(n_a, n_b) + 1
-            assert np.max(np.abs(obj_a[:k] - obj_b[:k])) <= 1e-9 * scale
-            assert abs(n_a - n_b) <= 1
-            for v, n, obj, grad, tang, failed, conv in runs:
-                assert conv and not failed
-                assert np.all(np.diff(obj[:n + 1]) <= 0.0)
-                assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-12
-                assert tang <= 1e-9 * np.max(grad[:n + 1])
+                runs.append(run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
+                                     iters=SolverOptions().max_inner))
+        (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = runs
+        k = min(n_a, n_b) + 1
+        assert np.max(np.abs(obj_a[:k] - obj_b[:k])) <= 1e-9 * scale
+        assert abs(n_a - n_b) <= 1
+        for v, n, obj, grad, tang, failed, conv in runs:
+            assert conv and not failed
+            assert np.all(np.diff(obj[:n + 1]) <= 0.0)
+            assert np.max(np.abs(np.abs(v) - 1.0)) <= 1e-12
+            assert tang <= 1e-9 * np.max(grad[:n + 1])
 
     def test_block_scaled_descent_is_short(self):
         # one fixed block-scaled form at the solver's size (N = 240, K = 8):
@@ -260,22 +246,21 @@ class TestPreconditioner:
 
 @st.composite
 def factored_operators(draw):
-    """Factored forms F F^H + omega I as the solver hands them to the
-    kernel, over size, rank (also above the size), shift, the scales of F
-    and z, and z inside or outside range(F); with a unit-modulus start."""
+    """Factored forms F F^H as the solver hands them to the kernel, over
+    size, rank (also above the size), the scales of F and z, and z inside
+    or outside range(F); with a unit-modulus start."""
     size = draw(st.integers(1, 300))
     rank = draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     f_scale = 10.0 ** draw(st.floats(-8.0, 2.0))
     z_scale = 10.0 ** draw(st.floats(-8.0, 2.0))
-    omega = draw(st.one_of(st.just(0.0), st.floats(1e-2, 1e2))) * f_scale ** 2
     factor = f_scale * complex_normal(rng, (size, rank))
     if draw(st.booleans()):
         z = factor @ (z_scale / f_scale * complex_normal(rng, rank))
     else:
         z = z_scale * complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(None, z, omega, 0.0, 1, size, factor_h=factor.conj().T), v0
+    return QuadraticForm(factor.conj().T, z, 0.0, 1, size), v0
 
 
 def rounding_spread(q_op, v0, n_iters, n_variants=8):
@@ -297,8 +282,8 @@ def rounding_spread(q_op, v0, n_iters, n_variants=8):
         c2 = rng.uniform(0.5, 2.0)
         turn = np.exp(2j * np.pi * rng.uniform())
         z_var = c2 * turn * q_op.z[rows]
-        op = QuadraticForm(None, z_var, c2 * q_op.omega, 0.0, 1, q_op.size,
-                           factor_h=np.sqrt(c2) * q_op.factor_h[cols][:, rows])
+        op = QuadraticForm(np.sqrt(c2) * q_op.factor_h[cols][:, rows], z_var, 0.0, 1,
+                           q_op.size)
         _, m, other, *_ = _kernels.rmcg_core_numpy(op, turn * v0[rows], 0.0, 0.0, n_iters)
         m = min(m, n) + 1
         spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
@@ -311,7 +296,7 @@ class TestFactoredProperties:
     @given(factored_operators())
     def test_descent_on_factored_operators(self, problem):
         q_op, v0 = problem
-        dense = q_op.factor_h.conj().T @ q_op.factor_h + q_op.omega * np.eye(q_op.size)
+        dense = q_op.j_hat
         trace = float(np.trace(dense).real)
         scale = trace + 2.0 * float(np.sum(np.abs(q_op.z)))
         v, n, obj, _, _, _, _ = _kernels.rmcg_core(q_op, v0, 0.0, 0.0, 60)
@@ -435,11 +420,10 @@ def test_bench_kernels_script_runs(tmp_path):
     assert out.returncode == 0, out.stderr
     header = out.stdout.splitlines()[1].split()
     kernels = ["compiled", "numpy"] if _kernels.JIT_ENABLED else ["numpy"]
-    assert header == ["size"] + [word for name in kernels
-                                 for op in ("factored", "dense") for word in (op, name)]
+    assert header == ["size"] + kernels
     rows = [line.split() for line in out.stdout.splitlines()[2:4]]
     assert [row[0] for row in rows] == ["8", "16"]
-    assert all(len(row) == 1 + 2 * len(kernels) for row in rows)
+    assert all(len(row) == 1 + len(kernels) for row in rows)
     # iterations and time to the solver's tolerance on block-scaled forms
     lines = out.stdout.splitlines()
     start = next(i for i, line in enumerate(lines) if line.startswith("block-scaled"))

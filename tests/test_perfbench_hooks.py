@@ -36,8 +36,8 @@ def test_wrapped_name_is_callable(module, attr, layer):
 def test_traced_kernel_call_records_size_and_flags(rng):
     # the tracer takes the size from the kernel's second positional
     # argument (v0) and n_iters and the two flags from its result
-    form = QuadraticForm(None, complex_normal(rng, 10), 0.0, 0.0, 1, 10,
-                         factor_h=complex_normal(rng, (4, 10)))
+    z = complex_normal(rng, 10)
+    form = QuadraticForm(complex_normal(rng, (4, 10)), z, 0.0, 1, 10)
     init = PhaseConfig.random(1, 10, rng)
     with load_tracing().Tracer().installed() as tracer:
         _, trace = rmcg_solve(form, init)

@@ -47,12 +47,6 @@ def quadratic_oracle(channels, w, u, q, alpha, noise):
     return j_hat, z, const
 
 
-def with_omega(form, omega):
-    """The assembled factored form with a scalar shift omega."""
-    return QuadraticForm(None, form.z, omega, form.const_term, form.n_irs,
-                         form.n_elements, factor_h=form.factor_h)
-
-
 def weighted_mse_direct(channels, phases, w, u, q, alpha, noise):
     """Route the objective through the effective channel and the MSE."""
     hbar = effective_channels(channels, phases)
@@ -69,7 +63,7 @@ class TestAssembleQuadratic:
                 rng, n_irs, n_el, n_users, n_tx)
             form = assemble_quadratic(channels, w, u, q, alpha, noise)
             phases = PhaseConfig.random(n_irs, n_el, rng)
-            via_form = objective(form, phases) + form.const_term - form.omega * form.size
+            via_form = objective(form, phases) + form.const_term
             direct = weighted_mse_direct(channels, phases, w, u, q, alpha, noise)
             assert via_form == pytest.approx(direct, rel=1e-9)
 
@@ -99,7 +93,6 @@ class TestAssembleQuadratic:
         form = assemble_quadratic(zeroed, w, u, q, alpha, noise)
         assert np.all(form.j_hat == 0)
         assert np.all(form.z == 0)
-        assert form.omega == 0.0
 
     def test_form_is_hermitian(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 3, 4, 3, 3)
@@ -109,8 +102,8 @@ class TestAssembleQuadratic:
     def test_gershgorin_shift_makes_psd(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 5, 3, 3)
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
-        eigvals = np.linalg.eigvalsh(form.j_hat + form.omega * np.eye(form.size))
-        assert eigvals.min() >= -1e-10 * max(form.omega, 1.0)
+        eigvals = np.linalg.eigvalsh(form.j_hat)
+        assert eigvals.min() >= -1e-10
 
 
 class TestFactoredForm:
@@ -158,68 +151,53 @@ class TestFactoredForm:
 
     def test_descent_never_forms_the_dense_matrix(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 6, 3, 3)
-        assembled = assemble_quadratic(channels, w, u, q, alpha, noise)
-        for form in (assembled, with_omega(assembled, 1.5)):
-            v = PhaseConfig.random(2, 6, rng)
-            rmcg_solve(form, v)
-            objective(form, v)
-            euclidean_gradient(form, v)
-            for kernel in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
-                kernel(form, v.v_hat, 0.0, 0.0, 5)
-            assert form._j_hat is None
-            # the kernel's matrix-free product is the dense one
-            dense = form.factor_h.conj().T @ form.factor_h + form.omega * np.eye(form.size)
-            assert np.allclose(form @ v.v_hat, dense @ v.v_hat, rtol=1e-12, atol=0.0)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
+        v = PhaseConfig.random(2, 6, rng)
+        rmcg_solve(form, v)
+        objective(form, v)
+        euclidean_gradient(form, v)
+        for kernel in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
+            kernel(form, v.v_hat, 0.0, 0.0, 5)
+        assert form._j_hat is None
+        # the kernel's matrix-free product is the dense one
+        dense = form.factor_h.conj().T @ form.factor_h
+        assert np.allclose(form @ v.v_hat, dense @ v.v_hat, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("omega", [0.0, 2.5])
-    def test_factored_and_dense_descents_agree(self, rng, omega):
-        # the kernel on F (F^H v) and on the dense F F^H reach the same minimum
+    def test_factored_descent_matches_its_trace(self, rng):
+        # the kernel on F (F^H v) converges, and objective() at its point
+        # is the last value of its trace
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 6, 3, 2)
-        factored = with_omega(assemble_quadratic(channels, w, u, q, alpha, noise), omega)
-        dense = QuadraticForm(factored.factor_h.conj().T @ factored.factor_h,
-                              factored.z, omega, factored.const_term, 1, 6)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
         v0 = PhaseConfig.random(1, 6, rng)
         # tolerance relative to the starting gradient: the absolute default
         # sits near rounding level for these unit-scale channels
-        g0 = np.linalg.norm(project_tangent(v0, euclidean_gradient(factored, v0.v_hat)))
-        out_f, trace_f = rmcg_solve(factored, v0, grad_tol=1e-7 * g0, max_iters=500)
-        out_d, trace_d = rmcg_solve(dense, v0, grad_tol=1e-7 * g0, max_iters=500)
-        assert trace_f.converged and trace_d.converged
-        assert objective(factored, out_f) == pytest.approx(trace_f.objectives[-1], rel=1e-9)
-        assert objective(dense, out_d) == pytest.approx(trace_d.objectives[-1], rel=1e-9)
-        assert trace_f.objectives[-1] == pytest.approx(trace_d.objectives[-1], rel=1e-9)
+        g0 = np.linalg.norm(project_tangent(v0, euclidean_gradient(form, v0.v_hat)))
+        out, trace = rmcg_solve(form, v0, grad_tol=1e-7 * g0, max_iters=500)
+        assert trace.converged
+        assert objective(form, out) == pytest.approx(trace.objectives[-1], rel=1e-9)
 
-    def test_dense_forms_by_position_and_keyword(self, rng):
-        j_hat = np.diag([1.0, 2.0]).astype(complex)
+    def test_forms_by_position_and_keyword(self, rng):
+        factor_h = np.diag([1.0, 2.0]).astype(complex)
         z = complex_normal(rng, 2)
-        by_pos = QuadraticForm(j_hat, z, 0.5, 1.0, 1, 2)
-        by_kw = QuadraticForm(j_hat=j_hat, z=z, omega=0.5, const_term=1.0,
+        by_pos = QuadraticForm(factor_h, z, 1.0, 1, 2)
+        by_kw = QuadraticForm(factor_h=factor_h, z=z, const_term=1.0,
                               n_irs=1, n_elements=2)
         for form in (by_pos, by_kw):
-            assert np.array_equal(form.j_hat, j_hat)
-            assert form.factor_h is None
-        with pytest.raises(ValueError):
-            QuadraticForm(j_hat, z, 0.0, 0.0, 1, 2, factor_h=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            QuadraticForm(None, z, 0.0, 0.0, 1, 2)
+            assert np.array_equal(form.factor_h, factor_h)
+            assert np.array_equal(form.j_hat, np.diag([1.0, 4.0]))
+            assert form.const_term == 1.0
 
     def test_construction_checks_shapes(self, rng):
         # size = n_irs * n_elements = 2 * 3
-        j_hat, z = np.eye(6, dtype=complex), complex_normal(rng, 6)
+        z = complex_normal(rng, 6)
         factor_h = complex_normal(rng, (6, 4)).T
-        QuadraticForm(j_hat, z, 0.0, 0.0, 2, 3)
-        QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor_h=factor_h)
-        for bad_j_hat in (np.eye(5), np.ones((6, 5)), np.ones(6), np.eye(7)):
-            with pytest.raises(ValueError, match="j_hat"):
-                QuadraticForm(bad_j_hat, z, 0.0, 0.0, 2, 3)
+        QuadraticForm(factor_h, z, 0.0, 2, 3)
         for bad_factor_h in (factor_h[:, :5], np.hstack([factor_h, factor_h]), np.ones(6)):
             with pytest.raises(ValueError, match="factor_h"):
-                QuadraticForm(None, z, 0.0, 0.0, 2, 3, factor_h=bad_factor_h)
+                QuadraticForm(bad_factor_h, z, 0.0, 2, 3)
         for bad_z in (z[:5], np.append(z, 1.0), z.reshape(2, 3)):
             with pytest.raises(ValueError, match="z"):
-                QuadraticForm(j_hat, bad_z, 0.0, 0.0, 2, 3)
-            with pytest.raises(ValueError, match="z"):
-                QuadraticForm(None, bad_z, 0.0, 0.0, 2, 3, factor_h=factor_h)
+                QuadraticForm(factor_h, bad_z, 0.0, 2, 3)
 
     def test_assembled_form_stores_one_factor(self, rng):
         # F^H is the form's one (K^2, N) array: C-contiguous, read-only and
@@ -230,15 +208,15 @@ class TestFactoredForm:
         factor_h = form.factor_h
         assert factor_h.shape == (9, 10) and factor_h.flags.c_contiguous
         assert not factor_h.flags.writeable
-        assert form.addresses == (0, factor_h.ctypes.data, form.z.ctypes.data)
+        assert form.addresses == (factor_h.ctypes.data, form.z.ctypes.data)
         # a read-only array that owns its data is kept as is; a read-only
         # view is copied, since its base may still be written
-        kept = QuadraticForm(None, form.z, 0.0, 0.0, 2, 5, factor_h=factor_h)
+        kept = QuadraticForm(factor_h, form.z, 0.0, 2, 5)
         assert kept.factor_h is factor_h
         base = np.array(factor_h)
         view = base[:]
         view.setflags(write=False)
-        copied = QuadraticForm(None, form.z, 0.0, 0.0, 2, 5, factor_h=view)
+        copied = QuadraticForm(view, form.z, 0.0, 2, 5)
         assert not np.shares_memory(copied.factor_h, base)
 
     def test_form_is_immutable(self, rng):
@@ -246,20 +224,19 @@ class TestFactoredForm:
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
         v0 = PhaseConfig.random(1, 4, rng)
         _, before = rmcg_solve(form, v0)
-        for name, value in (("z", -form.z), ("omega", 3.0), ("factor_h", 2.0 * form.factor_h),
+        for name, value in (("z", -form.z), ("factor_h", 2.0 * form.factor_h),
                             ("j_hat", np.eye(4)), ("const_term", 0.0), ("size", 3),
                             ("new_attribute", 1)):
             with pytest.raises(AttributeError):
                 setattr(form, name, value)
         # its arrays are read-only: an in-place write cannot change the
         # quadratic under a built form
-        dense = QuadraticForm(form.j_hat, form.z, 0.0, 0.0, 1, 4)
-        for arr in (form.factor_h, form.z, form.j_hat, dense.j_hat):
+        for arr in (form.factor_h, form.z, form.j_hat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] *= 3.0
         # the caller's array stays writable, and writing it leaves the form as is
         given = np.array(form.factor_h)
-        copied = QuadraticForm(None, form.z, 0.0, 0.0, 1, 4, factor_h=given)
+        copied = QuadraticForm(given, form.z, 0.0, 1, 4)
         given[0] *= 3.0
         assert np.array_equal(copied.factor_h, form.factor_h)
         # the next descent runs the same quadratic
@@ -269,20 +246,10 @@ class TestFactoredForm:
 
 class TestObjective:
     def test_constant_form(self):
-        form_inputs = (np.zeros((2, 2), dtype=complex), np.zeros(2, dtype=complex))
-        from irsopt.phaseopt import QuadraticForm
-        form = QuadraticForm(*form_inputs, omega=3.0, const_term=0.0,
-                             n_irs=1, n_elements=2)
+        # j_hat = 3 I is constant on the circles: 3 * size
+        form = QuadraticForm(np.sqrt(3.0) * np.eye(2), np.zeros(2, dtype=complex), 0.0, 1, 2)
         v = PhaseConfig.random(1, 2, np.random.default_rng(0))
         assert objective(form, v) == pytest.approx(3.0 * 2, abs=1e-12)
-
-    def test_shift_adds_exactly_omega_times_size(self, rng):
-        channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 3, 2, 2)
-        f0 = assemble_quadratic(channels, w, u, q, alpha, noise)
-        f5 = with_omega(f0, 5.0)
-        phases = PhaseConfig.random(2, 3, rng)
-        assert (objective(f5, phases) - objective(f0, phases)
-                == pytest.approx(5.0 * 6, abs=1e-9))
 
     def test_hermitian_quadratic_is_real(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 4, 2, 3)
@@ -300,19 +267,18 @@ class TestObjective:
 
 class TestEuclideanGradient:
     def test_linear_form_gradient(self, rng):
-        from irsopt.phaseopt import QuadraticForm
         z = complex_normal(rng, 4)
-        form = QuadraticForm(np.zeros((4, 4), dtype=complex), z, 0.0, 0.0, 1, 4)
+        form = QuadraticForm(np.zeros((1, 4), dtype=complex), z, 0.0, 1, 4)
         v = complex_normal(rng, 4)
         assert np.allclose(euclidean_gradient(form, v), 2 * z)
 
     def test_stationary_point(self, rng):
-        from irsopt.phaseopt import QuadraticForm
         a = complex_normal(rng, (3, 3))
-        j_hat = a @ a.conj().T + 3 * np.eye(3)  # positive definite
+        # F = [a, sqrt(3) I]: j_hat = a a^H + 3 I is positive definite
+        factor_h = np.hstack([a, np.sqrt(3.0) * np.eye(3)]).conj().T
         z = complex_normal(rng, 3)
-        form = QuadraticForm(j_hat, z, 0.0, 0.0, 1, 3)
-        v_star = np.linalg.solve(j_hat, -z)
+        form = QuadraticForm(factor_h, z, 0.0, 1, 3)
+        v_star = np.linalg.solve(a @ a.conj().T + 3 * np.eye(3), -z)
         assert np.linalg.norm(euclidean_gradient(form, v_star)) < 1e-10
 
     def test_matches_finite_differences(self, rng):
@@ -324,7 +290,6 @@ class TestEuclideanGradient:
 
             def f(vec):
                 return float(np.vdot(vec, form.j_hat @ vec).real
-                             + form.omega * np.vdot(vec, vec).real
                              + 2.0 * np.vdot(vec, form.z).real)
 
             for _ in range(3):
@@ -400,9 +365,9 @@ class TestRetract:
 
 class TestRmcgSolve:
     def test_already_stationary(self, rng):
-        from irsopt.phaseopt import QuadraticForm
-        form = QuadraticForm(2.0 * np.eye(3, dtype=complex),
-                             np.zeros(3, dtype=complex), 1.0, 0.0, 1, 3)
+        # j_hat = 3 I and z = 0: the gradient 6 v is radial everywhere
+        form = QuadraticForm(np.sqrt(3.0) * np.eye(3, dtype=complex),
+                             np.zeros(3, dtype=complex), 0.0, 1, 3)
         v0 = PhaseConfig.random(1, 3, rng)
         out, trace = rmcg_solve(form, v0)
         assert trace.n_iters == 0
@@ -416,7 +381,7 @@ class TestRmcgSolve:
             v0 = PhaseConfig.random(1, 1, rng)
             out, _ = rmcg_solve(form, v0, grad_tol=1e-10, max_iters=200)
             theta = np.linspace(0.0, 2 * np.pi, 3600, endpoint=False)
-            values = (form.j_hat[0, 0].real + form.omega
+            values = (form.j_hat[0, 0].real
                       + 2 * np.real(np.exp(-1j * theta) * form.z[0]))
             best = theta[np.argmin(values)]
             diff = np.angle(out.v_hat[0] * np.exp(-1j * best))
@@ -441,25 +406,22 @@ class TestRmcgSolve:
         after = weighted_mse_direct(channels, out, w, u, q, alpha, noise)
         assert after <= before + 1e-10
 
-    def test_omega_choice_does_not_move_minimizer(self, rng):
-        # the descent from one start lands on the same phases with and
-        # without a shift, within a cell of a 1-degree grid's argmin
+    def test_descent_lands_on_the_grid_minimizer(self, rng):
+        # two elements: the descent lands within a cell of a 1-degree
+        # grid's argmin
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 2, 2, 2)
-        f0 = assemble_quadratic(channels, w, u, q, alpha, noise)
+        form = assemble_quadratic(channels, w, u, q, alpha, noise)
         v0 = PhaseConfig.random(1, 2, rng)
-        out0, _ = rmcg_solve(f0, v0)
-        out5, _ = rmcg_solve(with_omega(f0, 5.0), v0)
-        assert np.max(np.abs(out0.v_hat - out5.v_hat)) <= 1e-6
+        out, _ = rmcg_solve(form, v0)
         theta = np.deg2rad(np.arange(360.0))
         t1, t2 = np.meshgrid(theta, theta, indexing="ij")
         grid = np.stack([np.exp(1j * t1).ravel(), np.exp(1j * t2).ravel()])
-        # objective(f0, v) at every grid column v at once
-        values = (np.sum(np.conj(grid) * (f0 @ grid), axis=0).real
-                  + 2.0 * (np.conj(grid).T @ f0.z).real)
+        # objective(form, v) at every grid column v at once
+        values = (np.sum(np.conj(grid) * (form @ grid), axis=0).real
+                  + 2.0 * (np.conj(grid).T @ form.z).real)
         best = grid[:, np.argmin(values)]
-        for out in (out0, out5):
-            gap = np.abs(np.angle(out.v_hat * np.conj(best)))
-            assert np.all(gap <= np.deg2rad(1.0))
+        gap = np.abs(np.angle(out.v_hat * np.conj(best)))
+        assert np.all(gap <= np.deg2rad(1.0))
 
     def test_line_search_failure_returns_incumbent(self, rng, monkeypatch):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 4, 2, 2)
@@ -471,9 +433,8 @@ class TestRmcgSolve:
         assert np.array_equal(out.v_hat, v0.v_hat)
 
     def test_empty_form(self):
-        from irsopt.phaseopt import QuadraticForm
         form = QuadraticForm(np.zeros((0, 0), dtype=complex),
-                             np.zeros(0, dtype=complex), 0.0, 0.0, 0, 0)
+                             np.zeros(0, dtype=complex), 0.0, 0, 0)
         empty = PhaseConfig(np.zeros(0, dtype=complex), 0, 0)
         out, trace = rmcg_solve(form, empty)
         assert out.size == 0

@@ -271,13 +271,17 @@ class TestSolverOptions:
 
 class TestConvergenceFlag:
     def test_wsr_drop_is_not_converged(self, desk_setup, monkeypatch, caplog):
-        # a phase step that maximizes the weighted MSE instead of minimizing it
+        # a phase step that maximizes the weighted MSE instead of minimizing
+        # it: it descends c I - j_hat with linear term -z, c the largest
+        # eigenvalue of j_hat, and c I is constant on the circles
         scenario, channels = desk_setup
         real_rmcg = rmcg_solve
 
         def worse_phases(form, init, **kwargs):
             from irsopt.phaseopt import QuadraticForm
-            flipped = QuadraticForm(-form.j_hat, -form.z, 0.0, 0.0,
+            eigvals, eigvecs = np.linalg.eigh(form.j_hat)
+            root = eigvecs * np.sqrt(eigvals[-1] - eigvals)
+            flipped = QuadraticForm(root.conj().T, -form.z, 0.0,
                                     form.n_irs, form.n_elements)
             return real_rmcg(flipped, init, **kwargs)
 
