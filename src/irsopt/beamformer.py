@@ -27,8 +27,10 @@ from .wmmse import BeamformerSet
 EIG_TRUNCATION_REL = 1e-12
 # The dual search stops at a power within POWER_TOL_REL * p_max of the cap
 # or a bracket narrower than LAMBDA_TOL_REL * lambda_max; constants, not
-# options, since one value of each is in use.
-POWER_TOL_REL = 1e-8
+# options, since one value of each is in use. A power off the cap changes
+# the WSR between outer iterations, so POWER_TOL_REL sits at the solver's
+# MONOTONE_TOL_REL: at 1e-8 a desk solve logged a 4e-10 relative drop.
+POWER_TOL_REL = 1e-12
 LAMBDA_TOL_REL = 1e-12
 
 

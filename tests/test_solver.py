@@ -321,6 +321,17 @@ class TestConvergenceFlag:
         assert trace.converged
         assert trace.wsr[-1] >= 0.9595
 
+    def test_power_tolerance_does_not_drop_the_wsr(self, caplog):
+        # a desk draw on which a dual search that stopped up to 1e-8 of the
+        # cap off it let the WSR drop by 4.3e-10 relative at outer iteration
+        # 16, so the solve stopped unconverged after 17
+        scenario = desk_scenario(user_seed=89, rng_seed=89)
+        channels = draw_channels(scenario, np.random.default_rng([8300, 89]))
+        with caplog.at_level("WARNING", logger="irsopt.solver"):
+            _, _, trace = solve(scenario, channels, SolverOptions(outer_tol=1e-8))
+        assert trace.converged
+        assert not any("dropped" in rec.message for rec in caplog.records)
+
 
 @st.composite
 def ring_problems(draw):
