@@ -27,7 +27,7 @@ from .solver import solve
 log = logging.getLogger(__name__)
 
 TRACE_HEADER = ("iter,wsr_nats,wsr_bits,wmse_obj,lambda,inner_iters,time_ms,probes,"
-                "inner_converged,line_search_failed")
+                "inner_converged,line_search_failed,extrap_accepted,phase_grad0")
 
 
 def _configure_logging() -> None:
@@ -67,7 +67,8 @@ def _cmd_solve(args) -> int:
             repr(float(trace.wmse_obj[i])), repr(float(trace.lam[i])),
             str(int(trace.inner_iters[i])), f"{1e3 * trace.wall_time_s[i]:.3f}",
             str(int(trace.probes[i])), str(int(trace.inner_converged[i])),
-            str(int(trace.line_search_failed[i]))]))
+            str(int(trace.line_search_failed[i])), str(int(trace.extrap_accepted[i])),
+            repr(float(trace.phase_grad0[i]))]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as handle:

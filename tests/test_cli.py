@@ -13,13 +13,14 @@ class TestSolveCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == TRACE_HEADER
         assert TRACE_HEADER.endswith(
-            ",time_ms,probes,inner_converged,line_search_failed")
+            ",time_ms,probes,inner_converged,line_search_failed,extrap_accepted,phase_grad0")
         assert len(lines) >= 2
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == len(TRACE_HEADER.split(","))
-            assert 0 <= int(fields[-3]) <= 40
-            assert fields[-2] in ("0", "1") and fields[-1] in ("0", "1")
+            assert 0 <= int(fields[-5]) <= 40
+            assert all(flag in ("0", "1") for flag in fields[-4:-1])
+            assert float(fields[-1]) >= 0.0
         err = capsys.readouterr().err
         assert "converged=" in err
 

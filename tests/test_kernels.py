@@ -437,3 +437,23 @@ def test_bench_kernels_script_runs(tmp_path):
         iters, ms = [int(w) for w in row[1::2]], [float(w) for w in row[2::2]]
         assert all(0 < n <= SolverOptions().max_inner for n in iters)
         assert all(t > 0.0 for t in ms)
+
+
+def test_bench_outer_script_runs(tmp_path):
+    script = SRC.parent / "benchmarks" / "bench_outer.py"
+    out = subprocess.run([sys.executable, str(script), "--presets", "desk",
+                          "--draws", "3", "--seed", "5"],
+                         capture_output=True, text=True, timeout=300,
+                         cwd=tmp_path, env=_subprocess_env())
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("desk: 3 draws, seed 5, max_outer 100")
+    assert lines[1].split() == ["loop", "outer", "max", "caps", "wsr_nats"]
+    rows = [line.split() for line in lines[2:4]]
+    assert [row[0] for row in rows] == ["extrapolated", "plain"]
+    for row in rows:
+        mean, top, caps = float(row[1]), int(row[2]), int(row[3])
+        assert 1.0 <= mean <= top <= SolverOptions().max_outer
+        assert 0 <= caps <= 3 and float(row[4]) > 0.0
+    assert lines[4].startswith("paired wsr: mean ")
+    assert "standard error" in lines[4] and "moved by more than" in lines[4]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from irsopt import (BeamformerSet, PhaseConfig, SolverOptions, assemble_quadratic,
                     compute_mse, compute_rates, desk_scenario, draw_channels,
-                    effective_channels, initialize, ring_scenario, rmcg_solve, solve,
+                    effective_channels, full_scenario, initialize, ring_scenario, rmcg_solve, solve,
                     solve_beamforming, strip_irs, update_decoders,
                     update_weights, weighted_sum_rate, wmse_objective)
 from irsopt import solver as solver_mod
@@ -119,7 +119,9 @@ class TestSolve:
         assert np.array_equal(t1.inner_iters, t2.inner_iters)
         assert np.array_equal(t1.inner_converged, t2.inner_converged)
         assert np.array_equal(t1.line_search_failed, t2.line_search_failed)
-        for flags in (t1.inner_converged, t1.line_search_failed):
+        assert np.array_equal(t1.extrap_accepted, t2.extrap_accepted)
+        assert np.array_equal(t1.phase_grad0, t2.phase_grad0)
+        for flags in (t1.inner_converged, t1.line_search_failed, t1.extrap_accepted):
             assert flags.dtype == bool and flags.shape == (t1.n_outer,)
 
     def test_descent_health_matches_each_descent(self, desk_setup, monkeypatch):
@@ -151,6 +153,33 @@ class TestSolve:
         assert not trace.line_search_failed.any()
         assert not trace.inner_iters.any()
 
+    @pytest.mark.parametrize("frozen", ["optimize_phases", "strip_irs"])
+    def test_frozen_phases_run_no_extrapolation(self, desk_setup, monkeypatch, frozen):
+        # with nothing to descend, no trial runs: the solve is the plain
+        # loop's, bit for bit
+        scenario, channels = desk_setup
+        opts = SolverOptions(outer_tol=1e-12, max_outer=12,
+                             optimize_phases=frozen != "optimize_phases")
+        if frozen == "strip_irs":
+            channels = strip_irs(channels)
+
+        def run():
+            return solve(scenario, channels, opts, rng=np.random.default_rng(3))
+
+        beams, phases, trace = run()
+        assert trace.n_outer > solver_mod.EXTRAP_START
+        monkeypatch.setattr(solver_mod, "EXTRAP_START", opts.max_outer)
+        plain_beams, plain_phases, plain = run()
+        assert not trace.extrap_accepted.any()
+        assert np.isnan(trace.phase_grad0).all()
+        assert np.array_equal(beams.w, plain_beams.w)
+        assert np.array_equal(phases.v_hat, plain_phases.v_hat)
+        for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
+                     "line_search_failed", "extrap_accepted"):
+            assert np.array_equal(getattr(trace, name), getattr(plain, name)), name
+        assert trace.initial_wsr == plain.initial_wsr
+        assert trace.converged == plain.converged
+
     def test_feasible_solution(self, desk_setup):
         scenario, channels = desk_setup
         beams, phases, _ = solve(scenario, channels, rng=np.random.default_rng(3))
@@ -159,7 +188,6 @@ class TestSolve:
 
     def test_full_size_preset_pins_power_at_one_watt(self):
         # at the full-size preset the 1 W budget binds and is matched tightly
-        from irsopt import full_scenario
         scenario = full_scenario(user_seed=0)
         channels = draw_channels(scenario, np.random.default_rng(1))
         beams, _, trace = solve(scenario, channels, rng=np.random.default_rng(2))
@@ -321,6 +349,20 @@ class TestConvergenceFlag:
         assert trace.converged
         assert trace.wsr[-1] >= 0.9595
 
+    def test_extrapolation_ends_a_crawling_solve(self):
+        # a full draw (seeded as perfbench seeds its operations) on which the
+        # plain alternating loop crawled: it hit max_outer = 100 unconverged
+        # at 5.8508 nats, where the extrapolated loop converges in 21
+        seq = np.random.SeedSequence([44, 39])
+        user_seed, init_seed = (int(x) for x in seq.generate_state(2))
+        scenario = full_scenario(user_seed=user_seed, rng_seed=init_seed)
+        channels = draw_channels(scenario, np.random.default_rng(seq.spawn(1)[0]))
+        _, _, trace = solve(scenario, channels, SolverOptions())
+        assert trace.converged
+        assert trace.n_outer <= 40
+        assert trace.wsr[-1] >= 5.85
+        assert trace.extrap_accepted.any()
+
     def test_power_tolerance_does_not_drop_the_wsr(self, caplog):
         # a desk draw on which a dual search that stopped up to 1e-8 of the
         # cap off it let the WSR drop by 4.3e-10 relative at outer iteration
@@ -359,21 +401,29 @@ def ring_problems(draw):
 class TestScenarioSpace:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(problem=ring_problems(), rel_tol=st.sampled_from((0.0, 1e-2, 1e-1)))
-    def test_solve_invariants(self, problem, rel_tol, caplog, monkeypatch):
+    @given(problem=ring_problems(), rel_tol=st.sampled_from((0.0, 1e-2, 1e-1)),
+           extrap_start=st.sampled_from((1, 5, 30)), bare=st.booleans())
+    def test_solve_invariants(self, problem, rel_tol, extrap_start, bare, caplog,
+                              monkeypatch):
         # the solver's invariants hold away from the presets too, whatever
-        # relative tolerance stops its phase descents
+        # relative tolerance stops its phase descents, wherever the
+        # extrapolation trials start (30 = never, at max_outer) and with
+        # the surfaces removed
         scenario, channels, seed = problem
+        if bare:
+            channels = strip_irs(channels)
+        opts = SolverOptions(max_outer=30)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="irsopt"), \
                 monkeypatch.context() as patch:
             patch.setattr(solver_mod, "PHASE_REL_TOL", rel_tol)
-            beams, phases, trace = solve(scenario, channels, SolverOptions(max_outer=30),
+            patch.setattr(solver_mod, "EXTRAP_START", extrap_start)
+            beams, phases, trace = solve(scenario, channels, opts,
                                          rng=np.random.default_rng(seed))
         assert not caplog.records
         assert np.all(np.isfinite(beams.w)) and np.all(np.isfinite(phases.v_hat))
         assert beams.total_power <= scenario.p_max * (1.0 + POWER_TOL_REL)
-        assert np.max(np.abs(np.abs(phases.v_hat) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.abs(phases.v_hat) - 1.0), initial=0.0) <= 1e-12
         history = np.concatenate(([trace.initial_wsr], trace.wsr))
         assert np.all(np.isfinite(history))
         assert np.all(np.diff(history) >= -MONOTONE_TOL_REL * np.abs(history[:-1]))
@@ -381,6 +431,13 @@ class TestScenarioSpace:
             effective_channels(channels, phases), beams, scenario.noise_power))
         assert wsr == pytest.approx(trace.wsr[-1], rel=1e-12)
         for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
-                     "line_search_failed", "wall_time_s"):
+                     "line_search_failed", "extrap_accepted", "wall_time_s"):
             values = getattr(trace, name)
             assert values.shape == (trace.n_outer,) and np.all(np.isfinite(values))
+        assert not trace.extrap_accepted[:extrap_start].any()
+        assert trace.phase_grad0.shape == (trace.n_outer,)
+        if bare:
+            assert not trace.extrap_accepted.any()
+            assert np.isnan(trace.phase_grad0).all()
+        else:
+            assert np.all(trace.phase_grad0 >= 0.0)
