@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from irsopt import (BeamformerSet, PhaseConfig, SolverOptions, assemble_quadratic,
                     compute_mse, compute_rates, desk_scenario, draw_channels,
-                    effective_channels, full_scenario, initialize, ring_scenario, rmcg_solve, solve,
-                    solve_beamforming, strip_irs, update_decoders,
+                    effective_channels, full_scenario, initialize, ring_scenario,
+                    rmcg_solve, solve, solve_beamforming, strip_irs, update_decoders,
                     update_weights, weighted_sum_rate, wmse_objective)
 from irsopt import solver as solver_mod
 from irsopt.beamformer import POWER_TOL_REL
