@@ -18,7 +18,7 @@ Usage: python benchmarks/bench_outer.py [--presets desk,full] [--draws 200]
 """
 
 import argparse
-from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 
@@ -35,17 +35,6 @@ def perfbench_draw(preset, seed, i):
     user_seed, init_seed = (int(x) for x in seq.generate_state(2))
     scenario = preset(user_seed=user_seed, rng_seed=init_seed)
     return scenario, draw_channels(scenario, np.random.default_rng(seq.spawn(1)[0]))
-
-
-@contextmanager
-def plain_loop(max_outer):
-    """No extrapolation trial within max_outer outer iterations."""
-    saved = solver.EXTRAP_START
-    solver.EXTRAP_START = max_outer
-    try:
-        yield
-    finally:
-        solver.EXTRAP_START = saved
 
 
 def summary(name, outer, wsr, max_outer):
@@ -68,7 +57,7 @@ def main():
         for i in range(args.draws):
             scenario, channels = perfbench_draw(preset, args.seed, i)
             _, _, trace = solver.solve(scenario, channels, opts)
-            with plain_loop(opts.max_outer):
+            with mock.patch.object(solver, "EXTRAP_START", opts.max_outer):
                 _, _, plain = solver.solve(scenario, channels, opts)
             for loop, t in (("extrapolated", trace), ("plain", plain)):
                 outer[loop].append(t.n_outer)
