@@ -33,7 +33,7 @@ def make_form(rng, size, n_users):
     factor_h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(factor_h, z, 0.0, 1, size), v0
+    return QuadraticForm(factor_h, z, 1, size), v0
 
 
 def time_kernel(kernel, form, v0, iters, repeats=5):

@@ -14,7 +14,7 @@ from .experiments import (ExperimentSpec, ResultRow, run_baseline,
                           run_experiment, summarize)
 from .phaseopt import (QuadraticForm, RmcgTrace, assemble_quadratic,
                        euclidean_gradient, objective, project_tangent,
-                       retract, rmcg_solve)
+                       quadratic_constant, retract, rmcg_solve)
 from .scenario import (ScenarioParams, desk_scenario, full_scenario,
                        load_scenario, ring_scenario, save_scenario)
 from .solver import SolveTrace, SolverOptions, initialize, solve
@@ -32,7 +32,7 @@ __all__ = [
     "compute_mse", "compute_rates", "desk_scenario", "draw_channels",
     "effective_channels", "euclidean_gradient", "full_scenario", "initialize",
     "lambda_upper_bound", "load_scenario", "objective", "optimal_state",
-    "path_loss", "power_g", "project_tangent", "retract",
+    "path_loss", "power_g", "project_tangent", "quadratic_constant", "retract",
     "ring_scenario", "rmcg_solve", "run_baseline", "run_experiment",
     "save_scenario", "solve", "solve_beamforming", "strip_irs", "summarize",
     "ula_steering", "update_decoders", "update_weights", "weighted_sum_rate",

@@ -32,6 +32,9 @@ EIG_TRUNCATION_REL = 1e-12
 # MONOTONE_TOL_REL: at 1e-8 a desk solve logged a 4e-10 relative drop.
 POWER_TOL_REL = 1e-12
 LAMBDA_TOL_REL = 1e-12
+# Relative slack on p_max for beamformers that are checked, not solved for:
+# the bracket end lambda_max, and the solver's warm-start beamformers.
+POWER_SLACK_REL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
     u = np.asarray(decoders, dtype=complex)
     q = np.asarray(mse_weights, dtype=float)
     alpha = np.asarray(weights, dtype=float)
-    if np.any(q <= 0):
+    if not q.min() > 0:   # NaN fails too
         raise ValueError("surrogate weights must be positive")
     scale = alpha * q * np.abs(u) ** 2
     gram = (hbar.T * scale) @ np.conj(hbar)
@@ -85,10 +88,11 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
         eigvals, eigvecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition of the Gram matrix failed") from exc
+    # eigh sorts ascending, so the eigenvalues above the cutoff are a suffix
     cutoff = EIG_TRUNCATION_REL * max(float(eigvals[-1]), 0.0)
-    keep = eigvals > cutoff
-    eigvals = eigvals[keep]
-    eigvecs = eigvecs[:, keep]
+    n_null = int(np.searchsorted(eigvals, cutoff, side="right"))
+    eigvals = eigvals[n_null:]
+    eigvecs = eigvecs[:, n_null:]
     aqu = alpha * q * u
     proj = np.conj(eigvecs).T @ hbar.T  # (n_pos, n_users), column k = F1^H hbar_k
     zdiag = np.abs(u[:, None]) ** 2 * np.abs(proj.T) ** 2
@@ -182,7 +186,7 @@ def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
     if power_g(0.0, ctx) <= p_max:
         return beamformers_at(0.0, ctx), 0.0, 0
     lam_max = lambda_upper_bound(ctx, p_max)
-    if power_g(lam_max, ctx) > p_max * (1.0 + 1e-9):
+    if power_g(lam_max, ctx) > p_max * (1.0 + POWER_SLACK_REL):
         raise NumericalError("dual search bracket is invalid; upper bound violated")
     c, d = ctx.mode_coef.tolist(), ctx.eigvals.tolist()
     lam0 = max(0.0, *(math.sqrt(ci / p_max) - di for ci, di in zip(c, d)))

@@ -201,10 +201,13 @@ def draw_channels(params, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(h_direct, g_bs_irs, h_irs_user)
 
 
-def effective_channels(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
+def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
     """Combined channel per user: row k holds hbar_k with
     hbar_k^H = h_k^H + sum_l h_{l,k}^H diag(v_l) G_l.
 
+    ``phases`` is a ``PhaseConfig``, or a stacked vector laid out as its
+    ``v_hat`` (the solver scores extrapolated points this way, before it
+    wraps one), whose length must be n_irs * n_elements of the channels.
     The surfaces are stacked into 2-D arrays whose N = n_irs * n_elements
     phase elements follow ``v_hat`` (surface, then element): G (N, n_tx)
     holds the BS -> element links and H^T (n_users, N) the element -> user
@@ -213,16 +216,22 @@ def effective_channels(channels: ChannelSet, phases: PhaseConfig) -> np.ndarray:
 
     Returns an (n_users, n_tx) array; hbar_k^H w is np.vdot(hbar[k], w).
     """
-    if phases.n_irs != channels.n_irs:
-        raise ValueError("phase config does not match channel surface count")
+    if isinstance(phases, PhaseConfig):
+        if phases.n_irs != channels.n_irs:
+            raise ValueError("phase config does not match channel surface count")
+        if channels.n_irs and phases.n_elements != channels.n_elements:
+            raise ValueError("phase config does not match element count")
+        v = phases.v_hat
+    else:
+        v = phases
+        if v.shape != (channels.n_irs * channels.n_elements,):
+            raise ValueError("phase vector length does not match the channels")
     if channels.n_irs == 0:
         return channels.h_direct.copy()
-    if phases.n_elements != channels.n_elements:
-        raise ValueError("phase config does not match element count")
-    size = phases.size
+    size = v.shape[0]
     g = channels.g_bs_irs.reshape(size, channels.n_tx)
     h_t = channels.h_irs_user.transpose(1, 0, 2).reshape(channels.n_users, size)
-    return channels.h_direct + (h_t * np.conj(phases.v_hat)) @ np.conj(g)
+    return channels.h_direct + (h_t * np.conj(v)) @ np.conj(g)
 
 
 def strip_irs(channels: ChannelSet) -> ChannelSet:

@@ -40,28 +40,28 @@ def _frozen(a) -> np.ndarray:
 
 
 class QuadraticForm:
-    """f(v) = v^H j_hat v + 2 Re(v^H z), with j_hat = F F^H, plus
-    bookkeeping.
+    """f(v) = v^H j_hat v + 2 Re(v^H z), with j_hat = F F^H.
 
     The form holds the (rank, size) factor ``factor_h`` F^H, where size =
-    n_irs * n_elements, and the linear term ``z``. ``form @ v`` applies
-    j_hat without forming it, and F is never stored: F t = conj((F^H)^T
-    conj(t)). ``j_hat`` is formed (once) only when a caller reads it. The
-    form is the one operator both descent kernels run: the numpy
-    reference through ``@``, the compiled one by reading the C-contiguous
-    complex arrays ``factor_h`` and ``z`` at ``addresses``. It is
-    immutable: its arrays are read-only, and one the caller could still
-    write through is copied, so a descent always runs the quadratic the
-    form describes. const_term collects the terms of the weighted MSE
-    that do not depend on the phases, so that for any unit-modulus v
+    n_irs * n_elements, and the linear term ``z``: what both descent
+    kernels run, and nothing else. ``form @ v`` applies j_hat without
+    forming it, and F is never stored: F t = conj((F^H)^T conj(t)).
+    ``j_hat`` is formed (once) only when a caller reads it. The numpy
+    reference kernel runs the form through ``@``, the compiled one reads
+    the C-contiguous complex arrays ``factor_h`` and ``z`` at
+    ``addresses``. The form is immutable: its arrays are read-only, and
+    one the caller could still write through is copied, so a descent
+    always runs the quadratic the form describes. The terms of the
+    weighted MSE that do not depend on the phases are
+    ``quadratic_constant``'s, so that for any unit-modulus v
 
-        f(v) + const_term == sum_k alpha_k q_k E_k.
+        f(v) + quadratic_constant(...) == sum_k alpha_k q_k E_k.
     """
 
-    __slots__ = ("factor_h", "z", "const_term", "n_irs", "n_elements", "size",
-                 "rank", "addresses", "_j_hat")
+    __slots__ = ("factor_h", "z", "n_irs", "n_elements", "size", "rank", "addresses",
+                 "_j_hat")
 
-    def __init__(self, factor_h, z, const_term, n_irs, n_elements):
+    def __init__(self, factor_h, z, n_irs, n_elements):
         size = n_irs * n_elements
         factor_h = _frozen(factor_h)
         if factor_h.ndim != 2 or factor_h.shape[1] != size:
@@ -70,8 +70,8 @@ class QuadraticForm:
         if z.shape != (size,):
             raise ValueError(f"z must be a vector of length {size}")
         for name, value in zip(self.__slots__, (
-                factor_h, z, const_term, n_irs, n_elements, size,
-                factor_h.shape[0], (factor_h.ctypes.data, z.ctypes.data), None)):
+                factor_h, z, n_irs, n_elements, size, factor_h.shape[0],
+                (factor_h.ctypes.data, z.ctypes.data), None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -93,8 +93,10 @@ class QuadraticForm:
 
 def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
                        mse_weights, weights, noise_power: float) -> QuadraticForm:
-    """Collect the weighted MSE into a factored quadratic in the stacked
-    phases.
+    """Collect the phase-dependent part of the weighted MSE into a
+    factored quadratic in the stacked phases; ``quadratic_constant`` gives
+    the rest. ``noise_power`` enters only the constant, so the form does
+    not read it; it is taken so that both functions share one signature.
 
     The surfaces' links are stacked into 2-D arrays whose N = n_irs *
     n_elements rows follow ``v_hat`` (surface, then element): G (N, n_tx)
@@ -103,32 +105,22 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     (k, j) of F is sqrt(alpha_k q_k |u_k|^2) H[:, k] o conj(GW[:, j]),
     so row (k, j) of F^H, the one array the form stores, is
     sqrt(alpha_k q_k |u_k|^2) conj(H[:, k]) o GW[:, j]; one broadcast
-    product writes it in place. The other terms come from a few matrix
-    products: the direct gains D = conj(h) W^T give the constant term, and
+    product writes it in place. The linear term is
     z = sum_k H[:, k] o conj(G y_k) with y_k = alpha_k q_k (|u_k|^2
     W_gram h_k - conj(u_k) w_k).
     """
     w = _w_matrix(beamformers)
     u = np.asarray(decoders, dtype=complex)
-    q = np.asarray(mse_weights, dtype=float)
-    alpha = np.asarray(weights, dtype=float)
+    aq = np.asarray(weights, dtype=float) * np.asarray(mse_weights, dtype=float)
+    cu = aq * np.abs(u) ** 2
+    if not cu.min() >= 0:   # NaN fails too
+        raise ValueError("rate weights and MSE weights must be nonnegative")
     h = channels.h_direct          # (K, n_tx)
     n_irs, n_el = channels.n_irs, channels.n_elements
     n_users, n_tx = h.shape
     size = n_irs * n_el
     g = channels.g_bs_irs.reshape(size, n_tx)
     h_ru = channels.h_irs_user.transpose(0, 2, 1).reshape(size, n_users)
-
-    aq = alpha * q
-    cu = aq * np.abs(u) ** 2
-    if np.any(cu < 0):
-        raise ValueError("rate weights and MSE weights must be nonnegative")
-
-    # Phase-independent part: aq_k (|u_k|^2 (sum_j |D_kj|^2 + noise) - 2 Re(u_k conj(D_kk)) + 1)
-    gains = np.conj(h) @ w.T                    # D_kj = h_k^H w_j
-    const = float(np.sum(cu * (np.sum(gains.real ** 2 + gains.imag ** 2, axis=1)
-                               + noise_power)
-                         - 2.0 * aq * (u * np.conj(np.diagonal(gains))).real + aq))
 
     # Quadratic factor: F^H[(k, j), n] = sqrt(cu_k) conj(H[n, k]) GW[n, j]
     gw = g @ w.T                                # (N, K), GW[(l,m), j] = (G_l w_j)[m]
@@ -142,7 +134,24 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     y = (w_gram @ h.T) * cu - w.T * np.conj(aq * u)
     z = np.sum(h_ru * np.conj(g @ y), axis=1)
 
-    return QuadraticForm(factor_h, z, const, n_irs, n_el)
+    return QuadraticForm(factor_h, z, n_irs, n_el)
+
+
+def quadratic_constant(channels: ChannelSet, beamformers, decoders,
+                       mse_weights, weights, noise_power: float) -> float:
+    """The part of the weighted MSE that does not depend on the phases:
+    sum_k aq_k (|u_k|^2 (sum_j |D_kj|^2 + noise) - 2 Re(u_k conj(D_kk)) + 1)
+    with aq_k = alpha_k q_k and the direct gains D = conj(h) W^T. For any
+    unit-modulus v, objective(assemble_quadratic(args), v) plus this is
+    sum_k alpha_k q_k E_k."""
+    w = _w_matrix(beamformers)
+    u = np.asarray(decoders, dtype=complex)
+    aq = np.asarray(weights, dtype=float) * np.asarray(mse_weights, dtype=float)
+    cu = aq * np.abs(u) ** 2
+    gains = np.conj(channels.h_direct) @ w.T    # D_kj = h_k^H w_j
+    return float(np.sum(cu * (np.sum(gains.real ** 2 + gains.imag ** 2, axis=1)
+                              + noise_power)
+                        - 2.0 * aq * (u * np.conj(np.diagonal(gains))).real + aq))
 
 
 def _phase_vector(phases) -> np.ndarray:

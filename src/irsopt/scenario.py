@@ -62,16 +62,20 @@ class ScenarioParams:
         if not (np.isfinite(self.noise_power) and self.noise_power > 0):
             raise ValueError("noise_power must be positive and finite")
         for name in ("exp_bs_irs", "exp_irs_user", "exp_bs_user"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("ref_gain_db", "rician_k_db"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.los_mode not in LOS_MODES:
             raise ValueError(f"los_mode must be one of {LOS_MODES}")
 
         weights = _freeze(self.weights)
         if weights.shape != (self.n_users,):
             raise ValueError("weights must have one entry per user")
-        if np.any(weights < 0) or not np.any(weights > 0):
-            raise ValueError("weights must be nonnegative with at least one positive")
+        if not (np.isfinite(weights).all() and weights.min() >= 0 and weights.max() > 0):
+            raise ValueError("weights must be finite and nonnegative with at least one positive")
         object.__setattr__(self, "weights", weights)
 
         bs = _freeze(self.bs_pos)

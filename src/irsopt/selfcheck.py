@@ -19,7 +19,8 @@ from . import _kernels
 from .beamformer import (POWER_TOL_REL, assemble_context, beamformers_at, power_g,
                          solve_beamforming)
 from .channels import ChannelSet, PhaseConfig, draw_channels, effective_channels
-from .phaseopt import QuadraticForm, assemble_quadratic, euclidean_gradient, objective
+from .phaseopt import (QuadraticForm, assemble_quadratic, euclidean_gradient, objective,
+                       quadratic_constant)
 from .scenario import desk_scenario
 from .solver import PHASE_REL_TOL, SolverOptions, solve
 from .wmmse import compute_mse, compute_rates, optimal_state, weighted_sum_rate, wmse_objective
@@ -59,7 +60,7 @@ def block_scaled_form(rng, size, rank) -> QuadraticForm:
     elements, so the preconditioner's floor binds."""
     scale = np.asarray(BLOCK_SCALES)[np.arange(size) * len(BLOCK_SCALES) // size]
     factor = (0.1 / np.sqrt(rank)) * scale[:, None] * _cplx(rng, (size, rank))
-    return QuadraticForm(factor.conj().T, scale * _cplx(rng, size), 0.0, 1, size)
+    return QuadraticForm(factor.conj().T, scale * _cplx(rng, size), 1, size)
 
 
 def _random_channels(rng, n_irs, n_el, n_users, n_tx) -> ChannelSet:
@@ -91,11 +92,11 @@ def check_quadratic_identity(rng, n_instances=20) -> CheckResult:
         q = rng.uniform(0.5, 3.0, n_users)
         alpha = rng.uniform(0.2, 2.0, n_users)
         noise = 10.0 ** rng.uniform(-2, 0)
-        form = assemble_quadratic(channels, w, u, q, alpha, noise)
+        args = (channels, w, u, q, alpha, noise)
         phases = PhaseConfig.random(n_irs, n_el, rng)
         direct = float(alpha @ (q * compute_mse(
             effective_channels(channels, phases), w, u, noise)))
-        via_form = objective(form, phases) + form.const_term
+        via_form = objective(assemble_quadratic(*args), phases) + quadratic_constant(*args)
         worst = max(worst, abs(via_form - direct) / max(abs(direct), 1e-30))
     return CheckResult("weighted MSE equals its quadratic form", worst < 1e-9,
                        f"worst rel gap {worst:.2e} over {n_instances} instances")
@@ -109,7 +110,7 @@ def check_gradient(rng, n_instances=10, h=1e-5) -> CheckResult:
         size = int(rng.integers(2, 9))
         factor_h = _cplx(rng, (int(rng.integers(1, 13)), size))
         z = _cplx(rng, size)
-        form = QuadraticForm(factor_h, z, 0.0, 1, size)
+        form = QuadraticForm(factor_h, z, 1, size)
 
         def f(vec):
             t = factor_h @ vec
@@ -184,7 +185,7 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
     floor_bound = 0
     for _ in range(n_instances):
         size, rank = int(rng.integers(1, 161)), int(rng.integers(1, 65))
-        factored = QuadraticForm(_cplx(rng, (rank, size)), _cplx(rng, size), 0.0, 1, size)
+        factored = QuadraticForm(_cplx(rng, (rank, size)), _cplx(rng, size), 1, size)
         scaled = block_scaled_form(rng, int(rng.integers(8, 161)), rank)
         for form in (factored, scaled):
             v0 = PhaseConfig.random(1, form.size, rng).v_hat

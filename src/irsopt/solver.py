@@ -28,12 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamformer import solve_beamforming
+from .beamformer import POWER_SLACK_REL, solve_beamforming
 from .channels import ChannelSet, PhaseConfig, effective_channels
 from .phaseopt import assemble_quadratic, rmcg_solve
 from .scenario import ScenarioParams
-from .wmmse import (BeamformerSet, compute_mse, compute_rates, update_decoders,
-                    update_weights, weighted_sum_rate, wmse_objective)
+# The loop derives every rate, decoder and MSE from one cross-gain matrix
+# per point, so it calls neither compute_mse, compute_rates nor
+# update_decoders; they stay importable from here, where perfbench's traced
+# pass looks up the names it wraps.
+from .wmmse import (BeamformerSet, _w_matrix, compute_mse, compute_rates,  # noqa: F401
+                    cross_gains, gain_terms, mse_from_terms, rates_from_terms,
+                    update_decoders, update_weights, weighted_sum_rate, wmse_objective)
 
 log = logging.getLogger(__name__)
 
@@ -114,17 +119,32 @@ def initialize(scenario: ScenarioParams, channels: ChannelSet,
 
 def extrapolate(beams: BeamformerSet, phases: PhaseConfig, last_beams: BeamformerSet,
                 last_phases: PhaseConfig, beta: float, p_max: float,
-                ) -> tuple[BeamformerSet, PhaseConfig]:
+                ) -> tuple[np.ndarray, np.ndarray]:
     """The point beta times the last step beyond (beams, phases), made
     feasible: each phase entry is scaled back onto the unit circle, and the
     beamformers onto the budget if they exceed it. An extrapolated phase
-    entry has modulus at least 1, so the scaling never divides by zero."""
+    entry has modulus at least 1, so the scaling never divides by zero.
+
+    Returns the raw (w, v_hat) arrays; the caller wraps them only if it
+    continues from the point."""
     v = phases.v_hat + beta * (phases.v_hat - last_phases.v_hat)
     w = beams.w + beta * (beams.w - last_beams.w)
     power = float(np.sum(np.abs(w) ** 2))
     if power > p_max:
         w *= np.sqrt(p_max / power)
-    return BeamformerSet(w), PhaseConfig(v / np.abs(v), phases.n_irs, phases.n_elements)
+    return w, v / np.abs(v)
+
+
+def _check_warm_start(scenario: ScenarioParams, beams) -> None:
+    w = _w_matrix(beams)
+    shape = (scenario.n_users, scenario.n_tx)
+    if w.shape != shape:
+        raise ValueError(f"warm_start beamformers must have shape {shape}, got {w.shape}")
+    power = float(np.sum(np.abs(w) ** 2))
+    # written so that NaN fails the test
+    if not power <= scenario.p_max * (1.0 + POWER_SLACK_REL):
+        raise ValueError(f"warm_start beamformers carry power {power!r} "
+                         f"above p_max {scenario.p_max!r}")
 
 
 def solve(scenario: ScenarioParams, channels: ChannelSet,
@@ -136,12 +156,22 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
 
     ``warm_start`` bypasses the random initialization; otherwise ``rng``
     (defaulting to a generator seeded with scenario.rng_seed) drives it.
+    Warm-start beamformers must be (n_users, n_tx) and within the power
+    budget (up to ``beamformer.POWER_SLACK_REL``), else ``ValueError``;
+    the phases must match the channels' surfaces (``effective_channels``).
+
+    The cross gains hbar_k^H w_j are formed once per point the loop
+    visits: the start, each extrapolation trial and each end of an outer
+    iteration. The point's weighted sum rate, the next decoders and their
+    MSE, and the surrogate objective at the iteration's end all come from
+    that one matrix.
     """
     opts = opts or SolverOptions()
     if channels.n_users != scenario.n_users or channels.n_tx != scenario.n_tx:
         raise ValueError("channel set does not match the scenario dimensions")
     if warm_start is not None:
         beams, phases = warm_start
+        _check_warm_start(scenario, beams)
     else:
         if rng is None:
             rng = np.random.default_rng(scenario.rng_seed)
@@ -152,7 +182,8 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     do_phases = opts.optimize_phases and phases.size > 0
 
     hbar = effective_channels(channels, phases)
-    prev_wsr = weighted_sum_rate(alpha, compute_rates(hbar, beams, noise))
+    signal, total = gain_terms(cross_gains(hbar, beams), noise)
+    prev_wsr = weighted_sum_rate(alpha, rates_from_terms(signal, total))
     initial_wsr = prev_wsr
 
     wsr_hist, wmse_hist, lam_hist, probe_hist, inner_hist, time_hist = [], [], [], [], [], []
@@ -165,19 +196,20 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         start = (beams, phases)
         accepted = False
         if do_phases and it >= EXTRAP_START:
-            trial_beams, trial_phases = extrapolate(beams, phases, *last, beta, scenario.p_max)
-            trial_hbar = effective_channels(channels, trial_phases)
-            trial_wsr = weighted_sum_rate(alpha, compute_rates(trial_hbar, trial_beams, noise))
-            accepted = trial_wsr >= prev_wsr
+            trial_w, trial_v = extrapolate(beams, phases, *last, beta, scenario.p_max)
+            trial_hbar = effective_channels(channels, trial_v)
+            trial_terms = gain_terms(cross_gains(trial_hbar, trial_w), noise)
+            accepted = weighted_sum_rate(alpha, rates_from_terms(*trial_terms)) >= prev_wsr
             if accepted:
-                beams, phases, hbar = trial_beams, trial_phases, trial_hbar
+                beams = BeamformerSet(trial_w)
+                phases = PhaseConfig(trial_v, phases.n_irs, phases.n_elements)
+                hbar, (signal, total) = trial_hbar, trial_terms
                 beta = min(2.0 * beta, EXTRAP_BETA_MAX)
             else:
                 beta = max(0.5 * beta, EXTRAP_BETA_MIN)
         last = start
-        u = update_decoders(hbar, beams, noise)
-        mse = compute_mse(hbar, beams, u, noise)
-        q = update_weights(mse)
+        u = signal / total   # the MMSE decoders, as update_decoders forms them
+        q = update_weights(mse_from_terms(u, signal, total))
         beams, lam, probes = solve_beamforming(hbar, u, q, alpha, scenario.p_max)
         # frozen phases count as a converged descent without a failure
         inner, inner_ok, failed, grad0 = 0, True, False, np.nan
@@ -190,8 +222,9 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             grad0 = float(ptrace.grad_norms[0])
             hbar = effective_channels(channels, phases)
 
-        wsr = weighted_sum_rate(alpha, compute_rates(hbar, beams, noise))
-        wmse_now = wmse_objective(alpha, q, compute_mse(hbar, beams, u, noise))
+        signal, total = gain_terms(cross_gains(hbar, beams), noise)
+        wsr = weighted_sum_rate(alpha, rates_from_terms(signal, total))
+        wmse_now = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
         wsr_hist.append(wsr)
         wmse_hist.append(wmse_now)
         lam_hist.append(lam)

@@ -32,7 +32,7 @@ class BeamformerSet:
         w = np.array(self.w, dtype=complex)
         if w.ndim != 2:
             raise ValueError("beamformers must be an (n_users, n_tx) array")
-        if not np.all(np.isfinite(w.real)) or not np.all(np.isfinite(w.imag)):
+        if not np.isfinite(w).all():
             raise ValueError("beamformers contain non-finite entries")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
@@ -62,14 +62,35 @@ def cross_gains(hbar: np.ndarray, beamformers) -> np.ndarray:
     return np.conj(hbar) @ _w_matrix(beamformers).T
 
 
+def gain_terms(gains: np.ndarray, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each user's signal gain s_k = hbar_k^H w_k and received power
+    t_k = sum_j |hbar_k^H w_j|^2 + noise, from the cross-gain matrix.
+
+    Every rate, decoder and MSE at a point is a closed-form function of
+    these two vectors, so a caller that needs several of them forms the
+    gains once. The public helpers below check noise_power; this does not.
+    """
+    return np.diag(gains), np.sum(np.abs(gains) ** 2, axis=1) + noise_power
+
+
+def rates_from_terms(signal: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """ln(1 + SINR_k) from ``gain_terms``' signal gains and received powers."""
+    power = np.abs(signal) ** 2
+    return np.log1p(power / (total - power))
+
+
+def mse_from_terms(decoders: np.ndarray, signal: np.ndarray,
+                   total: np.ndarray) -> np.ndarray:
+    """Each user's MSE under the scalar decoders, from ``gain_terms``' output."""
+    u = np.asarray(decoders, dtype=complex)
+    return np.abs(u) ** 2 * total - 2.0 * np.real(np.conj(u) * signal) + 1.0
+
+
 def compute_rates(hbar: np.ndarray, beamformers, noise_power: float) -> np.ndarray:
     """Per-user achievable rate ln(1 + SINR_k) in nats."""
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    gains = cross_gains(hbar, beamformers)
-    signal = np.abs(np.diag(gains)) ** 2
-    total = np.sum(np.abs(gains) ** 2, axis=1) + noise_power
-    return np.log1p(signal / (total - signal))
+    return rates_from_terms(*gain_terms(cross_gains(hbar, beamformers), noise_power))
 
 
 def weighted_sum_rate(weights: np.ndarray, rates: np.ndarray) -> float:
@@ -84,26 +105,23 @@ def update_decoders(hbar: np.ndarray, beamformers, noise_power: float) -> np.nda
     """MMSE scalar receivers u_k = hbar_k^H w_k / (sum_j |hbar_k^H w_j|^2 + noise)."""
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    gains = cross_gains(hbar, beamformers)
-    total = np.sum(np.abs(gains) ** 2, axis=1) + noise_power
-    return np.diag(gains) / total
+    signal, total = gain_terms(cross_gains(hbar, beamformers), noise_power)
+    return signal / total
+
 
 def compute_mse(hbar: np.ndarray, beamformers, decoders: np.ndarray,
                 noise_power: float) -> np.ndarray:
     """Symbol-estimate MSE per user for arbitrary scalar decoders."""
     if noise_power <= 0:
         raise ValueError("noise_power must be positive")
-    gains = cross_gains(hbar, beamformers)
-    total = np.sum(np.abs(gains) ** 2, axis=1) + noise_power
-    u = np.asarray(decoders, dtype=complex)
-    return (np.abs(u) ** 2 * total
-            - 2.0 * np.real(np.conj(u) * np.diag(gains)) + 1.0)
+    return mse_from_terms(decoders, *gain_terms(cross_gains(hbar, beamformers), noise_power))
 
 
 def update_weights(mse: np.ndarray) -> np.ndarray:
     """Optimal surrogate weights q_k = 1 / E_k."""
     mse = np.asarray(mse, dtype=float)
-    if np.any(mse <= 0) or not np.all(np.isfinite(mse)):
+    # NaN fails both comparisons
+    if not 0.0 < mse.min() <= mse.max() < np.inf:
         raise NumericalError("MSE values must be positive; upstream update is broken")
     return 1.0 / mse
 

@@ -15,8 +15,8 @@ from irsopt import (ExperimentSpec, PhaseConfig, assemble_context,
                     compute_rates, desk_scenario, draw_channels,
                     effective_channels, euclidean_gradient, lambda_upper_bound,
                     objective, optimal_state, full_scenario, power_g,
-                    rmcg_solve, run_experiment, solve, solve_beamforming,
-                    weighted_sum_rate, wmse_objective)
+                    quadratic_constant, rmcg_solve, run_experiment, solve,
+                    solve_beamforming, weighted_sum_rate, wmse_objective)
 from tests.conftest import complex_normal, random_channels
 
 
@@ -75,9 +75,9 @@ def test_criterion_02_quadratic_form_identity():
         q = rng.uniform(0.5, 3.0, n_users)
         alpha = rng.uniform(0.2, 2.0, n_users)
         noise = 10.0 ** rng.uniform(-2, 0)
-        form = assemble_quadratic(channels, w, u, q, alpha, noise)
+        args = (channels, w, u, q, alpha, noise)
         phases = PhaseConfig.random(n_irs, n_el, rng)
-        via_form = objective(form, phases) + form.const_term
+        via_form = objective(assemble_quadratic(*args), phases) + quadratic_constant(*args)
         hbar = effective_channels(channels, phases)
         direct = float(alpha @ (q * compute_mse(hbar, w, u, noise)))
         worst = max(worst, abs(via_form - direct) / abs(direct))
@@ -367,7 +367,7 @@ def test_criterion_10_complexity_trend():
         factor_h = complex_normal(rng, (size, size))
         z = complex_normal(rng, size)
         from irsopt.phaseopt import QuadraticForm
-        form = QuadraticForm(factor_h, z, 0.0, 1, size)
+        form = QuadraticForm(factor_h, z, 1, size)
         v0 = PhaseConfig.random(1, size, rng)
         rmcg_solve(form, v0, grad_tol=0.0, max_iters=5)  # warm the path
         best = np.inf

@@ -185,6 +185,19 @@ class TestEffectiveChannels:
         with pytest.raises(ValueError):
             effective_channels(ch, PhaseConfig.all_ones(1, 3))
 
+    def test_stacked_vector_matches_phase_config(self, rng):
+        # the solver scores extrapolated points by their raw stacked vector
+        ch = random_channels(rng, 2, 3, 2, 4)
+        phases = PhaseConfig.random(2, 3, rng)
+        assert np.array_equal(effective_channels(ch, phases.v_hat),
+                              effective_channels(ch, phases))
+        for bad in (phases.v_hat[:5], phases.v_hat.reshape(2, 3)):
+            with pytest.raises(ValueError, match="length"):
+                effective_channels(ch, bad)
+        bare = strip_irs(ch)
+        assert np.array_equal(effective_channels(bare, np.zeros(0, dtype=complex)),
+                              ch.h_direct)
+
     def test_strip_irs(self, rng):
         ch = random_channels(rng, 2, 3, 2, 4)
         bare = strip_irs(ch)

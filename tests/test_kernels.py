@@ -24,7 +24,7 @@ def random_kernel_inputs(rng, size):
     factor_h = complex_normal(rng, (size, size))
     z = complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(factor_h, z, 0.0, 1, size), v0
+    return QuadraticForm(factor_h, z, 1, size), v0
 
 
 def run_core(fn, form, v0, tol=None, iters=300, rel_tol=0.0):
@@ -39,10 +39,10 @@ def factored_kernel_inputs(rng, size, rank):
     the eigendecomposition F F^H = U L U^H."""
     factor = complex_normal(rng, (size, rank))
     z = complex_normal(rng, size)
-    form = QuadraticForm(factor.conj().T, z, 0.0, 1, size)
+    form = QuadraticForm(factor.conj().T, z, 1, size)
     eigvals, eigvecs = np.linalg.eigh(form.j_hat)
     root = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
-    return form, QuadraticForm(root, z, 0.0, 1, size)
+    return form, QuadraticForm(root, z, 1, size)
 
 
 class TestKernelParity:
@@ -88,7 +88,7 @@ class TestKernelParity:
     def test_both_kernels_reject_bad_arguments(self, rng):
         form, v0 = random_kernel_inputs(rng, 5)
         # f(v) = |v|^2 - 4 Re(v) is stationary at v = 1: its gradient is 0
-        still = QuadraticForm([[1.0]], [-2.0], 0.0, 1, 1)
+        still = QuadraticForm([[1.0]], [-2.0], 1, 1)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with pytest.raises(ValueError, match="max_iters"):
                 fn(form, v0, 0.0, 0.0, -1)
@@ -144,7 +144,7 @@ class TestKernelParity:
     def test_relative_tolerance_keeps_the_floor_on_a_nonfinite_start(self):
         # ||grad_0|| overflows to inf: the relative rule must not turn that
         # into an infinite tolerance, so the descent is not flagged converged
-        form = QuadraticForm([[1.0]], [1e200j], 0.0, 1, 1)
+        form = QuadraticForm([[1.0]], [1e200j], 1, 1)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with np.errstate(all="ignore"):
                 _, _, _, grad, _, _, conv = fn(form, np.ones(1, complex), 1e-6, 1e-2, 100)
@@ -158,7 +158,7 @@ class TestKernelParity:
             factor = complex_normal(rng, (1, 4))
             factor *= np.sqrt(1.7e6) / np.linalg.norm(factor)
             z = 141.0 * np.exp(2j * np.pi * rng.uniform(size=1))
-            form = QuadraticForm(factor.conj().T, z, 0.0, 1, 1)
+            form = QuadraticForm(factor.conj().T, z, 1, 1)
             v0 = np.exp(2j * np.pi * rng.uniform(size=1))
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
                 _, n, _, _, _, failed, conv = run_core(fn, form, v0, iters=100)
@@ -178,7 +178,7 @@ def with_overflowing_pair(form, v0):
     factor_h = np.zeros((rank + 4, size + 2), complex)
     factor_h[:rank, :size] = form.factor_h
     factor_h[rank:, size:] = 2.0 ** 511
-    return (QuadraticForm(factor_h, z, 0.0, 1, size + 2),
+    return (QuadraticForm(factor_h, z, 1, size + 2),
             np.concatenate([v0, pair]))
 
 
@@ -260,7 +260,7 @@ def factored_operators(draw):
     else:
         z = z_scale * complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(factor.conj().T, z, 0.0, 1, size), v0
+    return QuadraticForm(factor.conj().T, z, 1, size), v0
 
 
 def rounding_spread(q_op, v0, n_iters, n_variants=8):
@@ -282,7 +282,7 @@ def rounding_spread(q_op, v0, n_iters, n_variants=8):
         c2 = rng.uniform(0.5, 2.0)
         turn = np.exp(2j * np.pi * rng.uniform())
         z_var = c2 * turn * q_op.z[rows]
-        op = QuadraticForm(np.sqrt(c2) * q_op.factor_h[cols][:, rows], z_var, 0.0, 1,
+        op = QuadraticForm(np.sqrt(c2) * q_op.factor_h[cols][:, rows], z_var, 1,
                            q_op.size)
         _, m, other, *_ = _kernels.rmcg_core_numpy(op, turn * v0[rows], 0.0, 0.0, n_iters)
         m = min(m, n) + 1
@@ -448,12 +448,16 @@ def test_bench_outer_script_runs(tmp_path):
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("desk: 3 draws, seed 5, max_outer 100")
-    assert lines[1].split() == ["loop", "outer", "max", "caps", "wsr_nats"]
+    assert lines[1].split() == ["loop", "outer", "max", "caps", "wsr_nats",
+                                "ms_solve", "us_outer"]
     rows = [line.split() for line in lines[2:4]]
     assert [row[0] for row in rows] == ["extrapolated", "plain"]
     for row in rows:
         mean, top, caps = float(row[1]), int(row[2]), int(row[3])
         assert 1.0 <= mean <= top <= SolverOptions().max_outer
         assert 0 <= caps <= 3 and float(row[4]) > 0.0
+        # a solve takes at least one outer iteration (up to print rounding)
+        ms_solve, us_outer = float(row[5]), float(row[6])
+        assert 0.0 < us_outer <= 1e3 * ms_solve + 1.0
     assert lines[4].startswith("paired wsr: mean ")
     assert "standard error" in lines[4] and "moved by more than" in lines[4]

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from irsopt import _kernels
 from irsopt import (ChannelSet, PhaseConfig, QuadraticForm, assemble_quadratic,
                     compute_mse, draw_channels, effective_channels,
-                    euclidean_gradient, objective, project_tangent, retract,
-                    rmcg_solve)
+                    euclidean_gradient, objective, project_tangent,
+                    quadratic_constant, retract, rmcg_solve)
 from tests.conftest import complex_normal, random_channels
 
 
@@ -61,9 +61,9 @@ class TestAssembleQuadratic:
             n_users, n_tx = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             channels, w, u, q, alpha, noise = random_form_inputs(
                 rng, n_irs, n_el, n_users, n_tx)
-            form = assemble_quadratic(channels, w, u, q, alpha, noise)
+            args = (channels, w, u, q, alpha, noise)
             phases = PhaseConfig.random(n_irs, n_el, rng)
-            via_form = objective(form, phases) + form.const_term
+            via_form = objective(assemble_quadratic(*args), phases) + quadratic_constant(*args)
             direct = weighted_mse_direct(channels, phases, w, u, q, alpha, noise)
             assert via_form == pytest.approx(direct, rel=1e-9)
 
@@ -131,7 +131,8 @@ class TestFactoredForm:
                 <= 1e-12 * np.linalg.norm(j_oracle))
         assert (np.linalg.norm(form.z - z_oracle)
                 <= 1e-12 * np.linalg.norm(z_oracle))
-        assert form.const_term == pytest.approx(const_oracle, rel=1e-12)
+        assert (quadratic_constant(channels, w, u, q, alpha, noise)
+                == pytest.approx(const_oracle, rel=1e-12))
 
     def test_factor_matches_oracle_on_presets(self):
         from irsopt import desk_scenario, full_scenario, initialize
@@ -179,25 +180,24 @@ class TestFactoredForm:
     def test_forms_by_position_and_keyword(self, rng):
         factor_h = np.diag([1.0, 2.0]).astype(complex)
         z = complex_normal(rng, 2)
-        by_pos = QuadraticForm(factor_h, z, 1.0, 1, 2)
-        by_kw = QuadraticForm(factor_h=factor_h, z=z, const_term=1.0,
-                              n_irs=1, n_elements=2)
+        by_pos = QuadraticForm(factor_h, z, 1, 2)
+        by_kw = QuadraticForm(factor_h=factor_h, z=z, n_irs=1, n_elements=2)
         for form in (by_pos, by_kw):
             assert np.array_equal(form.factor_h, factor_h)
             assert np.array_equal(form.j_hat, np.diag([1.0, 4.0]))
-            assert form.const_term == 1.0
+            assert not hasattr(form, "const_term")
 
     def test_construction_checks_shapes(self, rng):
         # size = n_irs * n_elements = 2 * 3
         z = complex_normal(rng, 6)
         factor_h = complex_normal(rng, (6, 4)).T
-        QuadraticForm(factor_h, z, 0.0, 2, 3)
+        QuadraticForm(factor_h, z, 2, 3)
         for bad_factor_h in (factor_h[:, :5], np.hstack([factor_h, factor_h]), np.ones(6)):
             with pytest.raises(ValueError, match="factor_h"):
-                QuadraticForm(bad_factor_h, z, 0.0, 2, 3)
+                QuadraticForm(bad_factor_h, z, 2, 3)
         for bad_z in (z[:5], np.append(z, 1.0), z.reshape(2, 3)):
             with pytest.raises(ValueError, match="z"):
-                QuadraticForm(factor_h, bad_z, 0.0, 2, 3)
+                QuadraticForm(factor_h, bad_z, 2, 3)
 
     def test_assembled_form_stores_one_factor(self, rng):
         # F^H is the form's one (K^2, N) array: C-contiguous, read-only and
@@ -211,12 +211,12 @@ class TestFactoredForm:
         assert form.addresses == (factor_h.ctypes.data, form.z.ctypes.data)
         # a read-only array that owns its data is kept as is; a read-only
         # view is copied, since its base may still be written
-        kept = QuadraticForm(factor_h, form.z, 0.0, 2, 5)
+        kept = QuadraticForm(factor_h, form.z, 2, 5)
         assert kept.factor_h is factor_h
         base = np.array(factor_h)
         view = base[:]
         view.setflags(write=False)
-        copied = QuadraticForm(view, form.z, 0.0, 2, 5)
+        copied = QuadraticForm(view, form.z, 2, 5)
         assert not np.shares_memory(copied.factor_h, base)
 
     def test_form_is_immutable(self, rng):
@@ -225,7 +225,7 @@ class TestFactoredForm:
         v0 = PhaseConfig.random(1, 4, rng)
         _, before = rmcg_solve(form, v0)
         for name, value in (("z", -form.z), ("factor_h", 2.0 * form.factor_h),
-                            ("j_hat", np.eye(4)), ("const_term", 0.0), ("size", 3),
+                            ("j_hat", np.eye(4)), ("size", 3),
                             ("new_attribute", 1)):
             with pytest.raises(AttributeError):
                 setattr(form, name, value)
@@ -236,7 +236,7 @@ class TestFactoredForm:
                 arr[0] *= 3.0
         # the caller's array stays writable, and writing it leaves the form as is
         given = np.array(form.factor_h)
-        copied = QuadraticForm(given, form.z, 0.0, 1, 4)
+        copied = QuadraticForm(given, form.z, 1, 4)
         given[0] *= 3.0
         assert np.array_equal(copied.factor_h, form.factor_h)
         # the next descent runs the same quadratic
@@ -247,7 +247,7 @@ class TestFactoredForm:
 class TestObjective:
     def test_constant_form(self):
         # j_hat = 3 I is constant on the circles: 3 * size
-        form = QuadraticForm(np.sqrt(3.0) * np.eye(2), np.zeros(2, dtype=complex), 0.0, 1, 2)
+        form = QuadraticForm(np.sqrt(3.0) * np.eye(2), np.zeros(2, dtype=complex), 1, 2)
         v = PhaseConfig.random(1, 2, np.random.default_rng(0))
         assert objective(form, v) == pytest.approx(3.0 * 2, abs=1e-12)
 
@@ -268,7 +268,7 @@ class TestObjective:
 class TestEuclideanGradient:
     def test_linear_form_gradient(self, rng):
         z = complex_normal(rng, 4)
-        form = QuadraticForm(np.zeros((1, 4), dtype=complex), z, 0.0, 1, 4)
+        form = QuadraticForm(np.zeros((1, 4), dtype=complex), z, 1, 4)
         v = complex_normal(rng, 4)
         assert np.allclose(euclidean_gradient(form, v), 2 * z)
 
@@ -277,7 +277,7 @@ class TestEuclideanGradient:
         # F = [a, sqrt(3) I]: j_hat = a a^H + 3 I is positive definite
         factor_h = np.hstack([a, np.sqrt(3.0) * np.eye(3)]).conj().T
         z = complex_normal(rng, 3)
-        form = QuadraticForm(factor_h, z, 0.0, 1, 3)
+        form = QuadraticForm(factor_h, z, 1, 3)
         v_star = np.linalg.solve(a @ a.conj().T + 3 * np.eye(3), -z)
         assert np.linalg.norm(euclidean_gradient(form, v_star)) < 1e-10
 
@@ -367,7 +367,7 @@ class TestRmcgSolve:
     def test_already_stationary(self, rng):
         # j_hat = 3 I and z = 0: the gradient 6 v is radial everywhere
         form = QuadraticForm(np.sqrt(3.0) * np.eye(3, dtype=complex),
-                             np.zeros(3, dtype=complex), 0.0, 1, 3)
+                             np.zeros(3, dtype=complex), 1, 3)
         v0 = PhaseConfig.random(1, 3, rng)
         out, trace = rmcg_solve(form, v0)
         assert trace.n_iters == 0
@@ -434,7 +434,7 @@ class TestRmcgSolve:
 
     def test_empty_form(self):
         form = QuadraticForm(np.zeros((0, 0), dtype=complex),
-                             np.zeros(0, dtype=complex), 0.0, 0, 0)
+                             np.zeros(0, dtype=complex), 0, 0)
         empty = PhaseConfig(np.zeros(0, dtype=complex), 0, 0)
         out, trace = rmcg_solve(form, empty)
         assert out.size == 0

@@ -55,16 +55,24 @@ class TestValidation:
             desk_scenario().replace(noise_power=-1.0)
 
     def test_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            desk_scenario().replace(weights=np.zeros(4))
-        with pytest.raises(ValueError):
-            desk_scenario().replace(weights=np.array([1.0, -0.5, 1.0, 1.0]))
-        with pytest.raises(ValueError):
-            desk_scenario().replace(weights=np.ones(3))
+        for weights in (np.zeros(4), [1.0, -0.5, 1.0, 1.0], np.ones(3),
+                        [1.0, np.nan, 1.0, 1.0], [1.0, np.inf, 1.0, 1.0], [np.nan] * 4):
+            with pytest.raises(ValueError, match="weights"):
+                desk_scenario().replace(weights=np.array(weights))
 
     def test_rejects_bad_exponent(self):
-        with pytest.raises(ValueError):
-            desk_scenario().replace(exp_bs_user=0.0)
+        # NaN fails no `<= 0` test; it must be rejected here, not by the
+        # channel draw
+        for name in ("exp_bs_irs", "exp_irs_user", "exp_bs_user"):
+            for value in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match=name):
+                    desk_scenario().replace(**{name: value})
+
+    def test_rejects_non_finite_gains(self):
+        for name in ("ref_gain_db", "rician_k_db"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=name):
+                    desk_scenario().replace(**{name: value})
 
     def test_rejects_non_finite_positions(self):
         sc = desk_scenario()
@@ -119,6 +127,15 @@ class TestConfigFile:
         text = "# a comment\n\n" + path.read_text() + "\n# trailing\n"
         path.write_text(text)
         load_scenario(path)
+
+    def test_non_finite_weight_rejected(self, tmp_path):
+        path = tmp_path / "nan.cfg"
+        save_scenario(desk_scenario(), path)
+        text = "\n".join("weights = 1.0,nan,1.0,1.0" if line.startswith("weights")
+                         else line for line in path.read_text().splitlines())
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="weights"):
+            load_scenario(path)
 
     def test_incomplete_indexed_positions(self, tmp_path):
         path = tmp_path / "gap.cfg"

@@ -14,6 +14,7 @@ from irsopt import solver as solver_mod
 from irsopt.beamformer import POWER_TOL_REL
 from irsopt.scenario import LOS_MODES
 from irsopt.solver import MONOTONE_TOL_REL
+from irsopt.wmmse import cross_gains
 
 
 def reference_wmmse_no_irs(hbar, alpha, noise, p_max, w0, n_iters=60):
@@ -213,6 +214,46 @@ class TestSolve:
         _, _, resumed = solve(scenario, channels, warm_start=(beams, phases))
         assert resumed.wsr[-1] >= trace.wsr[-1] - 1e-9
 
+    def test_warm_start_beyond_the_budget_rejected(self, desk_setup):
+        # 3x the solved beamformers carry 9x the budget: resumed from them,
+        # outer iteration 0 would log a large WSR "drop"
+        scenario, channels = desk_setup
+        beams, phases, _ = solve(scenario, channels, rng=np.random.default_rng(3))
+        with pytest.raises(ValueError, match="warm_start"):
+            solve(scenario, channels, warm_start=(BeamformerSet(3.0 * beams.w), phases))
+        # within the bracket check's slack on p_max is accepted
+        edge = BeamformerSet(beams.w * np.sqrt(scenario.p_max * (1.0 + 5e-10)
+                                               / beams.total_power))
+        solve(scenario, channels, SolverOptions(max_outer=1), warm_start=(edge, phases))
+
+    def test_warm_start_of_the_wrong_shape_rejected(self, desk_setup):
+        scenario, channels = desk_setup
+        beams, phases = initialize(scenario, channels, np.random.default_rng(0))
+        n_users, n_tx = beams.w.shape
+        # zero power, so the shape alone fails
+        for shape in ((n_users, n_tx - 1), (n_users - 1, n_tx), (n_users, n_tx + 1)):
+            with pytest.raises(ValueError, match="warm_start"):
+                solve(scenario, channels,
+                      warm_start=(BeamformerSet(np.zeros(shape, dtype=complex)), phases))
+
+    def test_one_gain_product_per_point(self, desk_setup, monkeypatch):
+        # the start, each extrapolation trial and each iteration's end get
+        # one cross-gain matrix each, from which the loop derives every
+        # rate, decoder and MSE
+        scenario, channels = desk_setup
+        calls = []
+
+        def counting(hbar, beamformers):
+            calls.append(1)
+            return cross_gains(hbar, beamformers)
+
+        monkeypatch.setattr(solver_mod, "cross_gains", counting)
+        opts = SolverOptions(outer_tol=1e-12, max_outer=12)
+        _, _, trace = solve(scenario, channels, opts, rng=np.random.default_rng(3))
+        trials = max(trace.n_outer - solver_mod.EXTRAP_START, 0)
+        assert trials > 0
+        assert len(calls) == 1 + trace.n_outer + trials
+
     def test_dimension_mismatch_rejected(self, desk_setup):
         scenario, channels = desk_setup
         with pytest.raises(ValueError):
@@ -309,7 +350,7 @@ class TestConvergenceFlag:
             from irsopt.phaseopt import QuadraticForm
             eigvals, eigvecs = np.linalg.eigh(form.j_hat)
             root = eigvecs * np.sqrt(eigvals[-1] - eigvals)
-            flipped = QuadraticForm(root.conj().T, -form.z, 0.0,
+            flipped = QuadraticForm(root.conj().T, -form.z,
                                     form.n_irs, form.n_elements)
             return real_rmcg(flipped, init, **kwargs)
 
@@ -427,9 +468,15 @@ class TestScenarioSpace:
         history = np.concatenate(([trace.initial_wsr], trace.wsr))
         assert np.all(np.isfinite(history))
         assert np.all(np.diff(history) >= -MONOTONE_TOL_REL * np.abs(history[:-1]))
-        wsr = weighted_sum_rate(scenario.weights, compute_rates(
-            effective_channels(channels, phases), beams, scenario.noise_power))
-        assert wsr == pytest.approx(trace.wsr[-1], rel=1e-12)
+        # the solver and the public helpers share one formula per quantity,
+        # so the final and initial WSR match them exactly
+        def wsr_at(beams, phases):
+            return weighted_sum_rate(scenario.weights, compute_rates(
+                effective_channels(channels, phases), beams, scenario.noise_power))
+
+        assert wsr_at(beams, phases) == trace.wsr[-1]
+        assert (wsr_at(*initialize(scenario, channels, np.random.default_rng(seed)))
+                == trace.initial_wsr)
         for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
                      "line_search_failed", "extrap_accepted", "wall_time_s"):
             values = getattr(trace, name)
