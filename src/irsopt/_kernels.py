@@ -2,19 +2,28 @@
 
 The descent loop dominates solver runtime, so it lives here, apart from
 the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``:
-Q = F F^H, given by the one stored array F^H and never formed as a
-matrix, and its linear term ``z``. Both kernels first check the arguments
-the same way (``v0`` of the form's size, ``grad_tol`` neither NaN nor
-negative, ``rel_tol`` in [0, 1), a nonnegative ``max_iters``).
+Q = F F^H, never formed as a matrix, with F^H the Khatri-Rao product of
+the form's two stored operands ``a_h`` and ``b_h`` (row k K_b + j of F^H
+is a_h[k] o b_h[j]), and its linear term ``z``. Both kernels first check
+the arguments the same way (``v0`` of the form's size, ``grad_tol``
+neither NaN nor negative, ``rel_tol`` in [0, 1), a nonnegative
+``max_iters``).
 
 There are two implementations of one algorithm. ``rmcg_core_numpy`` is
 the vectorized numpy reference; it touches the form through ``form @ x``
 and, once per call, the diagonal of Q (the squared column norms of F^H;
-it never reads ``j_hat``). ``_rmcg.c`` is a C port of it, step for step,
-that reads the form's arrays itself, except that it scores a candidate by
+it never reads ``j_hat``), both on the array ``form.factor_h``, which the
+form builds with one numpy broadcast product the first time it is read.
+``_rmcg.c`` is a C port of it, step for step, that reads the form's
+operands itself and expands F^H, with the diagonal of Q in the same pass,
+into a work space of its caller's, except that it scores a candidate by
 ||F^H x||^2: a line-search trial point costs the one product t = F^H x
 (f = ||t||^2 + 2 Re(z^H x)), and F t, a pass over the rows of F^H, is
-formed for the accepted point alone.
+formed for the accepted point alone. The expansion rounds each complex
+product as numpy's FMA loops do (``_rmcg.c`` gives the order), so where
+numpy uses them the compiled kernel runs the very F^H of ``factor_h``.
+The work space is this thread's (``_workspace``): kept between calls and
+only ever grown, so that same-sized descents allocate nothing.
 On first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
 builds it with ``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
@@ -81,6 +90,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -295,10 +305,11 @@ def _build() -> Path:
 
 class _Args(ctypes.Structure):
     """rmcg_args of _rmcg.c: one struct costs less to pass through ctypes
-    than eleven separate arguments."""
+    than sixteen separate arguments."""
 
-    _fields_ = [(name, ctypes.c_void_p) for name in ("fh", "z")] + \
-               [(name, ctypes.c_int64) for name in ("n", "r", "max_iters", "max_backtracks")] + \
+    _fields_ = [(name, ctypes.c_void_p) for name in ("ah", "bh", "z", "work")] + \
+               [(name, ctypes.c_int64) for name in ("work_len", "n", "ka", "kb", "max_iters",
+                                                   "max_backtracks")] + \
                [(name, ctypes.c_double) for name in ("grad_tol", "rel_tol", "shrink",
                                                     "armijo_c", "precond_floor")]
 
@@ -318,20 +329,43 @@ def _load():
     return run
 
 
+# Each thread's work space for the compiled kernel: the expanded F^H and
+# the descent's vectors, reused from call to call and only ever grown, so
+# that a steady run of same-sized descents allocates (and page-faults)
+# nothing. It lives in a threading.local, not in a C _Thread_local pointer,
+# so that it is freed when its thread ends; ctypes releases the GIL during
+# the call, so threads cannot share one.
+_workspaces = threading.local()
+
+
+def _workspace(n_doubles):
+    """(array, address) of this thread's work space of at least n_doubles
+    doubles; the address is kept with it, since reading it costs more
+    than the rest of the lookup."""
+    work = getattr(_workspaces, "work", None)
+    if work is None or work[0].size < n_doubles:
+        array = np.empty(n_doubles)
+        work = _workspaces.work = (array, array.ctypes.data)
+    return work
+
+
 def rmcg_core_compiled(form, v0, grad_tol, rel_tol, max_iters):
     """``rmcg_core_numpy``'s contract on the compiled kernel."""
     _check(form, v0, grad_tol, rel_tol, max_iters)
-    n, m = form.size, int(max_iters)
+    n, m, r = form.size, int(max_iters), form.rank
+    work_len = 2 * r * n + 26 * n + 4 * r     # rmcg_args' bound
+    work, address = _workspace(work_len)
     # one buffer in and out: v0 (becomes v) | obj_hist | grad_hist | info
     hist, info = 2 * n, 2 * n + 2 * m + 2
     raw = (ctypes.c_double * (info + 3))()
     buf = np.frombuffer(raw)
     v = np.frombuffer(raw, complex, n)
     v[:] = v0
-    n_done = _run(_Args(*form.addresses, n, form.rank, m, MAX_BACKTRACKS,
-                        grad_tol, rel_tol, SHRINK, ARMIJO_C, PRECOND_FLOOR), raw)
+    n_done = _run(_Args(*form.addresses, address, work_len, n, len(form.a_h), len(form.b_h), m,
+                        MAX_BACKTRACKS, grad_tol, rel_tol, SHRINK, ARMIJO_C,
+                        PRECOND_FLOOR), raw)
     if n_done < 0:
-        raise MemoryError("descent kernel could not allocate its work space")
+        raise RuntimeError("descent kernel's work space is too small")
     tang_res, failed, converged = raw[info:]
     return (v, n_done, buf[hist:hist + m + 1], buf[hist + m + 1:info],
             tang_res, bool(failed), bool(converged))

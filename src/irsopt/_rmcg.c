@@ -19,10 +19,19 @@
    and calls rmcg_run through ctypes.
 
    Complex vectors are numpy complex128 buffers, interleaved (re, im)
-   doubles. The quadratic is Q = F F^H, given by F^H alone (r x n,
-   row-major; neither F nor Q is stored). F^H x takes contiguous row dot
-   products; F t accumulates ROWS rows of F^H at a time into an n-vector,
-   and the squared column norms of F^H one row at a time.
+   doubles. The quadratic is Q = F F^H (neither F nor Q is stored). The
+   form hands over two factors, A^H (ka x n) and B^H (kb x n), row-major,
+   and F^H (r = ka kb rows) is their Khatri-Rao product: row k kb + j of
+   F^H is A^H[k] o B^H[j], entry by entry. expand() writes it once per
+   call into the caller's work space and, in the same pass, the squared
+   column norms of F^H (Q_ii). Each product is rounded as numpy's
+   complex multiply rounds it where numpy uses FMA (checked with numpy
+   2.4.6 on x86-64 with AVX-512): re = fma(ar, br, -(ai bi)) and
+   im = fma(ar, bi, ai br). The calls are explicit, so -ffp-contract=off
+   leaves them alone, and the expanded F^H equals the array
+   QuadraticForm.factor_h forms with numpy, bit for bit, on such a build.
+   F^H x takes contiguous row dot products; F t accumulates ROWS rows of
+   F^H at a time into an n-vector.
 
    The line search needs only objective values, f(x) = ||t||^2 +
    2 Re(z^H x) with t = F^H x: a trial point costs the one product F^H x,
@@ -38,14 +47,16 @@
    gradient at v0; a NaN or infinite ||grad_0|| keeps grad_tol, and the
    converged flag reports the same test.
 
+   The kernel allocates nothing: the caller passes its work space (one
+   per thread, since ctypes releases the GIL during the call).
+
    Build without -ffast-math and with -ffp-contract=off, so that each
-   operation rounds as written; -fno-math-errno only lets sqrt vectorize
-   (its argument here is never negative). */
+   operation rounds as written; -fno-math-errno only lets sqrt and fma
+   inline and vectorize (their arguments here never set errno). */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* Sums run over NV * VL fixed lanes, held in GNU C vector types (gcc,
@@ -153,16 +164,28 @@ static void adjoint(const double *a, ptrdiff_t r, ptrdiff_t n,
         adjoint_rows(a + 2 * k * n, n, 1, t + 2 * k, y);
 }
 
-/* q = the squared column norms of A (n doubles), a row at a time */
-static void column_norms(const double *a, ptrdiff_t r, ptrdiff_t n,
-                         double *q)
+/* fh = the Khatri-Rao product of the row-major complex ah (ka x n) and
+   bh (kb x n): row k kb + j of fh is ah[k] o bh[j]. q receives the
+   squared column norms of fh (n doubles), accumulated a row at a time,
+   each row right after it is written, while it is in L1. The fma() order
+   is numpy's; see the header. The four arrays must not overlap. */
+static void expand(const double *restrict ah, const double *restrict bh,
+                   ptrdiff_t ka, ptrdiff_t kb, ptrdiff_t n,
+                   double *restrict fh, double *restrict q)
 {
-    ptrdiff_t i, k;
+    ptrdiff_t i, j, k;
     memset(q, 0, sizeof(double) * (size_t)n);
-    for (k = 0; k < r; k++)
-        for (i = 0; i < n; i++)
-            q[i] += a[2 * (k * n + i)] * a[2 * (k * n + i)]
-                + a[2 * (k * n + i) + 1] * a[2 * (k * n + i) + 1];
+    for (k = 0; k < ka; k++)
+        for (j = 0; j < kb; j++) {
+            const double *a = ah + 2 * k * n, *b = bh + 2 * j * n;
+            double *row = fh + 2 * (k * kb + j) * n;
+            for (i = 0; i < n; i++) {
+                row[2 * i] = fma(a[2 * i], b[2 * i], -(a[2 * i + 1] * b[2 * i + 1]));
+                row[2 * i + 1] = fma(a[2 * i], b[2 * i + 1], a[2 * i + 1] * b[2 * i]);
+            }
+            for (i = 0; i < n; i++)
+                q[i] += row[2 * i] * row[2 * i] + row[2 * i + 1] * row[2 * i + 1];
+        }
 }
 
 static void split(const double *x, ptrdiff_t m, double *xr, double *xi)
@@ -308,13 +331,16 @@ static double precondition(const double *q_diag, const double *rad,
 
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
-/* Arguments of rmcg_run; fh is the form's factor F^H (rank r) and z its
-   linear term (n complex), both read in place from the form; shrink,
-   armijo_c, max_backtracks and precond_floor are the irsopt._kernels
-   constants both kernels use. */
+/* Arguments of rmcg_run; ah (ka x n) and bh (kb x n) are the form's
+   factors of F^H and z its linear term (n complex), all read in place
+   from the form; work is the caller's work space of work_len doubles, at
+   least 2 r n + 26 n + 4 r with r = ka kb; shrink, armijo_c,
+   max_backtracks and precond_floor are the irsopt._kernels constants
+   both kernels use. */
 typedef struct {
-    const double *fh, *z;
-    int64_t n, r, max_iters, max_backtracks;
+    const double *ah, *bh, *z;
+    double *work;
+    int64_t work_len, n, ka, kb, max_iters, max_backtracks;
     double grad_tol, rel_tol, shrink, armijo_c, precond_floor;
 } rmcg_args;
 
@@ -323,11 +349,12 @@ typedef struct {
    buf holds, in order: v0 (n complex, overwritten with the final point),
    the objective and the Riemannian gradient norm before and after each
    iteration (max_iters + 1 doubles each, NaN beyond the last iteration),
-   and (tangency residual, line search failed, converged). Returns the number of iterations done, or -1 if work
-   memory cannot be allocated. */
+   and (tangency residual, line search failed, converged). Returns the
+   number of iterations done, or -1, touching nothing, if work_len is
+   short of what the work space must hold. */
 int64_t rmcg_run(const rmcg_args *a, double *buf)
 {
-    const int64_t n = a->n, r = a->r, max_iters = a->max_iters;
+    const int64_t n = a->n, r = a->ka * a->kb, max_iters = a->max_iters;
     const double rel_tol = a->rel_tol, shrink = a->shrink,
         armijo_c = a->armijo_c, h_floor = a->precond_floor;
     double grad_tol = a->grad_tol;
@@ -337,29 +364,29 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     double *obj_hist = buf + m, *grad_hist = obj_hist + max_iters + 1,
         *info = grad_hist + max_iters + 1;
     const ptrdiff_t na = 2 * (ptrdiff_t)r;
-    double *mem, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
+    double *fh, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
         *rgrad_new, *pg, *pg_new, *dir, *tmp, *rad, *q_diag;
     double f_cur, gnorm2, gpg, tang_res = 0.0;
     int failed = 0;
     quad_op op;
 
-    /* aux_cand and aux_new hold evaluate()'s aux for cand and v_new; qv
-       receives finish()'s product; rad holds the gradient's radial parts
-       at v; pg the preconditioned gradient and q_diag the diagonal of Q */
-    mem = malloc(sizeof(double) * (size_t)(12 * m + 2 * n + 2 * na + 1));
-    if (!mem)
+    if (a->work_len < 2 * r * n + 26 * n + 4 * r)
         return -1;
-    v = mem; qv = v + m; cand = qv + m; v_new = cand + m;
+    /* fh holds the expanded F^H; aux_cand and aux_new hold evaluate()'s
+       aux for cand and v_new; qv receives finish()'s product; rad holds
+       the gradient's radial parts at v; pg the preconditioned gradient and
+       q_diag the diagonal of Q */
+    fh = a->work; v = fh + na * n; qv = v + m; cand = qv + m; v_new = cand + m;
     rgrad = v_new + m; rgrad_new = rgrad + m; pg = rgrad_new + m;
     pg_new = pg + m; dir = pg_new + m;
     tmp = dir + m; aux_cand = tmp + m; aux_new = aux_cand + na;
-    op.n = n; op.r = r; op.fh = a->fh;
+    op.n = n; op.r = r; op.fh = fh;
     op.xr = aux_new + na; op.xi = op.xr + m;
     rad = op.xi + m; q_diag = rad + n;
 
     for (i = 0; i <= max_iters; i++)
         obj_hist[i] = grad_hist[i] = NAN;
-    column_norms(op.fh, r, n, q_diag);
+    expand(a->ah, a->bh, a->ka, a->kb, n, fh, q_diag);
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
     f_cur = evaluate(&op, v, z, aux_new);
@@ -460,6 +487,5 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     info[0] = tang_res;
     info[1] = failed;
     info[2] = sqrt(gnorm2) <= grad_tol;
-    free(mem);
     return n_done;
 }

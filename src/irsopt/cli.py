@@ -26,8 +26,12 @@ from .solver import solve
 
 log = logging.getLogger(__name__)
 
+# The *_ms columns are wall times: they differ between reruns of one solve,
+# every other column is reproduced byte for byte.
 TRACE_HEADER = ("iter,wsr_nats,wsr_bits,wmse_obj,lambda,inner_iters,time_ms,probes,"
-                "inner_converged,line_search_failed,extrap_accepted,phase_grad0")
+                "inner_converged,line_search_failed,extrap_accepted,phase_grad0,wsr_delta,"
+                "channel_ms,decoder_ms,beamformer_ms,assembly_ms,descent_ms")
+LAYERS = ("channel_s", "decoder_s", "beamformer_s", "assembly_s", "descent_s")
 
 
 def _configure_logging() -> None:
@@ -68,7 +72,8 @@ def _cmd_solve(args) -> int:
             str(int(trace.inner_iters[i])), f"{1e3 * trace.wall_time_s[i]:.3f}",
             str(int(trace.probes[i])), str(int(trace.inner_converged[i])),
             str(int(trace.line_search_failed[i])), str(int(trace.extrap_accepted[i])),
-            repr(float(trace.phase_grad0[i]))]))
+            repr(float(trace.phase_grad0[i])), repr(float(trace.wsr_delta[i])),
+            *(f"{1e3 * getattr(trace, name)[i]:.3f}" for name in LAYERS)]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as handle:

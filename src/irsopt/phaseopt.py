@@ -4,15 +4,19 @@ With decoders, weights, and beamformers held fixed, the weighted-MSE
 objective is an explicit Hermitian quadratic in the stacked reflection
 vector. Its matrix ``j_hat`` is a Hadamard product of two positive
 semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
-(size, n_users**2) factor ``F`` (Schur product theorem). Assembly writes
-``F^H`` in place, and ``QuadraticForm`` keeps it as its one stored
-factor: it is the one operator the conjugate-gradient descent in
-``_kernels`` runs, matrix-free. The compiled kernel scores each
-line-search candidate by ||F^H x||^2 (one pass over the rows of ``F^H``)
-and forms ``F (F^H v)`` only for the accepted point, where the gradient
-needs it, as a second pass over the same rows. The dense matrix is formed
-only when a caller reads ``j_hat``. The quadratic is already convex, so
-the form carries no shift.
+(size, n_users**2) factor ``F`` (Schur product theorem). Each row of
+``F^H`` is the entrywise product of a row of two (n_users, size)
+operands, so ``F^H`` is their Khatri-Rao product. Assembly forms the two
+operands and ``z``, and ``QuadraticForm`` keeps them: the one operator
+the conjugate-gradient descent in ``_kernels`` runs, matrix-free. The
+compiled kernel expands ``F^H`` into its own reused work space (which
+never leaves it, so the form stays immutable and assembly allocates no
+N x K^2 array), scores each line-search candidate by ||F^H x||^2 (one
+pass over the rows of ``F^H``) and forms ``F (F^H v)`` only for the
+accepted point, where the gradient needs it, as a second pass over the
+same rows. ``F^H`` as a numpy array, and the dense matrix, are formed
+only when a caller reads ``factor_h`` or ``j_hat``. The quadratic is
+already convex, so the form carries no shift.
 """
 
 from __future__ import annotations
@@ -42,40 +46,61 @@ def _frozen(a) -> np.ndarray:
 class QuadraticForm:
     """f(v) = v^H j_hat v + 2 Re(v^H z), with j_hat = F F^H.
 
-    The form holds the (rank, size) factor ``factor_h`` F^H, where size =
-    n_irs * n_elements, and the linear term ``z``: what both descent
-    kernels run, and nothing else. ``form @ v`` applies j_hat without
-    forming it, and F is never stored: F t = conj((F^H)^T conj(t)).
-    ``j_hat`` is formed (once) only when a caller reads it. The numpy
-    reference kernel runs the form through ``@``, the compiled one reads
-    the C-contiguous complex arrays ``factor_h`` and ``z`` at
-    ``addresses``. The form is immutable: its arrays are read-only, and
-    one the caller could still write through is copied, so a descent
-    always runs the quadratic the form describes. The terms of the
-    weighted MSE that do not depend on the phases are
-    ``quadratic_constant``'s, so that for any unit-modulus v
+    The form holds the linear term ``z`` and two operands of F^H, ``a_h``
+    (K_a, size) and ``b_h`` (K_b, size), size = n_irs * n_elements: F^H is
+    their Khatri-Rao product, whose row k K_b + j is a_h[k] o b_h[j] entry
+    by entry, so ``rank`` is K_a K_b. That is all the form stores. The
+    compiled kernel reads the C-contiguous complex arrays ``a_h``, ``b_h``
+    and ``z`` at ``addresses`` and expands F^H itself. ``factor_h`` (F^H,
+    one numpy broadcast product) and ``j_hat`` are formed when first read,
+    and kept; the numpy reference kernel runs the form through ``@``,
+    which applies j_hat as F (F^H v) without forming it (F is never
+    stored: F t = conj((F^H)^T conj(t))). ``from_factor`` gives the form
+    of an arbitrary F^H: a_h = F^H and b_h one row of ones.
+
+    The form is immutable: its arrays are read-only, and one the caller
+    could still write through is copied, so a descent always runs the
+    quadratic the form describes. The terms of the weighted MSE that do
+    not depend on the phases are ``quadratic_constant``'s, so that for any
+    unit-modulus v
 
         f(v) + quadratic_constant(...) == sum_k alpha_k q_k E_k.
     """
 
-    __slots__ = ("factor_h", "z", "n_irs", "n_elements", "size", "rank", "addresses",
-                 "_j_hat")
+    __slots__ = ("a_h", "b_h", "z", "n_irs", "n_elements", "size", "rank", "addresses",
+                 "_factor_h", "_j_hat")
 
-    def __init__(self, factor_h, z, n_irs, n_elements):
+    def __init__(self, a_h, b_h, z, n_irs, n_elements):
         size = n_irs * n_elements
-        factor_h = _frozen(factor_h)
-        if factor_h.ndim != 2 or factor_h.shape[1] != size:
-            raise ValueError(f"factor_h must be (rank, {size})")
-        z = _frozen(z)
+        a_h, b_h, z = _frozen(a_h), _frozen(b_h), _frozen(z)
+        for name, factor in (("a_h", a_h), ("b_h", b_h)):
+            if factor.ndim != 2 or factor.shape[1] != size:
+                raise ValueError(f"{name} must be (rows, {size})")
         if z.shape != (size,):
             raise ValueError(f"z must be a vector of length {size}")
         for name, value in zip(self.__slots__, (
-                factor_h, z, n_irs, n_elements, size, factor_h.shape[0],
-                (factor_h.ctypes.data, z.ctypes.data), None)):
+                a_h, b_h, z, n_irs, n_elements, size, a_h.shape[0] * b_h.shape[0],
+                (a_h.ctypes.data, b_h.ctypes.data, z.ctypes.data), None, None)):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_factor(cls, factor_h, z, n_irs, n_elements) -> QuadraticForm:
+        """The form whose F^H is ``factor_h`` (rank, size): a_h = factor_h,
+        b_h one row of ones."""
+        return cls(factor_h, np.ones((1, n_irs * n_elements)), z, n_irs, n_elements)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticForm is immutable")
+
+    @property
+    def factor_h(self) -> np.ndarray:
+        if self._factor_h is None:
+            factor_h = np.empty((self.rank, self.size), complex)
+            np.multiply(self.a_h[:, None, :], self.b_h[None, :, :],
+                        out=factor_h.reshape(len(self.a_h), *self.b_h.shape))
+            factor_h.setflags(write=False)
+            object.__setattr__(self, "_factor_h", factor_h)
+        return self._factor_h
 
     @property
     def j_hat(self) -> np.ndarray:
@@ -103,9 +128,9 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     with row (l, m) the BS -> element m link of surface l, and H (N, K)
     with column k the element -> user k links. With GW = G W^T, column
     (k, j) of F is sqrt(alpha_k q_k |u_k|^2) H[:, k] o conj(GW[:, j]),
-    so row (k, j) of F^H, the one array the form stores, is
-    sqrt(alpha_k q_k |u_k|^2) conj(H[:, k]) o GW[:, j]; one broadcast
-    product writes it in place. The linear term is
+    so row (k, j) of F^H is a_h[k] o b_h[j], with the (K, N) operands
+    a_h = (sqrt(alpha q |u|^2) o conj(H))^T and b_h = GW^T that the form
+    stores; F^H itself (K^2 x N) is never formed here. The linear term is
     z = sum_k H[:, k] o conj(G y_k) with y_k = alpha_k q_k (|u_k|^2
     W_gram h_k - conj(u_k) w_k).
     """
@@ -122,19 +147,17 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     g = channels.g_bs_irs.reshape(size, n_tx)
     h_ru = channels.h_irs_user.transpose(0, 2, 1).reshape(size, n_users)
 
-    # Quadratic factor: F^H[(k, j), n] = sqrt(cu_k) conj(H[n, k]) GW[n, j]
+    # F^H[(k, j), n] = a_h[k, n] b_h[j, n]
     gw = g @ w.T                                # (N, K), GW[(l,m), j] = (G_l w_j)[m]
-    factor_h = np.empty((n_users ** 2, size), complex)
-    np.multiply((np.conj(h_ru) * np.sqrt(cu)).T[:, None, :], gw.T[None, :, :],
-                out=factor_h.reshape(n_users, n_users, size))
-    factor_h.setflags(write=False)
+    a_h = (np.conj(h_ru) * np.sqrt(cu)).T
+    b_h = gw.T
 
     # Linear term from the diagonals of the direct-cross blocks.
     w_gram = w.T @ np.conj(w)                   # sum_j w_j w_j^H, (n_tx, n_tx)
     y = (w_gram @ h.T) * cu - w.T * np.conj(aq * u)
     z = np.sum(h_ru * np.conj(g @ y), axis=1)
 
-    return QuadraticForm(factor_h, z, n_irs, n_el)
+    return QuadraticForm(a_h, b_h, z, n_irs, n_el)
 
 
 def quadratic_constant(channels: ChannelSet, beamformers, decoders,

@@ -60,7 +60,31 @@ def block_scaled_form(rng, size, rank) -> QuadraticForm:
     elements, so the preconditioner's floor binds."""
     scale = np.asarray(BLOCK_SCALES)[np.arange(size) * len(BLOCK_SCALES) // size]
     factor = (0.1 / np.sqrt(rank)) * scale[:, None] * _cplx(rng, (size, rank))
-    return QuadraticForm(factor.conj().T, scale * _cplx(rng, size), 1, size)
+    return QuadraticForm.from_factor(factor.conj().T, scale * _cplx(rng, size), 1, size)
+
+
+def khatri_rao_form(rng, size, n_a, n_b) -> QuadraticForm:
+    """A random form in the representation assembly gives: F^H the
+    Khatri-Rao product of a_h (n_a, size) and b_h (n_b, size), with the
+    columns of a_h and the entries of z scaled by blocks as in
+    ``block_scaled_form`` (|F_m|^2 about 0.04 |z_m|^2 at scale 1)."""
+    scale = np.asarray(BLOCK_SCALES)[np.arange(size) * len(BLOCK_SCALES) // size]
+    a_h = (0.1 / np.sqrt(n_a * n_b)) * scale * _cplx(rng, (n_a, size))
+    return QuadraticForm(a_h, _cplx(rng, (n_b, size)), scale * _cplx(rng, size), 1, size)
+
+
+def khatri_rao_cases(rng) -> list[QuadraticForm]:
+    """Khatri-Rao forms of the shapes assembly hands over: both operands
+    of several rows, one operand of one row, one element, and a
+    zero-weight user (an all-zero row of a_h)."""
+    n_a, n_b = int(rng.integers(2, 9)), int(rng.integers(2, 9))
+    size = int(rng.integers(8, 161))
+    zero_user = khatri_rao_form(rng, size, n_a, n_b)
+    a_h = np.array(zero_user.a_h)
+    a_h[int(rng.integers(n_a))] = 0.0
+    return [khatri_rao_form(rng, size, n_a, n_b), khatri_rao_form(rng, size, n_a, 1),
+            khatri_rao_form(rng, 1, n_a, n_b),
+            QuadraticForm(a_h, zero_user.b_h, zero_user.z, 1, size)]
 
 
 def _random_channels(rng, n_irs, n_el, n_users, n_tx) -> ChannelSet:
@@ -110,7 +134,7 @@ def check_gradient(rng, n_instances=10, h=1e-5) -> CheckResult:
         size = int(rng.integers(2, 9))
         factor_h = _cplx(rng, (int(rng.integers(1, 13)), size))
         z = _cplx(rng, size)
-        form = QuadraticForm(factor_h, z, 1, size)
+        form = QuadraticForm.from_factor(factor_h, z, 1, size)
 
         def f(vec):
             t = factor_h @ vec
@@ -173,21 +197,24 @@ def check_monotone_solve(rng) -> CheckResult:
 
 def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
     """The descent kernel in use against the numpy reference. Each
-    instance draws a random factored form (rank above and below the size)
-    and a block-scaled one (``block_scaled_form``), on which the
-    preconditioner's floor binds. On each, the objective histories of the
-    first iterations must agree to 1e-9 of the objective's scale,
-    trace(j_hat) + 2 |z|_1, and runs stopped by the solver's relative
-    gradient tolerance must stop within one iteration of each other."""
+    instance draws a random factored form (rank above and below the size),
+    a block-scaled one (``block_scaled_form``), on which the
+    preconditioner's floor binds, and the Khatri-Rao forms of
+    ``khatri_rao_cases``, which the compiled kernel expands itself. On
+    each, the objective histories of the first iterations must agree to
+    1e-9 of the objective's scale, trace(j_hat) + 2 |z|_1, and runs
+    stopped by the solver's relative gradient tolerance must stop within
+    one iteration of each other."""
     kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
     worst = 0.0
     worst_stop = 0
     floor_bound = 0
     for _ in range(n_instances):
         size, rank = int(rng.integers(1, 161)), int(rng.integers(1, 65))
-        factored = QuadraticForm(_cplx(rng, (rank, size)), _cplx(rng, size), 1, size)
+        factored = QuadraticForm.from_factor(_cplx(rng, (rank, size)), _cplx(rng, size),
+                                             1, size)
         scaled = block_scaled_form(rng, int(rng.integers(8, 161)), rank)
-        for form in (factored, scaled):
+        for form in (factored, scaled, *khatri_rao_cases(rng)):
             v0 = PhaseConfig.random(1, form.size, rng).v_hat
             if form is scaled:
                 hess = _kernels.hessian_diagonal(form, v0)
@@ -207,11 +234,11 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
     return CheckResult("descent kernel matches the numpy reference",
                        worst <= 1e-9 and worst_stop <= 1,
                        f"kernel {kernel}, worst rel objective gap {worst:.2e} over "
-                       f"{n_instances} random and {n_instances} block-scaled factored "
-                       f"forms (preconditioner floor binding at the start on "
-                       f"{floor_bound}), {n_iters} iterations; "
-                       f"worst iteration-count gap {worst_stop} at rel_tol "
-                       f"{PHASE_REL_TOL:g}")
+                       f"{n_instances} random, {n_instances} block-scaled and "
+                       f"{4 * n_instances} Khatri-Rao forms (preconditioner floor "
+                       f"binding at the start on {floor_bound} block-scaled), "
+                       f"{n_iters} iterations; worst iteration-count gap {worst_stop} "
+                       f"at rel_tol {PHASE_REL_TOL:g}")
 
 
 ALL_CHECKS = (check_rate_mse_equivalence, check_quadratic_identity, check_gradient,

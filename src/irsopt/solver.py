@@ -94,7 +94,18 @@ class SolveTrace:
     line_search_failed: np.ndarray  # bool: the phase descent's line search stalled
     extrap_accepted: np.ndarray     # bool: the iteration continued from the extrapolated point
     phase_grad0: np.ndarray   # the descent's starting gradient norm; NaN with frozen phases
+    wsr_delta: np.ndarray     # wsr minus the one before (initial_wsr first): the monotonicity margin
     wall_time_s: np.ndarray
+    # Seconds per iteration in each layer. channel_s: effective channels,
+    # cross gains and rates at each point the iteration visits (the
+    # extrapolation trial included); decoder_s: the decoder and MSE-weight
+    # update; beamformer_s: solve_beamforming; assembly_s and descent_s:
+    # assemble_quadratic and rmcg_solve (0 with frozen phases).
+    channel_s: np.ndarray
+    decoder_s: np.ndarray
+    beamformer_s: np.ndarray
+    assembly_s: np.ndarray
+    descent_s: np.ndarray
     initial_wsr: float
     converged: bool
     n_outer: int = field(init=False)
@@ -187,7 +198,8 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     initial_wsr = prev_wsr
 
     wsr_hist, wmse_hist, lam_hist, probe_hist, inner_hist, time_hist = [], [], [], [], [], []
-    inner_ok_hist, failed_hist, accepted_hist, grad0_hist = [], [], [], []
+    inner_ok_hist, failed_hist, accepted_hist, grad0_hist, delta_hist = [], [], [], [], []
+    layer_hist = []   # the five layer times of each iteration, one after another
     converged = False
     beta = EXTRAP_BETA0
     last = (beams, phases)   # the point at the end of the outer iteration before the last
@@ -208,15 +220,20 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             else:
                 beta = max(0.5 * beta, EXTRAP_BETA_MIN)
         last = start
+        t_decoder = time.perf_counter()
         u = signal / total   # the MMSE decoders, as update_decoders forms them
         q = update_weights(mse_from_terms(u, signal, total))
+        t_beam = time.perf_counter()
         beams, lam, probes = solve_beamforming(hbar, u, q, alpha, scenario.p_max)
+        t_assembly = t_descent = t_channel = time.perf_counter()
         # frozen phases count as a converged descent without a failure
         inner, inner_ok, failed, grad0 = 0, True, False, np.nan
         if do_phases:
             form = assemble_quadratic(channels, beams, u, q, alpha, noise)
+            t_descent = time.perf_counter()
             phases, ptrace = rmcg_solve(form, phases, rel_tol=PHASE_REL_TOL,
                                         max_iters=opts.max_inner)
+            t_channel = time.perf_counter()
             inner = ptrace.n_iters
             inner_ok, failed = ptrace.converged, ptrace.line_search_failed
             grad0 = float(ptrace.grad_norms[0])
@@ -225,6 +242,9 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         signal, total = gain_terms(cross_gains(hbar, beams), noise)
         wsr = weighted_sum_rate(alpha, rates_from_terms(signal, total))
         wmse_now = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
+        t_end = time.perf_counter()
+        layer_hist += (t_decoder - t0 + t_end - t_channel, t_beam - t_decoder,
+                       t_assembly - t_beam, t_descent - t_assembly, t_channel - t_descent)
         wsr_hist.append(wsr)
         wmse_hist.append(wmse_now)
         lam_hist.append(lam)
@@ -234,6 +254,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         failed_hist.append(failed)
         accepted_hist.append(accepted)
         grad0_hist.append(grad0)
+        delta_hist.append(wsr - prev_wsr)
         time_hist.append(time.perf_counter() - t0)
         log.debug("outer %d: wsr=%.6f lam=%.3e probes=%d inner=%d "
                   "inner_converged=%s line_search_failed=%s extrap_accepted=%s",
@@ -249,6 +270,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             converged = True
             break
 
+    layers = np.array(layer_hist).reshape(-1, 5).T
     trace = SolveTrace(wsr=np.array(wsr_hist), wmse_obj=np.array(wmse_hist),
                        lam=np.array(lam_hist), probes=np.array(probe_hist, dtype=int),
                        inner_iters=np.array(inner_hist),
@@ -256,6 +278,9 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
                        line_search_failed=np.array(failed_hist, dtype=bool),
                        extrap_accepted=np.array(accepted_hist, dtype=bool),
                        phase_grad0=np.array(grad0_hist, dtype=float),
+                       wsr_delta=np.array(delta_hist),
                        wall_time_s=np.array(time_hist),
+                       channel_s=layers[0], decoder_s=layers[1], beamformer_s=layers[2],
+                       assembly_s=layers[3], descent_s=layers[4],
                        initial_wsr=initial_wsr, converged=converged)
     return beams, phases, trace

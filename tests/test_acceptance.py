@@ -367,7 +367,7 @@ def test_criterion_10_complexity_trend():
         factor_h = complex_normal(rng, (size, size))
         z = complex_normal(rng, size)
         from irsopt.phaseopt import QuadraticForm
-        form = QuadraticForm(factor_h, z, 1, size)
+        form = QuadraticForm.from_factor(factor_h, z, 1, size)
         v0 = PhaseConfig.random(1, size, rng)
         rmcg_solve(form, v0, grad_tol=0.0, max_iters=5)  # warm the path
         best = np.inf

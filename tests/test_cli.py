@@ -13,14 +13,20 @@ class TestSolveCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == TRACE_HEADER
         assert TRACE_HEADER.endswith(
-            ",time_ms,probes,inner_converged,line_search_failed,extrap_accepted,phase_grad0")
+            ",time_ms,probes,inner_converged,line_search_failed,extrap_accepted,phase_grad0,"
+            "wsr_delta,channel_ms,decoder_ms,beamformer_ms,assembly_ms,descent_ms")
         assert len(lines) >= 2
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == len(TRACE_HEADER.split(","))
-            assert 0 <= int(fields[-5]) <= 40
-            assert all(flag in ("0", "1") for flag in fields[-4:-1])
-            assert float(fields[-1]) >= 0.0
+            assert 0 <= int(fields[7]) <= 40
+            assert all(flag in ("0", "1") for flag in fields[8:11])
+            assert float(fields[11]) >= 0.0
+            # the WSR never drops beyond rounding
+            assert float(fields[12]) >= -1e-12 * float(fields[1])
+            # the layers' times add up to at most the iteration's
+            layers = [float(f) for f in fields[13:]]
+            assert min(layers) >= 0.0 and sum(layers) <= float(fields[6]) + 0.01
         err = capsys.readouterr().err
         assert "converged=" in err
 

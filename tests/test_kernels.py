@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from irsopt import _kernels
 from irsopt.phaseopt import QuadraticForm
-from irsopt.selfcheck import block_scaled_form
+from irsopt.selfcheck import block_scaled_form, khatri_rao_cases, khatri_rao_form
 from irsopt.solver import PHASE_REL_TOL, SolverOptions
 from tests.conftest import complex_normal
 
@@ -24,7 +25,7 @@ def random_kernel_inputs(rng, size):
     factor_h = complex_normal(rng, (size, size))
     z = complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(factor_h, z, 1, size), v0
+    return QuadraticForm.from_factor(factor_h, z, 1, size), v0
 
 
 def run_core(fn, form, v0, tol=None, iters=300, rel_tol=0.0):
@@ -39,10 +40,10 @@ def factored_kernel_inputs(rng, size, rank):
     the eigendecomposition F F^H = U L U^H."""
     factor = complex_normal(rng, (size, rank))
     z = complex_normal(rng, size)
-    form = QuadraticForm(factor.conj().T, z, 1, size)
+    form = QuadraticForm.from_factor(factor.conj().T, z, 1, size)
     eigvals, eigvecs = np.linalg.eigh(form.j_hat)
     root = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
-    return form, QuadraticForm(root, z, 1, size)
+    return form, QuadraticForm.from_factor(root, z, 1, size)
 
 
 class TestKernelParity:
@@ -88,7 +89,7 @@ class TestKernelParity:
     def test_both_kernels_reject_bad_arguments(self, rng):
         form, v0 = random_kernel_inputs(rng, 5)
         # f(v) = |v|^2 - 4 Re(v) is stationary at v = 1: its gradient is 0
-        still = QuadraticForm([[1.0]], [-2.0], 1, 1)
+        still = QuadraticForm.from_factor([[1.0]], [-2.0], 1, 1)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with pytest.raises(ValueError, match="max_iters"):
                 fn(form, v0, 0.0, 0.0, -1)
@@ -144,7 +145,7 @@ class TestKernelParity:
     def test_relative_tolerance_keeps_the_floor_on_a_nonfinite_start(self):
         # ||grad_0|| overflows to inf: the relative rule must not turn that
         # into an infinite tolerance, so the descent is not flagged converged
-        form = QuadraticForm([[1.0]], [1e200j], 1, 1)
+        form = QuadraticForm.from_factor([[1.0]], [1e200j], 1, 1)
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with np.errstate(all="ignore"):
                 _, _, _, grad, _, _, conv = fn(form, np.ones(1, complex), 1e-6, 1e-2, 100)
@@ -158,7 +159,7 @@ class TestKernelParity:
             factor = complex_normal(rng, (1, 4))
             factor *= np.sqrt(1.7e6) / np.linalg.norm(factor)
             z = 141.0 * np.exp(2j * np.pi * rng.uniform(size=1))
-            form = QuadraticForm(factor.conj().T, z, 1, 1)
+            form = QuadraticForm.from_factor(factor.conj().T, z, 1, 1)
             v0 = np.exp(2j * np.pi * rng.uniform(size=1))
             for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
                 _, n, _, _, _, failed, conv = run_core(fn, form, v0, iters=100)
@@ -178,7 +179,7 @@ def with_overflowing_pair(form, v0):
     factor_h = np.zeros((rank + 4, size + 2), complex)
     factor_h[:rank, :size] = form.factor_h
     factor_h[rank:, size:] = 2.0 ** 511
-    return (QuadraticForm(factor_h, z, 1, size + 2),
+    return (QuadraticForm.from_factor(factor_h, z, 1, size + 2),
             np.concatenate([v0, pair]))
 
 
@@ -244,6 +245,103 @@ class TestPreconditioner:
             assert conv and not failed and n <= 30
 
 
+class TestKhatriRaoForms:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_kernels_agree_on_assembled_shapes(self, seed):
+        # forms as assembly hands them over (K_a, K_b > 1; K_b = 1; one
+        # element; a zero-weight user), which the compiled kernel expands
+        # itself: it takes the reference's steps and stops with it
+        rng = np.random.default_rng(seed)
+        for form in khatri_rao_cases(rng):
+            v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
+            scale = (float(np.sum(np.abs(form.factor_h) ** 2))
+                     + 2.0 * float(np.sum(np.abs(form.z))))
+            runs = [run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
+                             iters=SolverOptions().max_inner)
+                    for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
+            (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = runs
+            k = min(n_a, n_b) + 1
+            assert np.max(np.abs(obj_a[:k] - obj_b[:k])) <= 1e-9 * scale
+            assert abs(n_a - n_b) <= 1
+            for _, n, obj, _, _, failed, conv in runs:
+                assert conv and not failed
+                assert np.all(np.diff(obj[:n + 1]) <= 0.0)
+
+    def test_expansion_runs_the_quadratic_of_factor_h(self, rng):
+        # the compiled kernel on the two operands and on the F^H they
+        # expand to, given as an arbitrary factor, runs one quadratic
+        form = khatri_rao_form(rng, 37, 3, 5)
+        flat = QuadraticForm.from_factor(form.factor_h, form.z, 1, form.size)
+        v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
+        (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = [
+            _kernels.rmcg_core(op, v0, 0.0, 0.0, 10) for op in (form, flat)]
+        assert n_a == n_b == 10
+        assert np.allclose(obj_a, obj_b, rtol=1e-12, atol=0.0)
+
+    def test_factor_h_is_the_broadcast_product(self, rng):
+        form = khatri_rao_form(rng, 29, 4, 3)
+        assert form.rank == 12 and form._factor_h is None
+        assert np.array_equal(form.factor_h, (form.a_h[:, None, :] * form.b_h[None, :, :])
+                              .reshape(12, 29))
+        # the diagonal of Q is (sum_k |a_kn|^2)(sum_j |b_jn|^2)
+        norms = [np.sum(np.abs(op) ** 2, axis=0) for op in (form.a_h, form.b_h)]
+        assert np.allclose(np.diagonal(form.j_hat).real, norms[0] * norms[1],
+                           rtol=1e-13, atol=0.0)
+        # and the Hessian diagonal is the one of the same F^H given whole
+        flat = QuadraticForm.from_factor(form.factor_h, form.z, 1, form.size)
+        v = np.exp(2j * np.pi * rng.uniform(size=form.size))
+        assert np.array_equal(_kernels.hessian_diagonal(form, v),
+                              _kernels.hessian_diagonal(flat, v))
+
+    @pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernel not loaded")
+    def test_work_space_is_reused(self, rng):
+        # a thread's work space only grows: a call no larger than an
+        # earlier one allocates nothing
+        large, small = khatri_rao_form(rng, 96, 4, 4), khatri_rao_form(rng, 40, 4, 4)
+        runs = [(form, np.exp(2j * np.pi * rng.uniform(size=form.size)))
+                for form in (large, small)]
+        _kernels.rmcg_core_compiled(*runs[0], 0.0, 0.0, 5)
+        work = _kernels._workspaces.work
+        for form, v0 in runs * 2:
+            _kernels.rmcg_core_compiled(form, v0, 0.0, 0.0, 5)
+            assert _kernels._workspaces.work is work
+
+    def test_concurrent_calls_match_serial_ones(self):
+        # the kernel drops the GIL: two threads, each on its own full-sized
+        # form (N = 240 and 480, K = 8), must get the serial results bit for
+        # bit, so no work space is shared
+        rng = np.random.default_rng(11)
+        calls = []
+        for size in (240, 480):
+            form = khatri_rao_form(rng, size, 8, 8)
+            v0 = np.exp(2j * np.pi * rng.uniform(size=size))
+            calls.append((form, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner))
+        serial = [_kernels.rmcg_core(*call) for call in calls]
+        mismatches, done = [], []
+
+        def worker(call, expected):
+            for _ in range(50):
+                got = _kernels.rmcg_core(*call)
+                if not all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                           for a, b in zip(got, expected)):
+                    mismatches.append(call[0].size)
+            done.append(call[0].size)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=pair)
+                       for pair in zip(calls, serial)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(done) == [240, 480] and not mismatches
+
+
 @st.composite
 def factored_operators(draw):
     """Factored forms F F^H as the solver hands them to the kernel, over
@@ -260,7 +358,7 @@ def factored_operators(draw):
     else:
         z = z_scale * complex_normal(rng, size)
     v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-    return QuadraticForm(factor.conj().T, z, 1, size), v0
+    return QuadraticForm.from_factor(factor.conj().T, z, 1, size), v0
 
 
 def rounding_spread(q_op, v0, n_iters, n_variants=8):
@@ -282,7 +380,7 @@ def rounding_spread(q_op, v0, n_iters, n_variants=8):
         c2 = rng.uniform(0.5, 2.0)
         turn = np.exp(2j * np.pi * rng.uniform())
         z_var = c2 * turn * q_op.z[rows]
-        op = QuadraticForm(np.sqrt(c2) * q_op.factor_h[cols][:, rows], z_var, 1,
+        op = QuadraticForm.from_factor(np.sqrt(c2) * q_op.factor_h[cols][:, rows], z_var, 1,
                            q_op.size)
         _, m, other, *_ = _kernels.rmcg_core_numpy(op, turn * v0[rows], 0.0, 0.0, n_iters)
         m = min(m, n) + 1
@@ -414,29 +512,30 @@ class TestEnvFlag:
 def test_bench_kernels_script_runs(tmp_path):
     script = SRC.parent / "benchmarks" / "bench_kernels.py"
     out = subprocess.run([sys.executable, str(script), "--sizes", "8,16",
-                          "--iters", "2", "--users", "2"],
+                          "--repeats", "2", "--users", "2"],
                          capture_output=True, text=True, timeout=300,
                          cwd=tmp_path, env=_subprocess_env())
     assert out.returncode == 0, out.stderr
-    header = out.stdout.splitlines()[1].split()
-    kernels = ["compiled", "numpy"] if _kernels.JIT_ENABLED else ["numpy"]
-    assert header == ["size"] + kernels
-    rows = [line.split() for line in out.stdout.splitlines()[2:4]]
-    assert [row[0] for row in rows] == ["8", "16"]
-    assert all(len(row) == 1 + len(kernels) for row in rows)
-    # iterations and time to the solver's tolerance on block-scaled forms
     lines = out.stdout.splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("block-scaled"))
-    assert lines[start + 1].split() == ["size"] + [word for name in kernels
-                                                   for what in ("iters", "ms")
-                                                   for word in (what, name)]
-    rows = [line.split() for line in lines[start + 2:]]
+    kernels = ["compiled", "numpy"] if _kernels.JIT_ENABLED else ["numpy"]
+    # iterations and time per call to the solver's tolerance
+    assert lines[0].startswith("Khatri-Rao forms, two K = 2 operands")
+    assert lines[1].split() == ["size"] + [word for name in kernels
+                                           for what in ("iters", "us")
+                                           for word in (what, name)]
+    rows = [line.split() for line in lines[2:4]]
     assert [row[0] for row in rows] == ["8", "16"]
     for row in rows:
         assert len(row) == 1 + 2 * len(kernels)
-        iters, ms = [int(w) for w in row[1::2]], [float(w) for w in row[2::2]]
+        iters, us = [int(w) for w in row[1::2]], [float(w) for w in row[2::2]]
         assert all(0 < n <= SolverOptions().max_inner for n in iters)
-        assert all(t > 0.0 for t in ms)
+        assert all(t > 0.0 for t in us)
+    # assembly at the full preset's two element counts
+    assert lines[4].startswith("assemble_quadratic, one full draw")
+    assert lines[5].split() == ["size", "us", "faults"]
+    rows = [line.split() for line in lines[6:]]
+    assert [row[0] for row in rows] == ["240", "480"]
+    assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 for row in rows)
 
 
 def test_bench_outer_script_runs(tmp_path):

@@ -37,7 +37,7 @@ def test_traced_kernel_call_records_size_and_flags(rng):
     # the tracer takes the size from the kernel's second positional
     # argument (v0) and n_iters and the two flags from its result
     z = complex_normal(rng, 10)
-    form = QuadraticForm(complex_normal(rng, (4, 10)), z, 1, 10)
+    form = QuadraticForm.from_factor(complex_normal(rng, (4, 10)), z, 1, 10)
     init = PhaseConfig.random(1, 10, rng)
     with load_tracing().Tracer().installed() as tracer:
         _, trace = rmcg_solve(form, init)

@@ -179,10 +179,12 @@ class TestFactoredForm:
 
     def test_forms_by_position_and_keyword(self, rng):
         factor_h = np.diag([1.0, 2.0]).astype(complex)
+        ones = np.ones((1, 2))
         z = complex_normal(rng, 2)
-        by_pos = QuadraticForm(factor_h, z, 1, 2)
-        by_kw = QuadraticForm(factor_h=factor_h, z=z, n_irs=1, n_elements=2)
-        for form in (by_pos, by_kw):
+        by_pos = QuadraticForm(factor_h, ones, z, 1, 2)
+        by_kw = QuadraticForm(a_h=factor_h, b_h=ones, z=z, n_irs=1, n_elements=2)
+        by_factor = QuadraticForm.from_factor(factor_h, z, 1, 2)
+        for form in (by_pos, by_kw, by_factor):
             assert np.array_equal(form.factor_h, factor_h)
             assert np.array_equal(form.j_hat, np.diag([1.0, 4.0]))
             assert not hasattr(form, "const_term")
@@ -190,34 +192,44 @@ class TestFactoredForm:
     def test_construction_checks_shapes(self, rng):
         # size = n_irs * n_elements = 2 * 3
         z = complex_normal(rng, 6)
-        factor_h = complex_normal(rng, (6, 4)).T
-        QuadraticForm(factor_h, z, 2, 3)
-        for bad_factor_h in (factor_h[:, :5], np.hstack([factor_h, factor_h]), np.ones(6)):
-            with pytest.raises(ValueError, match="factor_h"):
-                QuadraticForm(bad_factor_h, z, 2, 3)
+        a_h, b_h = complex_normal(rng, (6, 4)).T, complex_normal(rng, (3, 6))
+        QuadraticForm(a_h, b_h, z, 2, 3)
+        for bad in (a_h[:, :5], np.hstack([a_h, a_h]), np.ones(6)):
+            with pytest.raises(ValueError, match="a_h"):
+                QuadraticForm(bad, b_h, z, 2, 3)
+            with pytest.raises(ValueError, match="b_h"):
+                QuadraticForm(a_h, bad, z, 2, 3)
         for bad_z in (z[:5], np.append(z, 1.0), z.reshape(2, 3)):
             with pytest.raises(ValueError, match="z"):
-                QuadraticForm(factor_h, bad_z, 2, 3)
+                QuadraticForm(a_h, b_h, bad_z, 2, 3)
 
-    def test_assembled_form_stores_one_factor(self, rng):
-        # F^H is the form's one (K^2, N) array: C-contiguous, read-only and
-        # the array the compiled kernel reads
+    def test_assembled_form_stores_two_operands(self, rng):
+        # the form stores the (K, N) operands a_h, b_h of F^H: C-contiguous,
+        # read-only and the arrays the compiled kernel reads; F^H is their
+        # broadcast product, formed when read
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 5, 3, 2)
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
         assert not hasattr(form, "factor")
+        assert form._factor_h is None and form.rank == 9
+        for factor in (form.a_h, form.b_h):
+            assert factor.shape == (3, 10) and factor.flags.c_contiguous
+            assert not factor.flags.writeable
+        assert form.addresses == (form.a_h.ctypes.data, form.b_h.ctypes.data,
+                                  form.z.ctypes.data)
         factor_h = form.factor_h
         assert factor_h.shape == (9, 10) and factor_h.flags.c_contiguous
-        assert not factor_h.flags.writeable
-        assert form.addresses == (factor_h.ctypes.data, form.z.ctypes.data)
+        assert not factor_h.flags.writeable and form.factor_h is factor_h
+        assert np.array_equal(factor_h, (form.a_h[:, None, :] * form.b_h[None, :, :])
+                              .reshape(9, 10))
         # a read-only array that owns its data is kept as is; a read-only
         # view is copied, since its base may still be written
-        kept = QuadraticForm(factor_h, form.z, 2, 5)
-        assert kept.factor_h is factor_h
+        kept = QuadraticForm.from_factor(factor_h, form.z, 2, 5)
+        assert kept.a_h is factor_h
         base = np.array(factor_h)
         view = base[:]
         view.setflags(write=False)
-        copied = QuadraticForm(view, form.z, 2, 5)
-        assert not np.shares_memory(copied.factor_h, base)
+        copied = QuadraticForm.from_factor(view, form.z, 2, 5)
+        assert not np.shares_memory(copied.a_h, base)
 
     def test_form_is_immutable(self, rng):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 1, 4, 2, 2)
@@ -225,18 +237,19 @@ class TestFactoredForm:
         v0 = PhaseConfig.random(1, 4, rng)
         _, before = rmcg_solve(form, v0)
         for name, value in (("z", -form.z), ("factor_h", 2.0 * form.factor_h),
+                            ("a_h", 2.0 * form.a_h), ("b_h", 2.0 * form.b_h),
                             ("j_hat", np.eye(4)), ("size", 3),
                             ("new_attribute", 1)):
             with pytest.raises(AttributeError):
                 setattr(form, name, value)
         # its arrays are read-only: an in-place write cannot change the
         # quadratic under a built form
-        for arr in (form.factor_h, form.z, form.j_hat):
+        for arr in (form.a_h, form.b_h, form.factor_h, form.z, form.j_hat):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] *= 3.0
         # the caller's array stays writable, and writing it leaves the form as is
         given = np.array(form.factor_h)
-        copied = QuadraticForm(given, form.z, 1, 4)
+        copied = QuadraticForm.from_factor(given, form.z, 1, 4)
         given[0] *= 3.0
         assert np.array_equal(copied.factor_h, form.factor_h)
         # the next descent runs the same quadratic
@@ -247,7 +260,8 @@ class TestFactoredForm:
 class TestObjective:
     def test_constant_form(self):
         # j_hat = 3 I is constant on the circles: 3 * size
-        form = QuadraticForm(np.sqrt(3.0) * np.eye(2), np.zeros(2, dtype=complex), 1, 2)
+        form = QuadraticForm.from_factor(np.sqrt(3.0) * np.eye(2), np.zeros(2, dtype=complex),
+                                         1, 2)
         v = PhaseConfig.random(1, 2, np.random.default_rng(0))
         assert objective(form, v) == pytest.approx(3.0 * 2, abs=1e-12)
 
@@ -268,7 +282,7 @@ class TestObjective:
 class TestEuclideanGradient:
     def test_linear_form_gradient(self, rng):
         z = complex_normal(rng, 4)
-        form = QuadraticForm(np.zeros((1, 4), dtype=complex), z, 1, 4)
+        form = QuadraticForm.from_factor(np.zeros((1, 4), dtype=complex), z, 1, 4)
         v = complex_normal(rng, 4)
         assert np.allclose(euclidean_gradient(form, v), 2 * z)
 
@@ -277,7 +291,7 @@ class TestEuclideanGradient:
         # F = [a, sqrt(3) I]: j_hat = a a^H + 3 I is positive definite
         factor_h = np.hstack([a, np.sqrt(3.0) * np.eye(3)]).conj().T
         z = complex_normal(rng, 3)
-        form = QuadraticForm(factor_h, z, 1, 3)
+        form = QuadraticForm.from_factor(factor_h, z, 1, 3)
         v_star = np.linalg.solve(a @ a.conj().T + 3 * np.eye(3), -z)
         assert np.linalg.norm(euclidean_gradient(form, v_star)) < 1e-10
 
@@ -366,7 +380,7 @@ class TestRetract:
 class TestRmcgSolve:
     def test_already_stationary(self, rng):
         # j_hat = 3 I and z = 0: the gradient 6 v is radial everywhere
-        form = QuadraticForm(np.sqrt(3.0) * np.eye(3, dtype=complex),
+        form = QuadraticForm.from_factor(np.sqrt(3.0) * np.eye(3, dtype=complex),
                              np.zeros(3, dtype=complex), 1, 3)
         v0 = PhaseConfig.random(1, 3, rng)
         out, trace = rmcg_solve(form, v0)
@@ -433,7 +447,7 @@ class TestRmcgSolve:
         assert np.array_equal(out.v_hat, v0.v_hat)
 
     def test_empty_form(self):
-        form = QuadraticForm(np.zeros((0, 0), dtype=complex),
+        form = QuadraticForm.from_factor(np.zeros((0, 0), dtype=complex),
                              np.zeros(0, dtype=complex), 0, 0)
         empty = PhaseConfig(np.zeros(0, dtype=complex), 0, 0)
         out, trace = rmcg_solve(form, empty)

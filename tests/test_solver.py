@@ -350,7 +350,7 @@ class TestConvergenceFlag:
             from irsopt.phaseopt import QuadraticForm
             eigvals, eigvecs = np.linalg.eigh(form.j_hat)
             root = eigvecs * np.sqrt(eigvals[-1] - eigvals)
-            flipped = QuadraticForm(root.conj().T, -form.z,
+            flipped = QuadraticForm.from_factor(root.conj().T, -form.z,
                                     form.n_irs, form.n_elements)
             return real_rmcg(flipped, init, **kwargs)
 
@@ -477,14 +477,20 @@ class TestScenarioSpace:
         assert wsr_at(beams, phases) == trace.wsr[-1]
         assert (wsr_at(*initialize(scenario, channels, np.random.default_rng(seed)))
                 == trace.initial_wsr)
+        layers = ("channel_s", "decoder_s", "beamformer_s", "assembly_s", "descent_s")
         for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
-                     "line_search_failed", "extrap_accepted", "wall_time_s"):
+                     "line_search_failed", "extrap_accepted", "wsr_delta", "wall_time_s",
+                     *layers):
             values = getattr(trace, name)
             assert values.shape == (trace.n_outer,) and np.all(np.isfinite(values))
+        assert np.array_equal(trace.wsr_delta, np.diff(history))
+        layer_s = np.array([getattr(trace, name) for name in layers])
+        assert np.all(layer_s >= 0.0) and np.all(layer_s.sum(axis=0) <= trace.wall_time_s)
         assert not trace.extrap_accepted[:extrap_start].any()
         assert trace.phase_grad0.shape == (trace.n_outer,)
         if bare:
             assert not trace.extrap_accepted.any()
             assert np.isnan(trace.phase_grad0).all()
+            assert not trace.assembly_s.any() and not trace.descent_s.any()
         else:
             assert np.all(trace.phase_grad0 >= 0.0)
