@@ -13,8 +13,9 @@ is not reported: it reads a kernel that does fewer, dearer iterations as
 slower.
 
 The second table times ``phaseopt.assemble_quadratic`` on one draw of the
-full preset at 240 and 480 phase elements (60 and 120 per surface), at a
-matched-filter start with its MMSE decoders and weights: median
+full preset at 240 and 480 phase elements (60 and 120 per surface), at
+seeded random phases with matched-filter beamformers and their MMSE
+decoders and weights: median
 microseconds per call, and minor page faults per call (``ru_minflt``,
 counted over the timed calls, after a warm-up call).
 
@@ -29,7 +30,7 @@ import time
 
 import numpy as np
 
-from irsopt import (_kernels, assemble_quadratic, compute_mse, draw_channels,
+from irsopt import (PhaseConfig, _kernels, assemble_quadratic, compute_mse, draw_channels,
                     effective_channels, full_scenario, initialize)
 from irsopt.selfcheck import khatri_rao_form
 from irsopt.solver import PHASE_REL_TOL, SolverOptions
@@ -55,7 +56,8 @@ def time_call(fn, args, repeats):
 def assembly_args(n_elements, seed):
     scenario = full_scenario(n_elements=n_elements)
     channels = draw_channels(scenario, np.random.default_rng(seed))
-    beams, phases = initialize(scenario, channels, np.random.default_rng(seed + 1))
+    phases = PhaseConfig.random(scenario.n_irs, n_elements, np.random.default_rng(seed + 1))
+    beams, phases = initialize(scenario, channels, phases)
     hbar = effective_channels(channels, phases)
     u = update_decoders(hbar, beams, scenario.noise_power)
     q = update_weights(compute_mse(hbar, beams, u, scenario.noise_power))

@@ -17,7 +17,7 @@ from .phaseopt import (QuadraticForm, RmcgTrace, assemble_quadratic,
                        quadratic_constant, retract, rmcg_solve)
 from .scenario import (ScenarioParams, desk_scenario, full_scenario,
                        load_scenario, ring_scenario, save_scenario)
-from .solver import SolveTrace, SolverOptions, initialize, solve
+from .solver import SolveTrace, SolverOptions, energy_phases, initialize, solve
 from .wmmse import (BeamformerSet, WmmseState, compute_mse, compute_rates,
                     optimal_state, update_decoders, update_weights,
                     weighted_sum_rate, wmse_objective)
@@ -30,7 +30,7 @@ __all__ = [
     "ResultRow", "RmcgTrace", "ScenarioParams", "SolveTrace", "SolverOptions",
     "WmmseState", "assemble_context", "assemble_quadratic", "beamformers_at",
     "compute_mse", "compute_rates", "desk_scenario", "draw_channels",
-    "effective_channels", "euclidean_gradient", "full_scenario", "initialize",
+    "effective_channels", "energy_phases", "euclidean_gradient", "full_scenario", "initialize",
     "lambda_upper_bound", "load_scenario", "objective", "optimal_state",
     "path_loss", "power_g", "project_tangent", "quadratic_constant", "retract",
     "ring_scenario", "rmcg_solve", "run_baseline", "run_experiment",

@@ -201,6 +201,17 @@ def draw_channels(params, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(h_direct, g_bs_irs, h_irs_user)
 
 
+def stacked_links(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
+    """The surfaces' links as 2-D arrays whose N = n_irs * n_elements
+    phase elements follow ``PhaseConfig.v_hat`` (surface, then element):
+    G (N, n_tx) holds the BS -> element links and H^T (n_users, N) the
+    element -> user links."""
+    size = channels.n_irs * channels.n_elements
+    g = channels.g_bs_irs.reshape(size, channels.n_tx)
+    h_t = channels.h_irs_user.transpose(1, 0, 2).reshape(channels.n_users, size)
+    return g, h_t
+
+
 def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
     """Combined channel per user: row k holds hbar_k with
     hbar_k^H = h_k^H + sum_l h_{l,k}^H diag(v_l) G_l.
@@ -208,11 +219,8 @@ def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
     ``phases`` is a ``PhaseConfig``, or a stacked vector laid out as its
     ``v_hat`` (the solver scores extrapolated points this way, before it
     wraps one), whose length must be n_irs * n_elements of the channels.
-    The surfaces are stacked into 2-D arrays whose N = n_irs * n_elements
-    phase elements follow ``v_hat`` (surface, then element): G (N, n_tx)
-    holds the BS -> element links and H^T (n_users, N) the element -> user
-    links, so the reflected part is the one product
-    (H^T * conj(v_hat)) @ conj(G).
+    With G and H^T from ``stacked_links``, the reflected part is the one
+    product (H^T * conj(v_hat)) @ conj(G).
 
     Returns an (n_users, n_tx) array; hbar_k^H w is np.vdot(hbar[k], w).
     """
@@ -228,9 +236,7 @@ def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
             raise ValueError("phase vector length does not match the channels")
     if channels.n_irs == 0:
         return channels.h_direct.copy()
-    size = v.shape[0]
-    g = channels.g_bs_irs.reshape(size, channels.n_tx)
-    h_t = channels.h_irs_user.transpose(1, 0, 2).reshape(channels.n_users, size)
+    g, h_t = stacked_links(channels)
     return channels.h_direct + (h_t * np.conj(v)) @ np.conj(g)
 
 

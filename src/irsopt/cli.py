@@ -49,20 +49,18 @@ def _load_base_scenario(args) -> ScenarioParams:
     return desk_scenario(user_seed=args.seed)
 
 
-def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
+def _add_scenario_args(parser: argparse.ArgumentParser, seed_help: str) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="scenario config file (overrides --preset)")
     parser.add_argument("--preset", choices=("desk", "full"), default="desk",
                         help="bundled scenario preset (default: desk)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base random seed (default: 0)")
+    parser.add_argument("--seed", type=int, default=0, help=seed_help + " (default: 0)")
 
 
 def _cmd_solve(args) -> int:
     scenario = _load_base_scenario(args)
-    rng = np.random.default_rng([args.seed, 0])
-    channels = draw_channels(scenario, rng)
-    beams, _, trace = solve(scenario, channels, rng=np.random.default_rng([args.seed, 1]))
+    channels = draw_channels(scenario, np.random.default_rng([args.seed, 0]))
+    beams, _, trace = solve(scenario, channels)
     lines = [TRACE_HEADER]
     for i in range(trace.n_outer):
         lines.append(",".join([
@@ -121,12 +119,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="optimize one channel realization")
-    _add_scenario_args(p_solve)
+    _add_scenario_args(p_solve, "seed of the preset's user drop and of the channel draw; the "
+                       "solve starts from the energy start, which draws nothing")
     p_solve.add_argument("--out", metavar="PATH", help="trace CSV path (default: stdout)")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_sweep = sub.add_parser("sweep", help="Monte-Carlo sweep over an axis")
-    _add_scenario_args(p_sweep)
+    _add_scenario_args(p_sweep, "base seed of the preset's user drop, each cell's channel draw "
+                       "and the random_phase baseline's phases")
     p_sweep.add_argument("--axis", choices=SWEEP_AXES, default="p_max")
     p_sweep.add_argument("--values", default="0.1,0.5,1,2",
                          help="comma list of sweep values (default: 0.1,0.5,1,2)")

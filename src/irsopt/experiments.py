@@ -101,9 +101,10 @@ def run_scheme(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
     """Solve one scheme on a fixed realization; returns its trace.
 
     no_irs drops every reflected path and freezes the (empty) phases;
-    random_phase keeps the reflected paths but freezes the seeded random
-    draw made by the common initialization, so both baselines are plain
-    alternating beamforming runs.
+    random_phase keeps the reflected paths but freezes the uniform random
+    phases that ``solve`` draws from ``rng`` when the phases are frozen,
+    so both baselines are plain alternating beamforming runs. proposed
+    starts from the energy start, which does not read ``rng``.
     """
     if scheme == "proposed":
         pass

@@ -4,9 +4,10 @@ Each check draws fresh random instances and verifies an identity the
 library is built on: the rate/MSE equivalence after the closed-form
 updates, the quadratic-form rewrite of the weighted MSE, gradient
 consistency, the closed-form power curve, monotone descent of the
-full loop on a small scenario, and the descent kernel in use against the
+full loop on a small scenario, the descent kernel in use against the
 numpy reference (the compiled kernel is built with -march=native, so each
-host checks its own build).
+host checks its own build), and monotone minorize-maximize steps of the
+energy start on a desk and a full draw.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .beamformer import (POWER_TOL_REL, assemble_context, beamformers_at, power_
 from .channels import ChannelSet, PhaseConfig, draw_channels, effective_channels
 from .phaseopt import (QuadraticForm, assemble_quadratic, euclidean_gradient, objective,
                        quadratic_constant)
-from .scenario import desk_scenario
-from .solver import PHASE_REL_TOL, SolverOptions, solve
+from .scenario import desk_scenario, full_scenario
+from .solver import PHASE_REL_TOL, SolverOptions, energy_phases, solve
 from .wmmse import compute_mse, compute_rates, optimal_state, weighted_sum_rate, wmse_objective
 
 
@@ -188,11 +189,28 @@ def check_monotone_solve(rng) -> CheckResult:
     scenario = desk_scenario(user_seed=int(rng.integers(1 << 31)),
                              rng_seed=int(rng.integers(1 << 31)))
     channels = draw_channels(scenario, rng)
-    _, _, trace = solve(scenario, channels, SolverOptions(max_outer=30), rng=rng)
+    _, _, trace = solve(scenario, channels, SolverOptions(max_outer=30))
     diffs = np.diff(np.concatenate([[trace.initial_wsr], trace.wsr]))
     ok = bool(np.all(diffs >= -1e-9))
     return CheckResult("weighted sum rate is monotone across outer iterations", ok,
                        f"min increase {diffs.min():.2e} over {trace.n_outer} iterations")
+
+
+def check_energy_start(rng) -> CheckResult:
+    """The energy start's steps on one desk and one full draw: the total
+    channel energy sum_k ||hbar_k||^2 never falls from one step to the
+    next (up to 1e-12 relative), so it ends at or above its value at x_0."""
+    worst = np.inf
+    gains = []
+    for preset in (desk_scenario, full_scenario):
+        scenario = preset(user_seed=int(rng.integers(1 << 31)))
+        _, energy = energy_phases(draw_channels(scenario, rng))
+        worst = min(worst, float(np.min(np.diff(energy) / energy[:-1])))
+        gains.append(energy[-1] / energy[0])
+    return CheckResult("energy start's minorize-maximize steps never lower the energy",
+                       worst >= -1e-12,
+                       f"smallest relative step {worst:+.2e}; energy at the last step over "
+                       f"x_0: desk {gains[0]:.3f}, full {gains[1]:.3f}")
 
 
 def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
@@ -242,7 +260,8 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
 
 
 ALL_CHECKS = (check_rate_mse_equivalence, check_quadratic_identity, check_gradient,
-              check_power_curve, check_monotone_solve, check_kernel_parity)
+              check_power_curve, check_monotone_solve, check_kernel_parity,
+              check_energy_start)
 
 
 def run_all(seed: int = 0) -> list[CheckResult]:

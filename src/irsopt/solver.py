@@ -18,6 +18,13 @@ monotone updates that follow keep the rate monotone (a monotone
 extrapolated block update, Xu and Yin, SIAM J. Imaging Sci. 2013).
 ``beta`` grows on acceptance and shrinks on rejection (Ang and Gillis,
 Neural Computation 2019). No trial runs while the phases are frozen.
+
+The proposed scheme starts from ``energy_phases``: phases that raise the
+total effective-channel energy sum_k ||hbar_k||^2 by a few
+minorize-maximize steps, with matched-filter beamformers at full power.
+The start draws no random numbers. Frozen phases (``optimize_phases=False``,
+the random_phase baseline) start instead from uniform random phases drawn
+from the ``rng`` given to ``solve``; that draw defines the baseline.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamformer import POWER_SLACK_REL, solve_beamforming
-from .channels import ChannelSet, PhaseConfig, effective_channels
+from .channels import ChannelSet, PhaseConfig, effective_channels, stacked_links
 from .phaseopt import assemble_quadratic, rmcg_solve
 from .scenario import ScenarioParams
 # The loop derives every rate, decoder and MSE from one cross-gain matrix
@@ -58,6 +65,8 @@ EXTRAP_START = 5
 EXTRAP_BETA0 = 1.0
 EXTRAP_BETA_MAX = 4.0
 EXTRAP_BETA_MIN = 0.25
+# Minorize-maximize steps of the energy start (energy_phases).
+START_MM_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -114,11 +123,52 @@ class SolveTrace:
         object.__setattr__(self, "n_outer", int(self.wsr.shape[0]))
 
 
+def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray]:
+    """Phases that raise the total effective-channel energy
+    sum_k ||hbar_k||^2, the proposed scheme's start.
+
+    With x = conj(v_hat), d = h_direct and G, H^T from ``stacked_links``,
+    the effective channels are hbar = d + B x, where B x is
+    (H^T * x) @ conj(G) and B^H r is sum_k conj(H^T[k]) * (r @ G^T)[k];
+    the (n_users * n_tx, N) matrix B is never formed. ||d + B x||^2 is
+    convex in x, so its linearization at x_t minorizes it, and the
+    unit-modulus maximizer of that is x_{t+1} = exp(j arg(B^H (d + B x_t))):
+    each such step does not lower the energy (minorize-maximize for
+    unimodular quadratic programs, Song, Babu and Palomar, IEEE TSP 2015;
+    for IRS phases, Pan et al., IEEE TWC 2020). The start is
+    x_0 = exp(j arg(B^H d)), followed by START_MM_STEPS steps. A zero
+    entry of B^H r gives the phase 1.
+
+    Returns the phases and the energy at x_0, ..., x_S
+    (START_MM_STEPS + 1 values).
+    """
+    g, h_t = stacked_links(channels)
+    d = channels.h_direct
+    g_conj, h_conj = np.conj(g), np.conj(h_t)
+    work = np.empty_like(h_t)   # each step's (n_users, N) products, in place
+
+    def ascent(r):   # exp(j arg(B^H r))
+        np.matmul(r, g.T, out=work)
+        np.multiply(work, h_conj, out=work)
+        return np.exp(1j * np.angle(work.sum(axis=0)))
+
+    x = ascent(d)
+    energy = np.empty(START_MM_STEPS + 1)
+    for step in range(START_MM_STEPS + 1):
+        r = d + np.multiply(h_t, x, out=work) @ g_conj
+        energy[step] = np.vdot(r, r).real
+        if step < START_MM_STEPS:
+            x = ascent(r)
+    return PhaseConfig(np.conj(x), channels.n_irs, channels.n_elements), energy
+
+
 def initialize(scenario: ScenarioParams, channels: ChannelSet,
-               rng: np.random.Generator) -> tuple[BeamformerSet, PhaseConfig]:
-    """Feasible starting point: uniform random phases, then matched-filter
-    beamformers on the resulting combined channel at full power."""
-    phases = PhaseConfig.random(channels.n_irs, channels.n_elements, rng)
+               phases: PhaseConfig | None = None) -> tuple[BeamformerSet, PhaseConfig]:
+    """Feasible starting point: ``phases`` (by default the proposed
+    scheme's ``energy_phases(channels)``), then matched-filter beamformers
+    on the resulting combined channel at full power."""
+    if phases is None:
+        phases, _ = energy_phases(channels)
     hbar = effective_channels(channels, phases)
     norms = np.linalg.norm(hbar, axis=1)
     w = np.zeros_like(hbar)
@@ -165,11 +215,15 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
           ) -> tuple[BeamformerSet, PhaseConfig, SolveTrace]:
     """Run the alternating optimization on one channel realization.
 
-    ``warm_start`` bypasses the random initialization; otherwise ``rng``
-    (defaulting to a generator seeded with scenario.rng_seed) drives it.
-    Warm-start beamformers must be (n_users, n_tx) and within the power
-    budget (up to ``beamformer.POWER_SLACK_REL``), else ``ValueError``;
-    the phases must match the channels' surfaces (``effective_channels``).
+    ``warm_start`` bypasses the start. Otherwise the solve starts from
+    ``initialize``: with ``opts.optimize_phases`` (the proposed scheme)
+    from the energy start, which draws nothing, and with frozen phases
+    from ``PhaseConfig.random`` drawn from ``rng`` (defaulting to a
+    generator seeded with scenario.rng_seed), so ``rng`` drives the start
+    only when the phases are frozen. Warm-start beamformers must be
+    (n_users, n_tx) and within the power budget (up to
+    ``beamformer.POWER_SLACK_REL``), else ``ValueError``; the phases must
+    match the channels' surfaces (``effective_channels``).
 
     The cross gains hbar_k^H w_j are formed once per point the loop
     visits: the start, each extrapolation trial and each end of an outer
@@ -183,10 +237,13 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     if warm_start is not None:
         beams, phases = warm_start
         _check_warm_start(scenario, beams)
+    elif opts.optimize_phases:
+        beams, phases = initialize(scenario, channels)
     else:
         if rng is None:
             rng = np.random.default_rng(scenario.rng_seed)
-        beams, phases = initialize(scenario, channels, rng)
+        beams, phases = initialize(scenario, channels, PhaseConfig.random(
+            channels.n_irs, channels.n_elements, rng))
 
     alpha = scenario.weights
     noise = scenario.noise_power

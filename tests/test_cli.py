@@ -83,8 +83,9 @@ class TestValidateCommand:
     def test_passes_on_healthy_build(self, capsys):
         assert main(["validate", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok:") == 6
+        assert out.count("ok:") == 7
         assert "at a binding cap" in out and "probes mean" in out
+        assert "energy start's minorize-maximize steps never lower the energy" in out
         kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
         assert f"kernel {kernel}, worst rel objective gap" in out
         assert "FAIL" not in out

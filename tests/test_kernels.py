@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsopt import _kernels
+from irsopt import _kernels, desk_scenario
 from irsopt.phaseopt import QuadraticForm
 from irsopt.selfcheck import block_scaled_form, khatri_rao_cases, khatri_rao_form
 from irsopt.solver import PHASE_REL_TOL, SolverOptions
@@ -540,23 +540,30 @@ def test_bench_kernels_script_runs(tmp_path):
 
 def test_bench_outer_script_runs(tmp_path):
     script = SRC.parent / "benchmarks" / "bench_outer.py"
-    out = subprocess.run([sys.executable, str(script), "--presets", "desk",
-                          "--draws", "3", "--seed", "5"],
-                         capture_output=True, text=True, timeout=300,
-                         cwd=tmp_path, env=_subprocess_env())
-    assert out.returncode == 0, out.stderr
-    lines = out.stdout.splitlines()
-    assert lines[0].startswith("desk: 3 draws, seed 5, max_outer 100")
-    assert lines[1].split() == ["loop", "outer", "max", "caps", "wsr_nats",
-                                "ms_solve", "us_outer"]
-    rows = [line.split() for line in lines[2:4]]
-    assert [row[0] for row in rows] == ["extrapolated", "plain"]
-    for row in rows:
-        mean, top, caps = float(row[1]), int(row[2]), int(row[3])
-        assert 1.0 <= mean <= top <= SolverOptions().max_outer
-        assert 0 <= caps <= 3 and float(row[4]) > 0.0
-        # a solve takes at least one outer iteration (up to print rounding)
-        ms_solve, us_outer = float(row[5]), float(row[6])
-        assert 0.0 < us_outer <= 1e3 * ms_solve + 1.0
-    assert lines[4].startswith("paired wsr: mean ")
-    assert "standard error" in lines[4] and "moved by more than" in lines[4]
+    for compare, variants in (("starts", ["random_start", "energy_start"]),
+                              ("loops", ["plain", "extrapolated"])):
+        out = subprocess.run([sys.executable, str(script), "--compare", compare,
+                              "--presets", "desk", "--draws", "3", "--seed", "5"],
+                             capture_output=True, text=True, timeout=300,
+                             cwd=tmp_path, env=_subprocess_env())
+        assert out.returncode == 0, out.stderr
+        lines = out.stdout.splitlines()
+        assert lines[0].startswith("desk: 3 draws, seed 5, max_outer 100")
+        assert lines[1].split() == ["variant", "outer", "max", "caps", "wsr_nats",
+                                    "served", "ms_solve", "us_outer"]
+        rows = [line.split() for line in lines[2:4]]
+        assert [row[0] for row in rows] == variants
+        for row in rows:
+            mean, top, caps = float(row[1]), int(row[2]), int(row[3])
+            assert 1.0 <= mean <= top <= SolverOptions().max_outer
+            assert 0 <= caps <= 3 and float(row[4]) > 0.0
+            assert 0.0 <= float(row[5]) <= desk_scenario().n_users
+            # a solve takes at least one outer iteration (up to print rounding)
+            ms_solve, us_outer = float(row[6]), float(row[7])
+            assert 0.0 < us_outer <= 1e3 * ms_solve + 1.0
+        assert lines[4].startswith(f"paired wsr ({variants[1]} minus {variants[0]}): mean ")
+        assert "standard error" in lines[4] and "lose more than 0.001 relative" in lines[4]
+        # one line per losing draw, with the users each variant serves
+        n_lost = int(lines[4].split(" and ")[-1].split()[0])
+        assert len(lines) == 5 + n_lost
+        assert all(line.startswith("  draw ") and "served [" in line for line in lines[5:])

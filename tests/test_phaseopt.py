@@ -140,7 +140,8 @@ class TestFactoredForm:
         for preset in (desk_scenario, full_scenario):
             scenario = preset(user_seed=4)
             channels = draw_channels(scenario, np.random.default_rng(5))
-            beams, phases = initialize(scenario, channels, np.random.default_rng(6))
+            beams, phases = initialize(scenario, channels, PhaseConfig.random(
+                channels.n_irs, channels.n_elements, np.random.default_rng(6)))
             hbar = effective_channels(channels, phases)
             u = update_decoders(hbar, beams, scenario.noise_power)
             q = update_weights(compute_mse(hbar, beams, u, scenario.noise_power))

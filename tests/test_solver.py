@@ -5,13 +5,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from irsopt import (BeamformerSet, PhaseConfig, SolverOptions, assemble_quadratic,
-                    compute_mse, compute_rates, desk_scenario, draw_channels,
-                    effective_channels, full_scenario, initialize, ring_scenario,
-                    rmcg_solve, solve, solve_beamforming, strip_irs, update_decoders,
-                    update_weights, weighted_sum_rate, wmse_objective)
+from irsopt import (BeamformerSet, ChannelSet, ExperimentSpec, PhaseConfig, SolverOptions,
+                    assemble_quadratic, compute_mse, compute_rates, desk_scenario,
+                    draw_channels, effective_channels, energy_phases, full_scenario,
+                    initialize, ring_scenario, rmcg_solve, run_experiment, solve,
+                    solve_beamforming, strip_irs, update_decoders, update_weights,
+                    weighted_sum_rate, wmse_objective)
 from irsopt import solver as solver_mod
 from irsopt.beamformer import POWER_TOL_REL
+from irsopt.channels import stacked_links
+from irsopt.experiments import _cell_rngs
 from irsopt.scenario import LOS_MODES
 from irsopt.solver import MONOTONE_TOL_REL
 from irsopt.wmmse import cross_gains
@@ -69,6 +72,22 @@ def reference_wmmse_no_irs(hbar, alpha, noise, p_max, w0, n_iters=60):
     return float(alpha @ rates)
 
 
+def random_start(scenario, channels, seed):
+    """The frozen-phase start: uniform random phases drawn from a generator
+    seeded with ``seed``, then matched-filter beamformers. Before the energy
+    start it was also the proposed scheme's."""
+    phases = PhaseConfig.random(channels.n_irs, channels.n_elements,
+                                np.random.default_rng(seed))
+    return initialize(scenario, channels, phases)
+
+
+def dense_b(channels):
+    """The (n_users * n_tx, N) matrix B, which energy_phases never forms:
+    the effective channels are h_direct + B conj(v_hat), flattened."""
+    g, h_t = stacked_links(channels)
+    return (h_t[:, None, :] * np.conj(g).T[None, :, :]).reshape(-1, g.shape[0])
+
+
 @pytest.fixture(scope="module")
 def desk_setup():
     scenario = desk_scenario(user_seed=0)
@@ -79,27 +98,76 @@ def desk_setup():
 class TestInitialize:
     def test_feasible_by_construction(self, desk_setup):
         scenario, channels = desk_setup
-        beams, phases = initialize(scenario, channels, np.random.default_rng(0))
-        assert beams.total_power == pytest.approx(scenario.p_max, rel=1e-12)
-        assert beams.total_power <= scenario.p_max * (1 + 1e-9)
-        assert np.max(np.abs(np.abs(phases.v_hat) - 1.0)) <= 1e-12
+        for beams, phases in (initialize(scenario, channels),
+                              random_start(scenario, channels, 0)):
+            assert beams.total_power == pytest.approx(scenario.p_max, rel=1e-12)
+            assert beams.total_power <= scenario.p_max * (1 + 1e-9)
+            assert np.max(np.abs(np.abs(phases.v_hat) - 1.0)) <= 1e-12
 
     def test_deterministic(self, desk_setup):
         scenario, channels = desk_setup
-        a = initialize(scenario, channels, np.random.default_rng(5))
-        b = initialize(scenario, channels, np.random.default_rng(5))
-        assert np.array_equal(a[0].w, b[0].w)
-        assert np.array_equal(a[1].v_hat, b[1].v_hat)
+        for a, b in ((initialize(scenario, channels), initialize(scenario, channels)),
+                     (random_start(scenario, channels, 5),
+                      random_start(scenario, channels, 5))):
+            assert np.array_equal(a[0].w, b[0].w)
+            assert np.array_equal(a[1].v_hat, b[1].v_hat)
 
     def test_positive_initial_rate_over_seeds(self, desk_setup):
         scenario, channels = desk_setup
         for seed in range(100):
-            beams, phases = initialize(scenario, channels,
-                                       np.random.default_rng(seed))
+            beams, phases = random_start(scenario, channels, seed)
             hbar = effective_channels(channels, phases)
             wsr = weighted_sum_rate(scenario.weights,
                                     compute_rates(hbar, beams, scenario.noise_power))
             assert wsr > 0.0
+
+    @pytest.mark.parametrize("preset", [desk_scenario, full_scenario])
+    def test_energy_steps_never_lower_the_energy(self, preset, monkeypatch):
+        # each minorize-maximize step keeps sum_k ||hbar_k||^2 at or above
+        # the step before, so above its value at x_0 = exp(j arg(B^H d)),
+        # here formed from the dense B
+        scenario = preset(user_seed=2)
+        channels = draw_channels(scenario, np.random.default_rng(3))
+        phases, energy = energy_phases(channels)
+        assert energy.shape == (solver_mod.START_MM_STEPS + 1,)
+        assert np.all(np.diff(energy) >= -1e-12 * energy[:-1])
+        assert energy[-1] > energy[0]
+        hbar = effective_channels(channels, phases)
+        assert np.sum(np.abs(hbar) ** 2) == pytest.approx(energy[-1], rel=1e-12)
+        b, d = dense_b(channels), channels.h_direct.reshape(-1)
+        assert (np.linalg.norm(d + b @ np.conj(phases.v_hat) - hbar.reshape(-1))
+                <= 1e-12 * np.linalg.norm(hbar))
+        x0 = np.exp(1j * np.angle(b.conj().T @ d))
+        assert np.sum(np.abs(d + b @ x0) ** 2) == pytest.approx(energy[0], rel=1e-12)
+        monkeypatch.setattr(solver_mod, "START_MM_STEPS", 0)
+        start, only = energy_phases(channels)
+        assert np.allclose(start.v_hat, np.conj(x0), rtol=0, atol=1e-12)
+        assert only.tolist() == energy[:1].tolist()
+
+    @pytest.mark.parametrize("case", ["no_surfaces", "zero_reflected", "zero_direct",
+                                      "zero_weight_users"])
+    def test_energy_start_finite_on_degenerate_channels(self, desk_setup, case):
+        scenario, channels = desk_setup
+        if case == "no_surfaces":
+            channels = strip_irs(channels)
+        elif case == "zero_reflected":
+            channels = ChannelSet(channels.h_direct, channels.g_bs_irs,
+                                  np.zeros_like(channels.h_irs_user))
+        elif case == "zero_direct":
+            channels = ChannelSet(np.zeros_like(channels.h_direct), channels.g_bs_irs,
+                                  channels.h_irs_user)
+        else:
+            scenario = scenario.replace(weights=np.array([0.0, 1.0, 0.0, 1.0]))
+        beams, phases = initialize(scenario, channels)
+        _, energy = energy_phases(channels)
+        assert np.all(np.isfinite(beams.w)) and np.all(np.isfinite(energy))
+        assert phases.size == channels.n_irs * channels.n_elements
+        assert np.max(np.abs(np.abs(phases.v_hat) - 1.0), initial=0.0) <= 1e-12
+        assert beams.total_power == pytest.approx(scenario.p_max, rel=1e-12)
+        assert np.all(np.diff(energy) >= -1e-12 * energy[:-1])
+        if case == "zero_reflected":
+            # no B^H r has a phase: every element stays at 1
+            assert np.array_equal(phases.v_hat, np.ones(phases.size))
 
 
 class TestSolve:
@@ -124,6 +192,39 @@ class TestSolve:
         assert np.array_equal(t1.phase_grad0, t2.phase_grad0)
         for flags in (t1.inner_converged, t1.line_search_failed, t1.extrap_accepted):
             assert flags.dtype == bool and flags.shape == (t1.n_outer,)
+
+    def test_rng_drives_only_the_frozen_phase_start(self, desk_setup):
+        # the proposed scheme starts from the energy start, which draws
+        # nothing; frozen phases start from the rng's random phases
+        scenario, channels = desk_setup
+        traces = [solve(scenario, channels, rng=np.random.default_rng(seed))[2]
+                  for seed in (3, 4)]
+        for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
+                     "line_search_failed", "extrap_accepted", "phase_grad0", "wsr_delta"):
+            assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name),
+                                  equal_nan=name == "phase_grad0"), name
+        assert traces[0].initial_wsr == traces[1].initial_wsr
+        frozen = SolverOptions(optimize_phases=False)
+        starts = {solve(scenario, channels, frozen, rng=np.random.default_rng(seed))[2]
+                  .initial_wsr for seed in (3, 4)}
+        assert len(starts) == 2
+
+    def test_random_phase_row_is_a_frozen_solve_from_random_phases(self):
+        # a random_phase sweep row is the frozen-phase loop from the cell's
+        # seeded random phases and matched-filter beamformers
+        scenario = desk_scenario(user_seed=5)
+        spec = ExperimentSpec(scenario, "p_max", (0.5, 1.0), 2,
+                              schemes=("random_phase",), base_seed=7)
+        frozen = SolverOptions(optimize_phases=False)
+        for row in run_experiment(spec):
+            sweep_idx = spec.sweep_values.index(row.sweep_value)
+            channel_rng, init_seed = _cell_rngs(spec.base_seed, sweep_idx, row.trial)
+            cell = scenario.replace(p_max=row.sweep_value)
+            channels = draw_channels(cell, channel_rng)
+            _, _, trace = solve(cell, channels, frozen,
+                                warm_start=random_start(cell, channels, init_seed))
+            assert row.wsr_nats == trace.wsr[-1]
+            assert row.outer_iters == trace.n_outer
 
     def test_descent_health_matches_each_descent(self, desk_setup, monkeypatch):
         # the per-outer flags are the ones each phase descent reported; a
@@ -228,7 +329,7 @@ class TestSolve:
 
     def test_warm_start_of_the_wrong_shape_rejected(self, desk_setup):
         scenario, channels = desk_setup
-        beams, phases = initialize(scenario, channels, np.random.default_rng(0))
+        beams, phases = initialize(scenario, channels)
         n_users, n_tx = beams.w.shape
         # zero power, so the shape alone fails
         for shape in ((n_users, n_tx - 1), (n_users - 1, n_tx), (n_users, n_tx + 1)):
@@ -280,7 +381,7 @@ class TestSubStepMonotonicity:
     def test_surrogate_improves_after_every_block(self, desk_setup):
         scenario, channels = desk_setup
         alpha, noise = scenario.weights, scenario.noise_power
-        beams, phases = initialize(scenario, channels, np.random.default_rng(7))
+        beams, phases = random_start(scenario, channels, 7)
         w = beams.w
         u = np.full(scenario.n_users, 0.1 + 0.1j)
         q = np.ones(scenario.n_users)
@@ -381,24 +482,28 @@ class TestConvergenceFlag:
         # inexact unpreconditioned phase descents made one outer step gain
         # less than outer_tol far from a stationary point: the solve stopped
         # "converged" after 11 outer iterations at 0.95067 nats, where exact
-        # descents reach 0.96001
+        # descents reach 0.96001. The path starts from the random start that
+        # solve took then, from the scenario's rng_seed.
         seq = np.random.SeedSequence([503, 864])
         user_seed, init_seed = (int(x) for x in seq.generate_state(2))
         scenario = desk_scenario(user_seed=user_seed, rng_seed=init_seed)
         channels = draw_channels(scenario, np.random.default_rng(seq.spawn(1)[0]))
-        _, _, trace = solve(scenario, channels, SolverOptions())
+        _, _, trace = solve(scenario, channels, SolverOptions(),
+                            warm_start=random_start(scenario, channels, init_seed))
         assert trace.converged
         assert trace.wsr[-1] >= 0.9595
 
     def test_extrapolation_ends_a_crawling_solve(self):
         # a full draw (seeded as perfbench seeds its operations) on which the
         # plain alternating loop crawled: it hit max_outer = 100 unconverged
-        # at 5.8508 nats, where the extrapolated loop converges in 21
+        # at 5.8508 nats, where the extrapolated loop converges in 21. The
+        # path starts from the random start that solve took then.
         seq = np.random.SeedSequence([44, 39])
         user_seed, init_seed = (int(x) for x in seq.generate_state(2))
         scenario = full_scenario(user_seed=user_seed, rng_seed=init_seed)
         channels = draw_channels(scenario, np.random.default_rng(seq.spawn(1)[0]))
-        _, _, trace = solve(scenario, channels, SolverOptions())
+        _, _, trace = solve(scenario, channels, SolverOptions(),
+                            warm_start=random_start(scenario, channels, init_seed))
         assert trace.converged
         assert trace.n_outer <= 40
         assert trace.wsr[-1] >= 5.85
@@ -407,11 +512,13 @@ class TestConvergenceFlag:
     def test_power_tolerance_does_not_drop_the_wsr(self, caplog):
         # a desk draw on which a dual search that stopped up to 1e-8 of the
         # cap off it let the WSR drop by 4.3e-10 relative at outer iteration
-        # 16, so the solve stopped unconverged after 17
+        # 16, so the solve stopped unconverged after 17. The path starts
+        # from the random start that solve took then.
         scenario = desk_scenario(user_seed=89, rng_seed=89)
         channels = draw_channels(scenario, np.random.default_rng([8300, 89]))
         with caplog.at_level("WARNING", logger="irsopt.solver"):
-            _, _, trace = solve(scenario, channels, SolverOptions(outer_tol=1e-8))
+            _, _, trace = solve(scenario, channels, SolverOptions(outer_tol=1e-8),
+                                warm_start=random_start(scenario, channels, 89))
         assert trace.converged
         assert not any("dropped" in rec.message for rec in caplog.records)
 
@@ -443,16 +550,21 @@ class TestScenarioSpace:
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(problem=ring_problems(), rel_tol=st.sampled_from((0.0, 1e-2, 1e-1)),
-           extrap_start=st.sampled_from((1, 5, 30)), bare=st.booleans())
-    def test_solve_invariants(self, problem, rel_tol, extrap_start, bare, caplog,
+           extrap_start=st.sampled_from((1, 5, 30)),
+           links=st.sampled_from(("drawn", "bare", "zero_reflected")))
+    def test_solve_invariants(self, problem, rel_tol, extrap_start, links, caplog,
                               monkeypatch):
         # the solver's invariants hold away from the presets too, whatever
         # relative tolerance stops its phase descents, wherever the
-        # extrapolation trials start (30 = never, at max_outer) and with
-        # the surfaces removed
+        # extrapolation trials start (30 = never, at max_outer), with the
+        # surfaces removed and with surfaces that reflect nothing
         scenario, channels, seed = problem
+        bare = links == "bare"
         if bare:
             channels = strip_irs(channels)
+        elif links == "zero_reflected":
+            channels = ChannelSet(channels.h_direct, np.zeros_like(channels.g_bs_irs),
+                                  channels.h_irs_user)
         opts = SolverOptions(max_outer=30)
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="irsopt"), \
@@ -475,8 +587,7 @@ class TestScenarioSpace:
                 effective_channels(channels, phases), beams, scenario.noise_power))
 
         assert wsr_at(beams, phases) == trace.wsr[-1]
-        assert (wsr_at(*initialize(scenario, channels, np.random.default_rng(seed)))
-                == trace.initial_wsr)
+        assert wsr_at(*initialize(scenario, channels)) == trace.initial_wsr
         layers = ("channel_s", "decoder_s", "beamformer_s", "assembly_s", "descent_s")
         for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
                      "line_search_failed", "extrap_accepted", "wsr_delta", "wall_time_s",
