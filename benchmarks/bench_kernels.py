@@ -33,7 +33,7 @@ import numpy as np
 from irsopt import (PhaseConfig, _kernels, assemble_quadratic, compute_mse, draw_channels,
                     effective_channels, full_scenario, initialize)
 from irsopt.selfcheck import khatri_rao_form
-from irsopt.solver import PHASE_REL_TOL, SolverOptions
+from irsopt.solver import MAX_INNER, PHASE_REL_TOL
 from irsopt.wmmse import update_decoders, update_weights
 
 ASSEMBLY_ELEMENTS = (60, 120)   # full preset, 4 surfaces: N = 240 and 480
@@ -85,7 +85,7 @@ def main():
     for size in sizes:
         form = khatri_rao_form(rng, size, args.users, args.users)
         v0 = np.exp(1j * rng.uniform(0, 2 * np.pi, size))
-        call = (form, v0, 1e-6 * np.sqrt(size), PHASE_REL_TOL, SolverOptions().max_inner)
+        call = (form, v0, 1e-6 * np.sqrt(size), PHASE_REL_TOL, MAX_INNER)
         row = ""
         for kernel in kernels.values():
             t, _, (_, n_done, *_) = time_call(kernel, call, args.repeats)

@@ -8,7 +8,7 @@ configurations live on the product of per-element unit circles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,11 +71,20 @@ class ChannelSet:
     h_irs_user[l,k]: (n_irs, n_users, n_elements) surface l -> user k
 
     A set with n_irs = 0 is valid and means no reflected paths.
+
+    The constructor also stacks the surfaces' links once into two
+    read-only 2-D arrays whose N = n_irs * n_elements phase elements
+    follow ``PhaseConfig.v_hat`` (surface, then element):
+
+    g   : (N, n_tx)     g[l * M + m] = g_bs_irs[l, m], a view
+    h_t : (n_users, N)  h_t[k, l * M + m] = h_irs_user[l, k, m]
     """
 
     h_direct: np.ndarray
     g_bs_irs: np.ndarray
     h_irs_user: np.ndarray
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    h_t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.array(self.h_direct, dtype=complex)
@@ -93,10 +102,12 @@ class ChannelSet:
         for name, arr in (("h_direct", h), ("g_bs_irs", g), ("h_irs_user", hr)):
             if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
                 raise ValueError(f"{name} contains non-finite entries")
+        size = g.shape[0] * g.shape[1]
+        for name, arr in (("h_direct", h), ("g_bs_irs", g), ("h_irs_user", hr),
+                          ("g", g.reshape(size, h.shape[1])),
+                          ("h_t", hr.transpose(1, 0, 2).reshape(h.shape[0], size))):
             arr.setflags(write=False)
-        object.__setattr__(self, "h_direct", h)
-        object.__setattr__(self, "g_bs_irs", g)
-        object.__setattr__(self, "h_irs_user", hr)
+            object.__setattr__(self, name, arr)
 
     @property
     def n_users(self) -> int:
@@ -201,17 +212,6 @@ def draw_channels(params, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(h_direct, g_bs_irs, h_irs_user)
 
 
-def stacked_links(channels: ChannelSet) -> tuple[np.ndarray, np.ndarray]:
-    """The surfaces' links as 2-D arrays whose N = n_irs * n_elements
-    phase elements follow ``PhaseConfig.v_hat`` (surface, then element):
-    G (N, n_tx) holds the BS -> element links and H^T (n_users, N) the
-    element -> user links."""
-    size = channels.n_irs * channels.n_elements
-    g = channels.g_bs_irs.reshape(size, channels.n_tx)
-    h_t = channels.h_irs_user.transpose(1, 0, 2).reshape(channels.n_users, size)
-    return g, h_t
-
-
 def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
     """Combined channel per user: row k holds hbar_k with
     hbar_k^H = h_k^H + sum_l h_{l,k}^H diag(v_l) G_l.
@@ -219,8 +219,10 @@ def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
     ``phases`` is a ``PhaseConfig``, or a stacked vector laid out as its
     ``v_hat`` (the solver scores extrapolated points this way, before it
     wraps one), whose length must be n_irs * n_elements of the channels.
-    With G and H^T from ``stacked_links``, the reflected part is the one
-    product (H^T * conj(v_hat)) @ conj(G).
+    With the stacked links ``channels.g`` and ``channels.h_t``, the
+    reflected part is the one product (h_t * conj(v_hat)) @ conj(g); with
+    no surfaces it is empty and adds zeros, so the result is always a new
+    array.
 
     Returns an (n_users, n_tx) array; hbar_k^H w is np.vdot(hbar[k], w).
     """
@@ -234,10 +236,7 @@ def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
         v = phases
         if v.shape != (channels.n_irs * channels.n_elements,):
             raise ValueError("phase vector length does not match the channels")
-    if channels.n_irs == 0:
-        return channels.h_direct.copy()
-    g, h_t = stacked_links(channels)
-    return channels.h_direct + (h_t * np.conj(v)) @ np.conj(g)
+    return channels.h_direct + (channels.h_t * np.conj(v)) @ np.conj(channels.g)
 
 
 def strip_irs(channels: ChannelSet) -> ChannelSet:

@@ -51,6 +51,10 @@ class ExperimentSpec:
         values = tuple(self.sweep_values)
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep values must be non-empty and strictly increasing")
+        # scenario_at takes int(value) elements, so a fractional value would
+        # solve one count and record another
+        if self.sweep_name == "n_elements" and not all(float(v).is_integer() for v in values):
+            raise ValueError(f"n_elements sweep values must be whole numbers, got {values}")
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes: {unknown}")

@@ -123,16 +123,15 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     the rest. ``noise_power`` enters only the constant, so the form does
     not read it; it is taken so that both functions share one signature.
 
-    The surfaces' links are stacked into 2-D arrays whose N = n_irs *
-    n_elements rows follow ``v_hat`` (surface, then element): G (N, n_tx)
-    with row (l, m) the BS -> element m link of surface l, and H (N, K)
-    with column k the element -> user k links. With GW = G W^T, column
-    (k, j) of F is sqrt(alpha_k q_k |u_k|^2) H[:, k] o conj(GW[:, j]),
-    so row (k, j) of F^H is a_h[k] o b_h[j], with the (K, N) operands
-    a_h = (sqrt(alpha q |u|^2) o conj(H))^T and b_h = GW^T that the form
-    stores; F^H itself (K^2 x N) is never formed here. The linear term is
-    z = sum_k H[:, k] o conj(G y_k) with y_k = alpha_k q_k (|u_k|^2
-    W_gram h_k - conj(u_k) w_k).
+    The surfaces' links are read stacked, in ``v_hat`` order, from the
+    channel set: g = ``channels.g`` (N, n_tx) and h_t = ``channels.h_t``
+    (K, N), N = n_irs * n_elements. With GW = g W^T, column (k, j) of F
+    is sqrt(alpha_k q_k |u_k|^2) h_t[k] o conj(GW[:, j]), so row (k, j)
+    of F^H is a_h[k] o b_h[j], with the (K, N) operands
+    a_h = conj(h_t) o sqrt(alpha q |u|^2) (row k scaled) and b_h = GW^T
+    that the form stores; F^H itself (K^2 x N) is never formed here. The
+    linear term is z = sum_k h_t[k] o conj(g y_k) with
+    y_k = alpha_k q_k (|u_k|^2 W_gram h_k - conj(u_k) w_k).
     """
     w = _w_matrix(beamformers)
     u = np.asarray(decoders, dtype=complex)
@@ -140,24 +139,19 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
     cu = aq * np.abs(u) ** 2
     if not cu.min() >= 0:   # NaN fails too
         raise ValueError("rate weights and MSE weights must be nonnegative")
-    h = channels.h_direct          # (K, n_tx)
-    n_irs, n_el = channels.n_irs, channels.n_elements
-    n_users, n_tx = h.shape
-    size = n_irs * n_el
-    g = channels.g_bs_irs.reshape(size, n_tx)
-    h_ru = channels.h_irs_user.transpose(0, 2, 1).reshape(size, n_users)
+    g, h_t = channels.g, channels.h_t
 
     # F^H[(k, j), n] = a_h[k, n] b_h[j, n]
     gw = g @ w.T                                # (N, K), GW[(l,m), j] = (G_l w_j)[m]
-    a_h = (np.conj(h_ru) * np.sqrt(cu)).T
+    a_h = np.conj(h_t) * np.sqrt(cu)[:, None]
     b_h = gw.T
 
     # Linear term from the diagonals of the direct-cross blocks.
     w_gram = w.T @ np.conj(w)                   # sum_j w_j w_j^H, (n_tx, n_tx)
-    y = (w_gram @ h.T) * cu - w.T * np.conj(aq * u)
-    z = np.sum(h_ru * np.conj(g @ y), axis=1)
+    y = (w_gram @ channels.h_direct.T) * cu - w.T * np.conj(aq * u)
+    z = np.sum(h_t.T * np.conj(g @ y), axis=1)
 
-    return QuadraticForm(a_h, b_h, z, n_irs, n_el)
+    return QuadraticForm(a_h, b_h, z, channels.n_irs, channels.n_elements)
 
 
 def quadratic_constant(channels: ChannelSet, beamformers, decoders,

@@ -23,7 +23,7 @@ from .channels import ChannelSet, PhaseConfig, draw_channels, effective_channels
 from .phaseopt import (QuadraticForm, assemble_quadratic, euclidean_gradient, objective,
                        quadratic_constant)
 from .scenario import desk_scenario, full_scenario
-from .solver import PHASE_REL_TOL, SolverOptions, energy_phases, solve
+from .solver import MAX_INNER, PHASE_REL_TOL, SolverOptions, energy_phases, solve
 from .wmmse import compute_mse, compute_rates, optimal_state, weighted_sum_rate, wmse_objective
 
 
@@ -245,7 +245,7 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
             scale = (float(np.sum(np.abs(form.factor_h) ** 2))
                      + 2.0 * float(np.sum(np.abs(form.z))))
             worst = max(worst, float(np.max(np.abs(obj_a[:k] - obj_b[:k]))) / scale)
-            args = (form, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner)
+            args = (form, v0, 0.0, PHASE_REL_TOL, MAX_INNER)
             stops = [kernel_fn(*args)[1]
                      for kernel_fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
             worst_stop = max(worst_stop, abs(stops[0] - stops[1]))

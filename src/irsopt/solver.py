@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .beamformer import POWER_SLACK_REL, solve_beamforming
-from .channels import ChannelSet, PhaseConfig, effective_channels, stacked_links
+from .channels import ChannelSet, PhaseConfig, effective_channels
 from .phaseopt import assemble_quadratic, rmcg_solve
 from .scenario import ScenarioParams
 # The loop derives every rate, decoder and MSE from one cross-gain matrix
@@ -57,6 +57,8 @@ MONOTONE_TOL_REL = 1e-12
 # is larger): the outer loop needs a monotone phase step, not an exact
 # block minimizer.
 PHASE_REL_TOL = 1e-2
+# Iteration cap of each phase descent; no full-preset descent reaches it.
+MAX_INNER = 100
 # The extrapolation trial starts at this 0-based outer iteration: started
 # at the first ones, it sends some draws to a worse local optimum. Its
 # step factor starts at EXTRAP_BETA0, doubles on acceptance up to
@@ -71,13 +73,13 @@ START_MM_STEPS = 10
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The outer loop's settings. The inner solvers' tolerances are
-    module constants (``PHASE_REL_TOL``, ``beamformer.POWER_TOL_REL`` and
-    ``LAMBDA_TOL_REL``), not fields: one value of each is in use."""
+    """The outer loop's settings. The inner solvers' tolerances and the
+    phase descent's iteration cap are module constants (``PHASE_REL_TOL``,
+    ``MAX_INNER``, ``beamformer.POWER_TOL_REL`` and ``LAMBDA_TOL_REL``),
+    not fields: one value of each is in use."""
 
     outer_tol: float = 1e-4        # stop when fractional WSR increase is below this
     max_outer: int = 100
-    max_inner: int = 100           # phase-descent iteration cap
     optimize_phases: bool = True   # False freezes the initial phases
 
     def __post_init__(self):
@@ -86,13 +88,13 @@ class SolverOptions:
             raise ValueError("outer_tol must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.max_inner < 0:
-            raise ValueError("max_inner must be nonnegative")
 
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Per-outer-iteration progress of one solve."""
+    """Per-outer-iteration progress of one solve. ``solve`` builds each
+    array from one column of its per-iteration rows, whose values follow
+    the field order below; numpy infers the dtypes from them."""
 
     wsr: np.ndarray           # weighted sum rate (nats) after each iteration
     wmse_obj: np.ndarray      # surrogate objective at the same points
@@ -127,23 +129,22 @@ def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray]:
     """Phases that raise the total effective-channel energy
     sum_k ||hbar_k||^2, the proposed scheme's start.
 
-    With x = conj(v_hat), d = h_direct and G, H^T from ``stacked_links``,
-    the effective channels are hbar = d + B x, where B x is
-    (H^T * x) @ conj(G) and B^H r is sum_k conj(H^T[k]) * (r @ G^T)[k];
-    the (n_users * n_tx, N) matrix B is never formed. ||d + B x||^2 is
-    convex in x, so its linearization at x_t minorizes it, and the
-    unit-modulus maximizer of that is x_{t+1} = exp(j arg(B^H (d + B x_t))):
-    each such step does not lower the energy (minorize-maximize for
-    unimodular quadratic programs, Song, Babu and Palomar, IEEE TSP 2015;
-    for IRS phases, Pan et al., IEEE TWC 2020). The start is
-    x_0 = exp(j arg(B^H d)), followed by START_MM_STEPS steps. A zero
-    entry of B^H r gives the phase 1.
+    With x = conj(v_hat), d = h_direct and the stacked links g =
+    ``channels.g``, h_t = ``channels.h_t``, the effective channels are
+    hbar = d + B x, where B x is (h_t * x) @ conj(g) and B^H r is
+    sum_k conj(h_t[k]) * (r @ g^T)[k]; the (n_users * n_tx, N) matrix B
+    is never formed. ||d + B x||^2 is convex in x, so its linearization
+    at x_t minorizes it, and the unit-modulus maximizer of that is
+    x_{t+1} = exp(j arg(B^H (d + B x_t))): each such step does not lower
+    the energy (minorize-maximize for unimodular quadratic programs, Song,
+    Babu and Palomar, IEEE TSP 2015; for IRS phases, Pan et al., IEEE TWC
+    2020). The start is x_0 = exp(j arg(B^H d)), followed by
+    START_MM_STEPS steps. A zero entry of B^H r gives the phase 1.
 
     Returns the phases and the energy at x_0, ..., x_S
     (START_MM_STEPS + 1 values).
     """
-    g, h_t = stacked_links(channels)
-    d = channels.h_direct
+    g, h_t, d = channels.g, channels.h_t, channels.h_direct
     g_conj, h_conj = np.conj(g), np.conj(h_t)
     work = np.empty_like(h_t)   # each step's (n_users, N) products, in place
 
@@ -225,11 +226,12 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     ``beamformer.POWER_SLACK_REL``), else ``ValueError``; the phases must
     match the channels' surfaces (``effective_channels``).
 
-    The cross gains hbar_k^H w_j are formed once per point the loop
-    visits: the start, each extrapolation trial and each end of an outer
-    iteration. The point's weighted sum rate, the next decoders and their
-    MSE, and the surrogate objective at the iteration's end all come from
-    that one matrix.
+    One local evaluation scores each point the loop visits: the start,
+    each extrapolation trial and each end of an outer iteration. It forms
+    the effective channels and, once, the cross gains hbar_k^H w_j. The
+    point's weighted sum rate, the next decoders and their MSE, and the
+    surrogate objective at the iteration's end all come from that one
+    matrix. The trace is built from one row per outer iteration.
     """
     opts = opts or SolverOptions()
     if channels.n_users != scenario.n_users or channels.n_tx != scenario.n_tx:
@@ -249,14 +251,18 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     noise = scenario.noise_power
     do_phases = opts.optimize_phases and phases.size > 0
 
-    hbar = effective_channels(channels, phases)
-    signal, total = gain_terms(cross_gains(hbar, beams), noise)
-    prev_wsr = weighted_sum_rate(alpha, rates_from_terms(signal, total))
+    def evaluate(w, v):
+        """The effective channels at phases v, the gain terms of
+        beamformers w on them and the weighted sum rate, from one
+        cross-gain matrix."""
+        hbar = effective_channels(channels, v)
+        signal, total = gain_terms(cross_gains(hbar, w), noise)
+        return hbar, signal, total, weighted_sum_rate(alpha, rates_from_terms(signal, total))
+
+    hbar, signal, total, prev_wsr = evaluate(beams, phases)
     initial_wsr = prev_wsr
 
-    wsr_hist, wmse_hist, lam_hist, probe_hist, inner_hist, time_hist = [], [], [], [], [], []
-    inner_ok_hist, failed_hist, accepted_hist, grad0_hist, delta_hist = [], [], [], [], []
-    layer_hist = []   # the five layer times of each iteration, one after another
+    rows = []   # one per outer iteration, in SolveTrace's field order
     converged = False
     beta = EXTRAP_BETA0
     last = (beams, phases)   # the point at the end of the outer iteration before the last
@@ -266,13 +272,12 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         accepted = False
         if do_phases and it >= EXTRAP_START:
             trial_w, trial_v = extrapolate(beams, phases, *last, beta, scenario.p_max)
-            trial_hbar = effective_channels(channels, trial_v)
-            trial_terms = gain_terms(cross_gains(trial_hbar, trial_w), noise)
-            accepted = weighted_sum_rate(alpha, rates_from_terms(*trial_terms)) >= prev_wsr
+            trial = evaluate(trial_w, trial_v)
+            accepted = trial[3] >= prev_wsr
             if accepted:
                 beams = BeamformerSet(trial_w)
                 phases = PhaseConfig(trial_v, phases.n_irs, phases.n_elements)
-                hbar, (signal, total) = trial_hbar, trial_terms
+                hbar, signal, total, _ = trial
                 beta = min(2.0 * beta, EXTRAP_BETA_MAX)
             else:
                 beta = max(0.5 * beta, EXTRAP_BETA_MIN)
@@ -289,30 +294,19 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             form = assemble_quadratic(channels, beams, u, q, alpha, noise)
             t_descent = time.perf_counter()
             phases, ptrace = rmcg_solve(form, phases, rel_tol=PHASE_REL_TOL,
-                                        max_iters=opts.max_inner)
+                                        max_iters=MAX_INNER)
             t_channel = time.perf_counter()
             inner = ptrace.n_iters
             inner_ok, failed = ptrace.converged, ptrace.line_search_failed
             grad0 = float(ptrace.grad_norms[0])
-            hbar = effective_channels(channels, phases)
 
-        signal, total = gain_terms(cross_gains(hbar, beams), noise)
-        wsr = weighted_sum_rate(alpha, rates_from_terms(signal, total))
+        hbar, signal, total, wsr = evaluate(beams, phases)
         wmse_now = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
         t_end = time.perf_counter()
-        layer_hist += (t_decoder - t0 + t_end - t_channel, t_beam - t_decoder,
-                       t_assembly - t_beam, t_descent - t_assembly, t_channel - t_descent)
-        wsr_hist.append(wsr)
-        wmse_hist.append(wmse_now)
-        lam_hist.append(lam)
-        probe_hist.append(probes)
-        inner_hist.append(inner)
-        inner_ok_hist.append(inner_ok)
-        failed_hist.append(failed)
-        accepted_hist.append(accepted)
-        grad0_hist.append(grad0)
-        delta_hist.append(wsr - prev_wsr)
-        time_hist.append(time.perf_counter() - t0)
+        rows.append((wsr, wmse_now, lam, probes, inner, inner_ok, failed, accepted, grad0,
+                     wsr - prev_wsr, time.perf_counter() - t0,
+                     t_decoder - t0 + t_end - t_channel, t_beam - t_decoder,
+                     t_assembly - t_beam, t_descent - t_assembly, t_channel - t_descent))
         log.debug("outer %d: wsr=%.6f lam=%.3e probes=%d inner=%d "
                   "inner_converged=%s line_search_failed=%s extrap_accepted=%s",
                   it, wsr, lam, probes, inner, inner_ok, failed, accepted)
@@ -327,17 +321,5 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             converged = True
             break
 
-    layers = np.array(layer_hist).reshape(-1, 5).T
-    trace = SolveTrace(wsr=np.array(wsr_hist), wmse_obj=np.array(wmse_hist),
-                       lam=np.array(lam_hist), probes=np.array(probe_hist, dtype=int),
-                       inner_iters=np.array(inner_hist),
-                       inner_converged=np.array(inner_ok_hist, dtype=bool),
-                       line_search_failed=np.array(failed_hist, dtype=bool),
-                       extrap_accepted=np.array(accepted_hist, dtype=bool),
-                       phase_grad0=np.array(grad0_hist, dtype=float),
-                       wsr_delta=np.array(delta_hist),
-                       wall_time_s=np.array(time_hist),
-                       channel_s=layers[0], decoder_s=layers[1], beamformer_s=layers[2],
-                       assembly_s=layers[3], descent_s=layers[4],
-                       initial_wsr=initial_wsr, converged=converged)
-    return beams, phases, trace
+    return beams, phases, SolveTrace(*(np.array(column) for column in zip(*rows)),
+                                     initial_wsr=initial_wsr, converged=converged)

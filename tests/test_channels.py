@@ -202,8 +202,33 @@ class TestEffectiveChannels:
         ch = random_channels(rng, 2, 3, 2, 4)
         bare = strip_irs(ch)
         assert bare.n_irs == 0
+        assert bare.g.shape == (0, 4) and bare.h_t.shape == (2, 0)
         empty = PhaseConfig(np.zeros(0, dtype=complex), 0, 0)
-        assert np.array_equal(effective_channels(bare, empty), ch.h_direct)
+        hbar = effective_channels(bare, empty)
+        assert np.array_equal(hbar, ch.h_direct)
+        # the empty reflected product gives a new, writable array
+        assert not np.shares_memory(hbar, bare.h_direct)
+        hbar[0, 0] += 1.0
+        assert np.array_equal(bare.h_direct, ch.h_direct)
+
+
+class TestStackedLinks:
+    @pytest.mark.parametrize("n_irs", [0, 1, 3])
+    def test_layout_follows_v_hat(self, rng, n_irs):
+        # element m of surface l sits at l * M + m, as in PhaseConfig.v_hat
+        n_el, n_users, n_tx = 4, 3, 2
+        ch = random_channels(rng, n_irs, n_el, n_users, n_tx)
+        assert ch.g.shape == (n_irs * n_el, n_tx)
+        assert ch.h_t.shape == (n_users, n_irs * n_el)
+        for l in range(n_irs):
+            for m in range(n_el):
+                assert np.array_equal(ch.g[l * n_el + m], ch.g_bs_irs[l, m])
+                for k in range(n_users):
+                    assert ch.h_t[k, l * n_el + m] == ch.h_irs_user[l, k, m]
+        for arr in (ch.g, ch.h_t):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
 
 
 class TestPhaseConfig:

@@ -71,6 +71,18 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--axis", "frequency"])
 
+    def test_fractional_element_count_rejected(self, tmp_path, capsys, monkeypatch):
+        # rejected before any solve, and before the CSV is opened
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran")
+
+        monkeypatch.setattr("irsopt.experiments.solve", no_solve)
+        out = tmp_path / "m.csv"
+        assert main(["sweep", "--axis", "n_elements", "--values", "4,4.5",
+                     "--trials", "1", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_element_axis(self, tmp_path):
         out = tmp_path / "m.csv"
         rc = main(["sweep", "--axis", "n_elements", "--values", "4,8",

@@ -34,6 +34,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(desk_setup[0], sweep_values=())
 
+    @pytest.mark.parametrize("bad", [4.5, np.nan, np.inf])
+    def test_rejects_fractional_element_counts(self, desk_setup, bad):
+        # a 4.5 would solve int(4.5) = 4 elements and record 4.5 in the CSV
+        with pytest.raises(ValueError, match="n_elements"):
+            tiny_spec(desk_setup[0], sweep_name="n_elements", sweep_values=(2, bad))
+        spec = tiny_spec(desk_setup[0], sweep_name="n_elements", sweep_values=(2, 8.0))
+        assert spec.sweep_values == (2, 8.0)
+        # the p_max axis takes any increasing values
+        tiny_spec(desk_setup[0], sweep_values=(0.5, 4.5))
+
     def test_rejects_unknown_scheme(self, desk_setup):
         with pytest.raises(ValueError):
             tiny_spec(desk_setup[0], schemes=("zero_forcing",))
@@ -121,12 +131,13 @@ class TestRunExperiment:
                            r.inner_unconverged)
         assert [strip(r) for r in rows_a] == [strip(r) for r in rows_b]
 
-    def test_unconverged_descents_are_counted(self, desk_setup):
+    def test_unconverged_descents_are_counted(self, desk_setup, monkeypatch):
         # a cap of 3 inner iterations leaves descents unconverged; the
-        # baselines run no descent
+        # baselines run no descent. The cells run in this process
+        # (workers=1), so they see the patched cap.
+        monkeypatch.setattr("irsopt.solver.MAX_INNER", 3)
         spec = tiny_spec(desk_setup[0], sweep_values=(0.5, 1.0), n_trials=2,
-                         schemes=SCHEMES,
-                         options=SolverOptions(max_inner=3))
+                         schemes=SCHEMES)
         rows = run_experiment(spec)
         proposed = [r for r in rows if r.scheme == "proposed"]
         assert all(0 <= r.inner_unconverged <= r.outer_iters for r in proposed)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from irsopt import _kernels, desk_scenario
 from irsopt.phaseopt import QuadraticForm
 from irsopt.selfcheck import block_scaled_form, khatri_rao_cases, khatri_rao_form
-from irsopt.solver import PHASE_REL_TOL, SolverOptions
+from irsopt.solver import MAX_INNER, PHASE_REL_TOL, SolverOptions
 from tests.conftest import complex_normal
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -220,8 +220,7 @@ class TestPreconditioner:
         runs = []
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             with np.errstate(over="ignore"):
-                runs.append(run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
-                                     iters=SolverOptions().max_inner))
+                runs.append(run_core(fn, form, v0, rel_tol=PHASE_REL_TOL, iters=MAX_INNER))
         (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = runs
         k = min(n_a, n_b) + 1
         assert np.max(np.abs(obj_a[:k] - obj_b[:k])) <= 1e-9 * scale
@@ -241,7 +240,7 @@ class TestPreconditioner:
         v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
         for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             _, n, *_, failed, conv = run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
-                                              iters=SolverOptions().max_inner)
+                                              iters=MAX_INNER)
             assert conv and not failed and n <= 30
 
 
@@ -256,8 +255,7 @@ class TestKhatriRaoForms:
             v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
             scale = (float(np.sum(np.abs(form.factor_h) ** 2))
                      + 2.0 * float(np.sum(np.abs(form.z))))
-            runs = [run_core(fn, form, v0, rel_tol=PHASE_REL_TOL,
-                             iters=SolverOptions().max_inner)
+            runs = [run_core(fn, form, v0, rel_tol=PHASE_REL_TOL, iters=MAX_INNER)
                     for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
             (_, n_a, obj_a, *_), (_, n_b, obj_b, *_) = runs
             k = min(n_a, n_b) + 1
@@ -315,7 +313,7 @@ class TestKhatriRaoForms:
         for size in (240, 480):
             form = khatri_rao_form(rng, size, 8, 8)
             v0 = np.exp(2j * np.pi * rng.uniform(size=size))
-            calls.append((form, v0, 0.0, PHASE_REL_TOL, SolverOptions().max_inner))
+            calls.append((form, v0, 0.0, PHASE_REL_TOL, MAX_INNER))
         serial = [_kernels.rmcg_core(*call) for call in calls]
         mismatches, done = [], []
 
@@ -528,7 +526,7 @@ def test_bench_kernels_script_runs(tmp_path):
     for row in rows:
         assert len(row) == 1 + 2 * len(kernels)
         iters, us = [int(w) for w in row[1::2]], [float(w) for w in row[2::2]]
-        assert all(0 < n <= SolverOptions().max_inner for n in iters)
+        assert all(0 < n <= MAX_INNER for n in iters)
         assert all(t > 0.0 for t in us)
     # assembly at the full preset's two element counts
     assert lines[4].startswith("assemble_quadratic, one full draw")
