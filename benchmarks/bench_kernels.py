@@ -8,7 +8,8 @@ distances (``selfcheck.khatri_rao_form``). Each call descends from a
 random start to the solver's relative tolerance ``PHASE_REL_TOL``, with
 the solver's absolute floor and iteration cap, as the solver calls it.
 The table gives the iterations and the median microseconds per call; the
-compiled kernel's time includes its expansion of F^H. Time per iteration
+compiled kernel's time includes its once-per-call planar copy of the two
+operands. Time per iteration
 is not reported: it reads a kernel that does fewer, dearer iterations as
 slower.
 

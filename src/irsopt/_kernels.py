@@ -14,16 +14,20 @@ the vectorized numpy reference; it touches the form through ``form @ x``
 and, once per call, the diagonal of Q (the squared column norms of F^H;
 it never reads ``j_hat``), both on the array ``form.factor_h``, which the
 form builds with one numpy broadcast product the first time it is read.
-``_rmcg.c`` is a C port of it, step for step, that reads the form's
-operands itself and expands F^H, with the diagonal of Q in the same pass,
-into a work space of its caller's, except that it scores a candidate by
-||F^H x||^2: a line-search trial point costs the one product t = F^H x
-(f = ||t||^2 + 2 Re(z^H x)), and F t, a pass over the rows of F^H, is
-formed for the accepted point alone. The expansion rounds each complex
-product as numpy's FMA loops do (``_rmcg.c`` gives the order), so where
-numpy uses them the compiled kernel runs the very F^H of ``factor_h``.
-The work space is this thread's (``_workspace``): kept between calls and
-only ever grown, so that same-sized descents allocate nothing.
+``_rmcg.c`` is a C port of it, step for step, that never forms F^H: once
+per call it copies the form's two operands into a work space of its
+caller's, planar (real parts, then imaginary parts) and padded to whole
+vectors, and takes the diagonal of Q as (sum_k |a_h[k]|^2) o
+(sum_j |b_h[j]|^2) in the same pass, O((K_a + K_b) N). It then takes
+F^H x and F t from the two operands, over tiles of rows of both whose
+sums stay in registers, and it scores a candidate by ||F^H x||^2: a
+line-search trial point costs the one product t = F^H x
+(f = ||t||^2 + 2 Re(z^H x)), and F t is formed for the accepted point
+alone. Its sums run in another order than numpy's, so the two kernels
+agree to rounding (``_rmcg.c`` gives the order).
+The work space is this thread's (``_workspace``): O((K_a + K_b) N + K_a
+K_b) doubles, kept between calls and only ever grown, so that same-sized
+descents allocate nothing.
 On first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
 builds it with ``-O3 -march=native -ffp-contract=off`` (no
 ``-ffast-math``: every operation rounds as written) into
@@ -37,7 +41,9 @@ worker pool) never load a partial file. A new build deletes the other
 before loading it builds once more). ``rmcg_core`` is the entry point
 callers look up: the compiled kernel when it loaded (``JIT_ENABLED`` is
 True), else the numpy reference, after a logged WARNING that says why.
-``benchmarks/bench_kernels.py`` times both.
+``benchmarks/bench_kernels.py`` times both, and
+``benchmarks/bench_build.py`` one build of ``_rmcg.c`` and the compiler's
+peak memory.
 
 Algorithm: ambient gradient g = 2(Qv + z), projection onto the tangent
 space of the unit-circle product (the Riemannian gradient rgrad), a
@@ -88,6 +94,7 @@ import logging
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import tempfile
 import threading
@@ -112,6 +119,9 @@ _SOURCE = Path(__file__).with_name("_rmcg.c")
 _CFLAGS = ("-std=gnu99", "-O3", "-march=native", "-ffp-contract=off",
            "-fno-math-errno", "-fPIC", "-shared")
 _COMPILERS = ("cc", "gcc", "clang")
+# _rmcg.c's VL (and its TILE, the same number): its planar operands are
+# padded to a multiple of _LANES doubles, and a_h by fewer than _LANES rows
+_LANES = 8
 
 
 def _check(form, v0, grad_tol, rel_tol, max_iters) -> None:
@@ -303,15 +313,11 @@ def _build() -> Path:
     return target
 
 
-class _Args(ctypes.Structure):
-    """rmcg_args of _rmcg.c: one struct costs less to pass through ctypes
-    than sixteen separate arguments."""
-
-    _fields_ = [(name, ctypes.c_void_p) for name in ("ah", "bh", "z", "work")] + \
-               [(name, ctypes.c_int64) for name in ("work_len", "n", "ka", "kb", "max_iters",
-                                                   "max_backtracks")] + \
-               [(name, ctypes.c_double) for name in ("grad_tol", "rel_tol", "shrink",
-                                                    "armijo_c", "precond_floor")]
+# rmcg_args of _rmcg.c, packed with its native layout: four pointers, six
+# int64 and five doubles, none padded. Packing the struct into bytes, which
+# ctypes passes as a pointer to their data, costs less per call than
+# building a ctypes.Structure and passing it by reference.
+_ARGS = struct.Struct("4P6q5d")
 
 
 def _load():
@@ -324,12 +330,12 @@ def _load():
         # another process's build pruned this one before it was loaded
         lib = ctypes.CDLL(str(_build()))
     run = lib.rmcg_run
-    run.argtypes = (ctypes.POINTER(_Args), ctypes.c_void_p)
+    run.argtypes = (ctypes.c_char_p, ctypes.c_void_p)
     run.restype = ctypes.c_int64
     return run
 
 
-# Each thread's work space for the compiled kernel: the expanded F^H and
+# Each thread's work space for the compiled kernel: the planar operands and
 # the descent's vectors, reused from call to call and only ever grown, so
 # that a steady run of same-sized descents allocates (and page-faults)
 # nothing. It lives in a threading.local, not in a C _Thread_local pointer,
@@ -352,8 +358,10 @@ def _workspace(n_doubles):
 def rmcg_core_compiled(form, v0, grad_tol, rel_tol, max_iters):
     """``rmcg_core_numpy``'s contract on the compiled kernel."""
     _check(form, v0, grad_tol, rel_tol, max_iters)
-    n, m, r = form.size, int(max_iters), form.rank
-    work_len = 2 * r * n + 26 * n + 4 * r     # rmcg_args' bound
+    n, m, ka, kb = form.size, int(max_iters), len(form.a_h), len(form.b_h)
+    padded = -(-n // _LANES) * _LANES
+    # rmcg_args' bound
+    work_len = 2 * (ka + kb + _LANES + 1) * padded + 20 * n + 4 * ka * kb + _LANES
     work, address = _workspace(work_len)
     # one buffer in and out: v0 (becomes v) | obj_hist | grad_hist | info
     hist, info = 2 * n, 2 * n + 2 * m + 2
@@ -361,9 +369,9 @@ def rmcg_core_compiled(form, v0, grad_tol, rel_tol, max_iters):
     buf = np.frombuffer(raw)
     v = np.frombuffer(raw, complex, n)
     v[:] = v0
-    n_done = _run(_Args(*form.addresses, address, work_len, n, len(form.a_h), len(form.b_h), m,
-                        MAX_BACKTRACKS, grad_tol, rel_tol, SHRINK, ARMIJO_C,
-                        PRECOND_FLOOR), raw)
+    n_done = _run(_ARGS.pack(*form.addresses, address, work_len, n, ka, kb, m,
+                             MAX_BACKTRACKS, grad_tol, rel_tol, SHRINK, ARMIJO_C,
+                             PRECOND_FLOOR), raw)
     if n_done < 0:
         raise RuntimeError("descent kernel's work space is too small")
     tang_res, failed, converged = raw[info:]

@@ -20,23 +20,24 @@
 
    Complex vectors are numpy complex128 buffers, interleaved (re, im)
    doubles. The quadratic is Q = F F^H (neither F nor Q is stored). The
-   form hands over two factors, A^H (ka x n) and B^H (kb x n), row-major,
+   form hands over two operands, A^H (ka x n) and B^H (kb x n), row-major,
    and F^H (r = ka kb rows) is their Khatri-Rao product: row k kb + j of
-   F^H is A^H[k] o B^H[j], entry by entry. expand() writes it once per
-   call into the caller's work space and, in the same pass, the squared
-   column norms of F^H (Q_ii). Each product is rounded as numpy's
-   complex multiply rounds it where numpy uses FMA (checked with numpy
-   2.4.6 on x86-64 with AVX-512): re = fma(ar, br, -(ai bi)) and
-   im = fma(ar, bi, ai br). The calls are explicit, so -ffp-contract=off
-   leaves them alone, and the expanded F^H equals the array
-   QuadraticForm.factor_h forms with numpy, bit for bit, on such a build.
-   F^H x takes contiguous row dot products; F t accumulates ROWS rows of
-   F^H at a time into an n-vector.
+   F^H is A^H[k] o B^H[j], entry by entry. F^H itself is never formed.
+   Once per call the kernel copies the two operands into its work space,
+   planar (real parts, then imaginary parts) and zero-padded to whole
+   vectors, and takes Q_ii = (sum_k |a_ki|^2) (sum_j |b_ji|^2) in the same
+   pass: O((ka + kb) n). Each product then runs on the operands:
+   t_kj = sum_i a_ki b_ji x_i over tiles of rows of both, whose sums stay
+   in registers (fh_product), and
+   (F t)_i = sum_k conj(a_ki) sum_j conj(b_ji) t_kj (finish), both at
+   O(ka kb n) but reading only (ka + kb) n entries where F^H has ka kb n.
+   Their sums run in another order than numpy's, so the kernel agrees with
+   QuadraticForm.factor_h's products to rounding.
 
    The line search needs only objective values, f(x) = ||t||^2 +
    2 Re(z^H x) with t = F^H x: a trial point costs the one product F^H x,
-   and F t, which the gradient needs, is formed (a pass over the rows of
-   F^H) for the accepted point alone. An iteration with k trial points
+   and F t, which the gradient needs, is formed (a pass over the
+   operands) for the accepted point alone. An iteration with k trial points
    thus does k + 2 such products: F^H d for the curvature of the first
    step, F^H x for each trial point and F t for the accepted one, where
    scoring by F (F^H x) would take 2 k + 1. Every objective value of a run comes from
@@ -51,23 +52,28 @@
    per thread, since ctypes releases the GIL during the call).
 
    Build without -ffast-math and with -ffp-contract=off, so that each
-   operation rounds as written; -fno-math-errno only lets sqrt and fma
-   inline and vectorize (their arguments here never set errno). */
+   operation rounds as written; -fno-math-errno only lets sqrt inline and
+   vectorize (its arguments here never set errno). */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-/* Sums run over NV * VL fixed lanes, held in GNU C vector types (gcc,
-   clang), and are added in a fixed order at the end. The lanes are part
-   of the source, so the compiler has nothing to reassociate and every
+/* Sums run over fixed lanes, held in GNU C vector types (gcc, clang) of
+   VL doubles, and are added in a fixed order at the end. The lanes are
+   part of the source, so the compiler has nothing to reassociate and every
    build, whatever its vector width, gives the same sums. */
-#define VL 4
-#define NV 4
+#define VL 8
+#define NV 2
 #define STEP (NV * VL)
 
 typedef double vec __attribute__((vector_size(VL * sizeof(double))));
+
+/* The steps of an iteration stay out of line: inlined, with the products'
+   unrolled tiles, into one rmcg_run they made the compiler peak at about
+   60 MB instead of 53, for no measurable gain, since each is a loop over n. */
+#define OUTLINE __attribute__((noinline))
 
 static vec load(const double *p)
 {
@@ -76,10 +82,39 @@ static vec load(const double *p)
     return v;
 }
 
-static double lane_sum(const vec *acc, double tail)
+static void store(double *p, vec v)
 {
-    vec s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    return ((s[0] + s[1]) + (s[2] + s[3])) + tail;
+    memcpy(p, &v, sizeof v);
+}
+
+static double lane_sum(vec s)
+{
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+/* lanes i0, ..., i7 of a and b side by side: a's lanes are 0 to 7, b's 8 to 15 */
+#ifdef __clang__
+#define SHUFFLE(a, b, ...) __builtin_shufflevector(a, b, __VA_ARGS__)
+#else
+typedef int64_t lanes __attribute__((vector_size(VL * sizeof(int64_t))));
+#define SHUFFLE(a, b, ...) __builtin_shuffle(a, b, (lanes){__VA_ARGS__})
+#endif
+
+/* lane_sum(v[l]) in lane l, for eight vectors at once: each level of the
+   tree adds the lanes of two vectors pairwise, so the sums are
+   lane_sum()'s, for about a ninth of its instructions. */
+static inline __attribute__((always_inline)) vec lane_sums(const vec *v)
+{
+    vec p[4], q[2];
+    int i;
+    for (i = 0; i < 4; i++)     /* (a0 + a1, b0 + b1, a2 + a3, b2 + b3, ...) */
+        p[i] = SHUFFLE(v[2 * i], v[2 * i + 1], 0, 8, 2, 10, 4, 12, 6, 14)
+            + SHUFFLE(v[2 * i], v[2 * i + 1], 1, 9, 3, 11, 5, 13, 7, 15);
+    for (i = 0; i < 2; i++)     /* (a0123, b0123, c0123, d0123, a4567, ...) */
+        q[i] = SHUFFLE(p[2 * i], p[2 * i + 1], 0, 1, 8, 9, 4, 5, 12, 13)
+            + SHUFFLE(p[2 * i], p[2 * i + 1], 2, 3, 10, 11, 6, 7, 14, 15);
+    return SHUFFLE(q[0], q[1], 0, 1, 2, 3, 8, 9, 10, 11)
+        + SHUFFLE(q[0], q[1], 4, 5, 6, 7, 12, 13, 14, 15);
 }
 
 /* sum_j a[j] b[j] over n doubles; for complex buffers of n / 2 entries
@@ -95,123 +130,140 @@ static double dot(const double *a, const double *b, ptrdiff_t n)
             acc[t] += load(a + j + t * VL) * load(b + j + t * VL);
     for (; j < n; j++)
         tail += a[j] * b[j];
-    return lane_sum(acc, tail);
+    return lane_sum(acc[0] + acc[1]) + tail;
 }
 
-/* y = A x for a row-major complex (rows x cols) A. xr = (Re x, -Im x) and
-   xi = (Im x, Re x) interleaved, so that row . xr and row . xi are the
-   real and imaginary parts of each entry of A x. */
-static void row_dots(const double *a, ptrdiff_t rows, ptrdiff_t cols,
-                     const double *xr, const double *xi, double *y)
+/* The operands are held planar: row k of a (rows x n) complex operand is
+   np doubles of real parts, then np of imaginary parts, np being n
+   rounded up to VL and the padding zero, so that the products run over
+   whole vectors. */
+#define RE(p, k, np) ((p) + 2 * (k) * (np))
+#define IM(p, k, np) ((p) + (2 * (k) + 1) * (np))
+
+/* dst = the planar copy of the row-major complex src (rows x n); norms
+   (n doubles) receives sum_k |src_ki|^2 */
+static void to_planar(const double *restrict src, ptrdiff_t rows, ptrdiff_t n,
+                      ptrdiff_t np, double *restrict dst, double *restrict norms)
 {
-    ptrdiff_t i, j, n = 2 * cols;
-    int t;
-    for (i = 0; i < rows; i++) {
-        const double *row = a + i * n;
-        vec acc_r[NV] = {{0.0}}, acc_i[NV] = {{0.0}};
-        double tail_r = 0.0, tail_i = 0.0;
-        for (j = 0; j + STEP <= n; j += STEP)
-            for (t = 0; t < NV; t++) {
-                vec x = load(row + j + t * VL);
-                acc_r[t] += x * load(xr + j + t * VL);
-                acc_i[t] += x * load(xi + j + t * VL);
-            }
-        for (; j < n; j++) {
-            tail_r += row[j] * xr[j];
-            tail_i += row[j] * xi[j];
+    ptrdiff_t i, k;
+    memset(norms, 0, sizeof(double) * (size_t)n);
+    for (k = 0; k < rows; k++) {
+        double *re = RE(dst, k, np), *im = IM(dst, k, np);
+        for (i = 0; i < n; i++) {
+            double xr = src[2 * (k * n + i)], xi = src[2 * (k * n + i) + 1];
+            re[i] = xr;
+            im[i] = xi;
+            norms[i] += xr * xr + xi * xi;
         }
-        y[2 * i] = lane_sum(acc_r, tail_r);
-        y[2 * i + 1] = lane_sum(acc_i, tail_i);
+        for (; i < np; i++)
+            re[i] = im[i] = 0.0;
     }
 }
 
-/* Rows of F^H per pass of F t over an n-vector: four at a time, F t is no
-   slower than row dot products over a stored F; one at a time, it takes
-   about half as long again. The four terms of a block are summed
-   pairwise before they join the running sum, so a sum over r rows rounds
-   about r / 4 + 2 times in a row, not r times. */
-#define ROWS 4
+/* A tile of F^H x pairs tb rows of b (at most TB) with TILE / tb rows of
+   a, so that its TILE complex sums stay in registers while one pass over
+   n reads each of its rows once. x is folded into the rows of whichever
+   operand the tile holds fewer of, as they are read. a is held with zero
+   rows up to a multiple of the largest TILE / tb in use, so that no tile
+   is short of rows of a; a tile's sums for those rows are dropped. */
+#define TILE 8
+#define TB 4
 
-/* y += A^H t over rows (at most ROWS) rows of the row-major complex A
-   (rows x n), that is y_i += sum_s conj(A_si) t_s */
-static inline void adjoint_rows(const double *a, ptrdiff_t n, int rows,
-                                const double *t, double *y)
+/* the rows of a, ka, rounded up to a multiple of every TILE / tb that
+   fh_product() uses for kb rows of b */
+static ptrdiff_t padded_rows(ptrdiff_t ka, ptrdiff_t kb)
 {
-    ptrdiff_t i;
-    int s;
-    for (i = 0; i < n; i++) {
-        double re[ROWS] = {0.0}, im[ROWS] = {0.0};
-        for (s = 0; s < rows; s++) {
-            double ar = a[2 * (s * n + i)], ai = a[2 * (s * n + i) + 1];
-            re[s] = ar * t[2 * s] + ai * t[2 * s + 1];
-            im[s] = ar * t[2 * s + 1] - ai * t[2 * s];
-        }
-        y[2 * i] += (re[0] + re[1]) + (re[2] + re[3]);
-        y[2 * i + 1] += (im[0] + im[1]) + (im[2] + im[3]);
-    }
-}
-
-/* y = A^H t (n complex entries) for the row-major complex A (r x n):
-   rows go ROWS at a time, the last r % ROWS one at a time */
-static void adjoint(const double *a, ptrdiff_t r, ptrdiff_t n,
-                    const double *t, double *y)
-{
-    ptrdiff_t k;
-    memset(y, 0, sizeof(double) * (size_t)(2 * n));
-    for (k = 0; k + ROWS <= r; k += ROWS)
-        adjoint_rows(a + 2 * k * n, n, ROWS, t + 2 * k, y);
-    for (; k < r; k++)
-        adjoint_rows(a + 2 * k * n, n, 1, t + 2 * k, y);
-}
-
-/* fh = the Khatri-Rao product of the row-major complex ah (ka x n) and
-   bh (kb x n): row k kb + j of fh is ah[k] o bh[j]. q receives the
-   squared column norms of fh (n doubles), accumulated a row at a time,
-   each row right after it is written, while it is in L1. The fma() order
-   is numpy's; see the header. The four arrays must not overlap. */
-static void expand(const double *restrict ah, const double *restrict bh,
-                   ptrdiff_t ka, ptrdiff_t kb, ptrdiff_t n,
-                   double *restrict fh, double *restrict q)
-{
-    ptrdiff_t i, j, k;
-    memset(q, 0, sizeof(double) * (size_t)n);
-    for (k = 0; k < ka; k++)
-        for (j = 0; j < kb; j++) {
-            const double *a = ah + 2 * k * n, *b = bh + 2 * j * n;
-            double *row = fh + 2 * (k * kb + j) * n;
-            for (i = 0; i < n; i++) {
-                row[2 * i] = fma(a[2 * i], b[2 * i], -(a[2 * i + 1] * b[2 * i + 1]));
-                row[2 * i + 1] = fma(a[2 * i], b[2 * i + 1], a[2 * i + 1] * b[2 * i]);
-            }
-            for (i = 0; i < n; i++)
-                q[i] += row[2 * i] * row[2 * i] + row[2 * i + 1] * row[2 * i + 1];
-        }
-}
-
-static void split(const double *x, ptrdiff_t m, double *xr, double *xi)
-{
-    ptrdiff_t i;
-    for (i = 0; i < m; i++) {
-        xr[2 * i] = x[2 * i];
-        xr[2 * i + 1] = -x[2 * i + 1];
-        xi[2 * i] = x[2 * i + 1];
-        xi[2 * i + 1] = x[2 * i];
-    }
+    ptrdiff_t step = TILE / (kb % TB ? kb % TB : TB);
+    return (ka + step - 1) / step * step;
 }
 
 typedef struct {
-    ptrdiff_t n, r;
-    const double *fh;
-    double *xr, *xi;   /* work space */
+    ptrdiff_t n, np, ka, ka_pad, kb;
+    const double *a, *b;   /* the planar operands, ka_pad and kb rows */
+    double *x;             /* work space: a planar vector, padding zero */
+    double *y;             /* work space: finish()'s planar product */
 } quad_op;
+
+/* t[k kb + j] = sum_i a_ki b_ji x_i for the ta rows of a from k0 and the
+   tb rows of b from j0 (ta, tb constants once inlined); rows of a from ka
+   on are padding, and their sums are dropped */
+static inline __attribute__((always_inline)) void
+fh_tile(const quad_op *op, ptrdiff_t k0, ptrdiff_t j0, const int ta, const int tb,
+        double *t)
+{
+    const ptrdiff_t np = op->np;
+    vec re[TILE] = {{0.0}}, im[TILE] = {{0.0}}, sum_re, sum_im;
+    ptrdiff_t i;
+    int j, k;
+    for (i = 0; i < np; i += VL) {
+        vec xr = load(op->x + i), xi = load(op->x + np + i), br[TB], bi[TB];
+        for (j = 0; j < tb; j++) {
+            br[j] = load(RE(op->b, j0 + j, np) + i);
+            bi[j] = load(IM(op->b, j0 + j, np) + i);
+            if (tb < ta) {
+                vec cr = br[j] * xr - bi[j] * xi;
+                bi[j] = br[j] * xi + bi[j] * xr;
+                br[j] = cr;
+            }
+        }
+        for (k = 0; k < ta; k++) {
+            vec ar = load(RE(op->a, k0 + k, np) + i), ai = load(IM(op->a, k0 + k, np) + i);
+            if (tb >= ta) {
+                vec cr = ar * xr - ai * xi;
+                ai = ar * xi + ai * xr;
+                ar = cr;
+            }
+            for (j = 0; j < tb; j++) {
+                re[k * tb + j] += ar * br[j] - ai * bi[j];
+                im[k * tb + j] += ar * bi[j] + ai * br[j];
+            }
+        }
+    }
+    sum_re = lane_sums(re);
+    sum_im = lane_sums(im);
+    for (k = 0; k < ta && k0 + k < op->ka; k++)
+        for (j = 0; j < tb; j++) {
+            double *out = t + 2 * ((k0 + k) * op->kb + j0 + j);
+            out[0] = sum_re[k * tb + j];
+            out[1] = sum_im[k * tb + j];
+        }
+}
+
+/* fh_tile over all rows of a for the tb rows of b from j0 */
+static inline __attribute__((always_inline)) void
+fh_block(const quad_op *op, ptrdiff_t j0, const int tb, double *t)
+{
+    ptrdiff_t k;
+    for (k = 0; k < op->ka_pad; k += TILE / tb)
+        fh_tile(op, k, j0, TILE / tb, tb, t);
+}
+
+/* t = F^H x (ka kb complex entries) for the x in op->x: the rows of b TB
+   at a time, then the last kb % TB together */
+static OUTLINE void fh_product(const quad_op *op, double *t)
+{
+    ptrdiff_t j;
+    for (j = 0; j + TB <= op->kb; j += TB)
+        fh_block(op, j, TB, t);
+    switch (op->kb - j) {
+    case 3: fh_block(op, j, 3, t); break;
+    case 2: fh_block(op, j, 2, t); break;
+    case 1: fh_block(op, j, 1, t); break;
+    default: break;
+    }
+}
 
 /* x^H Q x = ||t||^2; aux receives t = F^H x (r complex entries), which
    finish() needs */
-static double quadratic(const quad_op *op, const double *x, double *aux)
+static OUTLINE double quadratic(const quad_op *op, const double *x, double *aux)
 {
-    split(x, op->n, op->xr, op->xi);
-    row_dots(op->fh, op->r, op->n, op->xr, op->xi, aux);
-    return dot(aux, aux, 2 * op->r);
+    ptrdiff_t i;
+    for (i = 0; i < op->n; i++) {
+        op->x[i] = x[2 * i];
+        op->x[op->np + i] = x[2 * i + 1];
+    }
+    fh_product(op, aux);
+    return dot(aux, aux, 2 * op->ka * op->kb);
 }
 
 /* f(x) = x^H Q x + 2 Re(z^H x), with quadratic()'s aux */
@@ -221,16 +273,63 @@ static double evaluate(const quad_op *op, const double *x, const double *z,
     return quadratic(op, x, aux) + 2.0 * dot(x, z, 2 * op->n);
 }
 
-/* y = Q x = F t, from evaluate()'s aux t for the same x: the product
-   riemannian_grad() projects */
-static const double *finish(const quad_op *op, const double *aux, double *y)
+/* F t is sum_k conj(a_k) o (sum_j conj(b_j) t_kj), or as well
+   sum_j conj(b_j) o (sum_k conj(a_k) t_kj): finish() takes the operand of
+   fewer rows as the outer p (n_p rows) and the other as the inner q, and a
+   pass over n holds the sums s of TK rows of p in registers, which share
+   each load of a row of q. Entry (p row, q row) of t is at
+   t[2 (p_row ps + q_row qs)]. */
+#define TK 4
+
+/* op->y += sum_l conj(p_l) o s_l over the tk rows of p from l0 (tk a
+   constant once inlined), s_l = sum_m conj(q_m) t(l, m) */
+static inline __attribute__((always_inline)) void
+f_tile(const quad_op *op, const double *p, const double *q, ptrdiff_t nq,
+       const double *t, ptrdiff_t ps, ptrdiff_t qs, ptrdiff_t l0, const int tk)
 {
-    adjoint(op->fh, op->r, op->n, aux, y);
-    return y;
+    const ptrdiff_t np = op->np;
+    ptrdiff_t i, m;
+    int l;
+    for (i = 0; i < np; i += VL) {
+        vec sr[TK] = {{0.0}}, si[TK] = {{0.0}};
+        vec yr = load(op->y + i), yi = load(op->y + np + i);
+        for (m = 0; m < nq; m++) {
+            vec qr = load(RE(q, m, np) + i), qi = load(IM(q, m, np) + i);
+            for (l = 0; l < tk; l++) {
+                const double *tlm = t + 2 * ((l0 + l) * ps + m * qs);
+                sr[l] += qr * tlm[0] + qi * tlm[1];
+                si[l] += qr * tlm[1] - qi * tlm[0];
+            }
+        }
+        for (l = 0; l < tk; l++) {
+            vec pr = load(RE(p, l0 + l, np) + i), pi = load(IM(p, l0 + l, np) + i);
+            yr += pr * sr[l] + pi * si[l];
+            yi += pr * si[l] - pi * sr[l];
+        }
+        store(op->y + i, yr);
+        store(op->y + np + i, yi);
+    }
+}
+
+/* op->y = Q x = F t, from evaluate()'s aux t for the same x: the product
+   riemannian_grad() projects. The rows of p go TK at a time, then one at
+   a time. */
+static OUTLINE void finish(const quad_op *op, const double *t)
+{
+    const int b_outer = op->kb < op->ka;
+    const double *p = b_outer ? op->b : op->a, *q = b_outer ? op->a : op->b;
+    const ptrdiff_t n_p = b_outer ? op->kb : op->ka, n_q = b_outer ? op->ka : op->kb,
+        ps = b_outer ? 1 : op->kb, qs = b_outer ? op->kb : 1;
+    ptrdiff_t l;
+    memset(op->y, 0, sizeof(double) * (size_t)(2 * op->np));
+    for (l = 0; l + TK <= n_p; l += TK)
+        f_tile(op, p, q, n_q, t, ps, qs, l, TK);
+    for (; l < n_p; l++)
+        f_tile(op, p, q, n_q, t, ps, qs, l, 1);
 }
 
 /* out = Retr(v + step d): entrywise onto the unit circle */
-static void retract(const double *v, const double *d, double step,
+static OUTLINE void retract(const double *v, const double *d, double step,
                     ptrdiff_t n, double *out)
 {
     ptrdiff_t i;
@@ -250,16 +349,15 @@ static double radial(const double *x, const double *v, ptrdiff_t i)
     return x[2 * i] * v[2 * i] + x[2 * i + 1] * v[2 * i + 1];
 }
 
-/* out = projection of the ambient gradient 2 (qv + z) at v; rad receives
-   its radial parts (n doubles) */
-static void riemannian_grad(const double *qv, const double *z,
-                            const double *v, ptrdiff_t n, double *out,
-                            double *rad)
+/* out = projection of the ambient gradient 2 (qv + z) at v, qv planar
+   (qr, qi); rad receives its radial parts (n doubles) */
+static OUTLINE void riemannian_grad(const double *qr, const double *qi, const double *z,
+                            const double *v, ptrdiff_t n, double *out, double *rad)
 {
     ptrdiff_t i;
     for (i = 0; i < n; i++) {
-        double re = 2.0 * (qv[2 * i] + z[2 * i]);
-        double im = 2.0 * (qv[2 * i + 1] + z[2 * i + 1]);
+        double re = 2.0 * (qr[i] + z[2 * i]);
+        double im = 2.0 * (qi[i] + z[2 * i + 1]);
         double p = re * v[2 * i] + im * v[2 * i + 1];
         out[2 * i] = re - p * v[2 * i];
         out[2 * i + 1] = im - p * v[2 * i + 1];
@@ -272,7 +370,7 @@ static void riemannian_grad(const double *qv, const double *z,
    for nonnegative doubles their order as integers is the order of the
    values, with every NaN above +inf, and an integer maximum vectorizes
    where a floating-point one with NaN semantics does not. */
-static void tangency(const double *a, const double *b, const double *v,
+static OUTLINE void tangency(const double *a, const double *b, const double *v,
                      ptrdiff_t n, double *worst)
 {
     ptrdiff_t i;
@@ -296,7 +394,7 @@ static void tangency(const double *a, const double *b, const double *v,
    the maximum (over max(h_i, 0), where the order of nonnegative doubles
    is that of their bit patterns) are integer operations, which vectorize
    where floating-point reductions do not. */
-static double precondition(const double *q_diag, const double *rad,
+static OUTLINE double precondition(const double *q_diag, const double *rad,
                            const double *g, ptrdiff_t n, double h_floor,
                            double *h, double *pg)
 {
@@ -332,11 +430,11 @@ static double precondition(const double *q_diag, const double *rad,
 #define SWAP(a, b) do { double *swap_ = (a); (a) = (b); (b) = swap_; } while (0)
 
 /* Arguments of rmcg_run; ah (ka x n) and bh (kb x n) are the form's
-   factors of F^H and z its linear term (n complex), all read in place
+   operands of F^H and z its linear term (n complex), all read in place
    from the form; work is the caller's work space of work_len doubles, at
-   least 2 r n + 26 n + 4 r with r = ka kb; shrink, armijo_c,
-   max_backtracks and precond_floor are the irsopt._kernels constants
-   both kernels use. */
+   least 2 (ka + kb + TILE + 1) np + 20 n + 4 ka kb + VL with np = n
+   rounded up to VL; shrink, armijo_c, max_backtracks and precond_floor
+   are the irsopt._kernels constants both kernels use. */
 typedef struct {
     const double *ah, *bh, *z;
     double *work;
@@ -354,7 +452,9 @@ typedef struct {
    short of what the work space must hold. */
 int64_t rmcg_run(const rmcg_args *a, double *buf)
 {
-    const int64_t n = a->n, r = a->ka * a->kb, max_iters = a->max_iters;
+    const int64_t n = a->n, ka = a->ka, kb = a->kb, r = ka * kb,
+        np = (n + VL - 1) / VL * VL, ka_pad = padded_rows(ka, kb),
+        max_iters = a->max_iters;
     const double rel_tol = a->rel_tol, shrink = a->shrink,
         armijo_c = a->armijo_c, h_floor = a->precond_floor;
     double grad_tol = a->grad_tol;
@@ -363,34 +463,44 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     const double *z = a->z;
     double *obj_hist = buf + m, *grad_hist = obj_hist + max_iters + 1,
         *info = grad_hist + max_iters + 1;
-    const ptrdiff_t na = 2 * (ptrdiff_t)r;
-    double *fh, *v, *qv, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
+    double *a_pl, *b_pl, *v, *cand, *aux_cand, *v_new, *aux_new, *rgrad,
         *rgrad_new, *pg, *pg_new, *dir, *tmp, *rad, *q_diag;
     double f_cur, gnorm2, gpg, tang_res = 0.0;
     int failed = 0;
     quad_op op;
 
-    if (a->work_len < 2 * r * n + 26 * n + 4 * r)
+    if (a->work_len < 2 * (ka + kb + TILE + 1) * np + 20 * n + 4 * r + VL)
         return -1;
-    /* fh holds the expanded F^H; aux_cand and aux_new hold evaluate()'s
-       aux for cand and v_new; qv receives finish()'s product; rad holds
-       the gradient's radial parts at v; pg the preconditioned gradient and
-       q_diag the diagonal of Q */
-    fh = a->work; v = fh + na * n; qv = v + m; cand = qv + m; v_new = cand + m;
+    /* a_pl and b_pl hold the planar operands and op.x and op.y planar
+       vectors, all from a 64-byte boundary; aux_cand and aux_new hold
+       evaluate()'s aux for cand and v_new; rad holds the gradient's radial
+       parts at v, pg the preconditioned gradient and q_diag the diagonal
+       of Q */
+    a_pl = (double *)(((uintptr_t)a->work + 63) & ~(uintptr_t)63);
+    b_pl = a_pl + 2 * ka_pad * np; op.x = b_pl + 2 * kb * np; op.y = op.x + 2 * np;
+    v = op.y + 2 * np; cand = v + m; v_new = cand + m;
     rgrad = v_new + m; rgrad_new = rgrad + m; pg = rgrad_new + m;
     pg_new = pg + m; dir = pg_new + m;
-    tmp = dir + m; aux_cand = tmp + m; aux_new = aux_cand + na;
-    op.n = n; op.r = r; op.fh = fh;
-    op.xr = aux_new + na; op.xi = op.xr + m;
-    rad = op.xi + m; q_diag = rad + n;
+    tmp = dir + m; aux_cand = tmp + m; aux_new = aux_cand + 2 * r;
+    rad = aux_new + 2 * r; q_diag = rad + n;
+    op.n = n; op.np = np; op.ka = ka; op.ka_pad = ka_pad; op.kb = kb;
+    op.a = a_pl; op.b = b_pl;
 
     for (i = 0; i <= max_iters; i++)
         obj_hist[i] = grad_hist[i] = NAN;
-    expand(a->ah, a->bh, a->ka, a->kb, n, fh, q_diag);
+    /* Q_ii = (sum_k |a_ki|^2) (sum_j |b_ji|^2), the second sum taken into
+       op.y before it is needed */
+    to_planar(a->ah, ka, n, np, a_pl, q_diag);
+    memset(RE(a_pl, ka, np), 0, sizeof(double) * (size_t)(2 * (ka_pad - ka) * np));
+    to_planar(a->bh, kb, n, np, b_pl, op.y);
+    for (i = 0; i < n; i++)
+        q_diag[i] *= op.y[i];
+    memset(op.x, 0, sizeof(double) * (size_t)(2 * np));
 
     memcpy(v, buf, sizeof(double) * (size_t)m);
     f_cur = evaluate(&op, v, z, aux_new);
-    riemannian_grad(finish(&op, aux_new, qv), z, v, n, rgrad, rad);
+    finish(&op, aux_new);
+    riemannian_grad(op.y, op.y + np, z, v, n, rgrad, rad);
     gnorm2 = dot(rgrad, rgrad, m);
     gpg = precondition(q_diag, rad, rgrad, n, h_floor, tmp, pg);
     for (i = 0; i < m; i++)
@@ -440,7 +550,8 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
             break;
         }
 
-        riemannian_grad(finish(&op, aux_new, qv), z, v_new, n, rgrad_new, rad);
+        finish(&op, aux_new);
+        riemannian_grad(op.y, op.y + np, z, v_new, n, rgrad_new, rad);
         gnorm2_new = dot(rgrad_new, rgrad_new, m);
         gpg_new = precondition(q_diag, rad, rgrad_new, n, h_floor, tmp, pg_new);
         beta = 0.0;

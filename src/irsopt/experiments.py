@@ -55,6 +55,10 @@ class ExperimentSpec:
         # solve one count and record another
         if self.sweep_name == "n_elements" and not all(float(v).is_integer() for v in values):
             raise ValueError(f"n_elements sweep values must be whole numbers, got {values}")
+        # every point's scenario is built once here, so that an out-of-range
+        # value raises before run_experiment opens (and empties) out_path
+        for value in values:
+            scenario_at(self.scenario, self.sweep_name, value)
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes: {unknown}")

@@ -9,13 +9,13 @@ semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
 operands, so ``F^H`` is their Khatri-Rao product. Assembly forms the two
 operands and ``z``, and ``QuadraticForm`` keeps them: the one operator
 the conjugate-gradient descent in ``_kernels`` runs, matrix-free. The
-compiled kernel expands ``F^H`` into its own reused work space (which
-never leaves it, so the form stays immutable and assembly allocates no
-N x K^2 array), scores each line-search candidate by ||F^H x||^2 (one
-pass over the rows of ``F^H``) and forms ``F (F^H v)`` only for the
-accepted point, where the gradient needs it, as a second pass over the
-same rows. ``F^H`` as a numpy array, and the dense matrix, are formed
-only when a caller reads ``factor_h`` or ``j_hat``. The quadratic is
+compiled kernel never forms ``F^H``: it takes each product from the two
+operands, which it copies once per call into its own reused work space
+(which never leaves it, so the form stays immutable), scores each
+line-search candidate by ||F^H x||^2 (one pass over the operands) and
+forms ``F (F^H v)`` only for the accepted point, where the gradient needs
+it, as a second pass. ``F^H`` as a numpy array, and the dense matrix,
+are formed only when a caller reads ``factor_h`` or ``j_hat``. The quadratic is
 already convex, so the form carries no shift.
 """
 
@@ -51,8 +51,9 @@ class QuadraticForm:
     their Khatri-Rao product, whose row k K_b + j is a_h[k] o b_h[j] entry
     by entry, so ``rank`` is K_a K_b. That is all the form stores. The
     compiled kernel reads the C-contiguous complex arrays ``a_h``, ``b_h``
-    and ``z`` at ``addresses`` and expands F^H itself. ``factor_h`` (F^H,
-    one numpy broadcast product) and ``j_hat`` are formed when first read,
+    and ``z`` at ``addresses`` and takes its products from the two
+    operands, without F^H. ``factor_h`` (F^H, one numpy broadcast
+    product) and ``j_hat`` are formed when first read,
     and kept; the numpy reference kernel runs the form through ``@``,
     which applies j_hat as F (F^H v) without forming it (F is never
     stored: F t = conj((F^H)^T conj(t))). ``from_factor`` gives the form

@@ -77,7 +77,9 @@ def khatri_rao_form(rng, size, n_a, n_b) -> QuadraticForm:
 def khatri_rao_cases(rng) -> list[QuadraticForm]:
     """Khatri-Rao forms of the shapes assembly hands over: both operands
     of several rows, one operand of one row, one element, and a
-    zero-weight user (an all-zero row of a_h)."""
+    zero-weight user (an all-zero row of a_h). Their row counts (2 to 8)
+    and sizes (8 to 160, and 1) leave remainders in the compiled kernel's
+    tiles of rows and vector lanes."""
     n_a, n_b = int(rng.integers(2, 9)), int(rng.integers(2, 9))
     size = int(rng.integers(8, 161))
     zero_user = khatri_rao_form(rng, size, n_a, n_b)
@@ -218,7 +220,8 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
     instance draws a random factored form (rank above and below the size),
     a block-scaled one (``block_scaled_form``), on which the
     preconditioner's floor binds, and the Khatri-Rao forms of
-    ``khatri_rao_cases``, which the compiled kernel expands itself. On
+    ``khatri_rao_cases``, whose products the compiled kernel takes from
+    the two operands. On
     each, the objective histories of the first iterations must agree to
     1e-9 of the objective's scale, trace(j_hat) + 2 |z|_1, and runs
     stopped by the solver's relative gradient tolerance must stop within

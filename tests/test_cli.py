@@ -83,6 +83,15 @@ class TestSweepCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [["--axis", "n_elements", "--values", "0,4"],
+                                      ["--axis", "p_max", "--values=-1,4"]])
+    def test_out_of_range_value_keeps_the_results_file(self, tmp_path, capsys, args):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"scheme,old results\n")
+        assert main(["sweep", *args, "--trials", "1", "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert out.read_bytes() == b"scheme,old results\n"
+
     def test_element_axis(self, tmp_path):
         out = tmp_path / "m.csv"
         rc = main(["sweep", "--axis", "n_elements", "--values", "4,8",

@@ -54,6 +54,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(desk_setup[0], workers=0)
 
+    @pytest.mark.parametrize("axis, values", [("n_elements", (0, 4)), ("p_max", (-1.0, 4.0))])
+    def test_out_of_range_values_leave_the_results_file(self, desk_setup, tmp_path, axis,
+                                                        values):
+        # the spec rejects a value no scenario takes, so run_experiment never
+        # opens (and empties) an existing results file
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"scheme,old results\n")
+        with pytest.raises(ValueError):
+            run_experiment(tiny_spec(desk_setup[0], sweep_name=axis, sweep_values=values,
+                                     out_path=out))
+        assert out.read_bytes() == b"scheme,old results\n"
+
     def test_scenario_at(self, desk_setup):
         scenario = desk_setup[0]
         assert scenario_at(scenario, "p_max", 2.0).p_max == 2.0

@@ -248,8 +248,9 @@ class TestKhatriRaoForms:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_kernels_agree_on_assembled_shapes(self, seed):
         # forms as assembly hands them over (K_a, K_b > 1; K_b = 1; one
-        # element; a zero-weight user), which the compiled kernel expands
-        # itself: it takes the reference's steps and stops with it
+        # element; a zero-weight user), whose products the compiled kernel
+        # takes from the operands: it takes the reference's steps and stops
+        # with it
         rng = np.random.default_rng(seed)
         for form in khatri_rao_cases(rng):
             v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
@@ -290,6 +291,57 @@ class TestKhatriRaoForms:
         v = np.exp(2j * np.pi * rng.uniform(size=form.size))
         assert np.array_equal(_kernels.hessian_diagonal(form, v),
                               _kernels.hessian_diagonal(flat, v))
+
+    @pytest.mark.parametrize("n_a", [1, 2, 3, 5, 8, 9])
+    def test_kernels_agree_on_ragged_shapes(self, n_a):
+        # the compiled kernel tiles F^H x and F t over the rows of both
+        # operands and runs over n in whole vectors of lanes: row counts and
+        # sizes that leave remainders in every tile and lane, and no
+        # element at all
+        rng = np.random.default_rng(n_a)
+        for n_b in (1, 2, 3, 4, 5, 8):
+            for size in (0, 1, 7, 8, 9, 31, 33):
+                form = khatri_rao_form(rng, size, n_a, n_b)
+                v0 = np.exp(2j * np.pi * rng.uniform(size=size))
+                scale = (float(np.sum(np.abs(form.factor_h) ** 2))
+                         + 2.0 * float(np.sum(np.abs(form.z))))
+                runs = [run_core(fn, form, v0, rel_tol=PHASE_REL_TOL, iters=MAX_INNER)
+                        for fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
+                (v_a, n_it_a, obj_a, *_), (_, n_it_b, obj_b, *_) = runs
+                k = min(n_it_a, n_it_b) + 1
+                assert np.max(np.abs(obj_a[:k] - obj_b[:k]), initial=0.0) <= 1e-9 * scale
+                assert abs(n_it_a - n_it_b) <= 1
+                assert np.all(np.abs(np.abs(v_a) - 1.0) <= 1e-12)
+
+    @pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernel not loaded")
+    def test_work_space_holds_the_operands_not_f_h(self, rng):
+        # a fresh thread's work space grows by the planar copies of the two
+        # operands, 2 (K_a + K_b) N_pad doubles with at most a tile's worth
+        # of zero rows, plus O(N + K_a K_b): for a Khatri-Rao form that is
+        # far below the 2 K_a K_b N doubles F^H itself takes, and a
+        # from_factor form (K_b = 1) pays O((r + 1) N)
+        size = 240
+        padded = -(-size // _kernels._LANES) * _kernels._LANES
+        for n_a, n_b in ((8, 8), (64, 1)):
+            if n_b == 1:
+                form = QuadraticForm.from_factor(complex_normal(rng, (n_a, size)),
+                                                 complex_normal(rng, size), 1, size)
+            else:
+                form = khatri_rao_form(rng, size, n_a, n_b)
+            v0 = np.exp(2j * np.pi * rng.uniform(size=size))
+            grown = []
+
+            def call():
+                _kernels.rmcg_core_compiled(form, v0, 0.0, 0.0, 3)
+                grown.append(_kernels._workspaces.work[0].size)
+
+            thread = threading.Thread(target=call)
+            thread.start()
+            thread.join()
+            assert len(grown) == 1
+            assert grown[0] <= 2 * (n_a + n_b + 16) * padded + 32 * size + 4 * n_a * n_b + 64
+            if n_b > 1:
+                assert grown[0] < 2 * n_a * n_b * size
 
     @pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="compiled kernel not loaded")
     def test_work_space_is_reused(self, rng):
@@ -565,3 +617,18 @@ def test_bench_outer_script_runs(tmp_path):
         n_lost = int(lines[4].split(" and ")[-1].split()[0])
         assert len(lines) == 5 + n_lost
         assert all(line.startswith("  draw ") and "served [" in line for line in lines[5:])
+
+
+@needs_compiler
+def test_bench_build_script_runs(tmp_path):
+    script = SRC.parent / "benchmarks" / "bench_build.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         timeout=300, cwd=tmp_path, env=_subprocess_env())
+    assert out.returncode == 0, out.stderr
+    fields = dict(line.split(" ", 1) for line in out.stdout.splitlines())
+    assert list(fields) == ["source", "command", "compile_s", "peak_rss_mb"]
+    assert fields["source"] == str(_kernels._SOURCE)
+    assert fields["command"].split()[1:] == list(_kernels._CFLAGS)
+    assert float(fields["compile_s"]) > 0.0 and float(fields["peak_rss_mb"]) > 0.0
+    # the build went to a temporary directory, not the working directory
+    assert not list(tmp_path.iterdir())
