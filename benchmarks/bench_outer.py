@@ -19,13 +19,16 @@ generator. Each draw is solved twice in this process:
 For each preset it prints, per variant, the mean and largest outer
 iteration count, the cap hits, the mean final WSR, the mean number of
 served users (rate above 1e-3 nats), the mean wall time per solve (ms, the
-start included) and the wall time per outer iteration (µs, total time
-over total outer iterations). Then the paired WSR difference (second
-variant minus first): its mean, the standard error of that mean, the
-number of draws that gain and that lose more than 1e-3 relative, and each
-losing draw with the users both variants serve. Wall times are
-single-process perf_counter readings on whatever host runs it; compare
-them only within one run.
+start included), the wall time per outer iteration (µs, total time
+over total outer iterations) and, from each solve's ``SolveTrace``, the
+same per-outer-iteration mean (µs) of its five layers: ``channel_s``,
+``decoder_s``, ``beamformer_s``, ``assembly_s`` and ``descent_s``,
+printed as ``channel_us`` to ``descent_us``. Then the paired WSR
+difference (second variant minus first): its mean, the standard error of
+that mean, the number of draws that gain and that lose more than 1e-3
+relative, and each losing draw with the users both variants serve.
+Wall times are single-process perf_counter readings on whatever host
+runs it; compare them only within one run.
 
 Usage: python benchmarks/bench_outer.py [--compare starts|loops]
                                         [--presets desk,full] [--draws 200]
@@ -45,6 +48,7 @@ from irsopt import solver
 PRESETS = {"desk": desk_scenario, "full": full_scenario}
 MOVED_REL = 1e-3
 SERVED_NATS = 1e-3
+LAYERS = ("channel_s", "decoder_s", "beamformer_s", "assembly_s", "descent_s")
 
 
 def perfbench_draw(preset, seed, i):
@@ -87,11 +91,13 @@ def served_users(scenario, channels, beams, phases):
     return tuple(int(k) for k in np.flatnonzero(rates > SERVED_NATS))
 
 
-def summary(name, outer, wsr, served, wall_s, max_outer):
+def summary(name, outer, wsr, served, wall_s, layer_s, max_outer):
+    per_outer = 1e6 / outer.sum()
     return (f"{name:>14s} {outer.mean():8.2f} {outer.max():6d} "
             f"{int(np.sum(outer >= max_outer)):6d} {wsr.mean():12.6f} "
             f"{served.mean():7.2f} {1e3 * wall_s.mean():10.3f} "
-            f"{1e6 * wall_s.sum() / outer.sum():10.1f}")
+            f"{per_outer * wall_s.sum():10.1f}"
+            + "".join(f" {per_outer * s:13.1f}" for s in layer_s))
 
 
 def main():
@@ -108,6 +114,7 @@ def main():
     for name in args.presets.split(","):
         preset = PRESETS[name]
         outer, wsr, served, wall = ({v: [] for v, _ in pair} for _ in range(4))
+        layers = {v: np.zeros(len(LAYERS)) for v, _ in pair}   # seconds, summed
         for i in range(args.draws):
             scenario, channels = perfbench_draw(preset, args.seed, i)
             for variant, run in pair:
@@ -117,13 +124,15 @@ def main():
                 outer[variant].append(trace.n_outer)
                 wsr[variant].append(trace.wsr[-1])
                 served[variant].append(served_users(scenario, channels, beams, phases))
+                layers[variant] += [getattr(trace, layer).sum() for layer in LAYERS]
         print(f"{name}: {args.draws} draws, seed {args.seed}, max_outer {opts.max_outer}")
         print(f"{'variant':>14s} {'outer':>8s} {'max':>6s} {'caps':>6s} {'wsr_nats':>12s} "
-              f"{'served':>7s} {'ms_solve':>10s} {'us_outer':>10s}")
+              f"{'served':>7s} {'ms_solve':>10s} {'us_outer':>10s}"
+              + "".join(f" {layer[:-2] + '_us':>13s}" for layer in LAYERS))
         for variant, _ in pair:
             print(summary(variant, np.array(outer[variant]), np.array(wsr[variant]),
                           np.array([len(s) for s in served[variant]]),
-                          np.array(wall[variant]), opts.max_outer))
+                          np.array(wall[variant]), layers[variant], opts.max_outer))
         (base, _), (new, _) = pair
         diff = np.array(wsr[new]) - np.array(wsr[base])
         sem = diff.std(ddof=1) / np.sqrt(diff.size) if diff.size > 1 else np.nan

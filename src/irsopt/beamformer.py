@@ -5,17 +5,18 @@ gives w_k = (H + lam*I)^-1 alpha_k q_k u_k hbar_k with H the weighted
 channel Gram matrix. Working in H's positive eigenbasis makes the total
 transmit power a closed-form function of the dual variable lam,
 g(lam) = sum_i c_i / (d_i + lam)^2 over the positive eigenvalues d_i,
-with c_i the weighted power each mode carries. A safeguarded Newton
-search on g(lam)^-1/2 - p_max^-1/2, which is concave and increasing in
-lam (Moré and Sorensen, "Computing a trust region step", SIAM J. Sci.
-Stat. Comput. 1983), drives lam to the complementary-slackness point in
-a few probes; a [lo, hi] bracket catches any step that leaves it.
+with c_i the weighted power each mode carries: the squared norm of the
+right-hand sides' projection on mode i. A safeguarded Newton search on
+g(lam)^-1/2 - p_max^-1/2, which is concave and increasing in lam (Moré
+and Sorensen, "Computing a trust region step", SIAM J. Sci. Stat.
+Comput. 1983), drives lam to the complementary-slackness point in a few
+probes; a [lo, hi] bracket catches any step that leaves it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,34 +40,28 @@ POWER_SLACK_REL = 1e-9
 
 @dataclass(frozen=True)
 class LagrangianContext:
-    """Eigen-factorized data of one beamforming subproblem.
+    """Eigen-factorized data of one beamforming subproblem: what
+    ``beamformers_at``, the power curve and the dual search read.
 
     Users are stacked as the rows of the (n_users, n_tx) effective channel
-    hbar, so every field below comes from products of 2-D arrays.
+    hbar, so every field below comes from products of 2-D arrays. The
+    weighted channel Gram matrix (hbar^T * scale) @ conj(hbar), scale_k =
+    alpha_k q_k |u_k|^2, is formed only to be factorized, and the
+    right-hand sides rhs_k = alpha_k q_k u_k hbar_k only in the eigenbasis.
 
-    gram     : (n_tx, n_tx) Hermitian PSD weighted channel Gram matrix
-               (hbar^T * scale) @ conj(hbar), scale_k = alpha_k q_k |u_k|^2
     eigvecs  : (n_tx, n_pos) eigenvectors of the positive eigenvalues
     eigvals  : (n_pos,) positive eigenvalues, ascending
-    rhs      : (n_users, n_tx) right-hand sides alpha_k q_k u_k hbar_k
     rhs_proj : (n_pos, n_users) eigvecs^H rhs^T, the right-hand sides in
                the eigenbasis: (eigvecs^H hbar^T) diag(alpha_k q_k u_k)
-    zdiag    : (n_users, n_pos) |u_k|^2 |eigvecs^H hbar_k|^2 per mode
-    coef     : (n_users,) alpha_k^2 q_k^2
-    mode_coef: (n_pos,) coef @ zdiag, the power-curve numerator c_i per mode
+    mode_coef: (n_pos,) squared row norms of rhs_proj, the power-curve
+               numerators c_i = sum_k alpha_k^2 q_k^2 |u_k|^2
+               |(eigvecs^H hbar_k)_i|^2
     """
 
-    gram: np.ndarray
     eigvecs: np.ndarray
     eigvals: np.ndarray
-    rhs: np.ndarray
     rhs_proj: np.ndarray
-    zdiag: np.ndarray
-    coef: np.ndarray
-    mode_coef: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode_coef", self.coef @ self.zdiag)
+    mode_coef: np.ndarray
 
 
 def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
@@ -82,8 +77,9 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
     if not q.min() > 0:   # NaN fails too
         raise ValueError("surrogate weights must be positive")
     scale = alpha * q * np.abs(u) ** 2
+    # eigh reads only the lower triangle and the real part of the diagonal,
+    # so the product's rounding above the diagonal needs no symmetrization
     gram = (hbar.T * scale) @ np.conj(hbar)
-    gram = 0.5 * (gram + gram.conj().T)
     try:
         eigvals, eigvecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
@@ -93,21 +89,18 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
     n_null = int(np.searchsorted(eigvals, cutoff, side="right"))
     eigvals = eigvals[n_null:]
     eigvecs = eigvecs[:, n_null:]
-    aqu = alpha * q * u
-    proj = np.conj(eigvecs).T @ hbar.T  # (n_pos, n_users), column k = F1^H hbar_k
-    zdiag = np.abs(u[:, None]) ** 2 * np.abs(proj.T) ** 2
-    return LagrangianContext(gram=gram, eigvecs=eigvecs, eigvals=eigvals,
-                             rhs=aqu[:, None] * hbar, rhs_proj=proj * aqu,
-                             zdiag=zdiag, coef=(alpha * q) ** 2)
+    # (n_pos, n_users), column k = alpha_k q_k u_k eigvecs^H hbar_k
+    rhs_proj = (np.conj(eigvecs).T @ hbar.T) * (alpha * q * u)
+    mode_coef = (np.abs(rhs_proj) ** 2).sum(axis=1)
+    return LagrangianContext(eigvecs, eigvals, rhs_proj, mode_coef)
 
 
 def beamformers_at(lam: float, ctx: LagrangianContext) -> BeamformerSet:
-    """Stationary beamformers (H + lam*I)^-1 rhs_k via the eigenbasis."""
+    """Stationary beamformers (H + lam*I)^-1 rhs_k via the eigenbasis.
+    Without positive modes the product has an empty inner dimension and
+    is the (n_users, n_tx) zero."""
     if lam < 0:
         raise ValueError("dual variable must be nonnegative")
-    n_users, n_tx = ctx.rhs.shape
-    if ctx.eigvals.size == 0:
-        return BeamformerSet(np.zeros((n_users, n_tx), dtype=complex))
     w = ctx.eigvecs @ (ctx.rhs_proj / (ctx.eigvals + lam)[:, None])
     return BeamformerSet(w.T)
 
@@ -180,15 +173,17 @@ def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
     ``LAMBDA_TOL_REL`` * lambda_max. It starts from max(0, max_i sqrt(c_i /
     p_max) - d_i): each mode alone bounds the root from below, and from
     the left of the root the Newton iterates rise monotonically to it.
-    The g(0) and g(lambda_max) checks are not counted as probes.
+    The g(0) and g(lambda_max) checks are not counted as probes; they and
+    the search evaluate g with ``_power_and_slope`` on c and d converted
+    to floats once, the sum ``power_g`` also takes.
     """
     ctx = assemble_context(hbar, decoders, mse_weights, weights)
-    if power_g(0.0, ctx) <= p_max:
+    c, d = ctx.mode_coef.tolist(), ctx.eigvals.tolist()
+    if _power_and_slope(0.0, c, d)[0] <= p_max:
         return beamformers_at(0.0, ctx), 0.0, 0
     lam_max = lambda_upper_bound(ctx, p_max)
-    if power_g(lam_max, ctx) > p_max * (1.0 + POWER_SLACK_REL):
+    if _power_and_slope(lam_max, c, d)[0] > p_max * (1.0 + POWER_SLACK_REL):
         raise NumericalError("dual search bracket is invalid; upper bound violated")
-    c, d = ctx.mode_coef.tolist(), ctx.eigvals.tolist()
     lam0 = max(0.0, *(math.sqrt(ci / p_max) - di for ci, di in zip(c, d)))
     lam, probes = dual_search(c, d, p_max, lam_max, lam0,
                               POWER_TOL_REL * p_max, LAMBDA_TOL_REL * lam_max)

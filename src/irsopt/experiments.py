@@ -62,10 +62,14 @@ class ExperimentSpec:
         unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes: {unknown}")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        # checked here, not when run_experiment first uses them, so that a
+        # bad count or seed cannot empty an existing out_path either
+        for name in ("n_trials", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
+            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "schemes", tuple(self.schemes))
 

@@ -32,14 +32,11 @@ from .wmmse import _w_matrix
 
 
 def _frozen(a) -> np.ndarray:
-    """``a`` as a read-only, C-contiguous complex array the caller cannot
-    write through: a read-only array that owns its data, as assembly hands
-    over, is kept as is, and any other is copied."""
-    a = np.asarray(a)
-    if (a.flags.writeable or a.base is not None or a.dtype != complex
-            or not a.flags.c_contiguous):
-        a = np.array(a, dtype=complex, order="C")
-        a.setflags(write=False)
+    """A read-only, C-contiguous complex copy of ``a`` that the caller
+    cannot write through. Every array is copied: numpy lets the owner of
+    a read-only array make it writable again."""
+    a = np.array(a, dtype=complex, order="C")
+    a.setflags(write=False)
     return a
 
 
@@ -59,9 +56,8 @@ class QuadraticForm:
     stored: F t = conj((F^H)^T conj(t))). ``from_factor`` gives the form
     of an arbitrary F^H: a_h = F^H and b_h one row of ones.
 
-    The form is immutable: its arrays are read-only, and one the caller
-    could still write through is copied, so a descent always runs the
-    quadratic the form describes. The terms of the weighted MSE that do
+    The form is immutable: its arrays are read-only copies of the ones it
+    is given, so a descent always runs the quadratic the form describes. The terms of the weighted MSE that do
     not depend on the phases are ``quadratic_constant``'s, so that for any
     unit-modulus v
 

@@ -86,8 +86,8 @@ class SolverOptions:
         # written so that NaN fails the test
         if not self.outer_tol > 0:
             raise ValueError("outer_tol must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
+        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
+            raise ValueError(f"max_outer must be a positive integer, got {self.max_outer!r}")
 
 
 @dataclass(frozen=True)

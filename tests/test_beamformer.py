@@ -24,6 +24,30 @@ def random_subproblem(rng, n_users=4, n_tx=6):
     return hbar, state.decoders, state.mse_weights, alpha, noise
 
 
+def gram_from_inputs(hbar, u, q, alpha):
+    """sum_k alpha_k q_k |u_k|^2 hbar_k hbar_k^H, one user at a time."""
+    n_tx = hbar.shape[1]
+    gram = np.zeros((n_tx, n_tx), dtype=complex)
+    for k in range(hbar.shape[0]):
+        gram += alpha[k] * q[k] * np.abs(u[k]) ** 2 * np.outer(hbar[k], np.conj(hbar[k]))
+    return gram
+
+
+def rhs_from_inputs(hbar, u, q, alpha):
+    """Right-hand sides alpha_k q_k u_k hbar_k, one row per user."""
+    return (alpha * q * u)[:, None] * hbar
+
+
+def mode_coef_from_inputs(ctx, hbar, u, q, alpha):
+    """c_i = sum_k (alpha_k q_k)^2 |u_k|^2 |(V^H hbar_k)_i|^2 with V the
+    context's eigenvectors, one user at a time."""
+    c = np.zeros(ctx.eigvals.size)
+    for k in range(hbar.shape[0]):
+        proj = np.conj(ctx.eigvecs).T @ hbar[k]
+        c += (alpha[k] * q[k]) ** 2 * np.abs(u[k]) ** 2 * np.abs(proj) ** 2
+    return c
+
+
 class TestAssembleContext:
     def test_rank_one_single_user(self, rng):
         hbar = complex_normal(rng, (1, 5))
@@ -39,15 +63,23 @@ class TestAssembleContext:
         for _ in range(20):
             hbar, u, q, alpha, _ = random_subproblem(rng, 5, 7)
             ctx = assemble_context(hbar, u, q, alpha)
+            gram = gram_from_inputs(hbar, u, q, alpha)
             rebuilt = (ctx.eigvecs * ctx.eigvals) @ np.conj(ctx.eigvecs).T
-            err = np.linalg.norm(rebuilt - ctx.gram) / np.linalg.norm(ctx.gram)
+            err = np.linalg.norm(rebuilt - gram) / np.linalg.norm(gram)
             assert err < 1e-10
 
     def test_gram_is_hermitian_psd(self, rng):
+        # the factorized Gram is Hermitian PSD: orthonormal eigenvectors,
+        # positive eigenvalues, and those of the explicitly Hermitian oracle
         hbar, u, q, alpha, _ = random_subproblem(rng)
         ctx = assemble_context(hbar, u, q, alpha)
-        assert np.allclose(ctx.gram, ctx.gram.conj().T, atol=1e-10)
+        gram = gram_from_inputs(hbar, u, q, alpha)
+        assert np.allclose(gram, gram.conj().T, atol=1e-10)
+        assert np.allclose(np.conj(ctx.eigvecs).T @ ctx.eigvecs,
+                           np.eye(ctx.eigvals.size), atol=1e-10)
         assert np.all(ctx.eigvals > 0)
+        top = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-ctx.eigvals.size:]
+        assert np.allclose(ctx.eigvals, top, atol=1e-10)
 
     def test_rank_bounded_by_users(self, rng):
         hbar, u, q, alpha, _ = random_subproblem(rng, 3, 8)
@@ -64,21 +96,38 @@ class TestAssembleContext:
         alpha = rng.uniform(0.2, 2.0, n_users)
         alpha[1] = 0.0
         ctx = assemble_context(hbar, u, q, alpha)
-        expected = np.zeros((n_tx, n_tx), dtype=complex)
-        for k in range(n_users):
-            expected += alpha[k] * q[k] * np.abs(u[k]) ** 2 * np.outer(hbar[k], np.conj(hbar[k]))
-        assert ctx.gram.shape == (n_tx, n_tx)
-        assert np.allclose(ctx.gram, expected, rtol=1e-12,
+        expected = gram_from_inputs(hbar, u, q, alpha)
+        rebuilt = (ctx.eigvecs * ctx.eigvals) @ np.conj(ctx.eigvecs).T
+        assert rebuilt.shape == (n_tx, n_tx)
+        assert np.allclose(rebuilt, expected, rtol=1e-12,
                            atol=1e-14 * np.linalg.norm(expected))
 
-    def test_zdiag_nonnegative_and_traces(self, rng):
+    def test_mode_coef_nonnegative_and_traces(self, rng):
+        # the modes' coefficients sum to the right-hand sides' total power
+        # in the eigenbasis, sum_k (alpha_k q_k)^2 |u_k|^2 ||V^H hbar_k||^2
         hbar, u, q, alpha, _ = random_subproblem(rng)
         ctx = assemble_context(hbar, u, q, alpha)
-        assert np.all(ctx.zdiag >= 0)
+        assert np.all(ctx.mode_coef >= 0)
         proj = np.conj(ctx.eigvecs).T @ hbar.T
-        for k in range(hbar.shape[0]):
-            trace = np.abs(u[k]) ** 2 * np.linalg.norm(proj[:, k]) ** 2
-            assert np.sum(ctx.zdiag[k]) == pytest.approx(trace, rel=1e-12)
+        trace = sum((alpha[k] * q[k]) ** 2 * np.abs(u[k]) ** 2
+                    * np.linalg.norm(proj[:, k]) ** 2 for k in range(hbar.shape[0]))
+        assert np.sum(ctx.mode_coef) == pytest.approx(trace, rel=1e-12)
+
+    @pytest.mark.parametrize("n_users, n_tx", [(3, 5), (5, 3)])
+    def test_mode_coef_matches_definition(self, rng, n_users, n_tx):
+        # per mode, with one zero-weight user and decoders that are not
+        # the MMSE ones; (3, 5) leaves a null space that is dropped
+        hbar = complex_normal(rng, (n_users, n_tx))
+        u = complex_normal(rng, n_users)
+        q = rng.uniform(0.5, 2.0, n_users)
+        alpha = rng.uniform(0.2, 2.0, n_users)
+        alpha[1] = 0.0
+        ctx = assemble_context(hbar, u, q, alpha)
+        assert ctx.eigvals.size == min(n_users - 1, n_tx)
+        assert ctx.mode_coef.shape == ctx.eigvals.shape
+        assert np.allclose(ctx.mode_coef, mode_coef_from_inputs(ctx, hbar, u, q, alpha),
+                           rtol=1e-12, atol=0.0)
+        assert np.all(ctx.rhs_proj[:, 1] == 0.0)
 
 
 class TestBeamformersAt:
@@ -92,7 +141,9 @@ class TestBeamformersAt:
             for weights in (alpha, zero_weight):
                 ctx = assemble_context(hbar, u, q, weights)
                 lam = 0.1
-                dense = np.linalg.solve(ctx.gram + lam * np.eye(6), ctx.rhs.T).T
+                gram = gram_from_inputs(hbar, u, q, weights)
+                rhs = rhs_from_inputs(hbar, u, q, weights)
+                dense = np.linalg.solve(gram + lam * np.eye(6), rhs.T).T
                 fast = beamformers_at(lam, ctx).w
                 assert np.allclose(fast, dense, rtol=1e-9, atol=1e-12)
             assert np.all(fast[2] == 0.0)  # zero_weight's context ran last
@@ -116,12 +167,14 @@ class TestBeamformersAt:
         # the returned vectors zero the Lagrangian gradient
         hbar, u, q, alpha, _ = random_subproblem(rng, 5, 7)
         ctx = assemble_context(hbar, u, q, alpha)
+        gram = gram_from_inputs(hbar, u, q, alpha)
+        rhs = rhs_from_inputs(hbar, u, q, alpha)
         for lam in (0.0, 0.05, 2.0):
             w = beamformers_at(lam, ctx).w
-            resid = (ctx.gram + lam * np.eye(7)) @ w.T - ctx.rhs.T
+            resid = (gram + lam * np.eye(7)) @ w.T - rhs.T
             for k in range(5):
                 assert (np.linalg.norm(resid[:, k])
-                        < 1e-9 * max(np.linalg.norm(ctx.rhs[k]), 1e-30))
+                        < 1e-9 * max(np.linalg.norm(rhs[k]), 1e-30))
 
     def test_rejects_negative_lambda(self, rng):
         hbar, u, q, alpha, _ = random_subproblem(rng)
@@ -242,12 +295,26 @@ class TestSolveBeamforming:
         assert beams.total_power == 0.0
         assert lam == 0.0
 
+    @pytest.mark.parametrize("n_users, n_tx", [(3, 5), (5, 3)])
+    def test_zero_decoders_keep_the_shape(self, rng, n_users, n_tx):
+        # no positive mode: the zero beamformers still have one row per user
+        hbar = complex_normal(rng, (n_users, n_tx))
+        beams, _, probes = solve_beamforming(hbar, np.zeros(n_users, dtype=complex),
+                                             np.ones(n_users), np.ones(n_users), 1.0)
+        assert beams.w.shape == (n_users, n_tx)
+        assert np.all(beams.w == 0.0) and probes == 0
 
-def reference_root(ctx, p_max):
+
+def reference_root(ctx, hbar, u, q, alpha, p_max):
     """Root of the power curve by plain bisection down to adjacent floats,
-    on g evaluated from its definition (coef and zdiag, not mode_coef)."""
+    on g evaluated from its definition, sum_i sum_k (alpha_k q_k)^2 |u_k|^2
+    |(V^H hbar_k)_i|^2 / (d_i + lam)^2 with the context's eigenvectors V
+    and eigenvalues d (not from mode_coef)."""
+    power = (alpha * q) ** 2 * np.abs(u) ** 2                  # (n_users,)
+    proj2 = np.abs(np.conj(ctx.eigvecs).T @ hbar.T) ** 2       # (n_pos, n_users)
+
     def g(lam):
-        return float(np.sum(ctx.coef[:, None] * ctx.zdiag / (ctx.eigvals + lam) ** 2))
+        return float(np.sum(power * proj2 / (ctx.eigvals + lam)[:, None] ** 2))
     lo, hi = 0.0, 1.0
     while g(hi) > p_max:
         lo, hi = hi, 2.0 * hi
@@ -302,7 +369,7 @@ class TestDualSearch:
         assert abs(beams.total_power - p_max) <= POWER_TOL_REL * p_max
         # lam is pinned only to the window where the power rule accepts it,
         # |lam - root| <~ power_tol / |g'(root)|, or to the bracket width
-        root = reference_root(ctx, p_max)
+        root = reference_root(ctx, hbar, u, q, alpha, p_max)
         slope = 2.0 * float(np.sum(ctx.mode_coef / (ctx.eigvals + root) ** 3))
         lam_max = lambda_upper_bound(ctx, p_max)
         window = 1.01 * POWER_TOL_REL * p_max / slope + 4 * np.finfo(float).eps * root

@@ -54,6 +54,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             tiny_spec(desk_setup[0], workers=0)
 
+    @pytest.mark.parametrize("name, value", [("n_trials", 2.5), ("workers", 2.5),
+                                             ("base_seed", -1), ("base_seed", 1.5)])
+    def test_bad_counts_and_seeds_leave_the_results_file(self, desk_setup, tmp_path, name,
+                                                         value):
+        # the spec rejects each, so run_experiment never opens (and
+        # empties) an existing results file
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"scheme,old results\n")
+        with pytest.raises(ValueError, match=name):
+            run_experiment(tiny_spec(desk_setup[0], out_path=out, **{name: value}))
+        assert out.read_bytes() == b"scheme,old results\n"
+
+    def test_numpy_integer_counts_and_seeds(self, desk_setup):
+        spec = tiny_spec(desk_setup[0], n_trials=np.int64(2), workers=np.int32(1),
+                         base_seed=np.uint64(7))
+        assert (spec.n_trials, spec.workers, spec.base_seed) == (2, 1, 7)
+
     @pytest.mark.parametrize("axis, values", [("n_elements", (0, 4)), ("p_max", (-1.0, 4.0))])
     def test_out_of_range_values_leave_the_results_file(self, desk_setup, tmp_path, axis,
                                                         values):

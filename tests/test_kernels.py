@@ -600,7 +600,9 @@ def test_bench_outer_script_runs(tmp_path):
         lines = out.stdout.splitlines()
         assert lines[0].startswith("desk: 3 draws, seed 5, max_outer 100")
         assert lines[1].split() == ["variant", "outer", "max", "caps", "wsr_nats",
-                                    "served", "ms_solve", "us_outer"]
+                                    "served", "ms_solve", "us_outer", "channel_us",
+                                    "decoder_us", "beamformer_us", "assembly_us",
+                                    "descent_us"]
         rows = [line.split() for line in lines[2:4]]
         assert [row[0] for row in rows] == variants
         for row in rows:
@@ -611,6 +613,10 @@ def test_bench_outer_script_runs(tmp_path):
             # a solve takes at least one outer iteration (up to print rounding)
             ms_solve, us_outer = float(row[6]), float(row[7])
             assert 0.0 < us_outer <= 1e3 * ms_solve + 1.0
+            # the five SolveTrace layers, each within the outer iteration's time
+            layers = [float(x) for x in row[8:]]
+            assert len(layers) == 5
+            assert all(0.0 <= x <= us_outer for x in layers)
         assert lines[4].startswith(f"paired wsr ({variants[1]} minus {variants[0]}): mean ")
         assert "standard error" in lines[4] and "lose more than 0.001 relative" in lines[4]
         # one line per losing draw, with the users each variant serves

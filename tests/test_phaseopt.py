@@ -222,10 +222,15 @@ class TestFactoredForm:
         assert not factor_h.flags.writeable and form.factor_h is factor_h
         assert np.array_equal(factor_h, (form.a_h[:, None, :] * form.b_h[None, :, :])
                               .reshape(9, 10))
-        # a read-only array that owns its data is kept as is; a read-only
-        # view is copied, since its base may still be written
-        kept = QuadraticForm.from_factor(factor_h, form.z, 2, 5)
-        assert kept.a_h is factor_h
+        # a read-only array is copied even when it owns its data, since its
+        # owner can make it writable again; a read-only view is copied, since
+        # its base may still be written
+        owned = np.array(factor_h)
+        owned.setflags(write=False)
+        of_owned = QuadraticForm.from_factor(owned, form.z, 2, 5)
+        owned.setflags(write=True)
+        owned[0, 0] = 7.0
+        assert of_owned.a_h[0, 0] == factor_h[0, 0] != 7.0
         base = np.array(factor_h)
         view = base[:]
         view.setflags(write=False)

@@ -440,6 +440,13 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_outer=0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    def test_max_outer_must_be_an_integer(self, value):
+        # rejected up front, not by a TypeError inside solve
+        with pytest.raises(ValueError, match="max_outer"):
+            SolverOptions(max_outer=value)
+        assert SolverOptions(max_outer=np.int64(3)).max_outer == 3
+
     @pytest.mark.parametrize("field, value, ok", [
         ("outer_tol", np.nan, False), ("outer_tol", np.inf, True),
     ])
