@@ -7,11 +7,12 @@ solver's: F^H the product of two (K, size) operands, with K = --users
 distances (``selfcheck.khatri_rao_form``). Each call descends from a
 random start to the solver's relative tolerance ``PHASE_REL_TOL``, with
 the solver's absolute floor and iteration cap, as the solver calls it.
-The table gives the iterations and the median microseconds per call; the
-compiled kernel's time includes its once-per-call planar copy of the two
-operands. Time per iteration
-is not reported: it reads a kernel that does fewer, dearer iterations as
-slower.
+The table gives the iterations and the median microseconds per call.
+Both kernels take their products from the form's two operands and keep
+nothing on the form between calls, so each timed call pays its own
+once-per-call work: the compiled kernel's planar copy of the operands
+and both kernels' diagonal of Q. Time per iteration is not reported: it
+reads a kernel that does fewer, dearer iterations as slower.
 
 The second table times ``phaseopt.assemble_quadratic`` on one draw of the
 full preset at 240 and 480 phase elements (60 and 120 per surface), at

@@ -9,22 +9,19 @@ the arguments the same way (``v0`` of the form's size, ``grad_tol``
 neither NaN nor negative, ``rel_tol`` in [0, 1), a nonnegative
 ``max_iters``).
 
-There are two implementations of one algorithm. ``rmcg_core_numpy`` is
-the vectorized numpy reference; it touches the form through ``form @ x``
-and, once per call, the diagonal of Q (the squared column norms of F^H;
-it never reads ``j_hat``), both on the array ``form.factor_h``, which the
-form builds with one numpy broadcast product the first time it is read.
-``_rmcg.c`` is a C port of it, step for step, that never forms F^H: once
-per call it copies the form's two operands into a work space of its
-caller's, planar (real parts, then imaginary parts) and padded to whole
-vectors, and takes the diagonal of Q as (sum_k |a_h[k]|^2) o
-(sum_j |b_h[j]|^2) in the same pass, O((K_a + K_b) N). It then takes
-F^H x and F t from the two operands, over tiles of rows of both whose
-sums stay in registers, and it scores a candidate by ||F^H x||^2: a
-line-search trial point costs the one product t = F^H x
-(f = ||t||^2 + 2 Re(z^H x)), and F t is formed for the accepted point
-alone. Its sums run in another order than numpy's, so the two kernels
-agree to rounding (``_rmcg.c`` gives the order).
+There are two implementations of one algorithm, which take the same
+steps on the same products. ``rmcg_core_numpy`` is the vectorized numpy
+reference, on the form's methods. ``_rmcg.c`` is a C port of it, step
+for step: once per call it copies the form's two operands into a work
+space of its caller's, planar (real parts, then imaginary parts) and
+padded to whole vectors, and takes the diagonal of Q in the same pass,
+O((K_a + K_b) N); it takes F^H x and F t over tiles of rows of both
+operands whose sums stay in registers. Both score a line-search trial
+point x by f = ||t||^2 + 2 Re(z^H x), t = F^H x, and form F t for the
+accepted point alone, so an iteration with k trial points takes k + 1
+products F^H x (one for the first step's curvature) and one F t. The C
+sums run in another order than numpy's, so the two kernels agree to
+rounding (``_rmcg.c`` gives the order).
 The work space is this thread's (``_workspace``): O((K_a + K_b) N + K_a
 K_b) doubles, kept between calls and only ever grown, so that same-sized
 descents allocate nothing.
@@ -70,8 +67,8 @@ and the stopping test below are those of the plain method.
 
 The renormalization v/|v| is a second-order retraction (Absil and Malick,
 SIAM J. Optim. 2012): along it f = f(v) + t slope + t^2 c2 + O(t^3), with
-c2 = d^H Q d - 1/2 sum_m |d_m|^2 Re(conj(v_m) g_m), which costs one more
-product, with F^H alone.
+c2 = ||F^H d||^2 - 1/2 sum_m |d_m|^2 Re(conj(v_m) g_m), which costs one
+more product F^H d.
 Each line search starts at the model's minimizer -slope / (2 c2), capped
 at 1 / max_m |d_m|, the step that turns the fastest element by 45 degrees
 and the one taken when c2 <= 0. The descent stops when the Riemannian
@@ -136,18 +133,12 @@ def _check(form, v0, grad_tol, rel_tol, max_iters) -> None:
         raise ValueError("max_iters must be nonnegative")
 
 
-def _diagonal(form):
-    """The diagonal of Q: the squared column norms of F^H."""
-    fh = form.factor_h
-    return np.sum(fh.real ** 2 + fh.imag ** 2, axis=0)
-
-
 def hessian_diagonal(form, v):
     """The diagonal of the Riemannian Hessian at the unit-modulus v that
     both kernels precondition with, 2 Q_mm - Re(conj(g_m) v_m) with g the
     ambient gradient."""
     egrad = 2.0 * (form @ v + form.z)
-    return 2.0 * _diagonal(form) - (np.conj(egrad) * v).real
+    return 2.0 * form.diagonal() - (np.conj(egrad) * v).real
 
 
 def _precondition(hess_diag, rgrad):
@@ -162,8 +153,8 @@ def _precondition(hess_diag, rgrad):
 
 
 def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
-    """Vectorized descent loop; it applies the form through ``@`` and
-    reads the diagonal of Q once."""
+    """Vectorized descent loop on the form's products: F^H x for each
+    point it scores, F t for each point it accepts."""
     _check(form, v0, grad_tol, rel_tol, max_iters)
     z = form.z
     v = v0.copy()
@@ -171,11 +162,10 @@ def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
     grad_hist = np.full(max_iters + 1, np.nan)
     tang_res = 0.0
     failed = False
-    q_diag2 = 2.0 * _diagonal(form)
+    q_diag2 = 2.0 * form.diagonal()
 
-    qv = form @ v
-    f_cur = np.vdot(v, qv).real + 2.0 * np.vdot(v, z).real
-    egrad = 2.0 * (qv + z)
+    f_cur, t = form.evaluate(v)
+    egrad = 2.0 * (form.f_product(t) + z)
     radial = (np.conj(egrad) * v).real
     rgrad = egrad - radial * v
     gnorm2 = np.vdot(rgrad, rgrad).real
@@ -196,7 +186,8 @@ def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
             direction = -pg
             slope = -gpg
         d2 = direction.real ** 2 + direction.imag ** 2
-        c2 = np.vdot(direction, form @ direction).real - 0.5 * np.dot(d2, radial)
+        t = form.fh_product(direction)
+        c2 = np.vdot(t, t).real - 0.5 * np.dot(d2, radial)
         reach = np.sqrt(np.max(d2))
         # the model's minimizer, capped at 1 / reach; a NaN c2 fails the
         # comparison and takes the cap
@@ -205,8 +196,7 @@ def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
         for _ in range(MAX_BACKTRACKS):
             cand = v + step * direction
             cand = cand / np.abs(cand)
-            qv = form @ cand
-            f_cand = np.vdot(cand, qv).real + 2.0 * np.vdot(cand, z).real
+            f_cand, t = form.evaluate(cand)
             if f_cand <= f_cur + ARMIJO_C * step * slope:
                 accepted = True
                 break
@@ -215,7 +205,7 @@ def rmcg_core_numpy(form, v0, grad_tol, rel_tol, max_iters):
             failed = True
             break
 
-        egrad = 2.0 * (qv + z)
+        egrad = 2.0 * (form.f_product(t) + z)
         radial = (np.conj(egrad) * cand).real
         rgrad_new = egrad - radial * cand
         gnorm2_new = np.vdot(rgrad_new, rgrad_new).real

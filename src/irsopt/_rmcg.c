@@ -1,9 +1,9 @@
 /* Manifold conjugate-gradient descent on the product of unit circles.
 
    A port of irsopt._kernels.rmcg_core_numpy to C99 with GNU vector types
-   (gcc, clang), step for step: same preconditioner, direction rule, first
-   step, line search, stopping test, tangency check, history padding and
-   flags, except that a candidate is scored by ||F^H x||^2.
+   (gcc, clang), step for step: same products, preconditioner, direction
+   rule, first step, line search, stopping test, tangency check, history
+   padding and flags.
 
    The direction is preconditioned by the diagonal of the Riemannian
    Hessian, h_i = 2 Q_ii - rad_i, with rad_i = Re(conj(g_i) v_i) the
@@ -32,7 +32,7 @@
    (F t)_i = sum_k conj(a_ki) sum_j conj(b_ji) t_kj (finish), both at
    O(ka kb n) but reading only (ka + kb) n entries where F^H has ka kb n.
    Their sums run in another order than numpy's, so the kernel agrees with
-   QuadraticForm.factor_h's products to rounding.
+   QuadraticForm's products (fh_product, f_product) to rounding.
 
    The line search needs only objective values, f(x) = ||t||^2 +
    2 Re(z^H x) with t = F^H x: a trial point costs the one product F^H x,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChannelSet, draw_channels, strip_irs
-from .scenario import ScenarioParams
+from .scenario import ScenarioParams, check_count
 from .solver import SolverOptions, SolveTrace, solve
 
 log = logging.getLogger(__name__)
@@ -64,12 +64,9 @@ class ExperimentSpec:
             raise ValueError(f"unknown schemes: {unknown}")
         # checked here, not when run_experiment first uses them, so that a
         # bad count or seed cannot empty an existing out_path either
-        for name in ("n_trials", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if not isinstance(self.base_seed, (int, np.integer)) or self.base_seed < 0:
-            raise ValueError(f"base_seed must be a nonnegative integer, got {self.base_seed!r}")
+        check_count("n_trials", self.n_trials)
+        check_count("workers", self.workers)
+        check_count("base_seed", self.base_seed, minimum=0)
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "schemes", tuple(self.schemes))
 

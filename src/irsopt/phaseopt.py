@@ -2,21 +2,15 @@
 
 With decoders, weights, and beamformers held fixed, the weighted-MSE
 objective is an explicit Hermitian quadratic in the stacked reflection
-vector. Its matrix ``j_hat`` is a Hadamard product of two positive
+vector. Its matrix Q (``j_hat``) is a Hadamard product of two positive
 semidefinite matrices, so it is itself PSD and equals ``F F^H`` for a
 (size, n_users**2) factor ``F`` (Schur product theorem). Each row of
 ``F^H`` is the entrywise product of a row of two (n_users, size)
 operands, so ``F^H`` is their Khatri-Rao product. Assembly forms the two
-operands and ``z``, and ``QuadraticForm`` keeps them: the one operator
-the conjugate-gradient descent in ``_kernels`` runs, matrix-free. The
-compiled kernel never forms ``F^H``: it takes each product from the two
-operands, which it copies once per call into its own reused work space
-(which never leaves it, so the form stays immutable), scores each
-line-search candidate by ||F^H x||^2 (one pass over the operands) and
-forms ``F (F^H v)`` only for the accepted point, where the gradient needs
-it, as a second pass. ``F^H`` as a numpy array, and the dense matrix,
-are formed only when a caller reads ``factor_h`` or ``j_hat``. The quadratic is
-already convex, so the form carries no shift.
+operands and ``z``, and ``QuadraticForm`` keeps them and takes every
+product from them (F^H x, F t and the diagonal of Q), never forming F^H
+or Q; both descent kernels in ``_kernels`` take the same steps on those
+products. The quadratic is already convex, so the form carries no shift.
 """
 
 from __future__ import annotations
@@ -41,31 +35,28 @@ def _frozen(a) -> np.ndarray:
 
 
 class QuadraticForm:
-    """f(v) = v^H j_hat v + 2 Re(v^H z), with j_hat = F F^H.
+    """f(v) = v^H Q v + 2 Re(v^H z), with Q = j_hat = F F^H.
 
     The form holds the linear term ``z`` and two operands of F^H, ``a_h``
     (K_a, size) and ``b_h`` (K_b, size), size = n_irs * n_elements: F^H is
     their Khatri-Rao product, whose row k K_b + j is a_h[k] o b_h[j] entry
-    by entry, so ``rank`` is K_a K_b. That is all the form stores. The
-    compiled kernel reads the C-contiguous complex arrays ``a_h``, ``b_h``
-    and ``z`` at ``addresses`` and takes its products from the two
-    operands, without F^H. ``factor_h`` (F^H, one numpy broadcast
-    product) and ``j_hat`` are formed when first read,
-    and kept; the numpy reference kernel runs the form through ``@``,
-    which applies j_hat as F (F^H v) without forming it (F is never
-    stored: F t = conj((F^H)^T conj(t))). ``from_factor`` gives the form
-    of an arbitrary F^H: a_h = F^H and b_h one row of ones.
+    by entry, so ``rank`` is K_a K_b. That is all the form stores, and
+    every product is taken from the two operands: ``fh_product`` (F^H x),
+    ``f_product`` (F t), ``evaluate`` (f and F^H x), ``diagonal`` (of Q)
+    and ``@`` (Q x = F (F^H x)); the compiled kernel reads the arrays at
+    ``addresses`` and takes the same products in C. ``factor_h`` (F^H)
+    and ``j_hat`` are formed anew on each read, for checks. ``from_factor``
+    gives the form of an arbitrary F^H: a_h = F^H and b_h one row of ones.
 
     The form is immutable: its arrays are read-only copies of the ones it
-    is given, so a descent always runs the quadratic the form describes. The terms of the weighted MSE that do
-    not depend on the phases are ``quadratic_constant``'s, so that for any
-    unit-modulus v
+    is given, so a descent always runs the quadratic the form describes.
+    The terms of the weighted MSE that do not depend on the phases are
+    ``quadratic_constant``'s, so that for any unit-modulus v
 
         f(v) + quadratic_constant(...) == sum_k alpha_k q_k E_k.
     """
 
-    __slots__ = ("a_h", "b_h", "z", "n_irs", "n_elements", "size", "rank", "addresses",
-                 "_factor_h", "_j_hat")
+    __slots__ = ("a_h", "b_h", "z", "n_irs", "n_elements", "size", "rank", "addresses")
 
     def __init__(self, a_h, b_h, z, n_irs, n_elements):
         size = n_irs * n_elements
@@ -77,7 +68,7 @@ class QuadraticForm:
             raise ValueError(f"z must be a vector of length {size}")
         for name, value in zip(self.__slots__, (
                 a_h, b_h, z, n_irs, n_elements, size, a_h.shape[0] * b_h.shape[0],
-                (a_h.ctypes.data, b_h.ctypes.data, z.ctypes.data), None, None)):
+                (a_h.ctypes.data, b_h.ctypes.data, z.ctypes.data))):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -89,28 +80,42 @@ class QuadraticForm:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticForm is immutable")
 
+    def fh_product(self, x) -> np.ndarray:
+        """F^H x as a (K_a, K_b) array, t[k, j] = sum_n a_h[k, n] b_h[j, n]
+        x_n; (K_a, M, K_b) for M points stacked as the rows of x."""
+        a_h = self.a_h if x.ndim == 1 else self.a_h[:, None, :]
+        return (a_h * x) @ self.b_h.T
+
+    def f_product(self, t) -> np.ndarray:
+        """F t = sum_k conj(a_h[k]) o (t @ conj(b_h))[k] for a ``fh_product``
+        t, taken as a conjugate so that no operand is conjugated."""
+        a_h = self.a_h if t.ndim == 2 else self.a_h[:, None, :]
+        out = np.sum(a_h * (np.conj(t) @ self.b_h), axis=0)
+        return np.conjugate(out, out=out)
+
+    def evaluate(self, x) -> tuple[float, np.ndarray]:
+        """f(x) = ||t||^2 + 2 Re(z^H x) and t = F^H x, from which
+        ``f_product`` gives Q x."""
+        t = self.fh_product(x)
+        return np.vdot(t, t).real + 2.0 * np.vdot(x, self.z).real, t
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of Q: (sum_k |a_h[k]|^2) o (sum_j |b_h[j]|^2)."""
+        norms = [np.sum(op.real ** 2 + op.imag ** 2, axis=0) for op in (self.a_h, self.b_h)]
+        return norms[0] * norms[1]
+
+    def __matmul__(self, x) -> np.ndarray:
+        """Q x as F (F^H x), for x (size,) or a block (size, M) of M columns."""
+        return self.f_product(self.fh_product(np.asarray(x).T)).T
+
     @property
     def factor_h(self) -> np.ndarray:
-        if self._factor_h is None:
-            factor_h = np.empty((self.rank, self.size), complex)
-            np.multiply(self.a_h[:, None, :], self.b_h[None, :, :],
-                        out=factor_h.reshape(len(self.a_h), *self.b_h.shape))
-            factor_h.setflags(write=False)
-            object.__setattr__(self, "_factor_h", factor_h)
-        return self._factor_h
+        return _frozen((self.a_h[:, None, :] * self.b_h).reshape(self.rank, self.size))
 
     @property
     def j_hat(self) -> np.ndarray:
-        if self._j_hat is None:
-            j_hat = self.factor_h.conj().T @ self.factor_h
-            j_hat.setflags(write=False)
-            object.__setattr__(self, "_j_hat", j_hat)
-        return self._j_hat
-
-    def __matmul__(self, v) -> np.ndarray:
-        """j_hat v, as F (F^H v), without forming j_hat."""
-        out = np.dot(self.factor_h.T, np.dot(self.factor_h, v).conj())
-        return np.conjugate(out, out=out)
+        factor_h = self.factor_h
+        return _frozen(factor_h.conj().T @ factor_h)
 
 
 def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
@@ -178,17 +183,15 @@ def _phase_vector(phases) -> np.ndarray:
 
 
 def objective(form: QuadraticForm, phases) -> float:
-    """Quadratic value at a feasible point."""
+    """Quadratic value at a feasible point, ||F^H v||^2 + 2 Re(v^H z)."""
     v = _phase_vector(phases)
     if v.size != form.size:
         raise ValueError("phase vector length does not match the form")
-    if v.size == 0:
-        return 0.0
-    return float(np.vdot(v, form @ v).real + 2.0 * np.vdot(v, form.z).real)
+    return float(form.evaluate(v)[0])
 
 
 def euclidean_gradient(form: QuadraticForm, v) -> np.ndarray:
-    """Ambient gradient 2 j_hat v + 2 z; valid at any point."""
+    """Ambient gradient 2 F (F^H v) + 2 z; valid at any point."""
     v = np.asarray(v if not isinstance(v, PhaseConfig) else v.v_hat,
                    dtype=complex).reshape(-1)
     return 2.0 * (form @ v + form.z)

@@ -26,6 +26,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_count(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is a Python or numpy integer of at
+    least ``minimum``. A bool is refused: True would pass as the count 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Immutable description of one simulation scenario.
@@ -54,9 +61,8 @@ class ScenarioParams:
 
     def __post_init__(self):
         for name in ("n_tx", "n_users", "n_irs", "n_elements"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_count(name, getattr(self, name))
+        check_count("rng_seed", self.rng_seed, minimum=0)
         if not (np.isfinite(self.p_max) and self.p_max > 0):
             raise ValueError("p_max must be positive and finite")
         if not (np.isfinite(self.noise_power) and self.noise_power > 0):

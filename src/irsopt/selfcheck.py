@@ -215,21 +215,61 @@ def check_energy_start(rng) -> CheckResult:
                        f"x_0: desk {gains[0]:.3f}, full {gains[1]:.3f}")
 
 
+def rounding_spread(form, v0, max_iters, rel_tol=0.0, n_variants=8):
+    """How far ``rmcg_core_numpy`` drifts from itself when only its
+    rounding changes. It runs the reference from ``v0`` with grad_tol 0,
+    then on ``n_variants`` copies of the problem that are equal to it in
+    exact arithmetic: the phase elements and the rows of each operand
+    permuted, a_h scaled by c in [sqrt(0.5), sqrt(2)] and z by c^2 and a
+    global phase, with the start turned by that phase, so that each copy's
+    objective is c^2 times the original along the same path. Returns the
+    reference's objective history; per entry of it, the largest gap to a
+    copy's history divided by c^2 (inf where a copy stopped earlier); and
+    the fewest and most iterations any of the runs took. Near a rounding
+    tie, or where a backtracking test or a step's curvature amplifies
+    rounding, this is the spread any correctly rounded kernel may show."""
+    _, n, obj, *_ = _kernels.rmcg_core_numpy(form, v0, 0.0, rel_tol, max_iters)
+    obj = obj[:n + 1]
+    spread = np.zeros(n + 1)
+    stops = [n]
+    rng = np.random.default_rng(0)
+    for _ in range(n_variants):
+        elements = rng.permutation(form.size)
+        rows_a, rows_b = rng.permutation(len(form.a_h)), rng.permutation(len(form.b_h))
+        c2 = rng.uniform(0.5, 2.0)
+        turn = np.exp(2j * np.pi * rng.uniform())
+        copy = QuadraticForm(np.sqrt(c2) * form.a_h[rows_a][:, elements],
+                             form.b_h[rows_b][:, elements], c2 * turn * form.z[elements],
+                             1, form.size)
+        _, m, other, *_ = _kernels.rmcg_core_numpy(copy, turn * v0[elements], 0.0, rel_tol,
+                                                   max_iters)
+        stops.append(m)
+        m = min(m, n) + 1
+        spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
+        spread[m:] = np.inf
+    return obj, spread, (min(stops), max(stops))
+
+
 def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
     """The descent kernel in use against the numpy reference. Each
     instance draws a random factored form (rank above and below the size),
     a block-scaled one (``block_scaled_form``), on which the
     preconditioner's floor binds, and the Khatri-Rao forms of
     ``khatri_rao_cases``, whose products the compiled kernel takes from
-    the two operands. On
-    each, the objective histories of the first iterations must agree to
-    1e-9 of the objective's scale, trace(j_hat) + 2 |z|_1, and runs
-    stopped by the solver's relative gradient tolerance must stop within
-    one iteration of each other."""
+    the two operands. On each, the objective histories of the first
+    iterations must agree to 1e-9 of the objective's scale, trace(j_hat)
+    + 2 |z|_1, and runs stopped by the solver's relative gradient tolerance
+    must stop within one iteration of each other. Where they do not, the
+    kernel's stop must lie within one iteration of the range of stops of
+    the reference on copies of the problem that differ only in rounding
+    (``rounding_spread``): the relative test can fall on either side of a
+    tie, and the reference itself then stops several iterations apart."""
     kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
     worst = 0.0
     worst_stop = 0
     floor_bound = 0
+    spread_runs = 0
+    outside = 0
     for _ in range(n_instances):
         size, rank = int(rng.integers(1, 161)), int(rng.integers(1, 65))
         factored = QuadraticForm.from_factor(_cplx(rng, (rank, size)), _cplx(rng, size),
@@ -245,21 +285,26 @@ def check_kernel_parity(rng, n_instances=10, n_iters=5) -> CheckResult:
             _, n_a, obj_a, *_ = _kernels.rmcg_core(*args)
             _, n_b, obj_b, *_ = _kernels.rmcg_core_numpy(*args)
             k = min(n_a, n_b) + 1
-            scale = (float(np.sum(np.abs(form.factor_h) ** 2))
-                     + 2.0 * float(np.sum(np.abs(form.z))))
+            scale = float(np.sum(form.diagonal())) + 2.0 * float(np.sum(np.abs(form.z)))
             worst = max(worst, float(np.max(np.abs(obj_a[:k] - obj_b[:k]))) / scale)
             args = (form, v0, 0.0, PHASE_REL_TOL, MAX_INNER)
-            stops = [kernel_fn(*args)[1]
-                     for kernel_fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy)]
-            worst_stop = max(worst_stop, abs(stops[0] - stops[1]))
+            stop, ref_stop = (kernel_fn(*args)[1]
+                              for kernel_fn in (_kernels.rmcg_core, _kernels.rmcg_core_numpy))
+            worst_stop = max(worst_stop, abs(stop - ref_stop))
+            if abs(stop - ref_stop) > 1:
+                spread_runs += 1
+                _, _, (low, high) = rounding_spread(form, v0, MAX_INNER, PHASE_REL_TOL)
+                outside += not low - 1 <= stop <= high + 1
     return CheckResult("descent kernel matches the numpy reference",
-                       worst <= 1e-9 and worst_stop <= 1,
+                       worst <= 1e-9 and outside == 0,
                        f"kernel {kernel}, worst rel objective gap {worst:.2e} over "
                        f"{n_instances} random, {n_instances} block-scaled and "
                        f"{4 * n_instances} Khatri-Rao forms (preconditioner floor "
                        f"binding at the start on {floor_bound} block-scaled), "
                        f"{n_iters} iterations; worst iteration-count gap {worst_stop} "
-                       f"at rel_tol {PHASE_REL_TOL:g}")
+                       f"at rel_tol {PHASE_REL_TOL:g}, on {spread_runs} forms more than 1, "
+                       f"{outside} of them outside the reference's own range of stops "
+                       f"(+-1) under rounding")
 
 
 ALL_CHECKS = (check_rate_mse_equivalence, check_quadratic_identity, check_gradient,

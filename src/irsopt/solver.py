@@ -38,7 +38,7 @@ import numpy as np
 from .beamformer import POWER_SLACK_REL, solve_beamforming
 from .channels import ChannelSet, PhaseConfig, effective_channels
 from .phaseopt import assemble_quadratic, rmcg_solve
-from .scenario import ScenarioParams
+from .scenario import ScenarioParams, check_count
 # The loop derives every rate, decoder and MSE from one cross-gain matrix
 # per point, so it calls neither compute_mse, compute_rates nor
 # update_decoders; they stay importable from here, where perfbench's traced
@@ -86,8 +86,7 @@ class SolverOptions:
         # written so that NaN fails the test
         if not self.outer_tol > 0:
             raise ValueError("outer_tol must be positive")
-        if not isinstance(self.max_outer, (int, np.integer)) or self.max_outer < 1:
-            raise ValueError(f"max_outer must be a positive integer, got {self.max_outer!r}")
+        check_count("max_outer", self.max_outer)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,9 @@ class TestSpecValidation:
             tiny_spec(desk_setup[0], workers=0)
 
     @pytest.mark.parametrize("name, value", [("n_trials", 2.5), ("workers", 2.5),
-                                             ("base_seed", -1), ("base_seed", 1.5)])
+                                             ("base_seed", -1), ("base_seed", 1.5),
+                                             ("n_trials", True), ("workers", True),
+                                             ("base_seed", True), ("base_seed", False)])
     def test_bad_counts_and_seeds_leave_the_results_file(self, desk_setup, tmp_path, name,
                                                          value):
         # the spec rejects each, so run_experiment never opens (and

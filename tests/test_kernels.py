@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from irsopt import _kernels, desk_scenario
 from irsopt.phaseopt import QuadraticForm
-from irsopt.selfcheck import block_scaled_form, khatri_rao_cases, khatri_rao_form
+from irsopt.selfcheck import (block_scaled_form, check_kernel_parity, khatri_rao_cases,
+                              khatri_rao_form, rounding_spread, run_all)
 from irsopt.solver import MAX_INNER, PHASE_REL_TOL, SolverOptions
 from tests.conftest import complex_normal
 
@@ -279,18 +280,48 @@ class TestKhatriRaoForms:
 
     def test_factor_h_is_the_broadcast_product(self, rng):
         form = khatri_rao_form(rng, 29, 4, 3)
-        assert form.rank == 12 and form._factor_h is None
+        assert form.rank == 12
         assert np.array_equal(form.factor_h, (form.a_h[:, None, :] * form.b_h[None, :, :])
                               .reshape(12, 29))
         # the diagonal of Q is (sum_k |a_kn|^2)(sum_j |b_jn|^2)
         norms = [np.sum(np.abs(op) ** 2, axis=0) for op in (form.a_h, form.b_h)]
         assert np.allclose(np.diagonal(form.j_hat).real, norms[0] * norms[1],
                            rtol=1e-13, atol=0.0)
-        # and the Hessian diagonal is the one of the same F^H given whole
-        flat = QuadraticForm.from_factor(form.factor_h, form.z, 1, form.size)
-        v = np.exp(2j * np.pi * rng.uniform(size=form.size))
-        assert np.array_equal(_kernels.hessian_diagonal(form, v),
-                              _kernels.hessian_diagonal(flat, v))
+
+    def test_reference_takes_the_compiled_kernels_products(self, rng, monkeypatch):
+        # the compiled kernel's accounting: an iteration with k trial points
+        # takes F^H d for the first step's curvature, F^H x for each trial
+        # point and F t for the accepted one alone, so k + 1 products F^H x
+        # and one F t; a steep Armijo constant forces backtracking
+        monkeypatch.setattr(_kernels, "ARMIJO_C", 0.9)
+        form = khatri_rao_form(rng, 40, 3, 4)
+        v0 = np.exp(2j * np.pi * rng.uniform(size=form.size))
+        calls = []
+        fh_product, f_product = QuadraticForm.fh_product, QuadraticForm.f_product
+
+        def fh_spy(self, x):
+            t = fh_product(self, x)
+            on_circles = np.allclose(np.abs(x), 1.0, rtol=0.0, atol=1e-12)
+            calls.append(("x" if on_circles else "d", t))
+            return t
+
+        def f_spy(self, t):
+            calls.append(("F", t))
+            return f_product(self, t)
+
+        monkeypatch.setattr(QuadraticForm, "fh_product", fh_spy)
+        monkeypatch.setattr(QuadraticForm, "f_product", f_spy)
+        _, n, *_, failed, _ = _kernels.rmcg_core_numpy(form, v0, 0.0, 0.0, 10)
+        assert n == 10 and not failed
+        # the start, then per iteration d, the trial points and F t
+        kinds = "".join(kind for kind, _ in calls)
+        iterations = kinds.split("F")[1:-1]
+        assert kinds.startswith("xF") and len(iterations) == n
+        assert all(it[0] == "d" and set(it[1:]) == {"x"} for it in iterations)
+        assert max(len(it) - 1 for it in iterations) > 1
+        # F t reads the last trial point's F^H x
+        assert all(calls[i][1] is calls[i - 1][1] and calls[i - 1][0] == "x"
+                   for i, (kind, _) in enumerate(calls) if kind == "F")
 
     @pytest.mark.parametrize("n_a", [1, 2, 3, 5, 8, 9])
     def test_kernels_agree_on_ragged_shapes(self, n_a):
@@ -411,34 +442,6 @@ def factored_operators(draw):
     return QuadraticForm.from_factor(factor.conj().T, z, 1, size), v0
 
 
-def rounding_spread(q_op, v0, n_iters, n_variants=8):
-    """How far ``rmcg_core_numpy`` drifts from itself when only its
-    rounding changes: its objective history, and per entry the largest gap
-    to reruns on the same problem permuted (phase elements and the
-    factor's columns), scaled by c^2 in [0.5, 2] and turned by a global
-    phase, whose objective is c^2 times the original along the same path
-    (inf where a rerun stopped earlier). Near a rounding tie, or where a
-    backtracking test or a step's curvature amplifies rounding, this is
-    the spread any correctly rounded kernel may show."""
-    _, n, obj, *_ = _kernels.rmcg_core_numpy(q_op, v0, 0.0, 0.0, n_iters)
-    obj = obj[:n + 1]
-    spread = np.zeros(n + 1)
-    rng = np.random.default_rng(0)
-    for _ in range(n_variants):
-        rows = rng.permutation(q_op.size)
-        cols = rng.permutation(q_op.rank)
-        c2 = rng.uniform(0.5, 2.0)
-        turn = np.exp(2j * np.pi * rng.uniform())
-        z_var = c2 * turn * q_op.z[rows]
-        op = QuadraticForm.from_factor(np.sqrt(c2) * q_op.factor_h[cols][:, rows], z_var, 1,
-                           q_op.size)
-        _, m, other, *_ = _kernels.rmcg_core_numpy(op, turn * v0[rows], 0.0, 0.0, n_iters)
-        m = min(m, n) + 1
-        spread[:m] = np.maximum(spread[:m], np.abs(other[:m] / c2 - obj[:m]))
-        spread[m:] = np.inf
-    return obj, spread
-
-
 class TestFactoredProperties:
     @settings(max_examples=100, deadline=None)
     @given(factored_operators())
@@ -456,9 +459,33 @@ class TestFactoredProperties:
         # the reference is to itself under other rounding, or 1e-9 of the
         # scale
         _, n_c, obj_c, *_ = _kernels.rmcg_core(q_op, v0, 0.0, 0.0, 5)
-        obj_r, spread = rounding_spread(q_op, v0, 5)
+        obj_r, spread, _ = rounding_spread(q_op, v0, 5)
         k = min(n_c + 1, obj_r.size)
         assert np.all(np.abs(obj_c[:k] - obj_r[:k]) <= 1e-9 * scale + 10.0 * spread[:k])
+
+
+class TestParityCheck:
+    @pytest.mark.parametrize("seed", [3, 5, 17, 18, 19])
+    def test_validate_passes_where_the_reference_splits_a_tie(self, seed):
+        # on each of these seeds one form's relative stopping test falls on
+        # either side of a rounding tie: the compiled kernel stops 2 to 4
+        # iterations from the reference, within the reference's own range of
+        # stops on copies of the problem that differ only in rounding
+        failed = [result for result in run_all(seed) if not result.ok]
+        assert not failed, failed
+
+    @pytest.mark.parametrize("wrong", ["stops early", "other objective"])
+    def test_a_wrong_kernel_fails(self, monkeypatch, wrong):
+        reference = _kernels.rmcg_core_numpy
+
+        def kernel(form, v0, grad_tol, rel_tol, max_iters):
+            if wrong == "stops early":
+                return reference(form, v0, grad_tol, min(10.0 * rel_tol, 0.5), max_iters)
+            other = QuadraticForm(form.a_h, form.b_h, (1.0 + 1e-6) * form.z, 1, form.size)
+            return reference(other, v0, grad_tol, rel_tol, max_iters)
+
+        monkeypatch.setattr(_kernels, "rmcg_core", kernel)
+        assert not check_kernel_parity(np.random.default_rng(0)).ok
 
 
 def _subprocess_env(**overrides):

@@ -151,18 +151,29 @@ class TestFactoredForm:
             assert (np.linalg.norm(form.j_hat - j_oracle)
                     <= 1e-12 * np.linalg.norm(j_oracle))
 
-    def test_descent_never_forms_the_dense_matrix(self, rng):
+    def test_descent_never_forms_the_dense_matrix(self, rng, monkeypatch):
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 6, 3, 3)
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
         v = PhaseConfig.random(2, 6, rng)
+        dense = form.factor_h.conj().T @ form.factor_h
+        expected = (objective(form, v), euclidean_gradient(form, v))
+
+        # F^H and Q are for checks: the descent and the functions around it
+        # run on the two operands alone
+        def unreadable(_):
+            raise AssertionError("F^H or Q was formed")
+
+        for name in ("factor_h", "j_hat"):
+            monkeypatch.setattr(QuadraticForm, name, property(unreadable))
+        with pytest.raises(AssertionError):
+            form.factor_h
         rmcg_solve(form, v)
-        objective(form, v)
-        euclidean_gradient(form, v)
         for kernel in (_kernels.rmcg_core, _kernels.rmcg_core_numpy):
             kernel(form, v.v_hat, 0.0, 0.0, 5)
-        assert form._j_hat is None
-        # the kernel's matrix-free product is the dense one
-        dense = form.factor_h.conj().T @ form.factor_h
+        assert objective(form, v) == expected[0]
+        assert np.array_equal(euclidean_gradient(form, v), expected[1])
+        assert np.all(np.isfinite(_kernels.hessian_diagonal(form, v.v_hat)))
+        # the matrix-free product is the dense one
         assert np.allclose(form @ v.v_hat, dense @ v.v_hat, rtol=1e-12, atol=0.0)
 
     def test_factored_descent_matches_its_trace(self, rng):
@@ -207,11 +218,11 @@ class TestFactoredForm:
     def test_assembled_form_stores_two_operands(self, rng):
         # the form stores the (K, N) operands a_h, b_h of F^H: C-contiguous,
         # read-only and the arrays the compiled kernel reads; F^H is their
-        # broadcast product, formed when read
+        # broadcast product, formed on each read
         channels, w, u, q, alpha, noise = random_form_inputs(rng, 2, 5, 3, 2)
         form = assemble_quadratic(channels, w, u, q, alpha, noise)
         assert not hasattr(form, "factor")
-        assert form._factor_h is None and form.rank == 9
+        assert form.rank == 9
         for factor in (form.a_h, form.b_h):
             assert factor.shape == (3, 10) and factor.flags.c_contiguous
             assert not factor.flags.writeable
@@ -219,7 +230,7 @@ class TestFactoredForm:
                                   form.z.ctypes.data)
         factor_h = form.factor_h
         assert factor_h.shape == (9, 10) and factor_h.flags.c_contiguous
-        assert not factor_h.flags.writeable and form.factor_h is factor_h
+        assert not factor_h.flags.writeable
         assert np.array_equal(factor_h, (form.a_h[:, None, :] * form.b_h[None, :, :])
                               .reshape(9, 10))
         # a read-only array is copied even when it owns its data, since its

@@ -48,6 +48,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             ring_scenario(0, 2, 4, 4)
 
+    @pytest.mark.parametrize("name", ["n_tx", "n_users", "n_irs", "n_elements", "rng_seed"])
+    def test_counts_and_seed_reject_bools_and_take_numpy_integers(self, name):
+        # True would pass an isinstance(int) test as the count 1
+        scenario = desk_scenario()
+        for value in (True, False):
+            with pytest.raises(ValueError, match=name):
+                scenario.replace(**{name: value})
+        same = np.int64(getattr(scenario, name))
+        assert getattr(scenario.replace(**{name: same}), name) == same
+
+    @pytest.mark.parametrize("seed", [2.5, -1, "3", None])
+    def test_rejects_bad_rng_seeds(self, seed):
+        # rejected up front, not by a TypeError or ValueError inside solve
+        with pytest.raises(ValueError, match="rng_seed"):
+            desk_scenario(rng_seed=seed)
+        assert desk_scenario(rng_seed=np.uint64(2 ** 63)).rng_seed == 2 ** 63
+
     def test_rejects_bad_powers(self):
         with pytest.raises(ValueError):
             desk_scenario().replace(p_max=0.0)

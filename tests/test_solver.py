@@ -440,7 +440,7 @@ class TestSolverOptions:
         with pytest.raises(ValueError):
             SolverOptions(max_outer=0)
 
-    @pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", True, False])
     def test_max_outer_must_be_an_integer(self, value):
         # rejected up front, not by a TypeError inside solve
         with pytest.raises(ValueError, match="max_outer"):
