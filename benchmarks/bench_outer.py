@@ -27,6 +27,11 @@ printed as ``channel_us`` to ``descent_us``. Then the paired WSR
 difference (second variant minus first): its mean, the standard error of
 that mean, the number of draws that gain and that lose more than 1e-3
 relative, and each losing draw with the users both variants serve.
+Last, a ``setup_ms`` line: the mean wall time (ms) of making one draw's
+scenario and channels, the preset's ``ring_scenario`` call plus
+``draw_channels``, as perfbench's operation makes them, so the split
+between set-up and solve shows without perfbench. One untimed draw
+per preset comes first, so the mean leaves out first-call costs.
 Wall times are single-process perf_counter readings on whatever host
 runs it; compare them only within one run.
 
@@ -115,8 +120,12 @@ def main():
         preset = PRESETS[name]
         outer, wsr, served, wall = ({v: [] for v, _ in pair} for _ in range(4))
         layers = {v: np.zeros(len(LAYERS)) for v, _ in pair}   # seconds, summed
+        perfbench_draw(preset, args.seed, 0)
+        setup_s = 0.0
         for i in range(args.draws):
+            t0 = time.perf_counter()
             scenario, channels = perfbench_draw(preset, args.seed, i)
+            setup_s += time.perf_counter() - t0
             for variant, run in pair:
                 t0 = time.perf_counter()
                 beams, phases, trace = run(scenario, channels)
@@ -144,6 +153,8 @@ def main():
         for i in lost:
             print(f"  draw {i}: {wsr[base][i]:.6f} -> {wsr[new][i]:.6f} ({rel[i]:+.2e}), "
                   f"served {list(served[base][i])} -> {list(served[new][i])}")
+        print(f"setup_ms {1e3 * setup_s / args.draws:.3f} per draw "
+              f"(ring_scenario plus draw_channels)")
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ configurations live on the product of per-element unit circles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,30 +37,62 @@ def path_loss(distance_m, exponent: float, ref_gain_db: float = -30.0):
 
     Strictly decreasing in distance; additive in dB:
     gain_db = ref_gain_db - 10 * exponent * log10(d).
+
+    A scalar distance (a number or a 0-d array) returns a float from one
+    scalar power; an array returns an array from numpy's array power,
+    which can round an entry differently from the scalar call.
     """
-    d = np.asarray(distance_m, dtype=float)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distance must be finite")
-    if not (np.isfinite(exponent) and exponent > 0):
+    if not (math.isfinite(exponent) and exponent > 0):
         raise ValueError("path-loss exponent must be positive")
-    gain = 10.0 ** (ref_gain_db / 10.0) * np.maximum(d, 1.0) ** (-exponent)
-    return float(gain) if gain.ndim == 0 else gain
+    if isinstance(distance_m, float):
+        d = float(distance_m)
+    else:
+        arr = np.asarray(distance_m, dtype=float)
+        if arr.ndim:
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("distance must be finite")
+            return 10.0 ** (ref_gain_db / 10.0) * np.maximum(arr, 1.0) ** (-exponent)
+        d = float(arr)
+    if not math.isfinite(d):
+        raise ValueError("distance must be finite")
+    return 10.0 ** (ref_gain_db / 10.0) * max(d, 1.0) ** (-exponent)
 
 
-def ula_steering(n_elements: int, sin_angle: float) -> np.ndarray:
-    """Half-wavelength uniform-linear-array response exp(j*pi*n*sin(angle))."""
-    return np.exp(1j * np.pi * np.arange(n_elements) * sin_angle)
+def ula_steering(n_elements: int, sin_angle: float | np.ndarray) -> np.ndarray:
+    """Half-wavelength uniform-linear-array response exp(j*pi*n*sin(angle)).
+
+    ``sin_angle`` may be an array of sines; the result then has its shape
+    plus a last axis of length n_elements, each row equal to the scalar
+    call on its sine.
+    """
+    return np.exp(1j * np.pi * np.arange(n_elements) * np.asarray(sin_angle)[..., None])
 
 
-def _sin_azimuth(src: np.ndarray, dst: np.ndarray) -> float:
-    """Sine of the azimuth of dst as seen from src (x-y plane)."""
+def _sin_azimuth(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Sine of the azimuth of dst as seen from src (x-y plane), over the
+    broadcast leading axes of the (..., 3) positions."""
     delta = dst - src
-    return float(np.sin(np.arctan2(delta[1], delta[0])))
+    return np.sin(np.arctan2(delta[..., 1], delta[..., 0]))
 
 
-def _cn(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circularly-symmetric complex Gaussian samples."""
-    return np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _norms(delta: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the 3-vectors on the last axis of delta.
+
+    Each is sqrt(row @ row), one dot product per row as ``np.linalg.norm``
+    takes on a single vector; ``np.linalg.norm(..., axis=-1)`` sums the
+    squares in another order and can round differently.
+    """
+    rows = delta.reshape(-1, 1, 3)
+    return np.sqrt(rows @ rows.transpose(0, 2, 1)).reshape(delta.shape[:-1])
+
+
+def _cn(rng: np.random.Generator, lead: tuple, tail: tuple) -> np.ndarray:
+    """Unit-variance circularly-symmetric complex Gaussian samples of shape
+    lead + tail. Per index of ``lead`` the stream holds a block of real
+    parts, then a block of imaginary parts, each of shape tail."""
+    z = rng.standard_normal((*lead, 2, *tail))
+    re, im = np.moveaxis(z, len(lead), 0)
+    return np.sqrt(0.5) * (re + 1j * im)
 
 
 @dataclass(frozen=True)
@@ -100,7 +133,7 @@ class ChannelSet:
             if hr.shape[1] != h.shape[0] or hr.shape[2] != g.shape[1]:
                 raise ValueError("h_irs_user dimension mismatch")
         for name, arr in (("h_direct", h), ("g_bs_irs", g), ("h_irs_user", hr)):
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
         size = g.shape[0] * g.shape[1]
         for name, arr in (("h_direct", h), ("g_bs_irs", g), ("h_irs_user", hr),
@@ -170,44 +203,52 @@ def draw_channels(params, rng: np.random.Generator) -> ChannelSet:
     """Draw one channel realization for a scenario.
 
     Rician links mix sqrt(k/(1+k)) * LoS with sqrt(1/(1+k)) * scatter so
-    the mean square of each entry equals the link's path-loss gain. The
-    draw order (direct links, then per-surface BS-IRS, then IRS-user) is
-    fixed, so the direct channels depend only on the stream position, not
-    on the surface geometry.
+    the mean square of each entry equals the link's path-loss gain.
+
+    The random stream is a contract, pinned by a digest test: the draw
+    takes standard normals from ``rng`` in three blocks, in this order,
+
+    1. direct links: all n_users * n_tx real parts, then as many imaginary
+       parts, both in (user, antenna) order;
+    2. BS-IRS links: per surface l, its n_elements * n_tx real parts, then
+       its imaginary parts, in (element, antenna) order;
+    3. IRS-user links: per surface l and then per user k, the n_elements
+       real parts, then the n_elements imaginary parts.
+
+    So the direct channels depend only on the stream position, not on the
+    surface geometry. Each link's path loss comes from one scalar
+    ``path_loss`` call on its distance, except the direct links', which
+    take one array call.
     """
     n_tx, n_users = params.n_tx, params.n_users
     n_irs, n_el = params.n_irs, params.n_elements
     kappa = 10.0 ** (params.rician_k_db / 10.0)
     los_w = np.sqrt(kappa / (1.0 + kappa))
     nlos_w = np.sqrt(1.0 / (1.0 + kappa))
-    use_ula = params.los_mode == "ula"
+    bs, irs, users = params.bs_pos, params.irs_pos, params.user_pos
+    irs_l = irs[:, None, :]     # broadcasts against users to (surface, user)
 
-    d_direct = np.linalg.norm(params.user_pos - params.bs_pos, axis=1)
+    def amplitudes(distances, exponent):
+        return np.sqrt([path_loss(d, exponent, params.ref_gain_db)
+                        for d in distances.ravel().tolist()]).reshape(distances.shape)
+
+    d_direct = np.linalg.norm(users - bs, axis=1)
     gain = path_loss(d_direct, params.exp_bs_user, params.ref_gain_db)
-    h_direct = np.sqrt(gain)[:, None] * _cn(rng, (n_users, n_tx))
+    h_direct = np.sqrt(gain)[:, None] * _cn(rng, (), (n_users, n_tx))
 
-    g_bs_irs = np.empty((n_irs, n_el, n_tx), dtype=complex)
-    for l in range(n_irs):
-        d = float(np.linalg.norm(params.irs_pos[l] - params.bs_pos))
-        gain = path_loss(d, params.exp_bs_irs, params.ref_gain_db)
-        if use_ula:
-            a_irs = ula_steering(n_el, _sin_azimuth(params.irs_pos[l], params.bs_pos))
-            a_bs = ula_steering(n_tx, _sin_azimuth(params.bs_pos, params.irs_pos[l]))
-            los = np.outer(a_irs, np.conj(a_bs))
-        else:
-            los = np.ones((n_el, n_tx), dtype=complex)
-        g_bs_irs[l] = np.sqrt(gain) * (los_w * los + nlos_w * _cn(rng, (n_el, n_tx)))
-
-    h_irs_user = np.empty((n_irs, n_users, n_el), dtype=complex)
-    for l in range(n_irs):
-        for k in range(n_users):
-            d = float(np.linalg.norm(params.user_pos[k] - params.irs_pos[l]))
-            gain = path_loss(d, params.exp_irs_user, params.ref_gain_db)
-            if use_ula:
-                los = ula_steering(n_el, _sin_azimuth(params.irs_pos[l], params.user_pos[k]))
-            else:
-                los = np.ones(n_el, dtype=complex)
-            h_irs_user[l, k] = np.sqrt(gain) * (los_w * los + nlos_w * _cn(rng, n_el))
+    if params.los_mode == "ula":
+        a_irs = ula_steering(n_el, _sin_azimuth(irs, bs))
+        a_bs = ula_steering(n_tx, _sin_azimuth(bs, irs))
+        los_bs_irs = a_irs[:, :, None] * np.conj(a_bs)[:, None, :]
+        los_irs_user = ula_steering(n_el, _sin_azimuth(irs_l, users))
+    else:
+        los_bs_irs = los_irs_user = 1.0     # broadcasts as an all-ones LoS
+    amp = amplitudes(_norms(irs - bs), params.exp_bs_irs)
+    g_bs_irs = amp[:, None, None] * (los_w * los_bs_irs
+                                     + nlos_w * _cn(rng, (n_irs,), (n_el, n_tx)))
+    amp = amplitudes(_norms(users - irs_l), params.exp_irs_user)
+    h_irs_user = amp[:, :, None] * (los_w * los_irs_user
+                                    + nlos_w * _cn(rng, (n_irs, n_users), (n_el,)))
 
     return ChannelSet(h_direct, g_bs_irs, h_irs_user)
 

@@ -105,18 +105,16 @@ def drop_users_around_irs(irs_pos: np.ndarray, n_users: int, disc_radius: float,
     """Drop users uniformly over discs centered at the surfaces, round-robin.
 
     Radius is sampled as R*sqrt(U) so the drop is uniform over the disc
-    area, not over the radius.
+    area, not over the radius. The stream holds two uniforms per user, in
+    user order: the radius's, then the angle's.
     """
-    n_irs = irs_pos.shape[0]
-    pos = np.empty((n_users, 3))
-    for k in range(n_users):
-        center = irs_pos[k % n_irs]
-        radius = disc_radius * np.sqrt(rng.uniform())
-        angle = 2.0 * np.pi * rng.uniform()
-        pos[k] = (center[0] + radius * np.cos(angle),
-                  center[1] + radius * np.sin(angle),
-                  user_height)
-    return pos
+    u = rng.uniform(size=(n_users, 2))
+    radius = disc_radius * np.sqrt(u[:, 0])
+    angle = 2.0 * np.pi * u[:, 1]
+    center = irs_pos[np.arange(n_users) % irs_pos.shape[0]]
+    return np.stack([center[:, 0] + radius * np.cos(angle),
+                     center[:, 1] + radius * np.sin(angle),
+                     np.full(n_users, user_height)], axis=1)
 
 
 def ring_scenario(n_tx: int, n_irs: int, n_elements: int, n_users: int, *,
@@ -137,6 +135,8 @@ def ring_scenario(n_tx: int, n_irs: int, n_elements: int, n_users: int, *,
     n_users = 2 * n_irs). Extra keyword overrides go straight into
     ``ScenarioParams``.
     """
+    check_count("n_irs", n_irs)
+    check_count("n_users", n_users)
     bs_pos = np.array([0.0, 0.0, bs_height])
     angles = 2.0 * np.pi * np.arange(n_irs) / n_irs
     irs_pos = np.stack([cell_radius * np.cos(angles),
@@ -252,6 +252,8 @@ def load_scenario(path) -> ScenarioParams:
         return np.stack([entries[i] for i in range(count)])
 
     try:
+        for key in ("n_irs", "n_users"):
+            check_count(key, scalars[key])
         return ScenarioParams(
             weights=vectors["weights"],
             bs_pos=vectors["bs_pos"],

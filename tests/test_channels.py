@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsopt import (ChannelSet, PhaseConfig, desk_scenario, draw_channels,
-                    effective_channels, path_loss, ring_scenario, strip_irs)
+                    effective_channels, full_scenario, load_scenario, path_loss,
+                    ring_scenario, strip_irs, ula_steering)
 from tests.conftest import complex_normal, random_channels
 
 PRESET_EXPONENTS = (2.2, 2.2, 3.6)  # BS-IRS, IRS-user, BS-user
@@ -124,6 +126,70 @@ class TestDrawChannels:
         d = np.linalg.norm(sc.irs_pos[0] - sc.bs_pos)
         gain = path_loss(d, sc.exp_bs_irs, sc.ref_gain_db)
         assert np.allclose(ch.g_bs_irs[0], np.sqrt(gain), atol=1e-12 * np.sqrt(gain))
+
+
+# One surface with one element; user 0 stands on the surface, so its
+# IRS-user distance is clamped to 1 m and its azimuth is arctan2(0, 0).
+EDGE_CONFIG = """\
+n_tx = 2
+n_users = 2
+n_irs = 1
+n_elements = 1
+rng_seed = 0
+p_max = 1.0
+noise_power = 1e-11
+weights = 1.0,1.0
+bs_pos = 0.0,0.0,10.0
+irs_pos_0 = 50.0,-20.0,10.0
+user_pos_0 = 50.0,-20.0,10.0
+user_pos_1 = 40.0,5.0,0.0
+"""
+
+
+def draw_digest(scenario, seed):
+    """SHA-256 prefix over the bytes of the user drop and one draw."""
+    ch = draw_channels(scenario, np.random.default_rng(seed))
+    h = hashlib.sha256()
+    for arr in (scenario.user_pos, ch.h_direct, ch.g_bs_irs, ch.h_irs_user):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestDrawDigest:
+    """The user drop and the draw, bit for bit: the random-stream layout
+    and the rounding of every link are part of the results' contract, so
+    a change here changes every seeded result and saved CSV."""
+
+    @pytest.mark.parametrize("preset, los_mode, seed, expected", [
+        (desk_scenario, "ula", 3, "b05af53bd6f4f684"),
+        (desk_scenario, "ula", 41, "2b4a0c850f8f511d"),
+        (desk_scenario, "ones", 3, "a166b2c4df2f8c03"),
+        (desk_scenario, "ones", 41, "d03df1de22c97f4e"),
+        (full_scenario, "ula", 3, "74a0462437480d5f"),
+        (full_scenario, "ula", 41, "7228afcf7c66f4c7"),
+        (full_scenario, "ones", 3, "7bacf07d68bbdad3"),
+        (full_scenario, "ones", 41, "c244c646f0e3856d"),
+    ])
+    def test_presets(self, preset, los_mode, seed, expected):
+        scenario = preset(user_seed=seed, los_mode=los_mode)
+        assert draw_digest(scenario, seed) == expected
+
+    def test_one_element_with_a_user_on_the_surface(self, tmp_path):
+        path = tmp_path / "edge.cfg"
+        path.write_text(EDGE_CONFIG)
+        assert draw_digest(load_scenario(path), 5) == "f993f0545b623915"
+
+
+class TestUlaSteering:
+    def test_array_of_sines_matches_scalar_calls(self):
+        sines = np.sin(np.random.default_rng(4).uniform(-np.pi, np.pi, (3, 5)))
+        sines[0, :2] = (0.0, -0.0)
+        rows = ula_steering(60, sines)
+        assert rows.shape == (3, 5, 60)
+        for idx in np.ndindex(sines.shape):
+            expected = ula_steering(60, float(sines[idx]))
+            assert expected.shape == (60,)
+            assert rows[idx].tobytes() == expected.tobytes()
 
 
 class TestEffectiveChannels:
@@ -267,6 +333,17 @@ class TestChannelSetValidation:
         h[0, 0] = np.nan
         with pytest.raises(ValueError):
             ChannelSet(h, np.zeros((0, 0, 3)), np.zeros((0, 2, 0)))
+
+    @pytest.mark.parametrize("name", ["h_direct", "g_bs_irs", "h_irs_user"])
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                     complex(-np.inf, 1.0), complex(1.0, np.nan)])
+    def test_names_the_array_with_a_non_finite_part(self, rng, name, bad):
+        ch = random_channels(rng, 2, 3, 2, 4)
+        arrays = {key: np.array(getattr(ch, key)) for key in
+                  ("h_direct", "g_bs_irs", "h_irs_user")}
+        arrays[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            ChannelSet(**arrays)
 
     def test_rejects_inconsistent_dims(self, rng):
         with pytest.raises(ValueError):

@@ -648,8 +648,12 @@ def test_bench_outer_script_runs(tmp_path):
         assert "standard error" in lines[4] and "lose more than 0.001 relative" in lines[4]
         # one line per losing draw, with the users each variant serves
         n_lost = int(lines[4].split(" and ")[-1].split()[0])
-        assert len(lines) == 5 + n_lost
-        assert all(line.startswith("  draw ") and "served [" in line for line in lines[5:])
+        assert len(lines) == 6 + n_lost
+        assert all(line.startswith("  draw ") and "served [" in line for line in lines[5:-1])
+        # then the mean time of making one draw's scenario and channels
+        setup = lines[-1].split()
+        assert setup[0] == "setup_ms" and float(setup[1]) > 0.0
+        assert lines[-1].endswith("per draw (ring_scenario plus draw_channels)")
 
 
 @needs_compiler

@@ -48,6 +48,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             ring_scenario(0, 2, 4, 4)
 
+    @pytest.mark.parametrize("n_irs", [0, -1, 2.5])
+    def test_ring_rejects_bad_surface_counts_before_the_drop(self, n_irs):
+        with pytest.raises(ValueError, match="n_irs must be an integer >= 1"):
+            ring_scenario(4, n_irs, 4, 4)
+
     @pytest.mark.parametrize("name", ["n_tx", "n_users", "n_irs", "n_elements", "rng_seed"])
     def test_counts_and_seed_reject_bools_and_take_numpy_integers(self, name):
         # True would pass an isinstance(int) test as the count 1
@@ -152,6 +157,18 @@ class TestConfigFile:
                          else line for line in path.read_text().splitlines())
         path.write_text(text)
         with pytest.raises(ConfigError, match="weights"):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("key, positions", [("n_irs", "irs_pos_"),
+                                                ("n_users", "user_pos_")])
+    def test_zero_count_names_the_key(self, tmp_path, key, positions):
+        path = tmp_path / "empty.cfg"
+        save_scenario(desk_scenario(), path)
+        lines = [f"{key} = 0" if line.startswith(f"{key} =") else line
+                 for line in path.read_text().splitlines()
+                 if not line.startswith(positions)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"{key} must be an integer >= 1, got 0"):
             load_scenario(path)
 
     def test_incomplete_indexed_positions(self, tmp_path):
