@@ -1,11 +1,13 @@
-"""Outer iterations and final WSR of solves from two starts, or with and
-without the extrapolation trial, paired draw by draw.
+"""Outer iterations and final WSR of solves from two starts, with and
+without the extrapolation trial, or on two builds of the descent kernel,
+paired draw by draw.
 
 Runs ``--draws`` solves per preset with default ``SolverOptions`` apart
 from ``--max-outer`` (default 100), each on the draw perfbench would make
 for operation i of workload seed ``--seed``: ``SeedSequence([seed, i])``
 gives the user drop and start seeds and, spawned once, the channel
-generator. Each draw is solved twice in this process:
+generator. Each draw is solved twice in this process, the two variants
+alternating which goes first from draw to draw:
 
 - ``--compare starts`` (the default): from the random start, uniform
   random phases drawn from a generator seeded with the scenario's
@@ -14,7 +16,13 @@ generator. Each draw is solved twice in this process:
   (``solver.energy_phases``);
 - ``--compare loops``: from the energy start, as the plain alternating
   loop, with ``solver.EXTRAP_START`` set to ``max_outer`` so that no trial
-  runs, and as the solver stands.
+  runs, and as the solver stands;
+- ``--compare builds``: from the energy start, on the ``rmcg-*.so`` kernel
+  build at ``--against PATH`` (for instance the parent commit's, from its
+  kernel cache), loaded with ctypes, and on the build this process loaded
+  (``_kernels.KERNEL_PATH``), by setting ``_kernels._run``. One process
+  runs both, since a shared host's speed can drift more between processes
+  than two builds differ.
 
 For each preset it prints, per variant, the mean and largest outer
 iteration count, the cap hits, the mean final WSR, the mean number of
@@ -27,6 +35,11 @@ printed as ``channel_us`` to ``descent_us``. Then the paired WSR
 difference (second variant minus first): its mean, the standard error of
 that mean, the number of draws that gain and that lose more than 1e-3
 relative, and each losing draw with the users both variants serve.
+With ``--compare builds`` two more lines follow: the number of draws
+whose outer iteration count changed and the largest relative WSR move,
+then the paired time ratio (loaded over against): its median over the
+draws, the ratio of the total times, and the number of draws on which
+each build is faster.
 Last, a ``setup_ms`` line: the mean wall time (ms) of making one draw's
 scenario and channels, the preset's ``ring_scenario`` call plus
 ``draw_channels``, as perfbench's operation makes them, so the split
@@ -35,7 +48,8 @@ per preset comes first, so the mean leaves out first-call costs.
 Wall times are single-process perf_counter readings on whatever host
 runs it; compare them only within one run.
 
-Usage: python benchmarks/bench_outer.py [--compare starts|loops]
+Usage: python benchmarks/bench_outer.py [--compare starts|loops|builds]
+                                        [--against PATH]
                                         [--presets desk,full] [--draws 200]
                                         [--seed 1] [--max-outer 100]
 """
@@ -48,7 +62,7 @@ import numpy as np
 
 from irsopt import (PhaseConfig, SolverOptions, compute_rates, desk_scenario,
                     draw_channels, effective_channels, full_scenario, initialize)
-from irsopt import solver
+from irsopt import _kernels, solver
 
 PRESETS = {"desk": desk_scenario, "full": full_scenario}
 MOVED_REL = 1e-3
@@ -72,11 +86,21 @@ def random_start(scenario, channels):
                       PhaseConfig.random(channels.n_irs, channels.n_elements, rng))
 
 
-def variants(compare, opts):
+def variants(compare, opts, against=None):
     """(name, solve function) pairs; each function maps (scenario,
-    channels) to solve's (beams, phases, trace)."""
+    channels) to solve's (beams, phases, trace). against is the path of
+    the other kernel build for ``builds``."""
     def energy(scenario, channels):
         return solver.solve(scenario, channels, opts)
+
+    if compare == "builds":
+        def on_build(run):
+            def solve_on(scenario, channels):
+                _kernels._run = run
+                return energy(scenario, channels)
+            return solve_on
+        return (("against", on_build(_kernels._open(against))),
+                ("loaded", on_build(_kernels._run)))
 
     if compare == "starts":
         def from_random(scenario, channels):
@@ -107,14 +131,20 @@ def summary(name, outer, wsr, served, wall_s, layer_s, max_outer):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", choices=("starts", "loops"), default="starts")
+    parser.add_argument("--compare", choices=("starts", "loops", "builds"),
+                        default="starts")
+    parser.add_argument("--against", help="the other kernel build, for --compare builds")
     parser.add_argument("--presets", default="desk,full")
     parser.add_argument("--draws", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--max-outer", type=int, default=SolverOptions().max_outer)
     args = parser.parse_args()
+    if (args.compare == "builds") != (args.against is not None):
+        parser.error("--against goes with --compare builds, and only with it")
+    if args.compare == "builds" and not _kernels.JIT_ENABLED:
+        parser.error("--compare builds needs the compiled kernel, which did not load")
     opts = SolverOptions(max_outer=args.max_outer)
-    pair = variants(args.compare, opts)
+    pair = variants(args.compare, opts, args.against)
 
     for name in args.presets.split(","):
         preset = PRESETS[name]
@@ -126,7 +156,7 @@ def main():
             t0 = time.perf_counter()
             scenario, channels = perfbench_draw(preset, args.seed, i)
             setup_s += time.perf_counter() - t0
-            for variant, run in pair:
+            for variant, run in pair[::-1] if i % 2 else pair:
                 t0 = time.perf_counter()
                 beams, phases, trace = run(scenario, channels)
                 wall[variant].append(time.perf_counter() - t0)
@@ -153,6 +183,14 @@ def main():
         for i in lost:
             print(f"  draw {i}: {wsr[base][i]:.6f} -> {wsr[new][i]:.6f} ({rel[i]:+.2e}), "
                   f"served {list(served[base][i])} -> {list(served[new][i])}")
+        if args.compare == "builds":
+            changed = int(np.sum(np.array(outer[new]) != np.array(outer[base])))
+            ratio = np.array(wall[new]) / np.array(wall[base])
+            print(f"outer count changed on {changed} of {args.draws} draws; largest "
+                  f"relative wsr move {np.max(np.abs(rel)):.2e}")
+            print(f"time ratio ({new} over {base}): median {np.median(ratio):.4f}, "
+                  f"total {np.sum(wall[new]) / np.sum(wall[base]):.4f}; {new} faster on "
+                  f"{int(np.sum(ratio < 1.0))} draws, {base} on {int(np.sum(ratio > 1.0))}")
         print(f"setup_ms {1e3 * setup_s / args.draws:.3f} per draw "
               f"(ring_scenario plus draw_channels)")
 

@@ -27,7 +27,10 @@ K_b) doubles, kept between calls and only ever grown, so that same-sized
 descents allocate nothing.
 On first import the system C compiler (``cc``, ``gcc`` or ``clang`` on PATH)
 builds it with ``-O3 -march=native -ffp-contract=off`` (no
-``-ffast-math``: every operation rounds as written) into
+``-ffast-math``: every operation rounds as written, except that the
+products F^H x and F t contract their multiply-adds into FMA where the
+build host has it, so reruns on one host give the same bits and hosts
+with and without FMA differ at rounding level) into
 ``$XDG_CACHE_HOME/irsopt`` (default ``~/.cache/irsopt``), and it is loaded
 through ctypes. The file name is keyed by the source, the flags, the
 compiler (its resolved path, size and modification time, which change with
@@ -305,13 +308,18 @@ def _build() -> Path:
 _ARGS = struct.Struct("4P6q5d")
 
 
-def _load():
-    """(rmcg_run, path) of the compiled kernel."""
-    path = _build()
+def _open(path):
+    """rmcg_run of the kernel build at path."""
     run = ctypes.CDLL(str(path)).rmcg_run
     run.argtypes = (ctypes.c_char_p, ctypes.c_void_p)
     run.restype = ctypes.c_int64
-    return run, path
+    return run
+
+
+def _load():
+    """(rmcg_run, path) of the compiled kernel."""
+    path = _build()
+    return _open(path), path
 
 
 # Each thread's work space for the compiled kernel: the planar operands and

@@ -52,8 +52,14 @@
    per thread, since ctypes releases the GIL during the call).
 
    Build without -ffast-math and with -ffp-contract=off, so that each
-   operation rounds as written; -fno-math-errno only lets sqrt inline and
-   vectorize (its arguments here never set errno). */
+   operation rounds as written, except in the products (fh_tile through
+   finish), which turn contraction on for themselves: each of their
+   single-product steps becomes one fused multiply-add (one rounding) where
+   the build host has FMA. A rerun on one host gives the same bits; hosts
+   with and without FMA differ at rounding level, as numpy's BLAS kernels
+   already do.
+   -fno-math-errno only lets sqrt inline and vectorize (its arguments here
+   never set errno). */
 
 #include <math.h>
 #include <stddef.h>
@@ -63,7 +69,8 @@
 /* Sums run over fixed lanes, held in GNU C vector types (gcc, clang) of
    VL doubles, and are added in a fixed order at the end. The lanes are
    part of the source, so the compiler has nothing to reassociate and every
-   build, whatever its vector width, gives the same sums. */
+   build, whatever its vector width, adds in the same order (the products'
+   steps round once with FMA, twice without). */
 #define VL 8
 #define NV 2
 #define STEP (NV * VL)
@@ -160,6 +167,17 @@ static void to_planar(const double *restrict src, ptrdiff_t rows, ptrdiff_t n,
     }
 }
 
+/* Contraction is on from here through finish: each complex
+   multiply-accumulate below is written as four single-product steps,
+   which become four fused multiply-adds where a * b + c - d * e took
+   eight operations. */
+#ifdef __clang__
+#pragma clang fp contract(fast)
+#else
+#pragma GCC push_options
+#pragma GCC optimize ("fp-contract=fast")
+#endif
+
 /* A tile of F^H x pairs tb rows of b (at most TB) with TILE / tb rows of
    a, so that its TILE complex sums stay in registers while one pass over
    n reads each of its rows once. x is folded into the rows of whichever
@@ -214,8 +232,10 @@ fh_tile(const quad_op *op, ptrdiff_t k0, ptrdiff_t j0, const int ta, const int t
                 ar = cr;
             }
             for (j = 0; j < tb; j++) {
-                re[k * tb + j] += ar * br[j] - ai * bi[j];
-                im[k * tb + j] += ar * bi[j] + ai * br[j];
+                re[k * tb + j] += ar * br[j];
+                re[k * tb + j] -= ai * bi[j];
+                im[k * tb + j] += ar * bi[j];
+                im[k * tb + j] += ai * br[j];
             }
         }
     }
@@ -297,14 +317,18 @@ f_tile(const quad_op *op, const double *p, const double *q, ptrdiff_t nq,
             vec qr = load(RE(q, m, np) + i), qi = load(IM(q, m, np) + i);
             for (l = 0; l < tk; l++) {
                 const double *tlm = t + 2 * ((l0 + l) * ps + m * qs);
-                sr[l] += qr * tlm[0] + qi * tlm[1];
-                si[l] += qr * tlm[1] - qi * tlm[0];
+                sr[l] += qr * tlm[0];
+                sr[l] += qi * tlm[1];
+                si[l] += qr * tlm[1];
+                si[l] -= qi * tlm[0];
             }
         }
         for (l = 0; l < tk; l++) {
             vec pr = load(RE(p, l0 + l, np) + i), pi = load(IM(p, l0 + l, np) + i);
-            yr += pr * sr[l] + pi * si[l];
-            yi += pr * si[l] - pi * sr[l];
+            yr += pr * sr[l];
+            yr += pi * si[l];
+            yi += pr * si[l];
+            yi -= pi * sr[l];
         }
         store(op->y + i, yr);
         store(op->y + np + i, yi);
@@ -327,6 +351,12 @@ static OUTLINE void finish(const quad_op *op, const double *t)
     for (; l < n_p; l++)
         f_tile(op, p, q, n_q, t, ps, qs, l, 1);
 }
+
+#ifdef __clang__
+#pragma clang fp contract(off)
+#else
+#pragma GCC pop_options
+#endif
 
 /* out = Retr(v + step d): entrywise onto the unit circle */
 static OUTLINE void retract(const double *v, const double *d, double step,

@@ -465,12 +465,15 @@ class TestFactoredProperties:
 
 
 class TestParityCheck:
-    @pytest.mark.parametrize("seed", [3, 5, 17, 18, 19])
+    @pytest.mark.parametrize("seed", [3, 5, 11, 17, 18, 19, 24])
     def test_validate_passes_where_the_reference_splits_a_tie(self, seed):
         # on each of these seeds one form's relative stopping test falls on
-        # either side of a rounding tie: the compiled kernel stops 2 to 4
-        # iterations from the reference, within the reference's own range of
-        # stops on copies of the problem that differ only in rounding
+        # either side of a rounding tie in some build: the compiled kernel
+        # stops 2 to 4 iterations from the reference, within the reference's
+        # own range of stops on copies of the problem that differ only in
+        # rounding. Which seeds tie depends on the products' rounding: 5, 11,
+        # 18, 19 and 24 where they fuse their multiply-adds (FMA), 3, 5, 17,
+        # 18, 19 and 24 where they do not
         failed = [result for result in run_all(seed) if not result.ok]
         assert not failed, failed
 
@@ -608,45 +611,69 @@ def test_bench_kernels_script_runs(tmp_path):
     assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 for row in rows)
 
 
-def test_bench_outer_script_runs(tmp_path):
+def run_bench_outer(tmp_path, compare, variants, *extra):
+    """bench_outer.py's output lines for three desk draws of seed 5,
+    checked up to its losing-draw lines; with the number of those."""
     script = SRC.parent / "benchmarks" / "bench_outer.py"
+    out = subprocess.run([sys.executable, str(script), "--compare", compare, *extra,
+                          "--presets", "desk", "--draws", "3", "--seed", "5"],
+                         capture_output=True, text=True, timeout=300,
+                         cwd=tmp_path, env=_subprocess_env())
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0].startswith("desk: 3 draws, seed 5, max_outer 100")
+    assert lines[1].split() == ["variant", "outer", "max", "caps", "wsr_nats",
+                                "served", "ms_solve", "us_outer", "channel_us",
+                                "decoder_us", "beamformer_us", "assembly_us",
+                                "descent_us"]
+    rows = [line.split() for line in lines[2:4]]
+    assert [row[0] for row in rows] == variants
+    for row in rows:
+        mean, top, caps = float(row[1]), int(row[2]), int(row[3])
+        assert 1.0 <= mean <= top <= SolverOptions().max_outer
+        assert 0 <= caps <= 3 and float(row[4]) > 0.0
+        assert 0.0 <= float(row[5]) <= desk_scenario().n_users
+        # a solve takes at least one outer iteration (up to print rounding)
+        ms_solve, us_outer = float(row[6]), float(row[7])
+        assert 0.0 < us_outer <= 1e3 * ms_solve + 1.0
+        # the five SolveTrace layers, each within the outer iteration's time
+        layers = [float(x) for x in row[8:]]
+        assert len(layers) == 5
+        assert all(0.0 <= x <= us_outer for x in layers)
+    assert lines[4].startswith(f"paired wsr ({variants[1]} minus {variants[0]}): mean ")
+    assert "standard error" in lines[4] and "lose more than 0.001 relative" in lines[4]
+    # one line per losing draw, with the users each variant serves
+    n_lost = int(lines[4].split(" and ")[-1].split()[0])
+    assert all(line.startswith("  draw ") and "served [" in line
+               for line in lines[5:5 + n_lost])
+    # last, the mean time of making one draw's scenario and channels
+    setup = lines[-1].split()
+    assert setup[0] == "setup_ms" and float(setup[1]) > 0.0
+    assert lines[-1].endswith("per draw (ring_scenario plus draw_channels)")
+    return lines, n_lost
+
+
+def test_bench_outer_script_runs(tmp_path):
     for compare, variants in (("starts", ["random_start", "energy_start"]),
                               ("loops", ["plain", "extrapolated"])):
-        out = subprocess.run([sys.executable, str(script), "--compare", compare,
-                              "--presets", "desk", "--draws", "3", "--seed", "5"],
-                             capture_output=True, text=True, timeout=300,
-                             cwd=tmp_path, env=_subprocess_env())
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.splitlines()
-        assert lines[0].startswith("desk: 3 draws, seed 5, max_outer 100")
-        assert lines[1].split() == ["variant", "outer", "max", "caps", "wsr_nats",
-                                    "served", "ms_solve", "us_outer", "channel_us",
-                                    "decoder_us", "beamformer_us", "assembly_us",
-                                    "descent_us"]
-        rows = [line.split() for line in lines[2:4]]
-        assert [row[0] for row in rows] == variants
-        for row in rows:
-            mean, top, caps = float(row[1]), int(row[2]), int(row[3])
-            assert 1.0 <= mean <= top <= SolverOptions().max_outer
-            assert 0 <= caps <= 3 and float(row[4]) > 0.0
-            assert 0.0 <= float(row[5]) <= desk_scenario().n_users
-            # a solve takes at least one outer iteration (up to print rounding)
-            ms_solve, us_outer = float(row[6]), float(row[7])
-            assert 0.0 < us_outer <= 1e3 * ms_solve + 1.0
-            # the five SolveTrace layers, each within the outer iteration's time
-            layers = [float(x) for x in row[8:]]
-            assert len(layers) == 5
-            assert all(0.0 <= x <= us_outer for x in layers)
-        assert lines[4].startswith(f"paired wsr ({variants[1]} minus {variants[0]}): mean ")
-        assert "standard error" in lines[4] and "lose more than 0.001 relative" in lines[4]
-        # one line per losing draw, with the users each variant serves
-        n_lost = int(lines[4].split(" and ")[-1].split()[0])
+        lines, n_lost = run_bench_outer(tmp_path, compare, variants)
         assert len(lines) == 6 + n_lost
-        assert all(line.startswith("  draw ") and "served [" in line for line in lines[5:-1])
-        # then the mean time of making one draw's scenario and channels
-        setup = lines[-1].split()
-        assert setup[0] == "setup_ms" and float(setup[1]) > 0.0
-        assert lines[-1].endswith("per draw (ring_scenario plus draw_channels)")
+
+
+@pytest.mark.skipif(not _kernels.JIT_ENABLED, reason="the kernel is not compiled")
+def test_bench_outer_compares_a_build_with_itself(tmp_path):
+    lines, n_lost = run_bench_outer(tmp_path, "builds", ["against", "loaded"],
+                                    "--against", str(_kernels.KERNEL_PATH))
+    # one build on both sides: the same solves, bit for bit
+    assert lines[2].split()[1:6] == lines[3].split()[1:6]
+    assert lines[4].startswith("paired wsr (loaded minus against): mean +0.000e+00 nats")
+    assert n_lost == 0 and len(lines) == 8
+    assert lines[5] == "outer count changed on 0 of 3 draws; largest relative wsr move 0.00e+00"
+    ratio = lines[6].split()
+    assert lines[6].startswith("time ratio (loaded over against): median ")
+    assert float(ratio[6].rstrip(",")) > 0.0 and float(ratio[8].rstrip(";")) > 0.0
+    # each draw counts for the build that was faster on it, or for neither on a tie
+    assert int(ratio[12]) + int(ratio[16]) <= 3
 
 
 @needs_compiler
