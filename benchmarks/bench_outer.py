@@ -1,6 +1,6 @@
 """Outer iterations and final WSR of solves from two starts, with and
-without the extrapolation trial, or on two builds of the descent kernel,
-paired draw by draw.
+without the extrapolation trial, on two builds of the descent kernel, or
+on two source trees, paired draw by draw.
 
 Runs ``--draws`` solves per preset with default ``SolverOptions`` apart
 from ``--max-outer`` (default 100), each on the draw perfbench would make
@@ -22,7 +22,13 @@ alternating which goes first from draw to draw:
   kernel cache), loaded with ctypes, and on the build this process loaded
   (``_kernels.KERNEL_PATH``), by setting ``_kernels._run``. One process
   runs both, since a shared host's speed can drift more between processes
-  than two builds differ.
+  than two builds differ;
+- ``--compare trees``: from the energy start, on another source tree's
+  ``irsopt``, imported from the directory ``--against PATH`` that holds
+  its ``irsopt`` package (a tree's ``src``) under the module name
+  ``irsopt_against``, and on the ``irsopt`` this process imported. Each
+  tree solves its own copy of the draw's channels, a ``ChannelSet`` of
+  its own built from the same three links.
 
 For each preset it prints, per variant, the mean and largest outer
 iteration count, the cap hits, the mean final WSR, the mean number of
@@ -35,11 +41,14 @@ printed as ``channel_us`` to ``descent_us``. Then the paired WSR
 difference (second variant minus first): its mean, the standard error of
 that mean, the number of draws that gain and that lose more than 1e-3
 relative, and each losing draw with the users both variants serve.
-With ``--compare builds`` two more lines follow: the number of draws
-whose outer iteration count changed and the largest relative WSR move,
-then the paired time ratio (loaded over against): its median over the
-draws, the ratio of the total times, and the number of draws on which
-each build is faster.
+With ``--compare builds`` and ``trees`` more lines follow: the number
+of draws whose outer iteration count changed and the largest relative
+WSR move; with ``trees`` alone, whether one SHA-256 per tree over every
+draw's ``w``, ``v_hat`` and non-timing ``SolveTrace`` fields (every
+field but the ``*_s`` times) is ``equal`` or ``differ``; then the paired
+time ratio (loaded over against): its median over the draws, the ratio
+of the total times, and the number of draws on which each side is
+faster.
 Last, a ``setup_ms`` line: the mean wall time (ms) of making one draw's
 scenario and channels, the preset's ``ring_scenario`` call plus
 ``draw_channels``, as perfbench's operation makes them, so the split
@@ -48,14 +57,19 @@ per preset comes first, so the mean leaves out first-call costs.
 Wall times are single-process perf_counter readings on whatever host
 runs it; compare them only within one run.
 
-Usage: python benchmarks/bench_outer.py [--compare starts|loops|builds]
+Usage: python benchmarks/bench_outer.py [--compare starts|loops|builds|trees]
                                         [--against PATH]
                                         [--presets desk,full] [--draws 200]
                                         [--seed 1] [--max-outer 100]
 """
 
 import argparse
+import dataclasses
+import hashlib
+import importlib.util
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -68,6 +82,7 @@ PRESETS = {"desk": desk_scenario, "full": full_scenario}
 MOVED_REL = 1e-3
 SERVED_NATS = 1e-3
 LAYERS = ("channel_s", "decoder_s", "beamformer_s", "assembly_s", "descent_s")
+AGAINST_MODULE = "irsopt_against"
 
 
 def perfbench_draw(preset, seed, i):
@@ -86,12 +101,53 @@ def random_start(scenario, channels):
                       PhaseConfig.random(channels.n_irs, channels.n_elements, rng))
 
 
+def import_tree(src):
+    """The ``irsopt`` package under the directory src, imported as
+    AGAINST_MODULE, beside the ``irsopt`` this process imported."""
+    init = Path(src) / "irsopt" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        AGAINST_MODULE, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[AGAINST_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def output_digest(digest, beams, phases, trace):
+    """Feed a solve's w, v_hat and non-timing trace fields to digest."""
+    values = [("w", beams.w), ("v_hat", phases.v_hat)]
+    values += [(f.name, getattr(trace, f.name)) for f in dataclasses.fields(trace)
+               if not f.name.endswith("_s")]
+    for name, value in values:
+        value = np.asarray(value)
+        digest.update(f"{name} {value.dtype} {value.shape}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+
+
+def same(channels):
+    return channels
+
+
 def variants(compare, opts, against=None):
-    """(name, solve function) pairs; each function maps (scenario,
+    """(name, prepare, solve) triples: prepare maps a draw's channels to
+    the ones the variant solves, untimed, and solve maps (scenario, those
     channels) to solve's (beams, phases, trace). against is the path of
-    the other kernel build for ``builds``."""
+    the other kernel build for ``builds`` and of the other tree's ``src``
+    for ``trees``."""
     def energy(scenario, channels):
         return solver.solve(scenario, channels, opts)
+
+    if compare == "trees":
+        other = import_tree(against)
+        other_opts = other.SolverOptions(max_outer=opts.max_outer)
+
+        def other_channels(channels):
+            return other.ChannelSet(channels.h_direct, channels.g_bs_irs,
+                                    channels.h_irs_user)
+
+        def on_other(scenario, channels):
+            return other.solve(scenario, channels, other_opts)
+        return (("against", other_channels, on_other), ("loaded", same, energy))
 
     if compare == "builds":
         def on_build(run):
@@ -99,23 +155,23 @@ def variants(compare, opts, against=None):
                 _kernels._run = run
                 return energy(scenario, channels)
             return solve_on
-        return (("against", on_build(_kernels._open(against))),
-                ("loaded", on_build(_kernels._run)))
+        return (("against", same, on_build(_kernels._open(against))),
+                ("loaded", same, on_build(_kernels._run)))
 
     if compare == "starts":
         def from_random(scenario, channels):
             return solver.solve(scenario, channels, opts,
                                 warm_start=random_start(scenario, channels))
-        return (("random_start", from_random), ("energy_start", energy))
+        return (("random_start", same, from_random), ("energy_start", same, energy))
 
     def plain(scenario, channels):
         with mock.patch.object(solver, "EXTRAP_START", opts.max_outer):
             return solver.solve(scenario, channels, opts)
-    return (("plain", plain), ("extrapolated", energy))
+    return (("plain", same, plain), ("extrapolated", same, energy))
 
 
 def served_users(scenario, channels, beams, phases):
-    rates = compute_rates(effective_channels(channels, phases), beams,
+    rates = compute_rates(effective_channels(channels, phases.v_hat), beams.w,
                           scenario.noise_power)
     return tuple(int(k) for k in np.flatnonzero(rates > SERVED_NATS))
 
@@ -131,16 +187,18 @@ def summary(name, outer, wsr, served, wall_s, layer_s, max_outer):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", choices=("starts", "loops", "builds"),
+    parser.add_argument("--compare", choices=("starts", "loops", "builds", "trees"),
                         default="starts")
-    parser.add_argument("--against", help="the other kernel build, for --compare builds")
+    parser.add_argument("--against", help="the other kernel build, for --compare "
+                        "builds, or the other tree's src, for --compare trees")
     parser.add_argument("--presets", default="desk,full")
     parser.add_argument("--draws", type=int, default=200)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--max-outer", type=int, default=SolverOptions().max_outer)
     args = parser.parse_args()
-    if (args.compare == "builds") != (args.against is not None):
-        parser.error("--against goes with --compare builds, and only with it")
+    paired = args.compare in ("builds", "trees")
+    if paired != (args.against is not None):
+        parser.error("--against goes with --compare builds or trees, and only with them")
     if args.compare == "builds" and not _kernels.JIT_ENABLED:
         parser.error("--compare builds needs the compiled kernel, which did not load")
     opts = SolverOptions(max_outer=args.max_outer)
@@ -148,31 +206,34 @@ def main():
 
     for name in args.presets.split(","):
         preset = PRESETS[name]
-        outer, wsr, served, wall = ({v: [] for v, _ in pair} for _ in range(4))
-        layers = {v: np.zeros(len(LAYERS)) for v, _ in pair}   # seconds, summed
+        outer, wsr, served, wall = ({v: [] for v, *_ in pair} for _ in range(4))
+        layers = {v: np.zeros(len(LAYERS)) for v, *_ in pair}   # seconds, summed
+        digests = {v: hashlib.sha256() for v, *_ in pair}
         perfbench_draw(preset, args.seed, 0)
         setup_s = 0.0
         for i in range(args.draws):
             t0 = time.perf_counter()
             scenario, channels = perfbench_draw(preset, args.seed, i)
             setup_s += time.perf_counter() - t0
-            for variant, run in pair[::-1] if i % 2 else pair:
+            for variant, prepare, run in pair[::-1] if i % 2 else pair:
+                own = prepare(channels)
                 t0 = time.perf_counter()
-                beams, phases, trace = run(scenario, channels)
+                beams, phases, trace = run(scenario, own)
                 wall[variant].append(time.perf_counter() - t0)
                 outer[variant].append(trace.n_outer)
                 wsr[variant].append(trace.wsr[-1])
                 served[variant].append(served_users(scenario, channels, beams, phases))
                 layers[variant] += [getattr(trace, layer).sum() for layer in LAYERS]
+                output_digest(digests[variant], beams, phases, trace)
         print(f"{name}: {args.draws} draws, seed {args.seed}, max_outer {opts.max_outer}")
         print(f"{'variant':>14s} {'outer':>8s} {'max':>6s} {'caps':>6s} {'wsr_nats':>12s} "
               f"{'served':>7s} {'ms_solve':>10s} {'us_outer':>10s}"
               + "".join(f" {layer[:-2] + '_us':>13s}" for layer in LAYERS))
-        for variant, _ in pair:
+        for variant, *_ in pair:
             print(summary(variant, np.array(outer[variant]), np.array(wsr[variant]),
                           np.array([len(s) for s in served[variant]]),
                           np.array(wall[variant]), layers[variant], opts.max_outer))
-        (base, _), (new, _) = pair
+        (base, *_), (new, *_) = pair
         diff = np.array(wsr[new]) - np.array(wsr[base])
         sem = diff.std(ddof=1) / np.sqrt(diff.size) if diff.size > 1 else np.nan
         rel = diff / np.abs(np.array(wsr[base]))
@@ -183,11 +244,15 @@ def main():
         for i in lost:
             print(f"  draw {i}: {wsr[base][i]:.6f} -> {wsr[new][i]:.6f} ({rel[i]:+.2e}), "
                   f"served {list(served[base][i])} -> {list(served[new][i])}")
-        if args.compare == "builds":
+        if paired:
             changed = int(np.sum(np.array(outer[new]) != np.array(outer[base])))
             ratio = np.array(wall[new]) / np.array(wall[base])
             print(f"outer count changed on {changed} of {args.draws} draws; largest "
                   f"relative wsr move {np.max(np.abs(rel)):.2e}")
+            if args.compare == "trees":
+                equal = digests[new].digest() == digests[base].digest()
+                print(f"sha256 of w, v_hat and the non-timing trace: "
+                      f"{'equal' if equal else 'differ'}")
             print(f"time ratio ({new} over {base}): median {np.median(ratio):.4f}, "
                   f"total {np.sum(wall[new]) / np.sum(wall[base]):.4f}; {new} faster on "
                   f"{int(np.sum(ratio < 1.0))} draws, {base} on {int(np.sum(ratio > 1.0))}")

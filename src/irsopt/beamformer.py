@@ -76,7 +76,8 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
     alpha = np.asarray(weights, dtype=float)
     if not q.min() > 0:   # NaN fails too
         raise ValueError("surrogate weights must be positive")
-    scale = alpha * q * np.abs(u) ** 2
+    aq = alpha * q
+    scale = aq * np.abs(u) ** 2
     # eigh reads only the lower triangle and the real part of the diagonal,
     # so the product's rounding above the diagonal needs no symmetrization
     gram = (hbar.T * scale) @ np.conj(hbar)
@@ -86,11 +87,11 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
         raise NumericalError("eigendecomposition of the Gram matrix failed") from exc
     # eigh sorts ascending, so the eigenvalues above the cutoff are a suffix
     cutoff = EIG_TRUNCATION_REL * max(float(eigvals[-1]), 0.0)
-    n_null = int(np.searchsorted(eigvals, cutoff, side="right"))
+    n_null = int(eigvals.searchsorted(cutoff, side="right"))
     eigvals = eigvals[n_null:]
     eigvecs = eigvecs[:, n_null:]
     # (n_pos, n_users), column k = alpha_k q_k u_k eigvecs^H hbar_k
-    rhs_proj = (np.conj(eigvecs).T @ hbar.T) * (alpha * q * u)
+    rhs_proj = (np.conj(eigvecs).T @ hbar.T) * (aq * u)
     mode_coef = (np.abs(rhs_proj) ** 2).sum(axis=1)
     return LagrangianContext(eigvecs, eigvals, rhs_proj, mode_coef)
 

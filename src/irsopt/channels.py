@@ -109,10 +109,17 @@ class ChannelSet:
 
     The constructor also stacks the surfaces' links once into two
     read-only 2-D arrays whose N = n_irs * n_elements phase elements
-    follow ``PhaseConfig.v_hat`` (surface, then element):
+    follow ``PhaseConfig.v_hat`` (surface, then element), and takes their
+    conjugates once, also read-only, since the effective channel, the
+    phase quadratic and the energy start read them on every call:
 
-    g   : (N, n_tx)     g[l * M + m] = g_bs_irs[l, m], a view
-    h_t : (n_users, N)  h_t[k, l * M + m] = h_irs_user[l, k, m]
+    g        : (N, n_tx)     g[l * M + m] = g_bs_irs[l, m], a view
+    h_t      : (n_users, N)  h_t[k, l * M + m] = h_irs_user[l, k, m]
+    g_conj   : (N, n_tx)     np.conj(g)
+    h_t_conj : (n_users, N)  np.conj(h_t)
+
+    All four are derived from the three links, so they stay out of ``==``
+    and ``repr``.
     """
 
     h_direct: np.ndarray
@@ -120,6 +127,8 @@ class ChannelSet:
     h_irs_user: np.ndarray
     g: np.ndarray = field(init=False, repr=False, compare=False)
     h_t: np.ndarray = field(init=False, repr=False, compare=False)
+    g_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    h_t_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.array(self.h_direct, dtype=complex)
@@ -138,9 +147,11 @@ class ChannelSet:
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite entries")
         size = g.shape[0] * g.shape[1]
+        g_stack = g.reshape(size, h.shape[1])
+        h_t = hr.transpose(1, 0, 2).reshape(h.shape[0], size)
         for name, arr in (("h_direct", h), ("g_bs_irs", g), ("h_irs_user", hr),
-                          ("g", g.reshape(size, h.shape[1])),
-                          ("h_t", hr.transpose(1, 0, 2).reshape(h.shape[0], size))):
+                          ("g", g_stack), ("h_t", h_t),
+                          ("g_conj", np.conj(g_stack)), ("h_t_conj", np.conj(h_t))):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -263,9 +274,9 @@ def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
     ``v_hat`` (the solver scores extrapolated points this way, before it
     wraps one), whose length must be n_irs * n_elements of the channels.
     With the stacked links ``channels.g`` and ``channels.h_t``, the
-    reflected part is the one product (h_t * conj(v_hat)) @ conj(g); with
-    no surfaces it is empty and adds zeros, so the result is always a new
-    array.
+    reflected part is the one product (h_t * conj(v_hat)) @ conj(g), with
+    conj(g) the set's stored ``g_conj``; with no surfaces it is empty and
+    adds zeros, so the result is always a new array.
 
     Returns an (n_users, n_tx) array; hbar_k^H w is np.vdot(hbar[k], w).
     """
@@ -279,7 +290,7 @@ def effective_channels(channels: ChannelSet, phases) -> np.ndarray:
         v = phases
         if v.shape != (channels.n_irs * channels.n_elements,):
             raise ValueError("phase vector length does not match the channels")
-    return channels.h_direct + (channels.h_t * np.conj(v)) @ np.conj(channels.g)
+    return channels.h_direct + (channels.h_t * np.conj(v)) @ channels.g_conj
 
 
 def strip_irs(channels: ChannelSet) -> ChannelSet:

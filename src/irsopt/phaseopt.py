@@ -50,6 +50,10 @@ class QuadraticForm:
 
     The form is immutable: its arrays are read-only copies of the ones it
     is given, so a descent always runs the quadratic the form describes.
+    The copies share one read-only block, rows a_h, then b_h, then z, so a
+    form costs one allocation and one address lookup; ``a_h``, ``b_h`` and
+    ``z`` are C-contiguous views of it, and ``addresses`` holds their
+    three addresses.
     The terms of the weighted MSE that do not depend on the phases are
     ``quadratic_constant``'s, so that for any unit-modulus v
 
@@ -60,15 +64,22 @@ class QuadraticForm:
 
     def __init__(self, a_h, b_h, z, n_irs, n_elements):
         size = n_irs * n_elements
-        a_h, b_h, z = _frozen(a_h), _frozen(b_h), _frozen(z)
+        a_h, b_h, z = np.asarray(a_h), np.asarray(b_h), np.asarray(z)
         for name, factor in (("a_h", a_h), ("b_h", b_h)):
             if factor.ndim != 2 or factor.shape[1] != size:
                 raise ValueError(f"{name} must be (rows, {size})")
         if z.shape != (size,):
             raise ValueError(f"z must be a vector of length {size}")
+        ka, kb = len(a_h), len(b_h)
+        block = np.empty((ka + kb + 1, size), dtype=complex)
+        block[:ka] = a_h
+        block[ka:-1] = b_h
+        block[-1] = z
+        block.setflags(write=False)
+        address, row = block.ctypes.data, block.strides[0]
         for name, value in zip(self.__slots__, (
-                a_h, b_h, z, n_irs, n_elements, size, a_h.shape[0] * b_h.shape[0],
-                (a_h.ctypes.data, b_h.ctypes.data, z.ctypes.data))):
+                block[:ka], block[ka:-1], block[-1], n_irs, n_elements, size, ka * kb,
+                (address, address + ka * row, address + (ka + kb) * row))):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -145,13 +156,13 @@ def assemble_quadratic(channels: ChannelSet, beamformers, decoders,
 
     # F^H[(k, j), n] = a_h[k, n] b_h[j, n]
     gw = g @ w.T                                # (N, K), GW[(l,m), j] = (G_l w_j)[m]
-    a_h = np.conj(h_t) * np.sqrt(cu)[:, None]
+    a_h = channels.h_t_conj * np.sqrt(cu)[:, None]
     b_h = gw.T
 
     # Linear term from the diagonals of the direct-cross blocks.
     w_gram = w.T @ np.conj(w)                   # sum_j w_j w_j^H, (n_tx, n_tx)
     y = (w_gram @ channels.h_direct.T) * cu - w.T * np.conj(aq * u)
-    z = np.sum(h_t.T * np.conj(g @ y), axis=1)
+    z = (h_t.T * np.conj(g @ y)).sum(axis=1)
 
     return QuadraticForm(a_h, b_h, z, channels.n_irs, channels.n_elements)
 

@@ -107,10 +107,11 @@ class SolveTrace:
     wsr_delta: np.ndarray     # wsr minus the one before (initial_wsr first): the monotonicity margin
     wall_time_s: np.ndarray
     # Seconds per iteration in each layer. channel_s: effective channels,
-    # cross gains and rates at each point the iteration visits (the
-    # extrapolation trial included); decoder_s: the decoder and MSE-weight
-    # update; beamformer_s: solve_beamforming; assembly_s and descent_s:
-    # assemble_quadratic and rmcg_solve (0 with frozen phases).
+    # cross gains and rates at each point the iteration visits, with the
+    # extrapolation trial's extrapolate call and the surrogate objective
+    # (wmse_objective) at the iteration's end; decoder_s: the decoder and
+    # MSE-weight update; beamformer_s: solve_beamforming; assembly_s and
+    # descent_s: assemble_quadratic and rmcg_solve (0 with frozen phases).
     channel_s: np.ndarray
     decoder_s: np.ndarray
     beamformer_s: np.ndarray
@@ -129,7 +130,8 @@ def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray]:
     sum_k ||hbar_k||^2, the proposed scheme's start.
 
     With x = conj(v_hat), d = h_direct and the stacked links g =
-    ``channels.g``, h_t = ``channels.h_t``, the effective channels are
+    ``channels.g``, h_t = ``channels.h_t`` (and their stored conjugates
+    ``g_conj`` and ``h_t_conj``), the effective channels are
     hbar = d + B x, where B x is (h_t * x) @ conj(g) and B^H r is
     sum_k conj(h_t[k]) * (r @ g^T)[k]; the (n_users * n_tx, N) matrix B
     is never formed. ||d + B x||^2 is convex in x, so its linearization
@@ -144,7 +146,7 @@ def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray]:
     (START_MM_STEPS + 1 values).
     """
     g, h_t, d = channels.g, channels.h_t, channels.h_direct
-    g_conj, h_conj = np.conj(g), np.conj(h_t)
+    g_conj, h_conj = channels.g_conj, channels.h_t_conj
     work = np.empty_like(h_t)   # each step's (n_users, N) products, in place
 
     def ascent(r):   # exp(j arg(B^H r))
@@ -190,7 +192,7 @@ def extrapolate(beams: BeamformerSet, phases: PhaseConfig, last_beams: Beamforme
     continues from the point."""
     v = phases.v_hat + beta * (phases.v_hat - last_phases.v_hat)
     w = beams.w + beta * (beams.w - last_beams.w)
-    power = float(np.sum(np.abs(w) ** 2))
+    power = float((np.abs(w) ** 2).sum())
     if power > p_max:
         w *= np.sqrt(p_max / power)
     return w, v / np.abs(v)
@@ -226,11 +228,14 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     match the channels' surfaces (``effective_channels``).
 
     One local evaluation scores each point the loop visits: the start,
-    each extrapolation trial and each end of an outer iteration. It forms
-    the effective channels and, once, the cross gains hbar_k^H w_j. The
-    point's weighted sum rate, the next decoders and their MSE, and the
-    surrogate objective at the iteration's end all come from that one
-    matrix. The trace is built from one row per outer iteration.
+    each extrapolation trial and each end of an outer iteration. It forms,
+    once, the cross gains hbar_k^H w_j on the point's effective channels.
+    The point's weighted sum rate, the next decoders and their MSE, and
+    the surrogate objective at the iteration's end all come from that one
+    matrix. The effective channels are formed only where the phases
+    change: at the start, at each extrapolation trial and after each phase
+    descent, so frozen phases form them once per solve. The trace is built
+    from one row per outer iteration.
     """
     opts = opts or SolverOptions()
     if channels.n_users != scenario.n_users or channels.n_tx != scenario.n_tx:
@@ -250,15 +255,14 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     noise = scenario.noise_power
     do_phases = opts.optimize_phases and phases.size > 0
 
-    def evaluate(w, v):
-        """The effective channels at phases v, the gain terms of
-        beamformers w on them and the weighted sum rate, from one
-        cross-gain matrix."""
-        hbar = effective_channels(channels, v)
+    def evaluate(w, hbar):
+        """The gain terms of beamformers w on the effective channels hbar
+        and the weighted sum rate, from one cross-gain matrix."""
         signal, total = gain_terms(cross_gains(hbar, w), noise)
-        return hbar, signal, total, weighted_sum_rate(alpha, rates_from_terms(signal, total))
+        return signal, total, weighted_sum_rate(alpha, rates_from_terms(signal, total))
 
-    hbar, signal, total, prev_wsr = evaluate(beams, phases)
+    hbar = effective_channels(channels, phases)
+    signal, total, prev_wsr = evaluate(beams, hbar)
     initial_wsr = prev_wsr
 
     rows = []   # one per outer iteration, in SolveTrace's field order
@@ -271,12 +275,14 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         accepted = False
         if do_phases and it >= EXTRAP_START:
             trial_w, trial_v = extrapolate(beams, phases, *last, beta, scenario.p_max)
-            trial = evaluate(trial_w, trial_v)
-            accepted = trial[3] >= prev_wsr
+            trial_hbar = effective_channels(channels, trial_v)
+            trial = evaluate(trial_w, trial_hbar)
+            accepted = trial[2] >= prev_wsr
             if accepted:
                 beams = BeamformerSet(trial_w)
                 phases = PhaseConfig(trial_v, phases.n_irs, phases.n_elements)
-                hbar, signal, total, _ = trial
+                hbar = trial_hbar
+                signal, total, _ = trial
                 beta = min(2.0 * beta, EXTRAP_BETA_MAX)
             else:
                 beta = max(0.5 * beta, EXTRAP_BETA_MIN)
@@ -298,8 +304,9 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             inner = ptrace.n_iters
             inner_ok, failed = ptrace.converged, ptrace.line_search_failed
             grad0 = float(ptrace.grad_norms[0])
+            hbar = effective_channels(channels, phases)
 
-        hbar, signal, total, wsr = evaluate(beams, phases)
+        signal, total, wsr = evaluate(beams, hbar)
         wmse_now = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
         t_end = time.perf_counter()
         rows.append((wsr, wmse_now, lam, probes, inner, inner_ok, failed, accepted, grad0,

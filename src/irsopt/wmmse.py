@@ -69,8 +69,9 @@ def gain_terms(gains: np.ndarray, noise_power: float) -> tuple[np.ndarray, np.nd
     Every rate, decoder and MSE at a point is a closed-form function of
     these two vectors, so a caller that needs several of them forms the
     gains once. The public helpers below check noise_power; this does not.
+    The signal gains are a read-only view of the diagonal of ``gains``.
     """
-    return np.diag(gains), np.sum(np.abs(gains) ** 2, axis=1) + noise_power
+    return gains.diagonal(), (np.abs(gains) ** 2).sum(axis=1) + noise_power
 
 
 def rates_from_terms(signal: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -83,7 +84,7 @@ def mse_from_terms(decoders: np.ndarray, signal: np.ndarray,
                    total: np.ndarray) -> np.ndarray:
     """Each user's MSE under the scalar decoders, from ``gain_terms``' output."""
     u = np.asarray(decoders, dtype=complex)
-    return np.abs(u) ** 2 * total - 2.0 * np.real(np.conj(u) * signal) + 1.0
+    return np.abs(u) ** 2 * total - 2.0 * (np.conj(u) * signal).real + 1.0
 
 
 def compute_rates(hbar: np.ndarray, beamformers, noise_power: float) -> np.ndarray:
@@ -130,7 +131,7 @@ def wmse_objective(weights: np.ndarray, mse_weights: np.ndarray,
                    mse: np.ndarray) -> float:
     """Surrogate objective sum_k alpha_k (ln q_k - q_k E_k + 1), in nats."""
     q = np.asarray(mse_weights, dtype=float)
-    if np.any(q <= 0):
+    if (q <= 0).any():
         raise ValueError("surrogate weights must be positive")
     return float(np.asarray(weights, dtype=float)
                  @ (np.log(q) - q * np.asarray(mse, dtype=float) + 1.0))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -295,6 +296,31 @@ class TestStackedLinks:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
+
+    @pytest.mark.parametrize("n_irs", [0, 1, 3])
+    def test_stored_conjugates(self, rng, n_irs):
+        # g_conj and h_t_conj are np.conj(g) and np.conj(h_t) byte for byte,
+        # read-only, for a set with surfaces and for strip_irs's empty stacks
+        ch = random_channels(rng, n_irs, 4, 3, 2)
+        for channels in (ch, strip_irs(ch)):
+            for stored, stack in ((channels.g_conj, channels.g),
+                                  (channels.h_t_conj, channels.h_t)):
+                want = np.conj(stack)
+                assert stored.dtype == want.dtype and stored.shape == want.shape
+                assert stored.tobytes() == want.tobytes()
+                assert not stored.flags.writeable
+                with pytest.raises(ValueError):
+                    stored[...] = 0
+
+    def test_derived_stacks_stay_out_of_eq_and_repr(self, rng):
+        ch = random_channels(rng, 2, 3, 2, 4)
+        fields = {f.name: f for f in dataclasses.fields(ChannelSet)}
+        for name in ("g", "h_t", "g_conj", "h_t_conj"):
+            assert not (fields[name].init or fields[name].compare or fields[name].repr)
+            assert f" {name}=" not in repr(ch) and f"({name}=" not in repr(ch)
+        assert [name for name, f in fields.items() if f.compare] == [
+            "h_direct", "g_bs_irs", "h_irs_user"]
+        assert ch == ch
 
 
 class TestPhaseConfig:

@@ -676,6 +676,22 @@ def test_bench_outer_compares_a_build_with_itself(tmp_path):
     assert int(ratio[12]) + int(ratio[16]) <= 3
 
 
+def test_bench_outer_compares_a_tree_with_itself(tmp_path):
+    # this tree's src imported a second time, as irsopt_against: the same
+    # solves, bit for bit, in every output and trace column
+    lines, n_lost = run_bench_outer(tmp_path, "trees", ["against", "loaded"],
+                                    "--against", str(SRC))
+    assert lines[2].split()[1:6] == lines[3].split()[1:6]
+    assert lines[4].startswith("paired wsr (loaded minus against): mean +0.000e+00 nats")
+    assert n_lost == 0 and len(lines) == 9
+    assert lines[5] == "outer count changed on 0 of 3 draws; largest relative wsr move 0.00e+00"
+    assert lines[6] == "sha256 of w, v_hat and the non-timing trace: equal"
+    ratio = lines[7].split()
+    assert lines[7].startswith("time ratio (loaded over against): median ")
+    assert float(ratio[6].rstrip(",")) > 0.0 and float(ratio[8].rstrip(";")) > 0.0
+    assert int(ratio[12]) + int(ratio[16]) <= 3
+
+
 @needs_compiler
 def test_bench_build_script_runs(tmp_path):
     script = SRC.parent / "benchmarks" / "bench_build.py"

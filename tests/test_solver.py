@@ -14,7 +14,7 @@ from irsopt import (BeamformerSet, ChannelSet, ExperimentSpec, PhaseConfig, Solv
                     weighted_sum_rate, wmse_objective)
 from irsopt import solver as solver_mod
 from irsopt.beamformer import POWER_TOL_REL
-from irsopt.experiments import _cell_rngs
+from irsopt.experiments import _cell_rngs, run_scheme
 from irsopt.scenario import LOS_MODES
 from irsopt.solver import MONOTONE_TOL_REL
 from irsopt.wmmse import cross_gains
@@ -373,6 +373,48 @@ class TestSolve:
         trials = max(trace.n_outer - solver_mod.EXTRAP_START, 0)
         assert trials > 0
         assert len(calls) == 1 + trace.n_outer + trials
+
+    @pytest.mark.parametrize("scheme", ["random_phase", "no_irs"])
+    def test_frozen_phases_form_the_effective_channels_once(self, desk_setup,
+                                                            monkeypatch, scheme):
+        # the phases never change, so the matched-filter start and the
+        # solve's first point form the only effective channels, however
+        # many outer iterations run
+        scenario, channels = desk_setup
+        calls = []
+
+        def counting(channel_set, phases):
+            calls.append(1)
+            return effective_channels(channel_set, phases)
+
+        monkeypatch.setattr(solver_mod, "effective_channels", counting)
+        counts, outers = [], []
+        for max_outer in (2, 9):
+            calls.clear()
+            opts = SolverOptions(outer_tol=1e-300, max_outer=max_outer)
+            trace = run_scheme(scheme, scenario, channels, opts, np.random.default_rng(3))
+            counts.append(len(calls))
+            outers.append(trace.n_outer)
+        assert outers == [2, 9]
+        assert counts == [2, 2]
+
+    def test_effective_channels_formed_where_the_phases_change(self, desk_setup,
+                                                               monkeypatch):
+        # the proposed scheme forms them at the start (the energy start's
+        # matched filter and the solve's first point), at each extrapolation
+        # trial and after each phase descent
+        scenario, channels = desk_setup
+        calls = []
+
+        def counting(channel_set, phases):
+            calls.append(1)
+            return effective_channels(channel_set, phases)
+
+        monkeypatch.setattr(solver_mod, "effective_channels", counting)
+        _, _, trace = solve(scenario, channels, SolverOptions(outer_tol=1e-12, max_outer=12))
+        trials = max(trace.n_outer - solver_mod.EXTRAP_START, 0)
+        assert trials > 0
+        assert len(calls) == 2 + trace.n_outer + trials
 
     def test_dimension_mismatch_rejected(self, desk_setup):
         scenario, channels = desk_setup
