@@ -35,8 +35,8 @@ with and without FMA differ at rounding level) into
 through ctypes. The file name is keyed by the source, the flags, the
 compiler (its resolved path, size and modification time, which change with
 its version) and the host CPU; a build is written under a temporary name
-and renamed into place, so processes that import at the same time (a
-worker pool) never load a partial file. Builds are kept, one per key
+and renamed into place, so processes that import at the same time (two
+interpreters) never load a partial file. Builds are kept, one per key
 (about 36 KB each), so versions that share a cache never rebuild each
 other; delete ``$XDG_CACHE_HOME/irsopt`` to reclaim the space.
 ``rmcg_core`` is the entry point callers look up: the compiled kernel when

@@ -135,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--schemes", default=",".join(SCHEMES),
                          help=f"comma list from {SCHEMES}")
     p_sweep.add_argument("--out", metavar="PATH", help="results CSV path")
-    p_sweep.add_argument("--workers", type=int, default=1,
-                         help="worker processes for trials (default: 1)")
+    p_sweep.add_argument("--workers", type=int, default=1, metavar="N",
+                         help="processes for the cells: the caller plus N-1 forked "
+                         "processes; process r takes cells r, r+N, ... (default: 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the randomized invariant suite")

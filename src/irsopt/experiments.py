@@ -2,9 +2,12 @@
 
 Channel realizations are seeded per (sweep point, trial) so every scheme
 sees the same fading in a given cell and a rerun reproduces the CSV
-byte-for-byte apart from the timing column. Trials are independent work
-items; with workers > 1 they run in a process pool and the rows are
-sorted into a deterministic order before writing.
+byte-for-byte apart from the timing column. Cells (one sweep point and
+trial, every scheme) are independent work items. With ``workers`` = N the
+caller is process 0 and forks N − 1 more, never more processes than cells;
+process r solves cells r, r + N, ... and each forked one sends its rows, or
+its exception, back on a pipe. The rows are sorted into a deterministic
+order before writing, so the CSV does not depend on N.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import multiprocessing
 import os
 import stat
 import time
-from concurrent.futures import ProcessPoolExecutor
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -167,6 +171,64 @@ def _run_cell(args) -> list[ResultRow]:
     return rows
 
 
+def _solve_share(jobs, rank: int, n_procs: int) -> list[ResultRow]:
+    """Rows of cells rank, rank + n_procs, ... of jobs."""
+    return [row for job in jobs[rank::n_procs] for row in _run_cell(job)]
+
+
+def _forked_share(jobs, rank: int, n_procs: int, conn) -> None:
+    """Body of forked process rank: send its share's rows, or the exception
+    that stopped it, with the child's traceback as a note, to the caller."""
+    try:
+        result = _solve_share(jobs, rank, n_procs)
+    except BaseException as exc:
+        exc.add_note(f"raised in sweep process {rank}:\n"
+                     + "".join(traceback.format_exception(exc)))
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _run_cells(jobs, workers: int) -> list[ResultRow]:
+    """Rows of every job, from the caller and min(workers, len(jobs)) − 1
+    forked processes, all of which have ended when this returns or raises.
+
+    A child's exception is re-raised here with its own type; a child that
+    ends without sending raises RuntimeError. On any error the remaining
+    children are terminated before they are joined."""
+    n_procs = min(workers, len(jobs))
+    children = []
+    try:
+        for rank in range(1, n_procs):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_forked_share,
+                                            args=(jobs, rank, n_procs, writer))
+            child.start()
+            # closed here, so the reader sees EOF once the child has ended
+            writer.close()
+            children.append((child, reader))
+        rows = _solve_share(jobs, 0, n_procs)
+        for child, reader in children:
+            try:
+                result = reader.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"sweep process {child.pid} exited with code "
+                                   f"{child.exitcode} before sending its rows") from None
+            if isinstance(result, BaseException):
+                raise result
+            rows += result
+        return rows
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, reader in children:
+            child.join()
+            reader.close()
+
+
 def _temp_beside(target: str):
     """(handle, name) of a new text file beside ``target``, with the mode
     ``open(target, "w")`` leaves: target's own where it exists (it must then
@@ -200,12 +262,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                  spec.schemes, spec.base_seed, spec.options)
                 for sweep_idx, value in enumerate(spec.sweep_values)
                 for trial in range(spec.n_trials)]
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                chunks = list(pool.map(_run_cell, jobs))
-        else:
-            chunks = [_run_cell(job) for job in jobs]
-        rows = [row for chunk in chunks for row in chunk]
+        rows = _run_cells(jobs, spec.workers)
         order = {s: i for i, s in enumerate(spec.schemes)}
         rows.sort(key=lambda r: (order[r.scheme], r.sweep_value, r.trial))
         if handle is not None:

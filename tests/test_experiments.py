@@ -1,5 +1,10 @@
+import multiprocessing
 import os
 import stat
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +13,19 @@ from irsopt import experiments
 from irsopt import (ChannelSet, ExperimentSpec, SolverOptions, desk_scenario,
                     draw_channels, run_baseline, run_experiment, solve,
                     summarize)
+from irsopt.errors import NumericalError
 from irsopt.experiments import (CSV_FIELDS, SCHEMES, read_rows, run_scheme,
                                  scenario_at)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def subprocess_env():
+    """This environment with this tree's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
 
 
 @pytest.fixture(scope="module")
@@ -270,7 +286,7 @@ class TestRunExperiment:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["new.csv", "old.csv",
                                                               "plain.csv"]
 
-    def test_worker_pool_matches_serial(self, desk_setup):
+    def test_worker_pool_matches_serial(self, desk_setup, tmp_path):
         # "proposed" runs the phase descent, so the workers must run the
         # same descent kernel as the parent, bit for bit
         schemes = ("proposed", "random_phase", "no_irs")
@@ -283,6 +299,22 @@ class TestRunExperiment:
         strip = lambda r: (r.scheme, r.sweep_value, r.trial, r.wsr_nats)
         assert [strip(r) for r in serial] == [strip(r) for r in pooled]
 
+        # 3 workers split the 2 x 2 cells unevenly (2, 1 and 1): every field
+        # but time_ms, and the CSV bytes apart from that column, still agree
+        fields = [name for name in CSV_FIELDS if name != "time_ms"]
+        col = CSV_FIELDS.index("time_ms")
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers{workers}.csv"
+            rows = run_experiment(tiny_spec(desk_setup[0], sweep_values=(0.5, 1.0),
+                                            n_trials=2, schemes=schemes,
+                                            workers=workers, out_path=out))
+            lines = [line.split(b",") for line in out.read_bytes().splitlines(True)]
+            outputs.append(([tuple(getattr(r, name) for name in fields) for r in rows],
+                            [line[:col] + line[col + 1:] for line in lines]))
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert len(outputs[0][0]) == 12
+
     def test_channels_shared_across_schemes(self, desk_setup):
         # paired trials: the no_irs result must depend only on the direct
         # links drawn for the cell, which the seeding fixes per trial
@@ -293,6 +325,140 @@ class TestRunExperiment:
         both = {r.trial: r.wsr_nats for r in run_experiment(spec_b)
                 if r.scheme == "no_irs"}
         assert only == both
+
+
+FORK_EXIT_SCRIPT = """
+import multiprocessing, os, sys
+import irsopt
+from irsopt import experiments
+
+caller, real_run_scheme = os.getpid(), experiments.run_scheme
+
+def run_scheme(*args):
+    if os.getpid() != caller:
+        os._exit(3)
+    return real_run_scheme(*args)
+
+experiments.run_scheme = run_scheme
+spec = irsopt.ExperimentSpec(irsopt.desk_scenario(user_seed=0), "p_max", (1.0, 2.0), 1,
+                             schemes=("no_irs",), workers=2, out_path=sys.argv[1])
+try:
+    irsopt.run_experiment(spec)
+except RuntimeError as exc:
+    print(exc)
+print(multiprocessing.active_children())
+"""
+
+
+class TestForkJoin:
+    """The caller solves its share and forks one process per other share."""
+
+    @staticmethod
+    def old_results(tmp_path):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"scheme,old results\n")
+        return out
+
+    @staticmethod
+    def assert_left_as_it_was(out):
+        assert out.read_bytes() == b"scheme,old results\n"
+        assert [p.name for p in out.parent.iterdir()] == [out.name]
+
+    def test_child_exception_keeps_its_type(self, desk_setup, tmp_path, monkeypatch):
+        # fork carries the patch into the child
+        caller, real_run_scheme = os.getpid(), experiments.run_scheme
+
+        def run_scheme(*args):
+            if os.getpid() != caller:
+                raise NumericalError("failed in a forked process")
+            return real_run_scheme(*args)
+
+        monkeypatch.setattr(experiments, "run_scheme", run_scheme)
+        out = self.old_results(tmp_path)
+        spec = tiny_spec(desk_setup[0], sweep_values=(1.0, 2.0), schemes=("no_irs",),
+                         workers=2, out_path=out)
+        with pytest.raises(NumericalError, match="failed in a forked process") as info:
+            run_experiment(spec)
+        # the child's traceback rides along as a note
+        assert "raised in sweep process 1" in info.value.__notes__[0]
+        assert multiprocessing.active_children() == []
+        self.assert_left_as_it_was(out)
+
+    def test_child_exit_raises_runtime_error(self, tmp_path):
+        # in a fresh interpreter with a timeout, so a hang fails this test
+        # rather than the suite
+        out = self.old_results(tmp_path)
+        proc = subprocess.run([sys.executable, "-c", FORK_EXIT_SCRIPT, str(out)],
+                              capture_output=True, text=True, timeout=120,
+                              env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        message, children = proc.stdout.splitlines()
+        assert "exited with code 3 before sending its rows" in message
+        assert children == "[]"
+        self.assert_left_as_it_was(out)
+
+    def test_caller_failure_terminates_children(self, desk_setup, tmp_path, monkeypatch):
+        # the child would sleep for a minute: the caller's own error must
+        # stop it, not wait for it
+        caller = os.getpid()
+
+        def run_scheme(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60.0)
+
+        monkeypatch.setattr(experiments, "run_scheme", run_scheme)
+        out = self.old_results(tmp_path)
+        spec = tiny_spec(desk_setup[0], sweep_values=(1.0, 2.0), schemes=("no_irs",),
+                         workers=2, out_path=out)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(spec)
+        assert time.monotonic() - t0 < 30.0
+        assert multiprocessing.active_children() == []
+        self.assert_left_as_it_was(out)
+
+    def test_never_more_processes_than_cells(self, desk_setup, monkeypatch):
+        starts = []
+        real_start = multiprocessing.Process.start
+
+        def start(process):
+            starts.append(process)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", start)
+        cells = dict(sweep_values=(1.0, 2.0), schemes=("no_irs", "random_phase"))
+        serial = run_experiment(tiny_spec(desk_setup[0], **cells))
+        assert starts == []
+        forked = run_experiment(tiny_spec(desk_setup[0], workers=4, **cells))
+        # two cells: the caller takes one and forks one process for the other
+        assert len(starts) == 1
+        strip = lambda r: (r.scheme, r.sweep_value, r.trial, r.seed, r.wsr_nats,
+                           r.outer_iters, r.inner_unconverged)
+        assert [strip(r) for r in forked] == [strip(r) for r in serial]
+        assert multiprocessing.active_children() == []
+
+
+def test_bench_sweep_compares_a_tree_with_itself(tmp_path):
+    # this tree's src imported a second time, as irsopt_against: the same
+    # rows, bit for bit, apart from time_ms
+    script = SRC.parent / "benchmarks" / "bench_sweep.py"
+    out = subprocess.run([sys.executable, str(script), "--against", str(SRC),
+                          "--ops", "2", "--seed", "5"],
+                         capture_output=True, text=True, timeout=300,
+                         cwd=tmp_path, env=subprocess_env())
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 5
+    assert lines[0].startswith("element_sweep: 2 ops, seed 5, workers 2, ")
+    for line, name in zip(lines[1:3], ("against", "loaded")):
+        assert line.split()[:2] == [name, "ms_op"] and float(line.split()[2]) > 0.0
+    assert lines[3].startswith("sha256 of the rows without time_ms: equal ")
+    ratio = lines[4].split()
+    assert lines[4].startswith("time ratio (loaded over against): median ")
+    assert float(ratio[6].rstrip(",")) > 0.0 and float(ratio[8].rstrip(";")) > 0.0
+    # each operation counts for the side that was faster on it, or for neither on a tie
+    assert int(ratio[12]) + int(ratio[16]) <= 2
 
 
 class TestSummarize:
