@@ -14,9 +14,12 @@ alternating which goes first from operation to operation, since a shared
 host's speed can drift more between processes than two trees differ. One
 untimed operation per tree comes first, so first-call costs are left out.
 
-It prints the mean wall time per operation of each tree, whether one
-SHA-256 per tree over every row's fields but ``time_ms`` is ``equal`` or
-``differ`` (with both digests' first 16 hex digits), and the paired time
+It prints the mean wall time per operation of each tree, each tree's
+mean ``time_ms`` per scheme over its rows (so a change shows which
+scheme's solves it moved; a batched baseline's ``time_ms`` is its share of
+its batch), whether one SHA-256 per tree over every row's fields but
+``time_ms`` is ``equal`` or ``differ`` (with both digests' first 16 hex
+digits), and the paired time
 ratio (loaded over against): its median over the operations, the ratio of
 the total times, and the number of operations on which each side is
 faster. Wall times are perf_counter readings on whatever host runs it;
@@ -79,6 +82,7 @@ def main():
     trees = (("against", import_tree(args.against)), ("loaded", irsopt))
 
     wall = {name: [] for name, _ in trees}
+    scheme_ms = {name: {} for name, _ in trees}
     digests = {name: hashlib.sha256() for name, _ in trees}
     for _, lib in trees:
         sweep_op(lib, args.seed, 0, args.workers)
@@ -88,11 +92,16 @@ def main():
             rows = sweep_op(lib, args.seed, i, args.workers)
             wall[name].append(time.perf_counter() - t0)
             rows_digest(digests[name], rows)
+            for row in rows:
+                scheme_ms[name].setdefault(row.scheme, []).append(row.time_ms)
 
     print(f"element_sweep: {args.ops} ops, seed {args.seed}, workers {args.workers}, "
           f"n_elements {SWEEP_VALUES}, {N_TRIALS} trials, max_outer {MAX_OUTER}")
     for name, _ in trees:
         print(f"{name:>8s} ms_op {1e3 * np.mean(wall[name]):10.3f}")
+    for name, _ in trees:
+        print(f"{name:>8s} time_ms" + "".join(f" {scheme} {np.mean(ms):.3f}"
+                                          for scheme, ms in scheme_ms[name].items()))
     hexes = {name: d.hexdigest() for name, d in digests.items()}
     equal = hexes["against"] == hexes["loaded"]
     print(f"sha256 of the rows without time_ms: {'equal' if equal else 'differ'} "

@@ -6,7 +6,7 @@ the alternating solver, and the Monte-Carlo experiment harness.
 """
 
 from .beamformer import (LagrangianContext, assemble_context, beamformers_at,
-                         lambda_upper_bound, power_g, solve_beamforming)
+                         lambda_upper_bound, optimal_dual, power_g, solve_beamforming)
 from .channels import (ChannelSet, PhaseConfig, draw_channels,
                        effective_channels, path_loss, strip_irs, ula_steering)
 from .errors import ConfigError, NumericalError
@@ -17,7 +17,8 @@ from .phaseopt import (QuadraticForm, RmcgTrace, assemble_quadratic,
                        quadratic_constant, retract, rmcg_solve)
 from .scenario import (ScenarioParams, desk_scenario, full_scenario,
                        load_scenario, ring_scenario, save_scenario)
-from .solver import SolveTrace, SolverOptions, energy_phases, initialize, solve
+from .solver import (SolveTrace, SolverOptions, energy_phases, initialize, matched_filter,
+                     solve, solve_fixed)
 from .wmmse import (BeamformerSet, WmmseState, compute_mse, compute_rates,
                     optimal_state, update_decoders, update_weights,
                     weighted_sum_rate, wmse_objective)
@@ -31,10 +32,11 @@ __all__ = [
     "WmmseState", "assemble_context", "assemble_quadratic", "beamformers_at",
     "compute_mse", "compute_rates", "desk_scenario", "draw_channels",
     "effective_channels", "energy_phases", "euclidean_gradient", "full_scenario", "initialize",
-    "lambda_upper_bound", "load_scenario", "objective", "optimal_state",
+    "lambda_upper_bound", "load_scenario", "matched_filter", "objective", "optimal_dual",
+    "optimal_state",
     "path_loss", "power_g", "project_tangent", "quadratic_constant", "retract",
     "ring_scenario", "rmcg_solve", "run_baseline", "run_experiment",
-    "save_scenario", "solve", "solve_beamforming", "strip_irs", "summarize",
+    "save_scenario", "solve", "solve_beamforming", "solve_fixed", "strip_irs", "summarize",
     "ula_steering", "update_decoders", "update_weights", "weighted_sum_rate",
     "wmse_objective",
 ]

@@ -40,22 +40,29 @@ POWER_SLACK_REL = 1e-9
 
 @dataclass(frozen=True)
 class LagrangianContext:
-    """Eigen-factorized data of one beamforming subproblem: what
+    """Eigen-factorized data of one beamforming subproblem, or of a stack
+    of them along leading axes (one per draw of a batch): what
     ``beamformers_at``, the power curve and the dual search read.
 
     Users are stacked as the rows of the (n_users, n_tx) effective channel
-    hbar, so every field below comes from products of 2-D arrays. The
+    hbar, so every field below comes from products of matrices. The
     weighted channel Gram matrix (hbar^T * scale) @ conj(hbar), scale_k =
     alpha_k q_k |u_k|^2, is formed only to be factorized, and the
     right-hand sides rhs_k = alpha_k q_k u_k hbar_k only in the eigenbasis.
 
-    eigvecs  : (n_tx, n_pos) eigenvectors of the positive eigenvalues
-    eigvals  : (n_pos,) positive eigenvalues, ascending
-    rhs_proj : (n_pos, n_users) eigvecs^H rhs^T, the right-hand sides in
+    The modes of the null space (eigenvalues at or below
+    ``EIG_TRUNCATION_REL`` of the largest) are masked, not dropped: their
+    eigenvalue is +inf and their coefficient 0, so they add exact zeros to
+    the beamformers and the power curve, and draws of different rank share
+    one stack. Per draw:
+
+    eigvecs  : (n_tx, n_tx) eigenvectors, ascending in their eigenvalues
+    eigvals  : (n_tx,) eigenvalues, ascending; +inf on the null space
+    rhs_proj : (n_tx, n_users) eigvecs^H rhs^T, the right-hand sides in
                the eigenbasis: (eigvecs^H hbar^T) diag(alpha_k q_k u_k)
-    mode_coef: (n_pos,) squared row norms of rhs_proj, the power-curve
+    mode_coef: (n_tx,) squared row norms of rhs_proj, the power-curve
                numerators c_i = sum_k alpha_k^2 q_k^2 |u_k|^2
-               |(eigvecs^H hbar_k)_i|^2
+               |(eigvecs^H hbar_k)_i|^2; 0 on the null space
     """
 
     eigvecs: np.ndarray
@@ -63,13 +70,20 @@ class LagrangianContext:
     rhs_proj: np.ndarray
     mode_coef: np.ndarray
 
+    def draw(self, index: int) -> "LagrangianContext":
+        """The context of draw ``index`` of a stack, as views."""
+        return LagrangianContext(self.eigvecs[index], self.eigvals[index],
+                                 self.rhs_proj[index], self.mode_coef[index])
+
 
 def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
                      mse_weights: np.ndarray, weights: np.ndarray) -> LagrangianContext:
-    """Build and eigen-factorize the subproblem data.
+    """Build and eigen-factorize the subproblem data, of one draw or of a
+    stack: hbar (..., n_users, n_tx), decoders and mse_weights (...,
+    n_users), weights (n_users,).
 
-    Only the positive-eigenvalue block is materialized; the right-hand
-    sides lie in its span by construction, so the reduced solve is exact.
+    The right-hand sides lie in the span of the positive modes by
+    construction, so masking the null space leaves the solve exact.
     """
     u = np.asarray(decoders, dtype=complex)
     q = np.asarray(mse_weights, dtype=float)
@@ -78,32 +92,42 @@ def assemble_context(hbar: np.ndarray, decoders: np.ndarray,
         raise ValueError("surrogate weights must be positive")
     aq = alpha * q
     scale = aq * np.abs(u) ** 2
+    hbar_t = hbar.swapaxes(-1, -2)
     # eigh reads only the lower triangle and the real part of the diagonal,
     # so the product's rounding above the diagonal needs no symmetrization
-    gram = (hbar.T * scale) @ np.conj(hbar)
+    gram = (hbar_t * scale[..., None, :]) @ np.conj(hbar)
     try:
         eigvals, eigvecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError("eigendecomposition of the Gram matrix failed") from exc
-    # eigh sorts ascending, so the eigenvalues above the cutoff are a suffix
-    cutoff = EIG_TRUNCATION_REL * max(float(eigvals[-1]), 0.0)
-    n_null = int(eigvals.searchsorted(cutoff, side="right"))
-    eigvals = eigvals[n_null:]
-    eigvecs = eigvecs[:, n_null:]
-    # (n_pos, n_users), column k = alpha_k q_k u_k eigvecs^H hbar_k
-    rhs_proj = (np.conj(eigvecs).T @ hbar.T) * (aq * u)
-    mode_coef = (np.abs(rhs_proj) ** 2).sum(axis=1)
+    # (n_tx, n_users) per draw, column k = alpha_k q_k u_k eigvecs^H hbar_k
+    rhs_proj = (np.conj(eigvecs).swapaxes(-1, -2) @ hbar_t) * (aq * u)[..., None, :]
+    mode_coef = (np.abs(rhs_proj) ** 2).sum(axis=-1)
+    # eigh sorts ascending, so the null space is a prefix of each draw's
+    # modes; a largest eigenvalue at or below 0 puts every mode in it
+    null = eigvals <= EIG_TRUNCATION_REL * eigvals[..., -1:]
+    eigvals[null] = np.inf
+    mode_coef[null] = 0.0
     return LagrangianContext(eigvecs, eigvals, rhs_proj, mode_coef)
 
 
-def beamformers_at(lam: float, ctx: LagrangianContext) -> BeamformerSet:
-    """Stationary beamformers (H + lam*I)^-1 rhs_k via the eigenbasis.
-    Without positive modes the product has an empty inner dimension and
-    is the (n_users, n_tx) zero."""
-    if lam < 0:
+def beamformers_at(lam, ctx: LagrangianContext) -> BeamformerSet:
+    """Stationary beamformers (H + lam*I)^-1 rhs_k via the eigenbasis,
+    with one dual value per draw of a stacked context (lam of shape
+    ctx.eigvals.shape[:-1]). Masked modes divide by +inf and add zeros, so
+    without positive modes the result is the (n_users, n_tx) zero."""
+    lam = np.asarray(lam, dtype=float)
+    if (lam < 0).any():
         raise ValueError("dual variable must be nonnegative")
-    w = ctx.eigvecs @ (ctx.rhs_proj / (ctx.eigvals + lam)[:, None])
-    return BeamformerSet(w.T)
+    return _stationary(lam[..., None], ctx)
+
+
+def _stationary(lam, ctx: LagrangianContext) -> BeamformerSet:
+    """``beamformers_at`` without its check, for dual values that
+    ``optimal_dual`` found: a float for one draw, a (..., 1) column for a
+    stack."""
+    w = ctx.eigvecs @ (ctx.rhs_proj / (ctx.eigvals + lam)[..., None])
+    return BeamformerSet(w.swapaxes(-1, -2))
 
 
 def _power_and_slope(lam: float, c: list, d: list) -> tuple[float, float]:
@@ -162,30 +186,42 @@ def dual_search(c: list, d: list, p_max: float, lam_max: float, lam0: float,
     return hi, probes
 
 
-def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
-                      mse_weights: np.ndarray, weights: np.ndarray,
-                      p_max: float) -> tuple[BeamformerSet, float, int]:
-    """Solve the power-constrained subproblem to global optimality.
+def optimal_dual(ctx: LagrangianContext, p_max: float) -> tuple[float, int]:
+    """The dual value of one draw's subproblem and the probes spent on it.
 
-    Returns (beamformers, lam_star, n_probes). If the unconstrained
-    solution already fits the budget, lam_star = 0 with no probes;
-    otherwise ``dual_search`` finds lam_star until the power matches p_max
-    within ``POWER_TOL_REL`` * p_max or its bracket shrinks below
+    If the unconstrained solution already fits the budget, it is 0 with no
+    probes; otherwise ``dual_search`` finds it until the power matches
+    p_max within ``POWER_TOL_REL`` * p_max or its bracket shrinks below
     ``LAMBDA_TOL_REL`` * lambda_max. It starts from max(0, max_i sqrt(c_i /
     p_max) - d_i): each mode alone bounds the root from below, and from
     the left of the root the Newton iterates rise monotonically to it.
     The g(0) and g(lambda_max) checks are not counted as probes; they and
     the search evaluate g with ``_power_and_slope`` on c and d converted
-    to floats once, the sum ``power_g`` also takes.
+    to floats once, the sum ``power_g`` also takes, without the masked
+    modes, which add exact zeros to it.
     """
-    ctx = assemble_context(hbar, decoders, mse_weights, weights)
     c, d = ctx.mode_coef.tolist(), ctx.eigvals.tolist()
+    n_null = d.count(math.inf)
+    if n_null:
+        c, d = c[n_null:], d[n_null:]
     if _power_and_slope(0.0, c, d)[0] <= p_max:
-        return beamformers_at(0.0, ctx), 0.0, 0
+        return 0.0, 0
     lam_max = lambda_upper_bound(ctx, p_max)
     if _power_and_slope(lam_max, c, d)[0] > p_max * (1.0 + POWER_SLACK_REL):
         raise NumericalError("dual search bracket is invalid; upper bound violated")
     lam0 = max(0.0, *(math.sqrt(ci / p_max) - di for ci, di in zip(c, d)))
-    lam, probes = dual_search(c, d, p_max, lam_max, lam0,
-                              POWER_TOL_REL * p_max, LAMBDA_TOL_REL * lam_max)
-    return beamformers_at(lam, ctx), lam, probes
+    return dual_search(c, d, p_max, lam_max, lam0,
+                       POWER_TOL_REL * p_max, LAMBDA_TOL_REL * lam_max)
+
+
+def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
+                      mse_weights: np.ndarray, weights: np.ndarray,
+                      p_max: float) -> tuple[BeamformerSet, float, int]:
+    """Solve one draw's power-constrained subproblem to global optimality.
+
+    Returns (beamformers, lam_star, n_probes), lam_star and n_probes from
+    ``optimal_dual``.
+    """
+    ctx = assemble_context(hbar, decoders, mse_weights, weights)
+    lam, probes = optimal_dual(ctx, p_max)
+    return _stationary(lam, ctx), lam, probes

@@ -5,9 +5,13 @@ sees the same fading in a given cell and a rerun reproduces the CSV
 byte-for-byte apart from the timing column. Cells (one sweep point and
 trial, every scheme) are independent work items. With ``workers`` = N the
 caller is process 0 and forks N − 1 more, never more processes than cells;
-process r solves cells r, r + N, ... and each forked one sends its rows, or
-its exception, back on a pipe. The rows are sorted into a deterministic
-order before writing, so the CSV does not depend on N.
+process r takes cells r, r + N, ... and each forked one sends its rows, or
+its exception, back on a pipe. A process solves its proposed cells one by
+one, then the share's baselines as one batch: every random_phase and
+no_irs solve of its cells beamforms on a fixed effective channel, so
+``solver.solve_fixed`` runs them in lockstep, each draw bit for bit as its
+own solve. The rows are sorted into a deterministic order before writing,
+so the CSV does not depend on N.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import ChannelSet, draw_channels, strip_irs
+from .channels import ChannelSet, PhaseConfig, draw_channels, effective_channels, strip_irs
+from .errors import NumericalError
 from .scenario import ScenarioParams, check_count
-from .solver import SolverOptions, SolveTrace, solve
+from .solver import SolverOptions, SolveTrace, matched_filter, solve, solve_fixed
 
 log = logging.getLogger(__name__)
 
@@ -123,8 +128,10 @@ def run_scheme(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
     no_irs drops every reflected path and freezes the (empty) phases;
     random_phase keeps the reflected paths but freezes the uniform random
     phases that ``solve`` draws from ``rng`` when the phases are frozen,
-    so both baselines are plain alternating beamforming runs. proposed
-    starts from the energy start, which does not read ``rng``.
+    so both baselines are plain alternating beamforming runs, ``solve``'s
+    stack of one. proposed starts from the energy start, which does not
+    read ``rng``. A sweep runs its proposed cells through here and its
+    baselines as one batch (``_solve_baselines``), with the same bits.
     """
     if scheme == "proposed":
         pass
@@ -151,29 +158,85 @@ def run_baseline(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
     return float(trace.wsr[-1])
 
 
-def _run_cell(args) -> list[ResultRow]:
-    """Worker: all schemes for one (sweep point, trial)."""
-    base, sweep_name, value, sweep_idx, trial, schemes, base_seed, opts = args
-    scenario = scenario_at(base, sweep_name, value)
-    channel_rng, init_seed = _cell_rngs(base_seed, sweep_idx, trial)
-    channels = draw_channels(scenario, channel_rng)
-    seed = _trial_seed(base_seed, sweep_idx, trial)
-    rows = []
-    for scheme in schemes:
-        t0 = time.perf_counter()
-        trace = run_scheme(scheme, scenario, channels, opts,
-                           np.random.default_rng(init_seed))
-        elapsed_ms = 1e3 * (time.perf_counter() - t0)
-        wsr = float(trace.wsr[-1])
-        rows.append(ResultRow(scheme, sweep_name, float(value), trial, seed,
-                              wsr, wsr / math.log(2.0), trace.n_outer, elapsed_ms,
-                              int(np.count_nonzero(~trace.inner_converged))))
-    return rows
+def _row(scheme: str, cell: tuple, trace: SolveTrace, seconds: float) -> ResultRow:
+    """The row of one solve of the cell (sweep_name, value, trial, seed)."""
+    sweep_name, value, trial, seed = cell
+    wsr = float(trace.wsr[-1])
+    return ResultRow(scheme, sweep_name, value, trial, seed, wsr, wsr / math.log(2.0),
+                     trace.n_outer, 1e3 * seconds,
+                     int(np.count_nonzero(~trace.inner_converged)))
+
+
+def _name_solve(exc: BaseException, scheme: str, cell: tuple) -> None:
+    sweep_name, value, trial, _ = cell
+    exc.add_note(f"in the {scheme} solve at {sweep_name} = {value!r}, trial {trial}")
+
+
+def _baseline_point(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The fixed effective channels and starting beamformers of a baseline,
+    formed as ``run_scheme``'s frozen-phase ``solve`` forms them."""
+    if scheme == "no_irs":
+        channels = strip_irs(channels)
+    hbar = effective_channels(channels, PhaseConfig.random(channels.n_irs,
+                                                           channels.n_elements, rng))
+    return hbar, matched_filter(hbar, scenario.p_max).w
+
+
+def _solve_baselines(baselines: list, scenario: ScenarioParams,
+                     opts: SolverOptions) -> list[ResultRow]:
+    """Rows of the (scheme, cell, p_max, hbar, w0, prep_s) baseline draws,
+    solved as one ``solve_fixed`` batch with the weights and noise of
+    ``scenario``. A row's time is its draw's preparation plus its share of
+    the batch (``SolveTrace``'s times).
+
+    A ``NumericalError`` is raised with a note naming the scheme, sweep
+    value and trial of a draw that raises it: each draw's values are those
+    of its own stack of one, so the draw that failed the batch fails alone.
+    """
+    schemes, cells, p_max, hbar, w0, prep_s = zip(*baselines)
+    try:
+        _, traces = solve_fixed(np.stack(hbar), np.stack(w0), scenario, np.array(p_max), opts)
+    except NumericalError:
+        for i, (scheme, cell) in enumerate(zip(schemes, cells)):
+            try:
+                solve_fixed(hbar[i][None], w0[i][None], scenario, np.array(p_max[i:i + 1]),
+                            opts)
+            except NumericalError as exc:
+                _name_solve(exc, scheme, cell)
+                raise
+        raise
+    return [_row(scheme, cell, trace, prep + trace.start_s + trace.wall_time_s.sum())
+            for scheme, cell, trace, prep in zip(schemes, cells, traces, prep_s)]
 
 
 def _solve_share(jobs, rank: int, n_procs: int) -> list[ResultRow]:
-    """Rows of cells rank, rank + n_procs, ... of jobs."""
-    return [row for job in jobs[rank::n_procs] for row in _run_cell(job)]
+    """Rows of cells rank, rank + n_procs, ... of jobs: the proposed solves
+    one by one, then every baseline solve of the share as one batch."""
+    rows, baselines = [], []
+    for job in jobs[rank::n_procs]:
+        base, sweep_name, value, sweep_idx, trial, schemes, base_seed, opts = job
+        scenario = scenario_at(base, sweep_name, value)
+        channel_rng, init_seed = _cell_rngs(base_seed, sweep_idx, trial)
+        channels = draw_channels(scenario, channel_rng)
+        cell = (sweep_name, float(value), trial, _trial_seed(base_seed, sweep_idx, trial))
+        for scheme in schemes:
+            t0 = time.perf_counter()
+            rng = np.random.default_rng(init_seed)
+            if scheme != "proposed":
+                point = _baseline_point(scheme, scenario, channels, rng)
+                baselines.append((scheme, cell, scenario.p_max, *point,
+                                  time.perf_counter() - t0))
+                continue
+            try:
+                trace = run_scheme(scheme, scenario, channels, opts, rng)
+            except NumericalError as exc:
+                _name_solve(exc, scheme, cell)
+                raise
+            rows.append(_row(scheme, cell, trace, time.perf_counter() - t0))
+    if baselines:   # every job of a sweep has the same base scenario and options
+        rows += _solve_baselines(baselines, base, opts)
+    return rows
 
 
 def _forked_share(jobs, rank: int, n_procs: int, conn) -> None:

@@ -206,7 +206,7 @@ def check_energy_start(rng) -> CheckResult:
     gains = []
     for preset in (desk_scenario, full_scenario):
         scenario = preset(user_seed=int(rng.integers(1 << 31)))
-        _, energy = energy_phases(draw_channels(scenario, rng))
+        _, energy, _ = energy_phases(draw_channels(scenario, rng))
         worst = min(worst, float(np.min(np.diff(energy) / energy[:-1])))
         gains.append(energy[-1] / energy[0])
     return CheckResult("energy start's minorize-maximize steps never lower the energy",

@@ -17,7 +17,7 @@ if its weighted sum rate is not below the current one, so the four
 monotone updates that follow keep the rate monotone (a monotone
 extrapolated block update, Xu and Yin, SIAM J. Imaging Sci. 2013).
 ``beta`` grows on acceptance and shrinks on rejection (Ang and Gillis,
-Neural Computation 2019). No trial runs while the phases are frozen.
+Neural Computation 2019).
 
 The proposed scheme starts from ``energy_phases``: phases that raise the
 total effective-channel energy sum_k ||hbar_k||^2 by a few
@@ -25,17 +25,24 @@ minorize-maximize steps, with matched-filter beamformers at full power.
 The start draws no random numbers. Frozen phases (``optimize_phases=False``,
 the random_phase baseline) start instead from uniform random phases drawn
 from the ``rng`` given to ``solve``; that draw defines the baseline.
+
+With the phases frozen, or with no phase elements, the effective channel
+is fixed and the loop is plain WMMSE beamforming (Shi et al., IEEE TSP
+2011): ``solve_fixed`` runs it on a stack of such channels in lockstep,
+each layer one call on the whole stack, and ``solve`` runs such a solve
+as a stack of one.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamformer import POWER_SLACK_REL, solve_beamforming
+from .beamformer import (POWER_SLACK_REL, assemble_context, beamformers_at, optimal_dual,
+                         solve_beamforming)
 from .channels import ChannelSet, PhaseConfig, effective_channels
 from .phaseopt import assemble_quadratic, rmcg_solve
 from .scenario import ScenarioParams, check_count
@@ -93,7 +100,13 @@ class SolverOptions:
 class SolveTrace:
     """Per-outer-iteration progress of one solve. ``solve`` builds each
     array from one column of its per-iteration rows, whose values follow
-    the field order below; numpy infers the dtypes from them."""
+    the field order below; numpy infers the dtypes from them.
+
+    Times are perf_counter seconds. A draw of a ``solve_fixed`` batch
+    takes, for its start and each iteration it ran, its share of the
+    batch's time: the batch's time over the number of draws still in the
+    stack. So the times of a batch's draws add up to the batch's.
+    """
 
     wsr: np.ndarray           # weighted sum rate (nats) after each iteration
     wmse_obj: np.ndarray      # surrogate objective at the same points
@@ -112,6 +125,7 @@ class SolveTrace:
     # (wmse_objective) at the iteration's end; decoder_s: the decoder and
     # MSE-weight update; beamformer_s: solve_beamforming; assembly_s and
     # descent_s: assemble_quadratic and rmcg_solve (0 with frozen phases).
+    # wall_time_s and the layers leave out the start: start_s.
     channel_s: np.ndarray
     decoder_s: np.ndarray
     beamformer_s: np.ndarray
@@ -119,13 +133,16 @@ class SolveTrace:
     descent_s: np.ndarray
     initial_wsr: float
     converged: bool
+    # the start: the starting point (with the energy start or the random
+    # phases, the effective channels and the matched filter) and its WSR
+    start_s: float
     n_outer: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_outer", int(self.wsr.shape[0]))
 
 
-def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray]:
+def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray, np.ndarray]:
     """Phases that raise the total effective-channel energy
     sum_k ||hbar_k||^2, the proposed scheme's start.
 
@@ -142,17 +159,20 @@ def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray]:
     2020). The start is x_0 = exp(j arg(B^H d)), followed by
     START_MM_STEPS steps. A zero entry of B^H r gives the phase 1.
 
-    Returns the phases and the energy at x_0, ..., x_S
-    (START_MM_STEPS + 1 values).
+    Returns the phases, the energy at x_0, ..., x_S (START_MM_STEPS + 1
+    values) and the last step's r = d + B x_S, which is
+    ``effective_channels(channels, phases)`` byte for byte: the same
+    product on the same operands, since conj(conj(x)) is x.
     """
     g, h_t, d = channels.g, channels.h_t, channels.h_direct
     g_conj, h_conj = channels.g_conj, channels.h_t_conj
     work = np.empty_like(h_t)   # each step's (n_users, N) products, in place
 
-    def ascent(r):   # exp(j arg(B^H r))
+    def ascent(r):   # exp(j arg(B^H r)), arg as np.angle takes it
         np.matmul(r, g.T, out=work)
         np.multiply(work, h_conj, out=work)
-        return np.exp(1j * np.angle(work.sum(axis=0)))
+        s = work.sum(axis=0)
+        return np.exp(1j * np.arctan2(s.imag, s.real))
 
     x = ascent(d)
     energy = np.empty(START_MM_STEPS + 1)
@@ -161,23 +181,36 @@ def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray]:
         energy[step] = np.vdot(r, r).real
         if step < START_MM_STEPS:
             x = ascent(r)
-    return PhaseConfig(np.conj(x), channels.n_irs, channels.n_elements), energy
+    return PhaseConfig(np.conj(x), channels.n_irs, channels.n_elements), energy, r
+
+
+def matched_filter(hbar: np.ndarray, p_max: float) -> BeamformerSet:
+    """Matched-filter beamformers w_k = hbar_k / ||hbar_k|| at full power,
+    p_max / n_users per user; a user with a zero channel gets w_k = 0."""
+    norms = np.linalg.norm(hbar, axis=1)
+    w = np.zeros_like(hbar)
+    nonzero = norms > 0
+    w[nonzero] = hbar[nonzero] / norms[nonzero, None]
+    w *= np.sqrt(p_max / hbar.shape[0])
+    return BeamformerSet(w)
+
+
+def _start(scenario: ScenarioParams, channels: ChannelSet, phases: PhaseConfig | None,
+           ) -> tuple[BeamformerSet, PhaseConfig, np.ndarray]:
+    """``initialize``'s point and the effective channels at it, formed once."""
+    if phases is None:
+        phases, _, hbar = energy_phases(channels)
+    else:
+        hbar = effective_channels(channels, phases)
+    return matched_filter(hbar, scenario.p_max), phases, hbar
 
 
 def initialize(scenario: ScenarioParams, channels: ChannelSet,
                phases: PhaseConfig | None = None) -> tuple[BeamformerSet, PhaseConfig]:
     """Feasible starting point: ``phases`` (by default the proposed
-    scheme's ``energy_phases(channels)``), then matched-filter beamformers
-    on the resulting combined channel at full power."""
-    if phases is None:
-        phases, _ = energy_phases(channels)
-    hbar = effective_channels(channels, phases)
-    norms = np.linalg.norm(hbar, axis=1)
-    w = np.zeros_like(hbar)
-    nonzero = norms > 0
-    w[nonzero] = hbar[nonzero] / norms[nonzero, None]
-    w *= np.sqrt(scenario.p_max / scenario.n_users)
-    return BeamformerSet(w), phases
+    scheme's ``energy_phases(channels)``), then ``matched_filter``
+    beamformers on the resulting combined channel at full power."""
+    return _start(scenario, channels, phases)[:2]
 
 
 def extrapolate(beams: BeamformerSet, phases: PhaseConfig, last_beams: BeamformerSet,
@@ -227,33 +260,44 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     ``beamformer.POWER_SLACK_REL``), else ``ValueError``; the phases must
     match the channels' surfaces (``effective_channels``).
 
+    With frozen phases, or with no phase elements, the effective channels
+    are formed once and the solve is ``solve_fixed`` on a stack of one.
+
     One local evaluation scores each point the loop visits: the start,
     each extrapolation trial and each end of an outer iteration. It forms,
     once, the cross gains hbar_k^H w_j on the point's effective channels.
     The point's weighted sum rate, the next decoders and their MSE, and
     the surrogate objective at the iteration's end all come from that one
     matrix. The effective channels are formed only where the phases
-    change: at the start, at each extrapolation trial and after each phase
-    descent, so frozen phases form them once per solve. The trace is built
-    from one row per outer iteration.
+    change: at the start (where the energy start hands on its last
+    product), at each extrapolation trial and after each phase descent.
+    The trace is built from one row per outer iteration.
     """
+    t_start = time.perf_counter()
     opts = opts or SolverOptions()
     if channels.n_users != scenario.n_users or channels.n_tx != scenario.n_tx:
         raise ValueError("channel set does not match the scenario dimensions")
     if warm_start is not None:
         beams, phases = warm_start
         _check_warm_start(scenario, beams)
+        hbar = effective_channels(channels, phases)
     elif opts.optimize_phases:
-        beams, phases = initialize(scenario, channels)
+        beams, phases, hbar = _start(scenario, channels, None)
     else:
         if rng is None:
             rng = np.random.default_rng(scenario.rng_seed)
-        beams, phases = initialize(scenario, channels, PhaseConfig.random(
+        beams, phases, hbar = _start(scenario, channels, PhaseConfig.random(
             channels.n_irs, channels.n_elements, rng))
+
+    if not (opts.optimize_phases and phases.size):
+        t_fixed = time.perf_counter()
+        w, (trace,) = solve_fixed(hbar[None], beams.w[None], scenario,
+                                  np.array([scenario.p_max]), opts)
+        trace = replace(trace, start_s=trace.start_s + t_fixed - t_start)
+        return BeamformerSet(w[0]), phases, trace
 
     alpha = scenario.weights
     noise = scenario.noise_power
-    do_phases = opts.optimize_phases and phases.size > 0
 
     def evaluate(w, hbar):
         """The gain terms of beamformers w on the effective channels hbar
@@ -261,9 +305,9 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         signal, total = gain_terms(cross_gains(hbar, w), noise)
         return signal, total, weighted_sum_rate(alpha, rates_from_terms(signal, total))
 
-    hbar = effective_channels(channels, phases)
     signal, total, prev_wsr = evaluate(beams, hbar)
     initial_wsr = prev_wsr
+    start_s = time.perf_counter() - t_start
 
     rows = []   # one per outer iteration, in SolveTrace's field order
     converged = False
@@ -273,7 +317,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         t0 = time.perf_counter()
         start = (beams, phases)
         accepted = False
-        if do_phases and it >= EXTRAP_START:
+        if it >= EXTRAP_START:
             trial_w, trial_v = extrapolate(beams, phases, *last, beta, scenario.p_max)
             trial_hbar = effective_channels(channels, trial_v)
             trial = evaluate(trial_w, trial_hbar)
@@ -292,40 +336,124 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         q = update_weights(mse_from_terms(u, signal, total))
         t_beam = time.perf_counter()
         beams, lam, probes = solve_beamforming(hbar, u, q, alpha, scenario.p_max)
-        t_assembly = t_descent = t_channel = time.perf_counter()
-        # frozen phases count as a converged descent without a failure
-        inner, inner_ok, failed, grad0 = 0, True, False, np.nan
-        if do_phases:
-            form = assemble_quadratic(channels, beams, u, q, alpha, noise)
-            t_descent = time.perf_counter()
-            phases, ptrace = rmcg_solve(form, phases, rel_tol=PHASE_REL_TOL,
-                                        max_iters=MAX_INNER)
-            t_channel = time.perf_counter()
-            inner = ptrace.n_iters
-            inner_ok, failed = ptrace.converged, ptrace.line_search_failed
-            grad0 = float(ptrace.grad_norms[0])
-            hbar = effective_channels(channels, phases)
-
+        t_assembly = time.perf_counter()
+        form = assemble_quadratic(channels, beams, u, q, alpha, noise)
+        t_descent = time.perf_counter()
+        phases, ptrace = rmcg_solve(form, phases, rel_tol=PHASE_REL_TOL, max_iters=MAX_INNER)
+        t_channel = time.perf_counter()
+        hbar = effective_channels(channels, phases)
         signal, total, wsr = evaluate(beams, hbar)
         wmse_now = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
         t_end = time.perf_counter()
-        rows.append((wsr, wmse_now, lam, probes, inner, inner_ok, failed, accepted, grad0,
-                     wsr - prev_wsr, time.perf_counter() - t0,
+        inner, inner_ok, failed = ptrace.n_iters, ptrace.converged, ptrace.line_search_failed
+        rows.append((wsr, wmse_now, lam, probes, inner, inner_ok, failed, accepted,
+                     float(ptrace.grad_norms[0]), wsr - prev_wsr, time.perf_counter() - t0,
                      t_decoder - t0 + t_end - t_channel, t_beam - t_decoder,
                      t_assembly - t_beam, t_descent - t_assembly, t_channel - t_descent))
         log.debug("outer %d: wsr=%.6f lam=%.3e probes=%d inner=%d "
                   "inner_converged=%s line_search_failed=%s extrap_accepted=%s",
                   it, wsr, lam, probes, inner, inner_ok, failed, accepted)
-
-        rel_gain = (wsr - prev_wsr) / max(abs(prev_wsr), 1e-300)
+        stop = _stop(it, wsr, prev_wsr, opts.outer_tol)
         prev_wsr = wsr
-        if rel_gain < -MONOTONE_TOL_REL:
-            log.warning("outer %d: weighted sum rate dropped by %.3e (relative); "
-                        "stopping unconverged", it, -rel_gain)
-            break
-        if rel_gain < opts.outer_tol:
-            converged = True
+        if stop is not None:
+            converged = stop
             break
 
     return beams, phases, SolveTrace(*(np.array(column) for column in zip(*rows)),
-                                     initial_wsr=initial_wsr, converged=converged)
+                                     initial_wsr=initial_wsr, converged=converged,
+                                     start_s=start_s)
+
+
+def _stop(it: int, wsr: float, prev_wsr: float, outer_tol: float) -> bool | None:
+    """The stop rule after outer iteration ``it``: None to go on, else
+    whether the solve converged. A drop beyond MONOTONE_TOL_REL stops it
+    unconverged, with a warning."""
+    rel_gain = (wsr - prev_wsr) / max(abs(prev_wsr), 1e-300)
+    if rel_gain < -MONOTONE_TOL_REL:
+        log.warning("outer %d: weighted sum rate dropped by %.3e (relative); "
+                    "stopping unconverged", it, -rel_gain)
+        return False
+    if rel_gain < outer_tol:
+        return True
+    return None
+
+
+def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
+                p_max: np.ndarray, opts: SolverOptions | None = None,
+                ) -> tuple[np.ndarray, list[SolveTrace]]:
+    """Alternating beamforming on a stack of fixed effective channels,
+    run in lockstep: the loop of ``solve`` without a phase step.
+
+    hbar and the starting beamformers w0 are (B, n_users, n_tx) stacks,
+    p_max holds each draw's budget (B,), and ``scenario`` gives the
+    weights and the noise power that all draws share. Each iteration
+    takes the decoders, the MSE weights, the beamformers and the next
+    point's gain terms of every draw in the stack, each layer one call on
+    the stack; only the dual search (``optimal_dual``) and the final dot
+    products of the weighted sum rate and the surrogate run per draw, so
+    that each draw's values are those of a stack of one, bit for bit. A
+    draw that stops, by the rule of ``solve``, leaves the stack.
+
+    Returns the final beamformers (B, n_users, n_tx) and one
+    ``SolveTrace`` per draw, whose phase-step columns read as a converged
+    descent of no iterations: inner_iters 0, phase_grad0 NaN, and zero
+    assembly and descent times.
+    """
+    t_start = time.perf_counter()
+    opts = opts or SolverOptions()
+    alpha, noise = scenario.weights, scenario.noise_power
+    budgets = np.asarray(p_max, dtype=float).reshape(-1).tolist()
+    n_draws = len(budgets)
+    if hbar.ndim != 3 or np.shape(w0) != hbar.shape or hbar.shape[0] != n_draws:
+        raise ValueError("solve_fixed takes (B, n_users, n_tx) stacks hbar and w0 "
+                         "and B budgets")
+    active = list(range(n_draws))   # the draws still in the stack, in stack order
+    signal, total = gain_terms(cross_gains(hbar, w0), noise)
+    prev = weighted_sum_rate(alpha, rates_from_terms(signal, total))
+    initial = list(prev)
+    w_final = np.array(w0, dtype=complex)
+    rows = [[] for _ in range(n_draws)]
+    converged = [False] * n_draws
+    t0 = time.perf_counter()
+    start_s = (t0 - t_start) / n_draws
+    for it in range(opts.max_outer):
+        u = signal / total   # the MMSE decoders, as update_decoders forms them
+        q = update_weights(mse_from_terms(u, signal, total))
+        t_beam = time.perf_counter()
+        ctx = assemble_context(hbar, u, q, alpha)
+        duals = [optimal_dual(ctx.draw(i), budgets[b]) for i, b in enumerate(active)]
+        w = beamformers_at([lam for lam, _ in duals], ctx).w
+        t_channel = time.perf_counter()
+        signal, total = gain_terms(cross_gains(hbar, w), noise)
+        wsr = weighted_sum_rate(alpha, rates_from_terms(signal, total))
+        wmse = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
+        t_end = time.perf_counter()
+        keep, values = [], []
+        for i, b in enumerate(active):
+            values.append((b, wsr[i], wmse[i], *duals[i], wsr[i] - prev[b]))
+            log.debug("draw %d outer %d: wsr=%.6f lam=%.3e probes=%d",
+                      b, it, wsr[i], *duals[i])
+            stop = _stop(it, wsr[i], prev[b], opts.outer_tol)
+            prev[b] = wsr[i]
+            if stop is None:
+                keep.append(i)
+            else:
+                converged[b] = stop
+                w_final[b] = w[i]
+        if len(keep) < len(active):
+            active = [active[i] for i in keep]
+            hbar, w, signal, total = hbar[keep], w[keep], signal[keep], total[keep]
+        t_next = time.perf_counter()
+        n = len(values)
+        shares = ((t_next - t0) / n, (t_end - t_channel) / n, (t_beam - t0) / n,
+                  (t_channel - t_beam) / n)
+        for b, *point, delta in values:
+            rows[b].append((*point, 0, True, False, False, np.nan, delta, *shares, 0.0, 0.0))
+        t0 = t_next
+        if not active:
+            break
+    w_final[active] = w   # the draws that ran to max_outer
+    return w_final, [SolveTrace(*(np.array(column) for column in zip(*draw_rows)),
+                                initial_wsr=initial[b], converged=converged[b],
+                                start_s=start_s)
+                     for b, draw_rows in enumerate(rows)]

@@ -24,22 +24,26 @@ from .errors import NumericalError
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """Transmit beamformers, row k holding w_k."""
+    """Transmit beamformers, row k holding w_k; a stack of sets along
+    leading axes (one per draw of a batch) is one (..., n_users, n_tx)
+    array."""
 
-    w: np.ndarray  # (n_users, n_tx)
+    w: np.ndarray  # (..., n_users, n_tx)
 
     def __post_init__(self):
         w = np.array(self.w, dtype=complex)
-        if w.ndim != 2:
-            raise ValueError("beamformers must be an (n_users, n_tx) array")
+        if w.ndim < 2:
+            raise ValueError("beamformers must be an (..., n_users, n_tx) array")
         if not np.isfinite(w).all():
             raise ValueError("beamformers contain non-finite entries")
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
     @property
-    def total_power(self) -> float:
-        return float(np.sum(np.abs(self.w) ** 2))
+    def total_power(self):
+        """Summed power of the set: a float, or one per set of a stack."""
+        power = (np.abs(self.w) ** 2).sum(axis=(-2, -1))
+        return float(power) if power.ndim == 0 else power
 
 
 @dataclass(frozen=True)
@@ -58,8 +62,9 @@ def _w_matrix(beamformers) -> np.ndarray:
 
 
 def cross_gains(hbar: np.ndarray, beamformers) -> np.ndarray:
-    """Matrix of complex gains, entry (k, j) = hbar_k^H w_j."""
-    return np.conj(hbar) @ _w_matrix(beamformers).T
+    """Matrix of complex gains, entry (k, j) = hbar_k^H w_j; on stacks
+    (..., n_users, n_tx) one matrix per draw."""
+    return np.conj(hbar) @ _w_matrix(beamformers).swapaxes(-1, -2)
 
 
 def gain_terms(gains: np.ndarray, noise_power: float) -> tuple[np.ndarray, np.ndarray]:
@@ -70,8 +75,11 @@ def gain_terms(gains: np.ndarray, noise_power: float) -> tuple[np.ndarray, np.nd
     these two vectors, so a caller that needs several of them forms the
     gains once. The public helpers below check noise_power; this does not.
     The signal gains are a read-only view of the diagonal of ``gains``.
+    Leading axes of ``gains`` are draws of a batch; this and the other
+    ``*_from_terms`` helpers act on each draw's last axis alone.
     """
-    return gains.diagonal(), (np.abs(gains) ** 2).sum(axis=1) + noise_power
+    return (gains.diagonal(0, -2, -1),
+            (np.abs(gains) ** 2).sum(axis=-1) + noise_power)
 
 
 def rates_from_terms(signal: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -94,12 +102,22 @@ def compute_rates(hbar: np.ndarray, beamformers, noise_power: float) -> np.ndarr
     return rates_from_terms(*gain_terms(cross_gains(hbar, beamformers), noise_power))
 
 
-def weighted_sum_rate(weights: np.ndarray, rates: np.ndarray) -> float:
+def _weighted_sums(weights: np.ndarray, values: np.ndarray):
+    """weights @ values as a float, or a list of one float per row of an
+    (n_draws, n_users) stack, each from the 1-D dot a single draw takes: a
+    (n_draws, n_users) @ (n_users,) product rounds differently."""
+    if values.ndim == 1:
+        return float(weights @ values)
+    return [float(weights @ row) for row in values]
+
+
+def weighted_sum_rate(weights: np.ndarray, rates: np.ndarray):
+    """sum_k alpha_k r_k, of one draw or of each row of a stack."""
     weights = np.asarray(weights, dtype=float)
     rates = np.asarray(rates, dtype=float)
-    if weights.shape != rates.shape:
+    if weights.shape != rates.shape[-1:]:
         raise ValueError("weights and rates must have matching length")
-    return float(weights @ rates)
+    return _weighted_sums(weights, rates)
 
 
 def update_decoders(hbar: np.ndarray, beamformers, noise_power: float) -> np.ndarray:
@@ -119,7 +137,7 @@ def compute_mse(hbar: np.ndarray, beamformers, decoders: np.ndarray,
 
 
 def update_weights(mse: np.ndarray) -> np.ndarray:
-    """Optimal surrogate weights q_k = 1 / E_k."""
+    """Optimal surrogate weights q_k = 1 / E_k, of every draw of a stack."""
     mse = np.asarray(mse, dtype=float)
     # NaN fails both comparisons
     if not 0.0 < mse.min() <= mse.max() < np.inf:
@@ -127,14 +145,14 @@ def update_weights(mse: np.ndarray) -> np.ndarray:
     return 1.0 / mse
 
 
-def wmse_objective(weights: np.ndarray, mse_weights: np.ndarray,
-                   mse: np.ndarray) -> float:
-    """Surrogate objective sum_k alpha_k (ln q_k - q_k E_k + 1), in nats."""
+def wmse_objective(weights: np.ndarray, mse_weights: np.ndarray, mse: np.ndarray):
+    """Surrogate objective sum_k alpha_k (ln q_k - q_k E_k + 1), in nats,
+    of one draw or of each row of a stack."""
     q = np.asarray(mse_weights, dtype=float)
     if (q <= 0).any():
         raise ValueError("surrogate weights must be positive")
-    return float(np.asarray(weights, dtype=float)
-                 @ (np.log(q) - q * np.asarray(mse, dtype=float) + 1.0))
+    return _weighted_sums(np.asarray(weights, dtype=float),
+                          np.log(q) - q * np.asarray(mse, dtype=float) + 1.0)
 
 
 def optimal_state(hbar: np.ndarray, beamformers, noise_power: float) -> WmmseState:

@@ -48,6 +48,15 @@ def mode_coef_from_inputs(ctx, hbar, u, q, alpha):
     return c
 
 
+def positive_modes(ctx):
+    """The eigenvectors and eigenvalues of the context's positive modes.
+    The null space's modes are masked: eigenvalue +inf, coefficient 0."""
+    positive = np.isfinite(ctx.eigvals)
+    assert np.all(ctx.eigvals[~positive] == np.inf)
+    assert np.all(ctx.mode_coef[~positive] == 0.0)
+    return ctx.eigvecs[:, positive], ctx.eigvals[positive]
+
+
 class TestAssembleContext:
     def test_rank_one_single_user(self, rng):
         hbar = complex_normal(rng, (1, 5))
@@ -55,16 +64,18 @@ class TestAssembleContext:
         q = np.array([1.7])
         alpha = np.array([0.8])
         ctx = assemble_context(hbar, u, q, alpha)
-        assert ctx.eigvals.shape == (1,)
+        _, eigvals = positive_modes(ctx)
+        assert eigvals.shape == (1,)
         expected = alpha[0] * q[0] * np.abs(u[0]) ** 2 * np.linalg.norm(hbar[0]) ** 2
-        assert ctx.eigvals[0] == pytest.approx(expected, rel=1e-12)
+        assert eigvals[0] == pytest.approx(expected, rel=1e-12)
 
     def test_eigenbasis_reconstructs_gram(self, rng):
         for _ in range(20):
             hbar, u, q, alpha, _ = random_subproblem(rng, 5, 7)
             ctx = assemble_context(hbar, u, q, alpha)
             gram = gram_from_inputs(hbar, u, q, alpha)
-            rebuilt = (ctx.eigvecs * ctx.eigvals) @ np.conj(ctx.eigvecs).T
+            eigvecs, eigvals = positive_modes(ctx)
+            rebuilt = (eigvecs * eigvals) @ np.conj(eigvecs).T
             err = np.linalg.norm(rebuilt - gram) / np.linalg.norm(gram)
             assert err < 1e-10
 
@@ -74,17 +85,18 @@ class TestAssembleContext:
         hbar, u, q, alpha, _ = random_subproblem(rng)
         ctx = assemble_context(hbar, u, q, alpha)
         gram = gram_from_inputs(hbar, u, q, alpha)
+        eigvecs, eigvals = positive_modes(ctx)
         assert np.allclose(gram, gram.conj().T, atol=1e-10)
-        assert np.allclose(np.conj(ctx.eigvecs).T @ ctx.eigvecs,
-                           np.eye(ctx.eigvals.size), atol=1e-10)
-        assert np.all(ctx.eigvals > 0)
-        top = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-ctx.eigvals.size:]
-        assert np.allclose(ctx.eigvals, top, atol=1e-10)
+        assert np.allclose(np.conj(eigvecs).T @ eigvecs,
+                           np.eye(eigvals.size), atol=1e-10)
+        assert np.all(eigvals > 0)
+        top = np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[-eigvals.size:]
+        assert np.allclose(eigvals, top, atol=1e-10)
 
     def test_rank_bounded_by_users(self, rng):
         hbar, u, q, alpha, _ = random_subproblem(rng, 3, 8)
         ctx = assemble_context(hbar, u, q, alpha)
-        assert ctx.eigvals.size <= 3
+        assert positive_modes(ctx)[1].size <= 3
 
     @pytest.mark.parametrize("n_users, n_tx", [(5, 3), (3, 5)])
     def test_gram_matches_outer_product_sum(self, rng, n_users, n_tx):
@@ -97,7 +109,8 @@ class TestAssembleContext:
         alpha[1] = 0.0
         ctx = assemble_context(hbar, u, q, alpha)
         expected = gram_from_inputs(hbar, u, q, alpha)
-        rebuilt = (ctx.eigvecs * ctx.eigvals) @ np.conj(ctx.eigvecs).T
+        eigvecs, eigvals = positive_modes(ctx)
+        rebuilt = (eigvecs * eigvals) @ np.conj(eigvecs).T
         assert rebuilt.shape == (n_tx, n_tx)
         assert np.allclose(rebuilt, expected, rtol=1e-12,
                            atol=1e-14 * np.linalg.norm(expected))
@@ -123,11 +136,34 @@ class TestAssembleContext:
         alpha = rng.uniform(0.2, 2.0, n_users)
         alpha[1] = 0.0
         ctx = assemble_context(hbar, u, q, alpha)
-        assert ctx.eigvals.size == min(n_users - 1, n_tx)
+        positive = np.isfinite(ctx.eigvals)
+        assert positive_modes(ctx)[1].size == min(n_users - 1, n_tx)
         assert ctx.mode_coef.shape == ctx.eigvals.shape
-        assert np.allclose(ctx.mode_coef, mode_coef_from_inputs(ctx, hbar, u, q, alpha),
+        assert np.allclose(ctx.mode_coef[positive],
+                           mode_coef_from_inputs(ctx, hbar, u, q, alpha)[positive],
                            rtol=1e-12, atol=0.0)
         assert np.all(ctx.rhs_proj[:, 1] == 0.0)
+
+
+    def test_stack_is_each_draw_bit_for_bit(self, rng):
+        # draws of different rank share one stack: (3, 5) draws mask 2 modes,
+        # a zero-weight user a third, a zero decoder vector all of them
+        subproblems = [random_subproblem(rng, 3, 5) for _ in range(4)]
+        hbar = np.stack([p[0] for p in subproblems])
+        u = np.stack([p[1] for p in subproblems])
+        q = np.stack([p[2] for p in subproblems])
+        alpha = subproblems[0][3].copy()
+        alpha[1] = 0.0
+        u[3] = 0.0
+        ctx = assemble_context(hbar, u, q, alpha)
+        lam = np.array([0.0, 0.1, 2.0, 0.5])
+        w = beamformers_at(lam, ctx).w
+        assert [int(np.isinf(ctx.eigvals[b]).sum()) for b in range(4)] == [3, 3, 3, 5]
+        for b in range(4):
+            one = assemble_context(hbar[b], u[b], q[b], alpha)
+            for name in ("eigvecs", "eigvals", "rhs_proj", "mode_coef"):
+                assert np.array_equal(getattr(ctx.draw(b), name), getattr(one, name)), name
+            assert np.array_equal(w[b], beamformers_at(lam[b], one).w)
 
 
 class TestBeamformersAt:

@@ -264,7 +264,7 @@ class TestRunExperiment:
         if stage == "write":
             monkeypatch.setattr(experiments, "write_rows", write_rows)
         spec = tiny_spec(desk_setup[0], sweep_values=(1.0, 2.0), n_trials=2,
-                         schemes=("no_irs",), out_path=out)
+                         schemes=("proposed",), out_path=out)
         with pytest.raises(error):
             run_experiment(spec)
         assert len(calls) == (3 if stage == "solve" else 4)
@@ -288,7 +288,9 @@ class TestRunExperiment:
 
     def test_worker_pool_matches_serial(self, desk_setup, tmp_path):
         # "proposed" runs the phase descent, so the workers must run the
-        # same descent kernel as the parent, bit for bit
+        # same descent kernel as the parent, bit for bit; along p_max each
+        # process's baseline batch mixes budgets, and its rows are the
+        # baselines' own solves
         schemes = ("proposed", "random_phase", "no_irs")
         base = tiny_spec(desk_setup[0], sweep_values=(0.5, 1.0), n_trials=2,
                          schemes=schemes)
@@ -314,6 +316,35 @@ class TestRunExperiment:
                             [line[:col] + line[col + 1:] for line in lines]))
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
         assert len(outputs[0][0]) == 12
+        for row in serial:
+            if row.scheme != "proposed":
+                scenario = scenario_at(desk_setup[0], "p_max", row.sweep_value)
+                channel_rng, init_seed = experiments._cell_rngs(
+                    0, (0.5, 1.0).index(row.sweep_value), row.trial)
+                trace = run_scheme(row.scheme, scenario, draw_channels(scenario, channel_rng),
+                                   SolverOptions(), np.random.default_rng(init_seed))
+                assert (row.wsr_nats, row.outer_iters) == (trace.wsr[-1], trace.n_outer)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numerical_error_names_its_solve(self, desk_setup, monkeypatch, workers):
+        # one baseline draw of a batch gets NaN channels: the batch raises,
+        # naming the draw's scheme, sweep value and trial. With workers=2
+        # the draw is the forked process's first, cell (0.5, trial 1).
+        real, caller, calls = experiments.effective_channels, os.getpid(), []
+
+        def effective_channels(channels, phases):
+            calls.append(1)
+            hbar = real(channels, phases)
+            bad = len(calls) == 3 if workers == 1 else os.getpid() != caller and len(calls) == 1
+            return hbar * np.nan if bad else hbar
+
+        monkeypatch.setattr(experiments, "effective_channels", effective_channels)
+        spec = tiny_spec(desk_setup[0], sweep_values=(0.5, 1.0), n_trials=2,
+                         schemes=("random_phase", "no_irs"), workers=workers)
+        with pytest.raises(NumericalError) as info:
+            run_experiment(spec)
+        assert info.value.__notes__[0] == "in the random_phase solve at p_max = 0.5, trial 1"
 
     def test_channels_shared_across_schemes(self, desk_setup):
         # paired trials: the no_irs result must depend only on the direct
@@ -341,7 +372,7 @@ def run_scheme(*args):
 
 experiments.run_scheme = run_scheme
 spec = irsopt.ExperimentSpec(irsopt.desk_scenario(user_seed=0), "p_max", (1.0, 2.0), 1,
-                             schemes=("no_irs",), workers=2, out_path=sys.argv[1])
+                             schemes=("proposed",), workers=2, out_path=sys.argv[1])
 try:
     irsopt.run_experiment(spec)
 except RuntimeError as exc:
@@ -375,12 +406,13 @@ class TestForkJoin:
 
         monkeypatch.setattr(experiments, "run_scheme", run_scheme)
         out = self.old_results(tmp_path)
-        spec = tiny_spec(desk_setup[0], sweep_values=(1.0, 2.0), schemes=("no_irs",),
+        spec = tiny_spec(desk_setup[0], sweep_values=(1.0, 2.0), schemes=("proposed",),
                          workers=2, out_path=out)
         with pytest.raises(NumericalError, match="failed in a forked process") as info:
             run_experiment(spec)
-        # the child's traceback rides along as a note
-        assert "raised in sweep process 1" in info.value.__notes__[0]
+        # the solve it came from and the child's traceback ride along as notes
+        assert info.value.__notes__[0] == "in the proposed solve at p_max = 2.0, trial 0"
+        assert "raised in sweep process 1" in info.value.__notes__[1]
         assert multiprocessing.active_children() == []
         self.assert_left_as_it_was(out)
 
@@ -409,7 +441,7 @@ class TestForkJoin:
 
         monkeypatch.setattr(experiments, "run_scheme", run_scheme)
         out = self.old_results(tmp_path)
-        spec = tiny_spec(desk_setup[0], sweep_values=(1.0, 2.0), schemes=("no_irs",),
+        spec = tiny_spec(desk_setup[0], sweep_values=(1.0, 2.0), schemes=("proposed",),
                          workers=2, out_path=out)
         t0 = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -449,13 +481,18 @@ def test_bench_sweep_compares_a_tree_with_itself(tmp_path):
                          cwd=tmp_path, env=subprocess_env())
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 7
     assert lines[0].startswith("element_sweep: 2 ops, seed 5, workers 2, ")
     for line, name in zip(lines[1:3], ("against", "loaded")):
         assert line.split()[:2] == [name, "ms_op"] and float(line.split()[2]) > 0.0
-    assert lines[3].startswith("sha256 of the rows without time_ms: equal ")
-    ratio = lines[4].split()
-    assert lines[4].startswith("time ratio (loaded over against): median ")
+    # each tree's mean time_ms per scheme, in the rows' scheme order
+    for line, name in zip(lines[3:5], ("against", "loaded")):
+        words = line.split()
+        assert words[:2] == [name, "time_ms"] and words[2::2] == list(SCHEMES)
+        assert all(float(ms) > 0.0 for ms in words[3::2])
+    assert lines[5].startswith("sha256 of the rows without time_ms: equal ")
+    ratio = lines[6].split()
+    assert lines[6].startswith("time ratio (loaded over against): median ")
     assert float(ratio[6].rstrip(",")) > 0.0 and float(ratio[8].rstrip(";")) > 0.0
     # each operation counts for the side that was faster on it, or for neither on a tie
     assert int(ratio[12]) + int(ratio[16]) <= 2

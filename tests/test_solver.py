@@ -1,5 +1,6 @@
 import dataclasses
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from irsopt import solver as solver_mod
 from irsopt.beamformer import POWER_TOL_REL
 from irsopt.experiments import _cell_rngs, run_scheme
 from irsopt.scenario import LOS_MODES
-from irsopt.solver import MONOTONE_TOL_REL
+from irsopt.solver import MONOTONE_TOL_REL, matched_filter, solve_fixed
 from irsopt.wmmse import cross_gains
 
 
@@ -128,7 +129,7 @@ class TestInitialize:
         # here formed from the dense B
         scenario = preset(user_seed=2)
         channels = draw_channels(scenario, np.random.default_rng(3))
-        phases, energy = energy_phases(channels)
+        phases, energy, _ = energy_phases(channels)
         assert energy.shape == (solver_mod.START_MM_STEPS + 1,)
         assert np.all(np.diff(energy) >= -1e-12 * energy[:-1])
         assert energy[-1] > energy[0]
@@ -140,9 +141,21 @@ class TestInitialize:
         x0 = np.exp(1j * np.angle(b.conj().T @ d))
         assert np.sum(np.abs(d + b @ x0) ** 2) == pytest.approx(energy[0], rel=1e-12)
         monkeypatch.setattr(solver_mod, "START_MM_STEPS", 0)
-        start, only = energy_phases(channels)
+        start, only, _ = energy_phases(channels)
         assert np.allclose(start.v_hat, np.conj(x0), rtol=0, atol=1e-12)
         assert only.tolist() == energy[:1].tolist()
+
+    @pytest.mark.parametrize("preset", [desk_scenario, full_scenario])
+    def test_energy_start_hands_on_its_effective_channels(self, preset):
+        # the last minorize-maximize step's r = d + B x is the effective
+        # channel of the returned phases, byte for byte, so the start
+        # forms it only once
+        scenario = preset(user_seed=4)
+        for seed in range(5):
+            channels = draw_channels(scenario, np.random.default_rng(seed))
+            for links in (channels, strip_irs(channels)):
+                phases, _, hbar = energy_phases(links)
+                assert np.array_equal(hbar, effective_channels(links, phases))
 
     @pytest.mark.parametrize("case", ["no_surfaces", "zero_reflected", "zero_direct",
                                       "zero_weight_users"])
@@ -159,7 +172,7 @@ class TestInitialize:
         else:
             scenario = scenario.replace(weights=np.array([0.0, 1.0, 0.0, 1.0]))
         beams, phases = initialize(scenario, channels)
-        _, energy = energy_phases(channels)
+        _, energy, _ = energy_phases(channels)
         assert np.all(np.isfinite(beams.w)) and np.all(np.isfinite(energy))
         assert phases.size == channels.n_irs * channels.n_elements
         assert np.max(np.abs(np.abs(phases.v_hat) - 1.0), initial=0.0) <= 1e-12
@@ -258,7 +271,7 @@ class TestSolve:
         kinds = {"probes": "i", "inner_iters": "i", "inner_converged": "b",
                  "line_search_failed": "b", "extrap_accepted": "b"}
         arrays = [f.name for f in dataclasses.fields(SolveTrace)
-                  if f.name not in ("initial_wsr", "converged", "n_outer")]
+                  if f.name not in ("initial_wsr", "converged", "start_s", "n_outer")]
         assert len(arrays) == 16
         for name in arrays:
             column = getattr(trace, name)
@@ -377,9 +390,8 @@ class TestSolve:
     @pytest.mark.parametrize("scheme", ["random_phase", "no_irs"])
     def test_frozen_phases_form_the_effective_channels_once(self, desk_setup,
                                                             monkeypatch, scheme):
-        # the phases never change, so the matched-filter start and the
-        # solve's first point form the only effective channels, however
-        # many outer iterations run
+        # the phases never change, so the start forms the only effective
+        # channels, however many outer iterations run
         scenario, channels = desk_setup
         calls = []
 
@@ -396,13 +408,12 @@ class TestSolve:
             counts.append(len(calls))
             outers.append(trace.n_outer)
         assert outers == [2, 9]
-        assert counts == [2, 2]
+        assert counts == [1, 1]
 
     def test_effective_channels_formed_where_the_phases_change(self, desk_setup,
                                                                monkeypatch):
-        # the proposed scheme forms them at the start (the energy start's
-        # matched filter and the solve's first point), at each extrapolation
-        # trial and after each phase descent
+        # the proposed scheme forms them at each extrapolation trial and
+        # after each phase descent; the energy start hands on its own
         scenario, channels = desk_setup
         calls = []
 
@@ -414,7 +425,7 @@ class TestSolve:
         _, _, trace = solve(scenario, channels, SolverOptions(outer_tol=1e-12, max_outer=12))
         trials = max(trace.n_outer - solver_mod.EXTRAP_START, 0)
         assert trials > 0
-        assert len(calls) == 2 + trace.n_outer + trials
+        assert len(calls) == trace.n_outer + trials
 
     def test_dimension_mismatch_rejected(self, desk_setup):
         scenario, channels = desk_setup
@@ -436,6 +447,119 @@ class TestSolve:
                                           scenario.noise_power,
                                           scenario.p_max, w0)
         assert trace.wsr[-1] == pytest.approx(expected, rel=1e-6)
+
+
+def fixed_draws(scenario, p_max, seeds):
+    """(hbar, w0, p_max) stacks of random_phase draws: each seed's channels
+    and random phases, and matched-filter beamformers at its budget."""
+    hbar, w0 = [], []
+    for seed, budget in zip(seeds, p_max):
+        channels = draw_channels(scenario, np.random.default_rng(seed))
+        phases = PhaseConfig.random(channels.n_irs, channels.n_elements,
+                                    np.random.default_rng(seed + 100))
+        hbar.append(effective_channels(channels, phases))
+        w0.append(matched_filter(hbar[-1], budget).w)
+    return np.stack(hbar), np.stack(w0), np.array(p_max, dtype=float)
+
+
+class TestSolveFixed:
+    """A batch's draws are their own stacks of one, bit for bit."""
+
+    OPTS = SolverOptions(max_outer=30)
+
+    def solve_batch(self, scenario, hbar, w0, p_max, opts=OPTS):
+        """The batch's traces, after checking each draw's beamformers and
+        non-time trace fields against its stack of one, and that the
+        draws' times, each a share of the batch's, add up to at most the
+        batch's wall time."""
+        t0 = time.perf_counter()
+        w, traces = solve_fixed(hbar, w0, scenario, p_max, opts)
+        elapsed = time.perf_counter() - t0
+        assert w.shape == hbar.shape and len(traces) == len(p_max)
+        assert sum(t.start_s + t.wall_time_s.sum() for t in traces) <= elapsed
+        for b, trace in enumerate(traces):
+            w_one, (one,) = solve_fixed(hbar[b:b + 1], w0[b:b + 1], scenario,
+                                        p_max[b:b + 1], opts)
+            assert np.array_equal(w[b], w_one[0])
+            for f in dataclasses.fields(SolveTrace):
+                if not f.name.endswith("_s"):
+                    assert np.array_equal(getattr(trace, f.name), getattr(one, f.name),
+                                          equal_nan=True), f.name
+        return traces
+
+    def test_draws_stop_at_different_iterations(self):
+        scenario = desk_scenario(user_seed=3)
+        traces = self.solve_batch(scenario, *fixed_draws(scenario, [1.0] * 6, range(6)))
+        assert len({t.n_outer for t in traces}) > 1
+        assert all(t.converged for t in traces)
+
+    def test_cap_with_draws_stopping_at_it(self):
+        # at a cap of c outer iterations some draws stop by the rule at the
+        # last one while others run into the cap
+        scenario = desk_scenario(user_seed=3)
+        draws = fixed_draws(scenario, [1.0] * 6, range(6))
+        n_outer = sorted(t.n_outer for t in self.solve_batch(scenario, *draws))
+        cap = n_outer[len(n_outer) // 2 - 1]
+        assert n_outer.count(cap) >= 1 and n_outer[-1] > cap
+        traces = self.solve_batch(scenario, *draws, opts=SolverOptions(max_outer=cap))
+        assert [t.n_outer for t in traces].count(cap) > n_outer.count(cap)
+        assert not all(t.converged for t in traces)
+
+    def test_several_budgets_in_one_batch(self):
+        scenario = desk_scenario(user_seed=3)
+        p_max = [1e-4, 1e-2, 1.0, 1e2, 1e4]
+        hbar, w0, p = fixed_draws(scenario, p_max, [7] * len(p_max))
+        traces = self.solve_batch(scenario, hbar, w0, p)
+        for trace, budget, w in zip(traces, p_max, solve_fixed(hbar, w0, scenario, p,
+                                                               self.OPTS)[0]):
+            assert trace.lam[-1] > 0.0
+            assert np.sum(np.abs(w) ** 2) == pytest.approx(budget, rel=1e-9)
+
+    def test_draw_with_a_loose_budget(self):
+        # at 1e11 W this desk draw's dual search returns lam = 0 at some
+        # iterations: the unconstrained beamformers fit the budget
+        scenario = desk_scenario(user_seed=1)
+        traces = self.solve_batch(scenario, *fixed_draws(scenario, [1.0, 1e11, 1.0],
+                                                         [1, 0, 2]))
+        assert (traces[1].lam == 0.0).any()
+        assert (traces[0].lam > 0.0).all() and (traces[2].lam > 0.0).all()
+
+    def test_truncating_draws(self):
+        # 16 antennas and 2 users: each beamformer step masks at least 14
+        # modes of the Gram matrix; a zero channel masks all of them
+        scenario = ring_scenario(8, 2, 16, 2, user_seed=1)
+        hbar, w0, p_max = fixed_draws(scenario, [1.0, 1e2, 1.0], range(3))
+        hbar[2], w0[2] = 0.0, 0.0
+        u = cross_gains(hbar[0], w0[0]).diagonal()
+        ctx = solver_mod.assemble_context(hbar[:1], u[None], np.ones((1, 2)),
+                                          scenario.weights)
+        assert np.isinf(ctx.eigvals).sum() >= 6
+        traces = self.solve_batch(scenario, hbar, w0, p_max)
+        assert traces[2].wsr.tolist() == [0.0] and traces[2].lam.tolist() == [0.0]
+
+    def test_rejects_mismatched_stacks(self):
+        scenario = desk_scenario(user_seed=3)
+        hbar, w0, p_max = fixed_draws(scenario, [1.0] * 3, range(3))
+        for h, w, p in ((hbar[0], w0[0], p_max[:1]), (hbar, w0[:2], p_max),
+                        (hbar, w0, p_max[:2])):
+            with pytest.raises(ValueError, match="stacks"):
+                solve_fixed(h, w, scenario, p)
+
+    @pytest.mark.parametrize("scheme", ["random_phase", "no_irs"])
+    def test_frozen_solve_is_a_stack_of_one(self, desk_setup, scheme):
+        # solve with the phases frozen starts from its random phases, then
+        # runs solve_fixed; the start's time is in start_s, not in the rows
+        scenario, channels = desk_setup
+        if scheme == "no_irs":
+            channels = strip_irs(channels)
+        beams, phases, trace = solve(scenario, channels, SolverOptions(optimize_phases=False),
+                                     rng=np.random.default_rng(5))
+        hbar = effective_channels(channels, phases)
+        w, (alone,) = solve_fixed(hbar[None], matched_filter(hbar, scenario.p_max).w[None],
+                                  scenario, np.array([scenario.p_max]))
+        assert np.array_equal(beams.w, w[0])
+        assert np.array_equal(trace.wsr, alone.wsr) and trace.n_outer == alone.n_outer
+        assert trace.start_s >= alone.start_s > 0.0
 
 
 class TestSubStepMonotonicity:

@@ -4,6 +4,7 @@ import pytest
 from irsopt import (NumericalError, compute_mse, compute_rates, optimal_state,
                     update_decoders, update_weights, weighted_sum_rate,
                     wmse_objective)
+from irsopt.wmmse import cross_gains, gain_terms, mse_from_terms, rates_from_terms
 from tests.conftest import complex_normal, random_wmmse_instance
 
 
@@ -166,6 +167,30 @@ class TestWmseObjective:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
             wmse_objective(np.ones(2), np.array([1.0, 0.0]), np.ones(2))
+
+
+class TestStacks:
+    def test_stack_is_each_draw_bit_for_bit(self, rng):
+        # a stack of draws along a leading axis gives each draw's own values;
+        # the sums take one 1-D dot per draw
+        draws = [random_wmmse_instance(rng, 8, 8) for _ in range(5)]
+        alpha, noise = draws[0][2], draws[0][3]
+        hbar = np.stack([d[0] for d in draws])
+        w = np.stack([d[1] for d in draws])
+        u = complex_normal(rng, (5, 8))
+        signal, total = gain_terms(cross_gains(hbar, w), noise)
+        rates, mse = rates_from_terms(signal, total), mse_from_terms(u, signal, total)
+        q = update_weights(mse)
+        wsr, wmse = weighted_sum_rate(alpha, rates), wmse_objective(alpha, q, mse)
+        assert len(wsr) == len(wmse) == 5
+        for b in range(5):
+            s_b, t_b = gain_terms(cross_gains(hbar[b], w[b]), noise)
+            assert np.array_equal(signal[b], s_b) and np.array_equal(total[b], t_b)
+            assert np.array_equal(rates[b], rates_from_terms(s_b, t_b))
+            assert np.array_equal(mse[b], mse_from_terms(u[b], s_b, t_b))
+            assert np.array_equal(q[b], update_weights(mse[b]))
+            assert wsr[b] == weighted_sum_rate(alpha, rates[b])
+            assert wmse[b] == wmse_objective(alpha, q[b], mse[b])
 
 
 class TestUpdateMonotonicity:
