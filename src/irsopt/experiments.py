@@ -9,9 +9,9 @@ process r takes cells r, r + N, ... and each forked one sends its rows, or
 its exception, back on a pipe. A process solves its proposed cells one by
 one, then the share's baselines as one batch: every random_phase and
 no_irs solve of its cells beamforms on a fixed effective channel, so
-``solver.solve_fixed`` runs them in lockstep, each draw bit for bit as its
-own solve. The rows are sorted into a deterministic order before writing,
-so the CSV does not depend on N.
+``solver.solve_fixed`` runs them in lockstep, each draw bit for bit as
+``run_scheme``'s stack of one. The rows are sorted into a deterministic
+order before writing, so the CSV does not depend on N.
 """
 
 from __future__ import annotations
@@ -125,25 +125,19 @@ def run_scheme(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
                opts: SolverOptions, rng: np.random.Generator) -> SolveTrace:
     """Solve one scheme on a fixed realization; returns its trace.
 
-    no_irs drops every reflected path and freezes the (empty) phases;
-    random_phase keeps the reflected paths but freezes the uniform random
-    phases that ``solve`` draws from ``rng`` when the phases are frozen,
-    so both baselines are plain alternating beamforming runs, ``solve``'s
-    stack of one. proposed starts from the energy start, which does not
-    read ``rng``. A sweep runs its proposed cells through here and its
+    proposed is ``solve``, whose energy start does not read ``rng``. Each
+    baseline beamforms on the fixed channel of ``_baseline_point``, so it
+    is ``solve_fixed`` on a stack of one, with forming that channel counted
+    in its start_s. A sweep runs its proposed cells through here and its
     baselines as one batch (``_solve_baselines``), with the same bits.
     """
     if scheme == "proposed":
-        pass
-    elif scheme == "no_irs":
-        channels = strip_irs(channels)
-        opts = replace(opts, optimize_phases=False)
-    elif scheme == "random_phase":
-        opts = replace(opts, optimize_phases=False)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    _, _, trace = solve(scenario, channels, opts, rng=rng)
-    return trace
+        return solve(scenario, channels, opts)[2]
+    t0 = time.perf_counter()
+    hbar, w0 = _baseline_point(scheme, scenario, channels, rng)
+    t_fixed = time.perf_counter()
+    _, (trace,) = solve_fixed(hbar[None], w0[None], scenario, np.array([scenario.p_max]), opts)
+    return replace(trace, start_s=trace.start_s + t_fixed - t0)
 
 
 def run_baseline(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
@@ -174,10 +168,13 @@ def _name_solve(exc: BaseException, scheme: str, cell: tuple) -> None:
 
 def _baseline_point(scheme: str, scenario: ScenarioParams, channels: ChannelSet,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The fixed effective channels and starting beamformers of a baseline,
-    formed as ``run_scheme``'s frozen-phase ``solve`` forms them."""
+    """The fixed effective channels and matched-filter starting beamformers
+    of a baseline: no_irs on the direct links alone, random_phase at
+    uniform random phases drawn from ``rng``."""
     if scheme == "no_irs":
         channels = strip_irs(channels)
+    elif scheme != "random_phase":
+        raise ValueError(f"unknown scheme {scheme!r}")
     hbar = effective_channels(channels, PhaseConfig.random(channels.n_irs,
                                                            channels.n_elements, rng))
     return hbar, matched_filter(hbar, scenario.p_max).w

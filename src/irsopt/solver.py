@@ -19,18 +19,18 @@ extrapolated block update, Xu and Yin, SIAM J. Imaging Sci. 2013).
 ``beta`` grows on acceptance and shrinks on rejection (Ang and Gillis,
 Neural Computation 2019).
 
-The proposed scheme starts from ``energy_phases``: phases that raise the
-total effective-channel energy sum_k ||hbar_k||^2 by a few
-minorize-maximize steps, with matched-filter beamformers at full power.
-The start draws no random numbers. Frozen phases (``optimize_phases=False``,
-the random_phase baseline) start instead from uniform random phases drawn
-from the ``rng`` given to ``solve``; that draw defines the baseline.
+The solve starts from ``energy_phases``: phases that raise the total
+effective-channel energy sum_k ||hbar_k||^2 by a few minorize-maximize
+steps, with matched-filter beamformers at full power. The start draws no
+random numbers.
 
-With the phases frozen, or with no phase elements, the effective channel
-is fixed and the loop is plain WMMSE beamforming (Shi et al., IEEE TSP
-2011): ``solve_fixed`` runs it on a stack of such channels in lockstep,
-each layer one call on the whole stack, and ``solve`` runs such a solve
-as a stack of one.
+With fixed phases the effective channel hbar = d + Bx is fixed, and the
+loop is plain WMMSE beamforming (Shi et al., IEEE TSP 2011):
+``solve_fixed`` runs it on a stack of such channels in lockstep, each
+layer one call on the whole stack. The baselines (random phases, no
+surface) are such channels, formed by their caller. ``solve`` optimizes
+the phases whenever there are phase elements; with none it runs
+``solve_fixed`` on a stack of one.
 """
 
 from __future__ import annotations
@@ -85,9 +85,8 @@ class SolverOptions:
     ``MAX_INNER``, ``beamformer.POWER_TOL_REL`` and ``LAMBDA_TOL_REL``),
     not fields: one value of each is in use."""
 
-    outer_tol: float = 1e-4        # stop when fractional WSR increase is below this
+    outer_tol: float = 1e-4   # stop when fractional WSR increase is below this
     max_outer: int = 100
-    optimize_phases: bool = True   # False freezes the initial phases
 
     def __post_init__(self):
         # written so that NaN fails the test
@@ -116,7 +115,7 @@ class SolveTrace:
     inner_converged: np.ndarray     # bool: the phase descent met its gradient tolerance
     line_search_failed: np.ndarray  # bool: the phase descent's line search stalled
     extrap_accepted: np.ndarray     # bool: the iteration continued from the extrapolated point
-    phase_grad0: np.ndarray   # the descent's starting gradient norm; NaN with frozen phases
+    phase_grad0: np.ndarray   # the descent's starting gradient norm; NaN in solve_fixed
     wsr_delta: np.ndarray     # wsr minus the one before (initial_wsr first): the monotonicity margin
     wall_time_s: np.ndarray
     # Seconds per iteration in each layer. channel_s: effective channels,
@@ -124,7 +123,7 @@ class SolveTrace:
     # extrapolation trial's extrapolate call and the surrogate objective
     # (wmse_objective) at the iteration's end; decoder_s: the decoder and
     # MSE-weight update; beamformer_s: solve_beamforming; assembly_s and
-    # descent_s: assemble_quadratic and rmcg_solve (0 with frozen phases).
+    # descent_s: assemble_quadratic and rmcg_solve (0 in solve_fixed).
     # wall_time_s and the layers leave out the start: start_s.
     channel_s: np.ndarray
     decoder_s: np.ndarray
@@ -133,8 +132,10 @@ class SolveTrace:
     descent_s: np.ndarray
     initial_wsr: float
     converged: bool
-    # the start: the starting point (with the energy start or the random
-    # phases, the effective channels and the matched filter) and its WSR
+    # the start: the starting point (the energy start, the effective
+    # channels and the matched filter) and its WSR; in a solve_fixed batch,
+    # whose channels and starting beamformers come from its caller, the
+    # draw's share of the starting WSR
     start_s: float
     n_outer: int = field(init=False)
 
@@ -197,19 +198,23 @@ def matched_filter(hbar: np.ndarray, p_max: float) -> BeamformerSet:
 
 def _start(scenario: ScenarioParams, channels: ChannelSet, phases: PhaseConfig | None,
            ) -> tuple[BeamformerSet, PhaseConfig, np.ndarray]:
-    """``initialize``'s point and the effective channels at it, formed once."""
-    if phases is None:
+    """``initialize``'s point and the effective channels at it, formed once.
+    With no phase elements there is no energy to raise: the phases are the
+    empty ``PhaseConfig``, and no energy step runs."""
+    if phases is None and channels.n_irs * channels.n_elements:
         phases, _, hbar = energy_phases(channels)
     else:
+        if phases is None:
+            phases = PhaseConfig.all_ones(channels.n_irs, channels.n_elements)
         hbar = effective_channels(channels, phases)
     return matched_filter(hbar, scenario.p_max), phases, hbar
 
 
 def initialize(scenario: ScenarioParams, channels: ChannelSet,
                phases: PhaseConfig | None = None) -> tuple[BeamformerSet, PhaseConfig]:
-    """Feasible starting point: ``phases`` (by default the proposed
-    scheme's ``energy_phases(channels)``), then ``matched_filter``
-    beamformers on the resulting combined channel at full power."""
+    """Feasible starting point: ``phases`` (by default
+    ``energy_phases(channels)``), then ``matched_filter`` beamformers on
+    the resulting combined channel at full power."""
     return _start(scenario, channels, phases)[:2]
 
 
@@ -244,24 +249,21 @@ def _check_warm_start(scenario: ScenarioParams, beams) -> None:
 
 
 def solve(scenario: ScenarioParams, channels: ChannelSet,
-          opts: SolverOptions | None = None,
-          rng: np.random.Generator | None = None,
+          opts: SolverOptions | None = None, *,
           warm_start: tuple[BeamformerSet, PhaseConfig] | None = None,
           ) -> tuple[BeamformerSet, PhaseConfig, SolveTrace]:
     """Run the alternating optimization on one channel realization.
 
     ``warm_start`` bypasses the start. Otherwise the solve starts from
-    ``initialize``: with ``opts.optimize_phases`` (the proposed scheme)
-    from the energy start, which draws nothing, and with frozen phases
-    from ``PhaseConfig.random`` drawn from ``rng`` (defaulting to a
-    generator seeded with scenario.rng_seed), so ``rng`` drives the start
-    only when the phases are frozen. Warm-start beamformers must be
-    (n_users, n_tx) and within the power budget (up to
-    ``beamformer.POWER_SLACK_REL``), else ``ValueError``; the phases must
-    match the channels' surfaces (``effective_channels``).
+    ``initialize``, the energy start, which draws nothing. Warm-start
+    beamformers must be (n_users, n_tx) and within the power budget (up
+    to ``beamformer.POWER_SLACK_REL``), else ``ValueError``; the phases
+    must match the channels' surfaces (``effective_channels``).
 
-    With frozen phases, or with no phase elements, the effective channels
-    are formed once and the solve is ``solve_fixed`` on a stack of one.
+    The phases are optimized exactly when there are phase elements. With
+    none, the effective channels are formed once and the solve is
+    ``solve_fixed`` on a stack of one. A baseline with fixed phases is
+    ``solve_fixed`` on the channels those phases give.
 
     One local evaluation scores each point the loop visits: the start,
     each extrapolation trial and each end of an outer iteration. It forms,
@@ -281,15 +283,10 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         beams, phases = warm_start
         _check_warm_start(scenario, beams)
         hbar = effective_channels(channels, phases)
-    elif opts.optimize_phases:
-        beams, phases, hbar = _start(scenario, channels, None)
     else:
-        if rng is None:
-            rng = np.random.default_rng(scenario.rng_seed)
-        beams, phases, hbar = _start(scenario, channels, PhaseConfig.random(
-            channels.n_irs, channels.n_elements, rng))
+        beams, phases, hbar = _start(scenario, channels, None)
 
-    if not (opts.optimize_phases and phases.size):
+    if not phases.size:
         t_fixed = time.perf_counter()
         w, (trace,) = solve_fixed(hbar[None], beams.w[None], scenario,
                                   np.array([scenario.p_max]), opts)
@@ -386,10 +383,11 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
 
     hbar and the starting beamformers w0 are (B, n_users, n_tx) stacks,
     p_max holds each draw's budget (B,), and ``scenario`` gives the
-    weights and the noise power that all draws share. Each iteration
-    takes the decoders, the MSE weights, the beamformers and the next
-    point's gain terms of every draw in the stack, each layer one call on
-    the stack; only the dual search (``optimal_dual``) and the final dot
+    weights and the noise power that all draws share; other shapes, or
+    dimensions other than the scenario's, raise ``ValueError``. Each
+    iteration takes the decoders, the MSE weights, the beamformers and the
+    next point's gain terms of every draw in the stack, each layer one call
+    on the stack; only the dual search (``optimal_dual``) and the final dot
     products of the weighted sum rate and the surrogate run per draw, so
     that each draw's values are those of a stack of one, bit for bit. A
     draw that stops, by the rule of ``solve``, leaves the stack.
@@ -404,7 +402,7 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
     alpha, noise = scenario.weights, scenario.noise_power
     budgets = np.asarray(p_max, dtype=float).reshape(-1).tolist()
     n_draws = len(budgets)
-    if hbar.ndim != 3 or np.shape(w0) != hbar.shape or hbar.shape[0] != n_draws:
+    if np.shape(w0) != hbar.shape or hbar.shape != (n_draws, scenario.n_users, scenario.n_tx):
         raise ValueError("solve_fixed takes (B, n_users, n_tx) stacks hbar and w0 "
                          "and B budgets")
     active = list(range(n_draws))   # the draws still in the stack, in stack order

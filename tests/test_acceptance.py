@@ -243,8 +243,7 @@ def test_criterion_07_full_scale_convergence_shape():
     for seed in range(10):
         scenario = full_scenario(user_seed=seed)
         channels = draw_channels(scenario, np.random.default_rng([seed, 0]))
-        _, _, trace = solve(scenario, channels,
-                            rng=np.random.default_rng([seed, 1]))
+        _, _, trace = solve(scenario, channels)
         full = np.concatenate([[trace.initial_wsr], trace.wsr])
         worst_drop = max(worst_drop, float(-np.min(np.diff(full))))
         assert trace.converged, f"seed {seed} did not converge in 100 iterations"

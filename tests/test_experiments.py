@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from irsopt import experiments
-from irsopt import (ChannelSet, ExperimentSpec, SolverOptions, desk_scenario,
-                    draw_channels, run_baseline, run_experiment, solve,
-                    summarize)
+from irsopt import (BeamformerSet, ChannelSet, ExperimentSpec, PhaseConfig, SolverOptions,
+                    desk_scenario, draw_channels, run_baseline, run_experiment, solve,
+                    solve_fixed, summarize)
 from irsopt.errors import NumericalError
 from irsopt.experiments import (CSV_FIELDS, SCHEMES, read_rows, run_scheme,
                                  scenario_at)
@@ -146,15 +146,24 @@ class TestBaselines:
             run_scheme("mrt", scenario, channels, SolverOptions(),
                        np.random.default_rng(0))
 
+    @pytest.mark.parametrize("scheme", ["random_phase", "no_irs"])
+    def test_dimension_mismatch_rejected(self, desk_setup, scheme):
+        scenario, channels = desk_setup
+        with pytest.raises(ValueError):
+            run_baseline(scheme, scenario.replace(n_tx=8), channels)
+
     def test_proposed_dominates_baseline_from_its_solution(self, desk_setup):
         # warm-starting the full solver at the baseline's solution can only
         # improve the objective, giving per-trial dominance
         scenario, channels = desk_setup
-        opts = SolverOptions(optimize_phases=False)
-        beams, phases, base_trace = solve(scenario, channels, opts,
-                                          rng=np.random.default_rng(11))
+        hbar, w0 = experiments._baseline_point("random_phase", scenario, channels,
+                                               np.random.default_rng(11))
+        w, (base_trace,) = solve_fixed(hbar[None], w0[None], scenario,
+                                       np.array([scenario.p_max]))
+        phases = PhaseConfig.random(channels.n_irs, channels.n_elements,
+                                    np.random.default_rng(11))
         _, _, full_trace = solve(scenario, channels,
-                                 warm_start=(beams, phases))
+                                 warm_start=(BeamformerSet(w[0]), phases))
         assert full_trace.wsr[-1] >= base_trace.wsr[-1] - 1e-9
         assert base_trace.wsr[-1] >= 0.0
 
@@ -356,6 +365,22 @@ class TestRunExperiment:
         both = {r.trial: r.wsr_nats for r in run_experiment(spec_b)
                 if r.scheme == "no_irs"}
         assert only == both
+
+    def test_proposed_rows_are_their_solves(self, desk_setup):
+        # each proposed row is solve with the spec's options on the cell's
+        # draw, whose phase descents ran
+        opts = SolverOptions(outer_tol=1e-6, max_outer=7)
+        spec = tiny_spec(desk_setup[0], sweep_values=(0.5, 1.0), n_trials=2,
+                         schemes=SCHEMES, options=opts)
+        proposed = [row for row in run_experiment(spec) if row.scheme == "proposed"]
+        assert len(proposed) == 4
+        for row in proposed:
+            scenario = scenario_at(desk_setup[0], "p_max", row.sweep_value)
+            channel_rng, _ = experiments._cell_rngs(
+                0, spec.sweep_values.index(row.sweep_value), row.trial)
+            _, _, trace = solve(scenario, draw_channels(scenario, channel_rng), opts)
+            assert (row.wsr_nats, row.outer_iters) == (trace.wsr[-1], trace.n_outer)
+            assert trace.inner_iters.sum() > 0
 
 
 FORK_EXIT_SCRIPT = """

@@ -13,9 +13,10 @@ from irsopt import (BeamformerSet, ChannelSet, ExperimentSpec, PhaseConfig, Solv
                     initialize, ring_scenario, rmcg_solve, run_experiment, solve,
                     solve_beamforming, strip_irs, update_decoders, update_weights,
                     weighted_sum_rate, wmse_objective)
+from irsopt import experiments
 from irsopt import solver as solver_mod
 from irsopt.beamformer import POWER_TOL_REL
-from irsopt.experiments import _cell_rngs, run_scheme
+from irsopt.experiments import _baseline_point, _cell_rngs, run_scheme
 from irsopt.scenario import LOS_MODES
 from irsopt.solver import MONOTONE_TOL_REL, matched_filter, solve_fixed
 from irsopt.wmmse import cross_gains
@@ -74,9 +75,9 @@ def reference_wmmse_no_irs(hbar, alpha, noise, p_max, w0, n_iters=60):
 
 
 def random_start(scenario, channels, seed):
-    """The frozen-phase start: uniform random phases drawn from a generator
-    seeded with ``seed``, then matched-filter beamformers. Before the energy
-    start it was also the proposed scheme's."""
+    """The random_phase baseline's start: uniform random phases drawn from
+    a generator seeded with ``seed``, then matched-filter beamformers.
+    Before the energy start it was also the proposed scheme's."""
     phases = PhaseConfig.random(channels.n_irs, channels.n_elements,
                                 np.random.default_rng(seed))
     return initialize(scenario, channels, phases)
@@ -186,15 +187,15 @@ class TestInitialize:
 class TestSolve:
     def test_monotone_wsr_trace(self, desk_setup):
         scenario, channels = desk_setup
-        _, _, trace = solve(scenario, channels, rng=np.random.default_rng(3))
+        _, _, trace = solve(scenario, channels)
         full = np.concatenate([[trace.initial_wsr], trace.wsr])
         assert np.all(np.diff(full) >= -1e-9)
         assert trace.wsr[-1] >= trace.initial_wsr
 
     def test_deterministic_trace(self, desk_setup):
         scenario, channels = desk_setup
-        _, _, t1 = solve(scenario, channels, rng=np.random.default_rng(3))
-        _, _, t2 = solve(scenario, channels, rng=np.random.default_rng(3))
+        _, _, t1 = solve(scenario, channels)
+        _, _, t2 = solve(scenario, channels)
         assert np.array_equal(t1.wsr, t2.wsr)
         assert np.array_equal(t1.lam, t2.lam)
         assert np.array_equal(t1.probes, t2.probes)
@@ -207,19 +208,10 @@ class TestSolve:
             assert flags.dtype == bool and flags.shape == (t1.n_outer,)
 
     def test_rng_drives_only_the_frozen_phase_start(self, desk_setup):
-        # the proposed scheme starts from the energy start, which draws
-        # nothing; frozen phases start from the rng's random phases
+        # the random_phase baseline starts from the rng's random phases
         scenario, channels = desk_setup
-        traces = [solve(scenario, channels, rng=np.random.default_rng(seed))[2]
-                  for seed in (3, 4)]
-        for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
-                     "line_search_failed", "extrap_accepted", "phase_grad0", "wsr_delta"):
-            assert np.array_equal(getattr(traces[0], name), getattr(traces[1], name),
-                                  equal_nan=name == "phase_grad0"), name
-        assert traces[0].initial_wsr == traces[1].initial_wsr
-        frozen = SolverOptions(optimize_phases=False)
-        starts = {solve(scenario, channels, frozen, rng=np.random.default_rng(seed))[2]
-                  .initial_wsr for seed in (3, 4)}
+        starts = {run_scheme("random_phase", scenario, channels, SolverOptions(),
+                             np.random.default_rng(seed)).initial_wsr for seed in (3, 4)}
         assert len(starts) == 2
 
     def test_random_phase_row_is_a_frozen_solve_from_random_phases(self):
@@ -228,14 +220,14 @@ class TestSolve:
         scenario = desk_scenario(user_seed=5)
         spec = ExperimentSpec(scenario, "p_max", (0.5, 1.0), 2,
                               schemes=("random_phase",), base_seed=7)
-        frozen = SolverOptions(optimize_phases=False)
         for row in run_experiment(spec):
             sweep_idx = spec.sweep_values.index(row.sweep_value)
             channel_rng, init_seed = _cell_rngs(spec.base_seed, sweep_idx, row.trial)
             cell = scenario.replace(p_max=row.sweep_value)
             channels = draw_channels(cell, channel_rng)
-            _, _, trace = solve(cell, channels, frozen,
-                                warm_start=random_start(cell, channels, init_seed))
+            beams, phases = random_start(cell, channels, init_seed)
+            _, (trace,) = solve_fixed(effective_channels(channels, phases)[None],
+                                      beams.w[None], cell, np.array([cell.p_max]))
             assert row.wsr_nats == trace.wsr[-1]
             assert row.outer_iters == trace.n_outer
 
@@ -252,7 +244,7 @@ class TestSolve:
 
         monkeypatch.setattr("irsopt.solver.rmcg_solve", recording)
         monkeypatch.setattr(solver_mod, "MAX_INNER", 3)
-        _, _, trace = solve(scenario, channels, rng=np.random.default_rng(3))
+        _, _, trace = solve(scenario, channels)
         assert len(descents) == trace.n_outer
         assert trace.inner_converged.tolist() == [d.converged for d in descents]
         assert trace.line_search_failed.tolist() == [
@@ -264,10 +256,14 @@ class TestSolve:
         # the trace is built from one row per iteration, its dtypes
         # inferred by numpy from the row values
         scenario, channels = desk_setup
-        opts = SolverOptions(max_outer=8, optimize_phases=scheme == "optimized")
-        if scheme == "no_irs":
-            channels = strip_irs(channels)
-        _, _, trace = solve(scenario, channels, opts, rng=np.random.default_rng(3))
+        opts = SolverOptions(max_outer=8)
+        if scheme == "frozen":
+            trace = run_scheme("random_phase", scenario, channels, opts,
+                               np.random.default_rng(3))
+        else:
+            if scheme == "no_irs":
+                channels = strip_irs(channels)
+            _, _, trace = solve(scenario, channels, opts)
         kinds = {"probes": "i", "inner_iters": "i", "inner_converged": "b",
                  "line_search_failed": "b", "extrap_accepted": "b"}
         arrays = [f.name for f in dataclasses.fields(SolveTrace)
@@ -280,34 +276,36 @@ class TestSolve:
 
     def test_frozen_phases_count_as_converged(self, desk_setup):
         scenario, channels = desk_setup
-        _, _, trace = solve(scenario, channels,
-                            SolverOptions(optimize_phases=False),
-                            rng=np.random.default_rng(3))
+        trace = run_scheme("random_phase", scenario, channels, SolverOptions(),
+                           np.random.default_rng(3))
         assert trace.inner_converged.all()
         assert not trace.line_search_failed.any()
         assert not trace.inner_iters.any()
 
-    @pytest.mark.parametrize("frozen", ["optimize_phases", "strip_irs"])
+    @pytest.mark.parametrize("frozen", ["random_phase", "strip_irs"])
     def test_frozen_phases_run_no_extrapolation(self, desk_setup, monkeypatch, frozen):
         # with nothing to descend, no trial runs: the solve is the plain
         # loop's, bit for bit
         scenario, channels = desk_setup
-        opts = SolverOptions(outer_tol=1e-12, max_outer=12,
-                             optimize_phases=frozen != "optimize_phases")
-        if frozen == "strip_irs":
-            channels = strip_irs(channels)
+        opts = SolverOptions(outer_tol=1e-12, max_outer=12)
 
         def run():
-            return solve(scenario, channels, opts, rng=np.random.default_rng(3))
+            if frozen == "strip_irs":
+                beams, _, trace = solve(scenario, strip_irs(channels), opts)
+                return beams.w, trace
+            hbar, w0 = _baseline_point("random_phase", scenario, channels,
+                                       np.random.default_rng(3))
+            w, (trace,) = solve_fixed(hbar[None], w0[None], scenario,
+                                      np.array([scenario.p_max]), opts)
+            return w[0], trace
 
-        beams, phases, trace = run()
+        w, trace = run()
         assert trace.n_outer > solver_mod.EXTRAP_START
         monkeypatch.setattr(solver_mod, "EXTRAP_START", opts.max_outer)
-        plain_beams, plain_phases, plain = run()
+        plain_w, plain = run()
         assert not trace.extrap_accepted.any()
         assert np.isnan(trace.phase_grad0).all()
-        assert np.array_equal(beams.w, plain_beams.w)
-        assert np.array_equal(phases.v_hat, plain_phases.v_hat)
+        assert np.array_equal(w, plain_w)
         for name in ("wsr", "wmse_obj", "lam", "probes", "inner_iters", "inner_converged",
                      "line_search_failed", "extrap_accepted"):
             assert np.array_equal(getattr(trace, name), getattr(plain, name)), name
@@ -316,7 +314,7 @@ class TestSolve:
 
     def test_feasible_solution(self, desk_setup):
         scenario, channels = desk_setup
-        beams, phases, _ = solve(scenario, channels, rng=np.random.default_rng(3))
+        beams, phases, _ = solve(scenario, channels)
         assert beams.total_power <= scenario.p_max * (1 + 1e-6)
         assert np.max(np.abs(np.abs(phases.v_hat) - 1.0)) <= 1e-12
 
@@ -324,26 +322,25 @@ class TestSolve:
         # at the full-size preset the 1 W budget binds and is matched tightly
         scenario = full_scenario(user_seed=0)
         channels = draw_channels(scenario, np.random.default_rng(1))
-        beams, _, trace = solve(scenario, channels, rng=np.random.default_rng(2))
+        beams, _, trace = solve(scenario, channels)
         assert trace.lam[-1] > 0
         assert beams.total_power == pytest.approx(1.0, abs=1e-6)
 
     def test_infinite_tolerance_runs_one_iteration(self, desk_setup):
         scenario, channels = desk_setup
         opts = SolverOptions(outer_tol=np.inf, max_outer=50)
-        _, _, trace = solve(scenario, channels, opts, rng=np.random.default_rng(3))
+        _, _, trace = solve(scenario, channels, opts)
         assert trace.n_outer == 1
         assert trace.converged
 
     def test_surrogate_lower_bounds_wsr(self, desk_setup):
         scenario, channels = desk_setup
-        _, _, trace = solve(scenario, channels, rng=np.random.default_rng(4))
+        _, _, trace = solve(scenario, channels)
         assert np.all(trace.wmse_obj <= trace.wsr + 1e-9)
 
     def test_warm_start_resumes_without_regression(self, desk_setup):
         scenario, channels = desk_setup
-        beams, phases, trace = solve(scenario, channels,
-                                     rng=np.random.default_rng(3))
+        beams, phases, trace = solve(scenario, channels)
         _, _, resumed = solve(scenario, channels, warm_start=(beams, phases))
         assert resumed.wsr[-1] >= trace.wsr[-1] - 1e-9
 
@@ -351,7 +348,7 @@ class TestSolve:
         # 3x the solved beamformers carry 9x the budget: resumed from them,
         # outer iteration 0 would log a large WSR "drop"
         scenario, channels = desk_setup
-        beams, phases, _ = solve(scenario, channels, rng=np.random.default_rng(3))
+        beams, phases, _ = solve(scenario, channels)
         with pytest.raises(ValueError, match="warm_start"):
             solve(scenario, channels, warm_start=(BeamformerSet(3.0 * beams.w), phases))
         # within the bracket check's slack on p_max is accepted
@@ -382,7 +379,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver_mod, "cross_gains", counting)
         opts = SolverOptions(outer_tol=1e-12, max_outer=12)
-        _, _, trace = solve(scenario, channels, opts, rng=np.random.default_rng(3))
+        _, _, trace = solve(scenario, channels, opts)
         trials = max(trace.n_outer - solver_mod.EXTRAP_START, 0)
         assert trials > 0
         assert len(calls) == 1 + trace.n_outer + trials
@@ -400,6 +397,7 @@ class TestSolve:
             return effective_channels(channel_set, phases)
 
         monkeypatch.setattr(solver_mod, "effective_channels", counting)
+        monkeypatch.setattr(experiments, "effective_channels", counting)
         counts, outers = [], []
         for max_outer in (2, 9):
             calls.clear()
@@ -426,6 +424,31 @@ class TestSolve:
         trials = max(trace.n_outer - solver_mod.EXTRAP_START, 0)
         assert trials > 0
         assert len(calls) == trace.n_outer + trials
+
+    def test_no_energy_start_without_phase_elements(self, desk_setup, monkeypatch):
+        # a surface-free channel has no energy to raise: its start runs no
+        # minorize-maximize step, and the solve is solve_fixed on d + 0
+        scenario, channels = desk_setup
+        bare = strip_irs(channels)
+        calls = []
+
+        def counting(channel_set):
+            calls.append(channel_set.n_irs * channel_set.n_elements)
+            return energy_phases(channel_set)
+
+        monkeypatch.setattr(solver_mod, "energy_phases", counting)
+        beams, phases, trace = solve(scenario, bare)
+        assert calls == [] and phases.size == 0
+        hbar = effective_channels(bare, phases)
+        w, (alone,) = solve_fixed(hbar[None], matched_filter(hbar, scenario.p_max).w[None],
+                                  scenario, np.array([scenario.p_max]))
+        assert np.array_equal(beams.w, w[0]) and np.array_equal(trace.wsr, alone.wsr)
+        solve(scenario, channels, SolverOptions(max_outer=1))
+        assert calls == [channels.n_irs * channels.n_elements]
+
+    def test_warm_start_is_keyword_only(self, desk_setup):
+        with pytest.raises(TypeError):
+            solve(*desk_setup, SolverOptions(), np.random.default_rng(3))
 
     def test_dimension_mismatch_rejected(self, desk_setup):
         scenario, channels = desk_setup
@@ -544,20 +567,25 @@ class TestSolveFixed:
                         (hbar, w0, p_max[:2])):
             with pytest.raises(ValueError, match="stacks"):
                 solve_fixed(h, w, scenario, p)
+        # stacks that agree with each other but not with the scenario
+        for other in (scenario.replace(n_tx=8), ring_scenario(4, 2, 16, 3, user_seed=3)):
+            with pytest.raises(ValueError, match="stacks"):
+                solve_fixed(hbar, w0, other, p_max)
 
     @pytest.mark.parametrize("scheme", ["random_phase", "no_irs"])
     def test_frozen_solve_is_a_stack_of_one(self, desk_setup, scheme):
-        # solve with the phases frozen starts from its random phases, then
-        # runs solve_fixed; the start's time is in start_s, not in the rows
+        # a baseline starts from its random phases, then runs solve_fixed;
+        # the start's time is in start_s, not in the rows
         scenario, channels = desk_setup
+        trace = run_scheme(scheme, scenario, channels, SolverOptions(),
+                           np.random.default_rng(5))
         if scheme == "no_irs":
             channels = strip_irs(channels)
-        beams, phases, trace = solve(scenario, channels, SolverOptions(optimize_phases=False),
-                                     rng=np.random.default_rng(5))
+        phases = PhaseConfig.random(channels.n_irs, channels.n_elements,
+                                    np.random.default_rng(5))
         hbar = effective_channels(channels, phases)
-        w, (alone,) = solve_fixed(hbar[None], matched_filter(hbar, scenario.p_max).w[None],
+        _, (alone,) = solve_fixed(hbar[None], matched_filter(hbar, scenario.p_max).w[None],
                                   scenario, np.array([scenario.p_max]))
-        assert np.array_equal(beams.w, w[0])
         assert np.array_equal(trace.wsr, alone.wsr) and trace.n_outer == alone.n_outer
         assert trace.start_s >= alone.start_s > 0.0
 
@@ -644,7 +672,7 @@ class TestConvergenceFlag:
 
         monkeypatch.setattr("irsopt.solver.rmcg_solve", worse_phases)
         with caplog.at_level("WARNING", logger="irsopt.solver"):
-            _, _, trace = solve(scenario, channels, rng=np.random.default_rng(3))
+            _, _, trace = solve(scenario, channels)
         prev = np.concatenate([[trace.initial_wsr], trace.wsr[:-1]])
         assert trace.wsr[-1] < prev[-1] * (1 - 1e-12)
         assert not trace.converged
@@ -659,7 +687,7 @@ class TestConvergenceFlag:
         monkeypatch.setattr("irsopt.solver.weighted_sum_rate",
                             lambda alpha, rates: next(values))
         with caplog.at_level("WARNING", logger="irsopt.solver"):
-            _, _, trace = solve(scenario, channels, rng=np.random.default_rng(3))
+            _, _, trace = solve(scenario, channels)
         assert trace.n_outer == 1
         assert trace.converged is converged
         assert any("dropped" in rec.message for rec in caplog.records) is not converged
@@ -712,7 +740,7 @@ class TestConvergenceFlag:
 
 @st.composite
 def ring_problems(draw):
-    """A ring scenario, its channel draw and a start seed, over the
+    """A ring scenario, its channel draw and the draw's seed, over the
     scenario space: budgets of 1e-4 to 1e3 W, noise of 1e-14 to 1e-8 W,
     more users than antennas, zero-weight users, one to four surfaces,
     both LoS models, and users within 1 m of a surface (a surface at
@@ -745,7 +773,7 @@ class TestScenarioSpace:
         # relative tolerance stops its phase descents, wherever the
         # extrapolation trials start (30 = never, at max_outer), with the
         # surfaces removed and with surfaces that reflect nothing
-        scenario, channels, seed = problem
+        scenario, channels, _ = problem
         bare = links == "bare"
         if bare:
             channels = strip_irs(channels)
@@ -758,8 +786,7 @@ class TestScenarioSpace:
                 monkeypatch.context() as patch:
             patch.setattr(solver_mod, "PHASE_REL_TOL", rel_tol)
             patch.setattr(solver_mod, "EXTRAP_START", extrap_start)
-            beams, phases, trace = solve(scenario, channels, opts,
-                                         rng=np.random.default_rng(seed))
+            beams, phases, trace = solve(scenario, channels, opts)
         assert not caplog.records
         assert np.all(np.isfinite(beams.w)) and np.all(np.isfinite(phases.v_hat))
         assert beams.total_power <= scenario.p_max * (1.0 + POWER_TOL_REL)
