@@ -236,7 +236,9 @@ def extrapolate(beams: BeamformerSet, phases: PhaseConfig, last_beams: Beamforme
     return w, v / np.abs(v)
 
 
-def _check_warm_start(scenario: ScenarioParams, beams) -> None:
+def _check_warm_start(scenario: ScenarioParams, beams) -> np.ndarray:
+    """The warm start's beamformer matrix, once its shape and power are
+    checked against the scenario."""
     w = _w_matrix(beams)
     shape = (scenario.n_users, scenario.n_tx)
     if w.shape != shape:
@@ -246,6 +248,7 @@ def _check_warm_start(scenario: ScenarioParams, beams) -> None:
     if not power <= scenario.p_max * (1.0 + POWER_SLACK_REL):
         raise ValueError(f"warm_start beamformers carry power {power!r} "
                          f"above p_max {scenario.p_max!r}")
+    return w
 
 
 def solve(scenario: ScenarioParams, channels: ChannelSet,
@@ -281,7 +284,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         raise ValueError("channel set does not match the scenario dimensions")
     if warm_start is not None:
         beams, phases = warm_start
-        _check_warm_start(scenario, beams)
+        beams = BeamformerSet(_check_warm_start(scenario, beams))
         hbar = effective_channels(channels, phases)
     else:
         beams, phases, hbar = _start(scenario, channels, None)
@@ -384,13 +387,15 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
     hbar and the starting beamformers w0 are (B, n_users, n_tx) stacks,
     p_max holds each draw's budget (B,), and ``scenario`` gives the
     weights and the noise power that all draws share; other shapes, or
-    dimensions other than the scenario's, raise ``ValueError``. Each
-    iteration takes the decoders, the MSE weights, the beamformers and the
-    next point's gain terms of every draw in the stack, each layer one call
-    on the stack; only the dual search (``optimal_dual``) and the final dot
-    products of the weighted sum rate and the surrogate run per draw, so
-    that each draw's values are those of a stack of one, bit for bit. A
-    draw that stops, by the rule of ``solve``, leaves the stack.
+    dimensions other than the scenario's, raise ``ValueError``, as do an
+    empty stack, a budget that is not finite and positive, and a w0 draw
+    whose power exceeds its budget (up to ``beamformer.POWER_SLACK_REL``).
+    Each iteration takes the decoders, the MSE weights, the beamformers and
+    the next point's gain terms of every draw in the stack, each layer one
+    call on the stack; only the dual search (``optimal_dual``) and the
+    final dot products of the weighted sum rate and the surrogate run per
+    draw, so that each draw's values are those of a stack of one, bit for
+    bit. A draw that stops, by the rule of ``solve``, leaves the stack.
 
     Returns the final beamformers (B, n_users, n_tx) and one
     ``SolveTrace`` per draw, whose phase-step columns read as a converged
@@ -405,6 +410,17 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
     if np.shape(w0) != hbar.shape or hbar.shape != (n_draws, scenario.n_users, scenario.n_tx):
         raise ValueError("solve_fixed takes (B, n_users, n_tx) stacks hbar and w0 "
                          "and B budgets")
+    if not n_draws:
+        raise ValueError("solve_fixed takes at least one draw")
+    power = (np.abs(w0) ** 2).sum(axis=(1, 2)).tolist()
+    for b, budget in enumerate(budgets):
+        # written so that NaN fails the tests
+        if not 0.0 < budget < np.inf:
+            raise ValueError(f"solve_fixed budget {b} must be positive and finite, "
+                             f"got {budget!r}")
+        if not power[b] <= budget * (1.0 + POWER_SLACK_REL):
+            raise ValueError(f"solve_fixed w0 draw {b} carries power {power[b]!r} "
+                             f"above its budget {budget!r}")
     active = list(range(n_draws))   # the draws still in the stack, in stack order
     signal, total = gain_terms(cross_gains(hbar, w0), noise)
     prev = weighted_sum_rate(alpha, rates_from_terms(signal, total))

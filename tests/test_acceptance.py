@@ -17,7 +17,7 @@ from irsopt import (ExperimentSpec, PhaseConfig, assemble_context,
                     objective, optimal_state, full_scenario, power_g,
                     quadratic_constant, rmcg_solve, run_experiment, solve,
                     solve_beamforming, weighted_sum_rate, wmse_objective)
-from tests.conftest import complex_normal, random_channels
+from tests.conftest import complex_normal, convex_oracle, random_channels
 
 
 def report(num, ok, elapsed, detail):
@@ -130,7 +130,6 @@ def test_criterion_03_gradient_matches_finite_differences():
 
 
 def test_criterion_04_beamformer_matches_convex_oracle():
-    cp = pytest.importorskip("cvxpy")
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     worst_obj = 0.0
@@ -148,22 +147,8 @@ def test_criterion_04_beamformer_matches_convex_oracle():
         p_max = float(rng.uniform(0.1, 1.5)) * power_g(0.0, ctx)
         beams, lam, _ = solve_beamforming(hbar, u, q, alpha, p_max)
         ours = float(alpha @ (q * compute_mse(hbar, beams.w, u, noise)))
-
-        w_var = cp.Variable((n_users, n_tx), complex=True)
-        terms = []
-        for k in range(n_users):
-            s_k = w_var @ np.conj(hbar[k])
-            e_k = (np.abs(u[k]) ** 2 * (cp.sum_squares(s_k) + noise)
-                   - 2.0 * cp.real(np.conj(u[k]) * s_k[k]) + 1.0)
-            terms.append(alpha[k] * q[k] * e_k)
-        prob = cp.Problem(cp.Minimize(cp.sum(cp.hstack(terms))),
-                          [cp.sum_squares(w_var) <= p_max])
-        # near-slack instances need a tighter oracle than the solver default;
-        # Clarabel may report the reduced-tolerance status, still ~1e-8 here
-        prob.solve(solver=cp.CLARABEL, tol_gap_abs=1e-10, tol_gap_rel=1e-10,
-                   tol_feas=1e-10)
-        assert prob.status in ("optimal", "optimal_inaccurate")
-        worst_obj = max(worst_obj, abs(ours - prob.value) / abs(prob.value))
+        best = convex_oracle(hbar, u, q, alpha, noise, p_max)
+        worst_obj = max(worst_obj, abs(ours - best) / abs(best))
         if lam > 0:
             n_tight += 1
             worst_power = max(worst_power,

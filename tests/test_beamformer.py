@@ -10,7 +10,7 @@ from irsopt import (BeamformerSet, NumericalError, assemble_context,
                     optimal_state, power_g, solve_beamforming)
 from irsopt import beamformer as beamformer_mod
 from irsopt.beamformer import LAMBDA_TOL_REL, POWER_TOL_REL
-from tests.conftest import complex_normal, random_wmmse_instance
+from tests.conftest import complex_normal, convex_oracle, random_wmmse_instance
 
 
 def surrogate_cost(hbar, w, u, q, alpha, noise):
@@ -302,27 +302,24 @@ class TestSolveBeamforming:
                                  state.mse_weights, alpha, noise)
             assert new <= old + 1e-10
 
-    def test_matches_convex_solver(self, rng):
-        cp = pytest.importorskip("cvxpy")
-        for trial in range(5):
-            hbar, u, q, alpha, noise = random_subproblem(rng, 3, 4)
+    @pytest.mark.parametrize("binding", [False, True], ids=["slack", "binding"])
+    @pytest.mark.parametrize("zero_user", [False, True], ids=["weighted", "zero_user"])
+    @pytest.mark.parametrize("n_users, n_tx", [(3, 4), (3, 5), (5, 3)])
+    def test_matches_convex_solver(self, rng, n_users, n_tx, zero_user, binding):
+        # with n_tx > n_users the Gram matrix has a structural null space;
+        # a zero-weight user adds another
+        for _ in range(5):
+            hbar, u, q, alpha, noise = random_subproblem(rng, n_users, n_tx)
+            if zero_user:
+                alpha[-1] = 0.0
             ctx = assemble_context(hbar, u, q, alpha)
-            p_max = float(rng.uniform(0.2, 0.8)) * power_g(0.0, ctx)
-            beams, _, _ = solve_beamforming(hbar, u, q, alpha, p_max)
+            ratio = rng.uniform(0.2, 0.8) if binding else rng.uniform(1.2, 5.0)
+            p_max = float(ratio) * power_g(0.0, ctx)
+            beams, lam, _ = solve_beamforming(hbar, u, q, alpha, p_max)
+            assert (lam > 0.0) == binding
             ours = surrogate_cost(hbar, beams.w, u, q, alpha, noise)
-
-            w_var = cp.Variable((3, 4), complex=True)
-            terms = []
-            for k in range(3):
-                s_k = w_var @ np.conj(hbar[k])
-                e_k = (np.abs(u[k]) ** 2 * (cp.sum_squares(s_k) + noise)
-                       - 2.0 * cp.real(np.conj(u[k]) * s_k[k]) + 1.0)
-                terms.append(alpha[k] * q[k] * e_k)
-            prob = cp.Problem(cp.Minimize(cp.sum(cp.hstack(terms))),
-                              [cp.sum_squares(w_var) <= p_max])
-            prob.solve()
-            assert prob.status == "optimal"
-            assert ours == pytest.approx(prob.value, rel=1e-6)
+            best = convex_oracle(hbar, u, q, alpha, noise, p_max)
+            assert ours == pytest.approx(best, rel=1e-6)
 
     def test_zero_decoders_give_zero_beamformers(self, rng):
         hbar = complex_normal(rng, (3, 4))

@@ -356,6 +356,17 @@ class TestSolve:
                                                / beams.total_power))
         solve(scenario, channels, SolverOptions(max_outer=1), warm_start=(edge, phases))
 
+    def test_array_warm_start_without_surfaces(self, desk_setup):
+        # an (n_users, n_tx) array starts the solve as its BeamformerSet does
+        scenario, channels = desk_setup
+        bare = strip_irs(channels)
+        w = matched_filter(bare.h_direct, scenario.p_max).w
+        empty = PhaseConfig.all_ones(0, 0)
+        beams, _, trace = solve(scenario, bare, warm_start=(w, empty))
+        wrapped, _, alone = solve(scenario, bare, warm_start=(BeamformerSet(w), empty))
+        assert np.array_equal(beams.w, wrapped.w)
+        assert np.array_equal(trace.wsr, alone.wsr) and trace.n_outer == alone.n_outer
+
     def test_warm_start_of_the_wrong_shape_rejected(self, desk_setup):
         scenario, channels = desk_setup
         beams, phases = initialize(scenario, channels)
@@ -571,6 +582,30 @@ class TestSolveFixed:
         for other in (scenario.replace(n_tx=8), ring_scenario(4, 2, 16, 3, user_seed=3)):
             with pytest.raises(ValueError, match="stacks"):
                 solve_fixed(hbar, w0, other, p_max)
+
+    def test_rejects_an_empty_stack(self):
+        scenario = desk_scenario(user_seed=3)
+        hbar, w0, p_max = fixed_draws(scenario, [1.0], [0])
+        with pytest.raises(ValueError, match="at least one draw"):
+            solve_fixed(hbar[:0], w0[:0], scenario, p_max[:0])
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_a_budget_that_is_not_finite_and_positive(self, budget):
+        scenario = desk_scenario(user_seed=3)
+        hbar, w0, p_max = fixed_draws(scenario, [1.0, 1.0], [0, 1])
+        p_max[1] = budget
+        w0[1] = 0.0   # within any budget: the budget alone fails
+        with pytest.raises(ValueError, match="budget 1 must be positive and finite"):
+            solve_fixed(hbar, w0, scenario, p_max)
+
+    def test_rejects_a_start_above_its_budget(self):
+        # a matched filter at 1 W against 1e-30 W; within the slack passes
+        scenario = desk_scenario(user_seed=3)
+        hbar, w0, p_max = fixed_draws(scenario, [1.0, 1.0], [0, 1])
+        with pytest.raises(ValueError, match="w0 draw 1 carries power"):
+            solve_fixed(hbar, w0, scenario, np.array([1.0, 1e-30]))
+        edge = w0 * np.sqrt(1.0 + 5e-10)
+        solve_fixed(hbar, edge, scenario, p_max, SolverOptions(max_outer=1))
 
     @pytest.mark.parametrize("scheme", ["random_phase", "no_irs"])
     def test_frozen_solve_is_a_stack_of_one(self, desk_setup, scheme):
