@@ -34,7 +34,8 @@ EIG_TRUNCATION_REL = 1e-12
 POWER_TOL_REL = 1e-12
 LAMBDA_TOL_REL = 1e-12
 # Relative slack on p_max for beamformers that are checked, not solved for:
-# the bracket end lambda_max, and the solver's warm-start beamformers.
+# the bracket end lambda_max, and the solver's starting beamformers (a
+# warm start, solve_fixed's w0).
 POWER_SLACK_REL = 1e-9
 
 
@@ -216,12 +217,22 @@ def optimal_dual(ctx: LagrangianContext, p_max: float) -> tuple[float, int]:
 
 def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
                       mse_weights: np.ndarray, weights: np.ndarray,
-                      p_max: float) -> tuple[BeamformerSet, float, int]:
-    """Solve one draw's power-constrained subproblem to global optimality.
+                      p_max) -> tuple[BeamformerSet, float | list, int | list]:
+    """Solve the power-constrained subproblem to global optimality, of one
+    draw or of each draw of a stack, with ``assemble_context``'s shapes.
 
     Returns (beamformers, lam_star, n_probes), lam_star and n_probes from
-    ``optimal_dual``.
+    ``optimal_dual``. On a (B, n_users, n_tx) stack, p_max holds one
+    budget per draw, lam_star and n_probes are lists of one value per
+    draw, and a budget count other than B raises ``ValueError``. The one
+    context factorizes the whole stack; the dual search runs per draw, so
+    each draw's values are those of its own call, bit for bit.
     """
     ctx = assemble_context(hbar, decoders, mse_weights, weights)
-    lam, probes = optimal_dual(ctx, p_max)
-    return _stationary(lam, ctx), lam, probes
+    if hbar.ndim == 2:
+        lam, probes = optimal_dual(ctx, p_max)
+        return _stationary(lam, ctx), lam, probes
+    duals = [optimal_dual(ctx.draw(i), budget)
+             for i, budget in zip(range(hbar.shape[0]), p_max, strict=True)]
+    lam = [lam_b for lam_b, _ in duals]
+    return _stationary(np.array(lam)[:, None], ctx), lam, [probes_b for _, probes_b in duals]

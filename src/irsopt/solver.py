@@ -41,8 +41,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .beamformer import (POWER_SLACK_REL, assemble_context, beamformers_at, optimal_dual,
-                         solve_beamforming)
+from .beamformer import POWER_SLACK_REL, solve_beamforming
 from .channels import ChannelSet, PhaseConfig, effective_channels
 from .phaseopt import assemble_quadratic, rmcg_solve
 from .scenario import ScenarioParams, check_count
@@ -97,9 +96,10 @@ class SolverOptions:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Per-outer-iteration progress of one solve. ``solve`` builds each
-    array from one column of its per-iteration rows, whose values follow
-    the field order below; numpy infers the dtypes from them.
+    """Per-outer-iteration progress of one solve. ``_trace``, which both
+    ``solve`` and ``solve_fixed`` call, builds each array from one column
+    of the solve's per-iteration rows, whose values follow the field order
+    below; numpy infers the dtypes from them.
 
     Times are perf_counter seconds. A draw of a ``solve_fixed`` batch
     takes, for its start and each iteration it ran, its share of the
@@ -141,6 +141,41 @@ class SolveTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "n_outer", int(self.wsr.shape[0]))
+
+
+def _trace(rows: list, initial_wsr: float, converged: bool, start_s: float) -> SolveTrace:
+    """The trace of one solve from its rows, one per outer iteration in
+    ``SolveTrace``'s field order."""
+    return SolveTrace(*(np.array(column) for column in zip(*rows)),
+                      initial_wsr=initial_wsr, converged=converged, start_s=start_s)
+
+
+def _evaluate(scenario: ScenarioParams, hbar: np.ndarray, beams) -> tuple:
+    """The gain terms of beamformers ``beams`` on the effective channels
+    hbar, of one draw or of each draw of a stack, and the weighted sum
+    rate (a float, or a list of one per draw), from one cross-gain
+    matrix."""
+    signal, total = gain_terms(cross_gains(hbar, beams), scenario.noise_power)
+    return signal, total, weighted_sum_rate(scenario.weights, rates_from_terms(signal, total))
+
+
+def _decoders_and_weights(signal: np.ndarray, total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The MMSE decoders, as ``update_decoders`` forms them, and the MSE
+    weights at them, from a point's gain terms."""
+    u = signal / total
+    return u, update_weights(mse_from_terms(u, signal, total))
+
+
+def _check_power(w: np.ndarray, budgets: list, name: str) -> None:
+    """Raise ``ValueError`` if a draw of the (B, n_users, n_tx) stack w
+    carries more power than its budget, beyond ``POWER_SLACK_REL``;
+    ``name`` formatted with the draw's index names the draw."""
+    power = (np.abs(w) ** 2).sum(axis=(1, 2)).tolist()
+    for b, budget in enumerate(budgets):
+        # written so that NaN fails the test
+        if not power[b] <= budget * (1.0 + POWER_SLACK_REL):
+            raise ValueError(f"{name.format(b)} carries power {power[b]!r} "
+                             f"above its budget {budget!r}")
 
 
 def energy_phases(channels: ChannelSet) -> tuple[PhaseConfig, np.ndarray, np.ndarray]:
@@ -236,43 +271,50 @@ def extrapolate(beams: BeamformerSet, phases: PhaseConfig, last_beams: Beamforme
     return w, v / np.abs(v)
 
 
-def _check_warm_start(scenario: ScenarioParams, beams) -> np.ndarray:
-    """The warm start's beamformer matrix, once its shape and power are
-    checked against the scenario."""
+def _check_warm_start(scenario: ScenarioParams, channels: ChannelSet, warm_start: tuple,
+                      ) -> tuple[BeamformerSet, PhaseConfig, np.ndarray]:
+    """The warm start as ``_start`` gives its point: a ``BeamformerSet``,
+    a ``PhaseConfig`` and the effective channels at them, once the
+    beamformers' shape and power are checked against the scenario. Array
+    phases are wrapped for the channels' surfaces, which checks their
+    length and modulus."""
+    beams, phases = warm_start
     w = _w_matrix(beams)
     shape = (scenario.n_users, scenario.n_tx)
     if w.shape != shape:
         raise ValueError(f"warm_start beamformers must have shape {shape}, got {w.shape}")
-    power = float(np.sum(np.abs(w) ** 2))
-    # written so that NaN fails the test
-    if not power <= scenario.p_max * (1.0 + POWER_SLACK_REL):
-        raise ValueError(f"warm_start beamformers carry power {power!r} "
-                         f"above p_max {scenario.p_max!r}")
-    return w
+    _check_power(w[None], [scenario.p_max], "the warm_start beamformer set")
+    if not isinstance(phases, PhaseConfig):
+        phases = PhaseConfig(phases, channels.n_irs, channels.n_elements)
+    return BeamformerSet(w), phases, effective_channels(channels, phases)
 
 
 def solve(scenario: ScenarioParams, channels: ChannelSet,
           opts: SolverOptions | None = None, *,
-          warm_start: tuple[BeamformerSet, PhaseConfig] | None = None,
+          warm_start: tuple[BeamformerSet | np.ndarray, PhaseConfig | np.ndarray] | None = None,
           ) -> tuple[BeamformerSet, PhaseConfig, SolveTrace]:
     """Run the alternating optimization on one channel realization.
 
     ``warm_start`` bypasses the start. Otherwise the solve starts from
     ``initialize``, the energy start, which draws nothing. Warm-start
-    beamformers must be (n_users, n_tx) and within the power budget (up
-    to ``beamformer.POWER_SLACK_REL``), else ``ValueError``; the phases
-    must match the channels' surfaces (``effective_channels``).
+    beamformers, a ``BeamformerSet`` or an array, must be (n_users, n_tx)
+    and within the power budget (up to ``beamformer.POWER_SLACK_REL``),
+    else ``ValueError``. The phases, a ``PhaseConfig`` or a stacked
+    unit-modulus vector laid out as its ``v_hat``, must match the
+    channels' surfaces (``effective_channels``); an array of the wrong
+    length or off the unit circle raises ``ValueError``.
 
     The phases are optimized exactly when there are phase elements. With
     none, the effective channels are formed once and the solve is
     ``solve_fixed`` on a stack of one. A baseline with fixed phases is
     ``solve_fixed`` on the channels those phases give.
 
-    One local evaluation scores each point the loop visits: the start,
-    each extrapolation trial and each end of an outer iteration. It forms,
-    once, the cross gains hbar_k^H w_j on the point's effective channels.
-    The point's weighted sum rate, the next decoders and their MSE, and
-    the surrogate objective at the iteration's end all come from that one
+    One point evaluation, ``_evaluate``, which ``solve_fixed`` shares,
+    scores each point the loop visits: the start, each extrapolation trial
+    and each end of an outer iteration. It takes the point's effective
+    channels and forms, once, the cross gains hbar_k^H w_j on them. The
+    point's weighted sum rate, the next decoders and their MSE, and the
+    surrogate objective at the iteration's end all come from that one
     matrix. The effective channels are formed only where the phases
     change: at the start (where the energy start hands on its last
     product), at each extrapolation trial and after each phase descent.
@@ -282,30 +324,17 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
     opts = opts or SolverOptions()
     if channels.n_users != scenario.n_users or channels.n_tx != scenario.n_tx:
         raise ValueError("channel set does not match the scenario dimensions")
-    if warm_start is not None:
-        beams, phases = warm_start
-        beams = BeamformerSet(_check_warm_start(scenario, beams))
-        hbar = effective_channels(channels, phases)
-    else:
-        beams, phases, hbar = _start(scenario, channels, None)
+    beams, phases, hbar = (_start(scenario, channels, None) if warm_start is None
+                           else _check_warm_start(scenario, channels, warm_start))
 
     if not phases.size:
         t_fixed = time.perf_counter()
-        w, (trace,) = solve_fixed(hbar[None], beams.w[None], scenario,
-                                  np.array([scenario.p_max]), opts)
+        w, (trace,) = solve_fixed(hbar[None], beams.w[None], scenario, [scenario.p_max], opts)
         trace = replace(trace, start_s=trace.start_s + t_fixed - t_start)
         return BeamformerSet(w[0]), phases, trace
 
     alpha = scenario.weights
-    noise = scenario.noise_power
-
-    def evaluate(w, hbar):
-        """The gain terms of beamformers w on the effective channels hbar
-        and the weighted sum rate, from one cross-gain matrix."""
-        signal, total = gain_terms(cross_gains(hbar, w), noise)
-        return signal, total, weighted_sum_rate(alpha, rates_from_terms(signal, total))
-
-    signal, total, prev_wsr = evaluate(beams, hbar)
+    signal, total, prev_wsr = _evaluate(scenario, hbar, beams)
     initial_wsr = prev_wsr
     start_s = time.perf_counter() - t_start
 
@@ -320,7 +349,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
         if it >= EXTRAP_START:
             trial_w, trial_v = extrapolate(beams, phases, *last, beta, scenario.p_max)
             trial_hbar = effective_channels(channels, trial_v)
-            trial = evaluate(trial_w, trial_hbar)
+            trial = _evaluate(scenario, trial_hbar, trial_w)
             accepted = trial[2] >= prev_wsr
             if accepted:
                 beams = BeamformerSet(trial_w)
@@ -332,17 +361,16 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
                 beta = max(0.5 * beta, EXTRAP_BETA_MIN)
         last = start
         t_decoder = time.perf_counter()
-        u = signal / total   # the MMSE decoders, as update_decoders forms them
-        q = update_weights(mse_from_terms(u, signal, total))
+        u, q = _decoders_and_weights(signal, total)
         t_beam = time.perf_counter()
         beams, lam, probes = solve_beamforming(hbar, u, q, alpha, scenario.p_max)
         t_assembly = time.perf_counter()
-        form = assemble_quadratic(channels, beams, u, q, alpha, noise)
+        form = assemble_quadratic(channels, beams, u, q, alpha, scenario.noise_power)
         t_descent = time.perf_counter()
         phases, ptrace = rmcg_solve(form, phases, rel_tol=PHASE_REL_TOL, max_iters=MAX_INNER)
         t_channel = time.perf_counter()
         hbar = effective_channels(channels, phases)
-        signal, total, wsr = evaluate(beams, hbar)
+        signal, total, wsr = _evaluate(scenario, hbar, beams)
         wmse_now = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
         t_end = time.perf_counter()
         inner, inner_ok, failed = ptrace.n_iters, ptrace.converged, ptrace.line_search_failed
@@ -359,9 +387,7 @@ def solve(scenario: ScenarioParams, channels: ChannelSet,
             converged = stop
             break
 
-    return beams, phases, SolveTrace(*(np.array(column) for column in zip(*rows)),
-                                     initial_wsr=initial_wsr, converged=converged,
-                                     start_s=start_s)
+    return beams, phases, _trace(rows, initial_wsr, converged, start_s)
 
 
 def _stop(it: int, wsr: float, prev_wsr: float, outer_tol: float) -> bool | None:
@@ -391,11 +417,12 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
     empty stack, a budget that is not finite and positive, and a w0 draw
     whose power exceeds its budget (up to ``beamformer.POWER_SLACK_REL``).
     Each iteration takes the decoders, the MSE weights, the beamformers and
-    the next point's gain terms of every draw in the stack, each layer one
-    call on the stack; only the dual search (``optimal_dual``) and the
-    final dot products of the weighted sum rate and the surrogate run per
-    draw, so that each draw's values are those of a stack of one, bit for
-    bit. A draw that stops, by the rule of ``solve``, leaves the stack.
+    the next point's gain terms of every draw in the stack, with the
+    helpers ``solve`` uses, each one call on the stack:
+    ``solve_beamforming`` runs its dual search per draw, and the weighted
+    sum rate and the surrogate end in one dot product per draw, so that
+    each draw's values are those of a stack of one, bit for bit. A draw
+    that stops, by the rule of ``solve``, leaves the stack.
 
     Returns the final beamformers (B, n_users, n_tx) and one
     ``SolveTrace`` per draw, whose phase-step columns read as a converged
@@ -404,7 +431,7 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
     """
     t_start = time.perf_counter()
     opts = opts or SolverOptions()
-    alpha, noise = scenario.weights, scenario.noise_power
+    alpha = scenario.weights
     budgets = np.asarray(p_max, dtype=float).reshape(-1).tolist()
     n_draws = len(budgets)
     if np.shape(w0) != hbar.shape or hbar.shape != (n_draws, scenario.n_users, scenario.n_tx):
@@ -412,18 +439,14 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
                          "and B budgets")
     if not n_draws:
         raise ValueError("solve_fixed takes at least one draw")
-    power = (np.abs(w0) ** 2).sum(axis=(1, 2)).tolist()
     for b, budget in enumerate(budgets):
         # written so that NaN fails the tests
         if not 0.0 < budget < np.inf:
             raise ValueError(f"solve_fixed budget {b} must be positive and finite, "
                              f"got {budget!r}")
-        if not power[b] <= budget * (1.0 + POWER_SLACK_REL):
-            raise ValueError(f"solve_fixed w0 draw {b} carries power {power[b]!r} "
-                             f"above its budget {budget!r}")
+    _check_power(w0, budgets, "solve_fixed w0 draw {}")
     active = list(range(n_draws))   # the draws still in the stack, in stack order
-    signal, total = gain_terms(cross_gains(hbar, w0), noise)
-    prev = weighted_sum_rate(alpha, rates_from_terms(signal, total))
+    signal, total, prev = _evaluate(scenario, hbar, w0)
     initial = list(prev)
     w_final = np.array(w0, dtype=complex)
     rows = [[] for _ in range(n_draws)]
@@ -431,32 +454,28 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
     t0 = time.perf_counter()
     start_s = (t0 - t_start) / n_draws
     for it in range(opts.max_outer):
-        u = signal / total   # the MMSE decoders, as update_decoders forms them
-        q = update_weights(mse_from_terms(u, signal, total))
+        u, q = _decoders_and_weights(signal, total)
         t_beam = time.perf_counter()
-        ctx = assemble_context(hbar, u, q, alpha)
-        duals = [optimal_dual(ctx.draw(i), budgets[b]) for i, b in enumerate(active)]
-        w = beamformers_at([lam for lam, _ in duals], ctx).w
+        beams, lam, probes = solve_beamforming(hbar, u, q, alpha, [budgets[b] for b in active])
         t_channel = time.perf_counter()
-        signal, total = gain_terms(cross_gains(hbar, w), noise)
-        wsr = weighted_sum_rate(alpha, rates_from_terms(signal, total))
+        signal, total, wsr = _evaluate(scenario, hbar, beams)
         wmse = wmse_objective(alpha, q, mse_from_terms(u, signal, total))
         t_end = time.perf_counter()
+        w_final[active] = beams.w
         keep, values = [], []
         for i, b in enumerate(active):
-            values.append((b, wsr[i], wmse[i], *duals[i], wsr[i] - prev[b]))
+            values.append((b, wsr[i], wmse[i], lam[i], probes[i], wsr[i] - prev[b]))
             log.debug("draw %d outer %d: wsr=%.6f lam=%.3e probes=%d",
-                      b, it, wsr[i], *duals[i])
+                      b, it, wsr[i], lam[i], probes[i])
             stop = _stop(it, wsr[i], prev[b], opts.outer_tol)
             prev[b] = wsr[i]
             if stop is None:
                 keep.append(i)
             else:
                 converged[b] = stop
-                w_final[b] = w[i]
         if len(keep) < len(active):
             active = [active[i] for i in keep]
-            hbar, w, signal, total = hbar[keep], w[keep], signal[keep], total[keep]
+            hbar, signal, total = hbar[keep], signal[keep], total[keep]
         t_next = time.perf_counter()
         n = len(values)
         shares = ((t_next - t0) / n, (t_end - t_channel) / n, (t_beam - t0) / n,
@@ -466,8 +485,5 @@ def solve_fixed(hbar: np.ndarray, w0: np.ndarray, scenario: ScenarioParams,
         t0 = t_next
         if not active:
             break
-    w_final[active] = w   # the draws that ran to max_outer
-    return w_final, [SolveTrace(*(np.array(column) for column in zip(*draw_rows)),
-                                initial_wsr=initial[b], converged=converged[b],
-                                start_s=start_s)
+    return w_final, [_trace(draw_rows, initial[b], converged[b], start_s)
                      for b, draw_rows in enumerate(rows)]

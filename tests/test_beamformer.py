@@ -321,6 +321,36 @@ class TestSolveBeamforming:
             best = convex_oracle(hbar, u, q, alpha, noise, p_max)
             assert ours == pytest.approx(best, rel=1e-6)
 
+    def test_stack_is_each_draw_bit_for_bit(self, rng):
+        # one stacked call against each draw's own call: a zero-weight user
+        # in every draw, a zero channel row in draw 1 (one more masked
+        # mode), zero decoders in draw 3 (every mode masked), and budgets
+        # that bind in draws 0 and 1 and are slack in draws 2 and 3
+        subproblems = [random_subproblem(rng, 3, 5) for _ in range(4)]
+        hbar = np.stack([p[0] for p in subproblems])
+        u = np.stack([p[1] for p in subproblems])
+        q = np.stack([p[2] for p in subproblems])
+        alpha = subproblems[0][3].copy()
+        alpha[2] = 0.0
+        hbar[1, 0] = 0.0
+        u[3] = 0.0
+        g0 = [power_g(0.0, assemble_context(hbar[b], u[b], q[b], alpha)) for b in range(4)]
+        p_max = [0.3 * g0[0], 0.6 * g0[1], 2.0 * g0[2], 1.0]
+        beams, lam, probes = solve_beamforming(hbar, u, q, alpha, p_max)
+        assert isinstance(lam, list) and isinstance(probes, list)
+        ranks = [int(np.isfinite(assemble_context(hbar, u, q, alpha).eigvals[b]).sum())
+                 for b in range(4)]
+        assert ranks == [2, 1, 2, 0]
+        for b in range(4):
+            one, lam_b, probes_b = solve_beamforming(hbar[b], u[b], q[b], alpha, p_max[b])
+            assert np.array_equal(beams.w[b], one.w), b
+            assert (lam[b], probes[b]) == (lam_b, probes_b), b
+        assert [x > 0.0 for x in lam] == [True, True, False, False]
+        assert probes[0] > 0 and probes[1] > 0 and probes[2:] == [0, 0]
+        for budgets in (p_max[:3], p_max + [1.0]):
+            with pytest.raises(ValueError):
+                solve_beamforming(hbar, u, q, alpha, budgets)
+
     def test_zero_decoders_give_zero_beamformers(self, rng):
         hbar = complex_normal(rng, (3, 4))
         beams, lam, _ = solve_beamforming(hbar, np.zeros(3, dtype=complex),

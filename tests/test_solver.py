@@ -8,11 +8,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from irsopt import (BeamformerSet, ChannelSet, ExperimentSpec, PhaseConfig, SolverOptions,
-                    SolveTrace, assemble_quadratic, compute_mse, compute_rates, desk_scenario,
-                    draw_channels, effective_channels, energy_phases, full_scenario,
-                    initialize, ring_scenario, rmcg_solve, run_experiment, solve,
-                    solve_beamforming, strip_irs, update_decoders, update_weights,
-                    weighted_sum_rate, wmse_objective)
+                    SolveTrace, assemble_context, assemble_quadratic, compute_mse,
+                    compute_rates, desk_scenario, draw_channels, effective_channels,
+                    energy_phases, full_scenario, initialize, ring_scenario, rmcg_solve,
+                    run_experiment, solve, solve_beamforming, strip_irs, update_decoders,
+                    update_weights, weighted_sum_rate, wmse_objective)
 from irsopt import experiments
 from irsopt import solver as solver_mod
 from irsopt.beamformer import POWER_TOL_REL
@@ -282,10 +282,11 @@ class TestSolve:
         assert not trace.line_search_failed.any()
         assert not trace.inner_iters.any()
 
-    @pytest.mark.parametrize("frozen", ["random_phase", "strip_irs"])
+    @pytest.mark.parametrize("frozen", ["random_phase", "no_irs", "strip_irs"])
     def test_frozen_phases_run_no_extrapolation(self, desk_setup, monkeypatch, frozen):
-        # with nothing to descend, no trial runs: the solve is the plain
-        # loop's, bit for bit
+        # with nothing to descend, no trial and no phase step runs: the
+        # solve is the plain loop's, bit for bit, and never reaches the
+        # extrapolation, the phase assembly or the descent
         scenario, channels = desk_setup
         opts = SolverOptions(outer_tol=1e-12, max_outer=12)
 
@@ -293,12 +294,18 @@ class TestSolve:
             if frozen == "strip_irs":
                 beams, _, trace = solve(scenario, strip_irs(channels), opts)
                 return beams.w, trace
-            hbar, w0 = _baseline_point("random_phase", scenario, channels,
-                                       np.random.default_rng(3))
+            hbar, w0 = _baseline_point(frozen, scenario, channels, np.random.default_rng(3))
             w, (trace,) = solve_fixed(hbar[None], w0[None], scenario,
                                       np.array([scenario.p_max]), opts)
+            assert np.array_equal(run_scheme(frozen, scenario, channels, opts,
+                                             np.random.default_rng(3)).wsr, trace.wsr)
             return w[0], trace
 
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a frozen-phase solve reached a phase-step layer")
+
+        for name in ("extrapolate", "assemble_quadratic", "rmcg_solve"):
+            monkeypatch.setattr(solver_mod, name, unreachable)
         w, trace = run()
         assert trace.n_outer > solver_mod.EXTRAP_START
         monkeypatch.setattr(solver_mod, "EXTRAP_START", opts.max_outer)
@@ -366,6 +373,29 @@ class TestSolve:
         wrapped, _, alone = solve(scenario, bare, warm_start=(BeamformerSet(w), empty))
         assert np.array_equal(beams.w, wrapped.w)
         assert np.array_equal(trace.wsr, alone.wsr) and trace.n_outer == alone.n_outer
+
+    @pytest.mark.parametrize("bare", [False, True])
+    def test_array_phase_warm_start(self, desk_setup, bare):
+        # a stacked v_hat starts the solve as its PhaseConfig does, with
+        # surfaces and without, and comes back as a PhaseConfig
+        scenario, channels = desk_setup
+        channels = strip_irs(channels) if bare else channels
+        beams, phases = initialize(scenario, channels)
+        opts = SolverOptions(outer_tol=1e-12, max_outer=8)
+        w, v, trace = solve(scenario, channels, opts, warm_start=(beams.w, phases.v_hat.copy()))
+        w_ref, v_ref, ref = solve(scenario, channels, opts, warm_start=(beams, phases))
+        assert isinstance(v, PhaseConfig)
+        assert np.array_equal(w.w, w_ref.w) and np.array_equal(v.v_hat, v_ref.v_hat)
+        assert (v.n_irs, v.n_elements) == (v_ref.n_irs, v_ref.n_elements)
+        assert np.array_equal(trace.wsr, ref.wsr) and np.array_equal(trace.lam, ref.lam)
+
+    def test_array_phases_off_the_unit_circle_rejected(self, desk_setup):
+        scenario, channels = desk_setup
+        beams, phases = initialize(scenario, channels)
+        with pytest.raises(ValueError, match="unit modulus"):
+            solve(scenario, channels, warm_start=(beams, 1.5 * phases.v_hat))
+        with pytest.raises(ValueError, match="length"):
+            solve(scenario, channels, warm_start=(beams, phases.v_hat[:-1]))
 
     def test_warm_start_of_the_wrong_shape_rejected(self, desk_setup):
         scenario, channels = desk_setup
@@ -565,8 +595,7 @@ class TestSolveFixed:
         hbar, w0, p_max = fixed_draws(scenario, [1.0, 1e2, 1.0], range(3))
         hbar[2], w0[2] = 0.0, 0.0
         u = cross_gains(hbar[0], w0[0]).diagonal()
-        ctx = solver_mod.assemble_context(hbar[:1], u[None], np.ones((1, 2)),
-                                          scenario.weights)
+        ctx = assemble_context(hbar[:1], u[None], np.ones((1, 2)), scenario.weights)
         assert np.isinf(ctx.eigvals).sum() >= 6
         traces = self.solve_batch(scenario, hbar, w0, p_max)
         assert traces[2].wsr.tolist() == [0.0] and traces[2].lam.tolist() == [0.0]
