@@ -1,5 +1,6 @@
-"""Benchmark the phase-descent kernel (compiled vs numpy reference) and
-the assembly of its quadratic.
+"""Benchmark the phase-descent kernel (compiled vs numpy reference), the
+assembly of its quadratic, and the beamformer step (compiled vs numpy
+reference).
 
 The first table runs each kernel on Khatri-Rao forms shaped like the
 solver's: F^H the product of two (K, size) operands, with K = --users
@@ -21,6 +22,16 @@ decoders and weights: median
 microseconds per call, and minor page faults per call (``ru_minflt``,
 counted over the timed calls, after a warm-up call).
 
+The third table times ``solve_beamforming`` on the compiled step (where it
+loaded) and on the numpy reference, ``solve_beamforming_numpy``: random
+unit-scale channels with the MMSE decoders and weights of random
+beamformers, and a binding budget of a quarter of each draw's
+unconstrained power g(0). Its rows are one draw at the desk preset's 4 x 4
+(users x antennas) and the full preset's 8 x 8, and a stack of 6 draws of
+8 x 8, the size of one process's baseline batch in perfbench's
+``element_sweep``. Each entry is the median microseconds per call over
+--repeats samples of 100 calls each.
+
 Usage: python benchmarks/bench_kernels.py [--sizes 32,120,240,480]
                                           [--users 8] [--repeats 7]
 """
@@ -32,13 +43,17 @@ import time
 
 import numpy as np
 
-from irsopt import (PhaseConfig, _kernels, assemble_quadratic, compute_mse, draw_channels,
-                    effective_channels, full_scenario, initialize)
+from irsopt import (PhaseConfig, _kernels, assemble_context, assemble_quadratic,
+                    beamformer, compute_mse, draw_channels, effective_channels,
+                    full_scenario, initialize, optimal_state, power_g)
 from irsopt.selfcheck import khatri_rao_form
 from irsopt.solver import MAX_INNER, PHASE_REL_TOL
 from irsopt.wmmse import update_decoders, update_weights
 
 ASSEMBLY_ELEMENTS = (60, 120)   # full preset, 4 surfaces: N = 240 and 480
+# (draws, users, antennas) of the beamformer rows; draws None is one 2-D draw
+BEAMFORMER_SHAPES = ((None, 4, 4), (None, 8, 8), (6, 8, 8))
+BEAMFORMER_CALLS = 100   # calls per timing sample
 
 
 def time_call(fn, args, repeats):
@@ -64,6 +79,25 @@ def assembly_args(n_elements, seed):
     u = update_decoders(hbar, beams, scenario.noise_power)
     q = update_weights(compute_mse(hbar, beams, u, scenario.noise_power))
     return channels, beams, u, q, scenario.weights, scenario.noise_power
+
+
+def beamformer_args(rng, n_draws, n_users, n_tx):
+    """solve_beamforming's arguments for a stack of n_draws random draws
+    (one 2-D draw where n_draws is None) at binding budgets 0.25 g(0)."""
+    draws = []
+    alpha = rng.uniform(0.2, 2.0, n_users)
+    for _ in range(n_draws or 1):
+        hbar, w = (rng.standard_normal((2, n_users, n_tx))
+                   + 1j * rng.standard_normal((2, n_users, n_tx)))
+        state = optimal_state(hbar, w, 0.1)
+        budget = 0.25 * power_g(0.0, assemble_context(hbar, state.decoders,
+                                                      state.mse_weights, alpha))
+        draws.append((hbar, state.decoders, state.mse_weights, budget))
+    if n_draws is None:
+        hbar, u, q, budget = draws[0]
+        return hbar, u, q, alpha, budget
+    hbar, u, q, budgets = (list(x) for x in zip(*draws))
+    return np.stack(hbar), np.stack(u), np.stack(q), alpha, budgets
 
 
 def main():
@@ -100,6 +134,21 @@ def main():
         call = assembly_args(n_elements, args.seed)
         t, faults, form = time_call(assemble_quadratic, call, args.repeats)
         print(f"{form.size:6d}{1e6 * t:16.1f}{faults:16.1f}")
+
+    steps = {"numpy": beamformer.solve_beamforming_numpy}
+    if _kernels.JIT_ENABLED:
+        steps = {"compiled": beamformer.solve_beamforming_compiled, **steps}
+    print("solve_beamforming at binding budgets: us per call")
+    print(f"{'shape':>8s}" + "".join(f"{'us ' + name:>16s}" for name in steps))
+    for n_draws, n_users, n_tx in BEAMFORMER_SHAPES:
+        call = beamformer_args(rng, n_draws, n_users, n_tx)
+        row = ""
+        for step in steps.values():
+            t, _, _ = time_call(lambda: [step(*call) for _ in range(BEAMFORMER_CALLS)], (),
+                                args.repeats)
+            row += f"{1e6 * t / BEAMFORMER_CALLS:16.1f}"
+        shape = f"{n_users}x{n_tx}" if n_draws is None else f"{n_draws}x{n_users}x{n_tx}"
+        print(f"{shape:>8s}" + row)
 
 
 if __name__ == "__main__":

@@ -20,9 +20,11 @@ alternating which goes first from draw to draw:
 - ``--compare builds``: from the energy start, on the ``rmcg-*.so`` kernel
   build at ``--against PATH`` (for instance the parent commit's, from its
   kernel cache), loaded with ctypes, and on the build this process loaded
-  (``_kernels.KERNEL_PATH``), by setting ``_kernels._run``. One process
-  runs both, since a shared host's speed can drift more between processes
-  than two builds differ;
+  (``_kernels.KERNEL_PATH``), by setting ``_kernels._run``. Only the
+  descent kernel is swapped: the beamformer step (``beamformer_run``)
+  runs on the loaded build in both. One process runs both, since a
+  shared host's speed can drift more between processes than two builds
+  differ;
 - ``--compare trees``: from the energy start, on another source tree's
   ``irsopt``, imported from the directory ``--against PATH`` that holds
   its ``irsopt`` package (a tree's ``src``) under the module name

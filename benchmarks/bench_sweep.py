@@ -19,7 +19,10 @@ mean ``time_ms`` per scheme over its rows (so a change shows which
 scheme's solves it moved; a batched baseline's ``time_ms`` is its share of
 its batch), whether one SHA-256 per tree over every row's fields but
 ``time_ms`` is ``equal`` or ``differ`` (with both digests' first 16 hex
-digits), and the paired time
+digits) and, where they differ, per scheme the number of rows whose
+``outer_iters`` changed and the largest relative ``wsr_nats`` move between
+the two trees' rows of one cell, as ``bench_outer.py --compare trees``
+reports them per draw, and the paired time
 ratio (loaded over against): its median over the operations, the ratio of
 the total times, and the number of operations on which each side is
 faster. Wall times are perf_counter readings on whatever host runs it;
@@ -71,6 +74,19 @@ def rows_digest(digest, rows):
         digest.update(",".join(fields).encode() + b"\n")
 
 
+def row_moves(base, new):
+    """{scheme: (rows, rows whose outer_iters changed, largest relative
+    wsr_nats move)} between the rows of two trees, paired cell by cell."""
+    moves = {}
+    for a, b in zip(base, new, strict=True):
+        if (a.scheme, a.sweep_value, a.trial) != (b.scheme, b.sweep_value, b.trial):
+            raise RuntimeError("the two trees' rows are not of the same cells")
+        n, changed, top = moves.get(a.scheme, (0, 0, 0.0))
+        rel = abs(b.wsr_nats - a.wsr_nats) / max(abs(a.wsr_nats), 1e-300)
+        moves[a.scheme] = (n + 1, changed + (a.outer_iters != b.outer_iters), max(top, rel))
+    return moves
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--against", default=str(Path(irsopt.__file__).parent.parent),
@@ -84,6 +100,7 @@ def main():
     wall = {name: [] for name, _ in trees}
     scheme_ms = {name: {} for name, _ in trees}
     digests = {name: hashlib.sha256() for name, _ in trees}
+    all_rows = {name: [] for name, _ in trees}
     for _, lib in trees:
         sweep_op(lib, args.seed, 0, args.workers)
     for i in range(args.ops):
@@ -92,6 +109,7 @@ def main():
             rows = sweep_op(lib, args.seed, i, args.workers)
             wall[name].append(time.perf_counter() - t0)
             rows_digest(digests[name], rows)
+            all_rows[name] += rows
             for row in rows:
                 scheme_ms[name].setdefault(row.scheme, []).append(row.time_ms)
 
@@ -106,6 +124,11 @@ def main():
     equal = hexes["against"] == hexes["loaded"]
     print(f"sha256 of the rows without time_ms: {'equal' if equal else 'differ'} "
           f"(against {hexes['against'][:16]}, loaded {hexes['loaded'][:16]})")
+    if not equal:
+        for scheme, (n, changed, top) in row_moves(all_rows["against"],
+                                                   all_rows["loaded"]).items():
+            print(f"  {scheme}: outer_iters changed on {changed} of {n} rows; "
+                  f"largest relative wsr move {top:.2e}")
     ratio = np.array(wall["loaded"]) / np.array(wall["against"])
     print(f"time ratio (loaded over against): median {np.median(ratio):.4f}, "
           f"total {np.sum(wall['loaded']) / np.sum(wall['against']):.4f}; loaded faster "

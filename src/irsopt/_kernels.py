@@ -1,4 +1,6 @@
-"""Hot numerical kernel: the manifold conjugate-gradient inner loop.
+"""Hot numerical kernels: the manifold conjugate-gradient inner loop, and
+the build and loading of the compiled library that also holds the
+beamformer step.
 
 The descent loop dominates solver runtime, so it lives here, apart from
 the bookkeeping in ``phaseopt``. It runs a ``phaseopt.QuadraticForm``:
@@ -43,7 +45,15 @@ other; delete ``$XDG_CACHE_HOME/irsopt`` to reclaim the space.
 it loaded (``JIT_ENABLED`` is True, and ``KERNEL_PATH``, which callers
 only read, is the build it loaded), else the numpy reference, after a
 logged WARNING that says why (``KERNEL_PATH`` is None).
-``benchmarks/bench_kernels.py`` times both, and
+The same build holds a second entry point, ``beamformer_run``, loaded
+beside ``rmcg_run`` with the same fallback: the whole beamformer step of
+``beamformer`` (weighted Gram matrix, cyclic Jacobi eigendecomposition,
+null-space mask, dual search, back-substitution) for one draw or a
+stack, which ``beamformer.solve_beamforming_compiled`` calls and
+``beamformer.solve_beamforming`` is where the library loaded; without it
+``solve_beamforming`` is the numpy reference,
+``beamformer.solve_beamforming_numpy``.
+``benchmarks/bench_kernels.py`` times both implementations of each, and
 ``benchmarks/bench_build.py`` one build of ``_rmcg.c`` and the compiler's
 peak memory.
 
@@ -308,18 +318,20 @@ def _build() -> Path:
 _ARGS = struct.Struct("4P6q5d")
 
 
-def _open(path):
-    """rmcg_run of the kernel build at path."""
-    run = ctypes.CDLL(str(path)).rmcg_run
+def _open(path, entry="rmcg_run"):
+    """The entry point ``entry`` of the library build at path: rmcg_run (the
+    default) or beamformer_run, each taking a packed argument struct and
+    one buffer."""
+    run = getattr(ctypes.CDLL(str(path)), entry)
     run.argtypes = (ctypes.c_char_p, ctypes.c_void_p)
     run.restype = ctypes.c_int64
     return run
 
 
 def _load():
-    """(rmcg_run, path) of the compiled kernel."""
+    """(rmcg_run, beamformer_run, path) of the compiled library."""
     path = _build()
-    return _open(path), path
+    return _open(path), _open(path, "beamformer_run"), path
 
 
 # Each thread's work space for the compiled kernel: the planar operands and
@@ -366,12 +378,12 @@ def rmcg_core_compiled(form, v0, grad_tol, rel_tol, max_iters):
             tang_res, bool(failed), bool(converged))
 
 
-_run = KERNEL_PATH = None
+_run = _beamformer_run = KERNEL_PATH = None
 try:
-    _run, KERNEL_PATH = _load()
+    _run, _beamformer_run, KERNEL_PATH = _load()
 except (OSError, AttributeError, subprocess.SubprocessError) as exc:
     log.warning("compiled descent kernel unavailable, running the numpy "
-                "reference kernel instead: %s", exc)
+                "reference kernel and beamformer step instead: %s", exc)
 
 JIT_ENABLED = KERNEL_PATH is not None
 rmcg_core = rmcg_core_compiled if JIT_ENABLED else rmcg_core_numpy

@@ -16,7 +16,10 @@
    value <rgrad_new, pg_new> / <rgrad, pg> and floored at 0, and a restart
    takes -pg with slope -<rgrad, pg>.
    irsopt._kernels builds this file into a shared library on first import
-   and calls rmcg_run through ctypes.
+   and calls its two entry points through ctypes: rmcg_run, this descent,
+   and beamformer_run, the beamformer step of irsopt.beamformer for one
+   draw or a stack of them (a port of solve_beamforming_numpy; its section
+   is the last in this file).
 
    Complex vectors are numpy complex128 buffers, interleaved (re, im)
    doubles. The quadratic is Q = F F^H (neither F nor Q is stored). The
@@ -629,4 +632,382 @@ int64_t rmcg_run(const rmcg_args *a, double *buf)
     info[1] = failed;
     info[2] = sqrt(gnorm2) <= grad_tol;
     return n_done;
+}
+
+/* The beamformer step.
+
+   A port of irsopt.beamformer.solve_beamforming_numpy, the numpy
+   reference, for one draw or a stack of them: per draw the weighted Gram
+   matrix G = sum_k s_k hbar_k hbar_k^H, s_k = alpha_k q_k |u_k|^2, its
+   eigendecomposition, the null-space mask, the modes' projections and
+   coefficients, the dual search and the back-substitution into w. The
+   dual search (optimal_dual, dual_search, _power_and_slope) is a
+   line-for-line port, so on the same modes it takes the same steps and
+   rounds as the reference; the Gram matrix, its eigendecomposition and
+   the projections are computed otherwise than by numpy and LAPACK, so
+   the two implementations agree to rounding.
+
+   The eigendecomposition is the cyclic Jacobi method (Golub and Van Loan,
+   Matrix Computations, 4th ed., section 8.5) for Hermitian matrices: each
+   rotation zeroes one off-diagonal entry a_pq = |a_pq| e with the unitary
+   U = [c, s e; -s conj(e), c] on rows and columns p and q, where c and s
+   are the real rotation that diagonalizes [a_pp, |a_pq|; |a_pq|, a_qq].
+   Sweeps run over the pairs p < q in row order and skip entries at or
+   below JACOBI_TOL ||G||_F, the size of the backward error of any stable
+   method (LAPACK's included); the first sweep that rotates nothing ends
+   the method, and one still rotating after JACOBI_MAX_SWEEPS sweeps fails
+   it. It converges quadratically: about 4 sweeps at 4 x 4 and 5 to 6 at
+   8 x 8.
+
+   The matrices are held planar and by columns (column j is np real
+   parts, then np imaginary parts, np being n rounded up to VL and the
+   padding zero), so that a rotation updates two columns of G and of the
+   eigenvectors in whole vectors, and mirrors the two columns into rows
+   p and q. The sums over the antennas (the projections) run over fixed
+   lanes, as dot() does. Every draw runs the same code on the same
+   layout, so a draw of a stack gets the bits of its own call. */
+
+#define JACOBI_MAX_SWEEPS 50
+#define JACOBI_TOL 2.220446049250313e-16   /* DBL_EPSILON */
+
+/* beamformer_run's return values, which irsopt.beamformer turns into the
+   reference's exceptions */
+#define BF_SHORT (-1)      /* buf_len is short of the layout below */
+#define BF_WEIGHTS 1       /* a surrogate weight q_k is not positive */
+#define BF_EIG 2           /* a Gram matrix is not finite, or Jacobi did not converge */
+#define BF_BRACKET 3       /* g(lambda_max) exceeds the budget */
+#define BF_BUDGET 4        /* a binding budget is not positive */
+
+/* an entry of an interleaved complex buffer */
+#define CRE(p, i) ((p)[2 * (i)])
+#define CIM(p, i) ((p)[2 * (i) + 1])
+
+/* (x, y) = (c x - conj(z) y, z x + c y) on planar complex vectors of np
+   doubles, for real c and z = (zr, zi): the columns p and q of a
+   rotation */
+static void rotate_pair(double *xr, double *xi, double *yr, double *yi, ptrdiff_t np,
+                        double c, double zr, double zi)
+{
+    ptrdiff_t i;
+    for (i = 0; i < np; i += VL) {
+        const vec ar = load(xr + i), ai = load(xi + i), br = load(yr + i),
+            bi = load(yi + i);
+        store(xr + i, c * ar - (zr * br + zi * bi));
+        store(xi + i, c * ai - (zr * bi - zi * br));
+        store(yr + i, (zr * ar - zi * ai) + c * br);
+        store(yi + i, (zr * ai + zi * ar) + c * bi);
+    }
+}
+
+/* (re, im) = x^H y for planar complex vectors of np doubles */
+static void conj_dot(const double *xr, const double *xi, const double *yr,
+                     const double *yi, ptrdiff_t np, double *re, double *im)
+{
+    vec sr = {0.0}, si = {0.0};
+    ptrdiff_t i;
+    for (i = 0; i < np; i += VL) {
+        const vec ar = load(xr + i), ai = load(xi + i), br = load(yr + i),
+            bi = load(yi + i);
+        sr += ar * br + ai * bi;
+        si += ar * bi - ai * br;
+    }
+    *re = lane_sum(sr);
+    *im = lane_sum(si);
+}
+
+/* One rotation of the Jacobi method on pair (p, q) of the planar n x n
+   Hermitian a and its eigenvectors v (columns of 2 np doubles), for a_pq
+   of squared magnitude mag2 > 0. With delta = a_qq - a_pp, r =
+   sqrt(delta^2 + 4 mag2) and w = |delta| + r, the rotation's cosine is
+   c = sqrt(w / (2 r)) and s e = sign(delta) (2 c / w) a_pq (sign(0) = +1),
+   and it moves sign(delta) 2 mag2 / w from a_pp to a_qq: the classical
+   t = tan = sign(theta) / (|theta| + sqrt(theta^2 + 1)), theta = delta /
+   (2 |a_pq|), without |a_pq| and with one division on the path to c. */
+static void jacobi_rotate(double *a, double *v, ptrdiff_t n, ptrdiff_t np, ptrdiff_t p,
+                          ptrdiff_t q, double mag2)
+{
+    double *const pr = RE(a, p, np), *const pi = IM(a, p, np), *const qr = RE(a, q, np),
+        *const qi = IM(a, q, np);
+    const double app = pr[p], aqq = qr[q], delta = aqq - app, sign = delta < 0.0 ? -1.0 : 1.0;
+    const double r = sqrt(delta * delta + 4.0 * mag2), w = fabs(delta) + r;
+    const double c = sqrt(w / (2.0 * r)), f = sign * (2.0 / w) * c;
+    const double zr = f * qr[p], zi = f * qi[p], shift = sign * (2.0 * mag2) / w;
+    ptrdiff_t k;
+    rotate_pair(pr, pi, qr, qi, np, c, zr, zi);
+    rotate_pair(RE(v, p, np), IM(v, p, np), RE(v, q, np), IM(v, q, np), np, c, zr, zi);
+    for (k = 0; k < n; k++) {     /* rows p and q, the conjugates of the columns */
+        RE(a, k, np)[p] = pr[k];
+        IM(a, k, np)[p] = -pi[k];
+        RE(a, k, np)[q] = qr[k];
+        IM(a, k, np)[q] = -qi[k];
+    }
+    pr[p] = app - shift;
+    qr[q] = aqq + shift;
+    pi[p] = qi[q] = pr[q] = pi[q] = qr[p] = qi[p] = 0.0;
+}
+
+/* The eigendecomposition of the planar n x n Hermitian a (overwritten):
+   v receives the eigenvectors as columns, d the eigenvalues and order the
+   modes' indices sorted by ascending eigenvalue. Returns 0 where a's
+   squared Frobenius norm is not finite or the method does not converge. */
+static int jacobi(double *a, double *v, double *d, int64_t *order, ptrdiff_t n,
+                  ptrdiff_t np)
+{
+    const double norm2 = dot(a, a, 2 * n * np);
+    const double tol2 = JACOBI_TOL * JACOBI_TOL * norm2;
+    ptrdiff_t i, j, p, q;
+    int sweep, rotated = 1;
+    if (!(norm2 < INFINITY))
+        return 0;
+    memset(v, 0, sizeof(double) * (size_t)(2 * n * np));
+    for (i = 0; i < n; i++)
+        RE(v, i, np)[i] = 1.0;
+    for (sweep = 0; rotated && sweep < JACOBI_MAX_SWEEPS; sweep++) {
+        rotated = 0;
+        for (p = 0; p < n; p++)
+            for (q = p + 1; q < n; q++) {
+                const double re = RE(a, q, np)[p], im = IM(a, q, np)[p],
+                    mag2 = re * re + im * im;
+                if (mag2 > tol2) {
+                    jacobi_rotate(a, v, n, np, p, q, mag2);
+                    rotated = 1;
+                }
+            }
+    }
+    if (rotated)
+        return 0;
+    /* insertion sort, ascending; equal eigenvalues keep their index order */
+    for (i = 0; i < n; i++) {
+        d[i] = RE(a, i, np)[i];
+        for (j = i; j > 0 && d[order[j - 1]] > d[i]; j--)
+            order[j] = order[j - 1];
+        order[j] = i;
+    }
+    return 1;
+}
+
+/* _power_and_slope: g(lam) and g'(lam) over the modes' c and d */
+static double power_and_slope(double lam, const double *c, const double *d,
+                              ptrdiff_t n, double *slope_out)
+{
+    double g = 0.0, slope = 0.0;
+    ptrdiff_t i;
+    for (i = 0; i < n; i++) {
+        const double r = 1.0 / (d[i] + lam);
+        const double t = c[i] * r * r;
+        g += t;
+        slope += t * r;
+    }
+    *slope_out = -2.0 * slope;
+    return g;
+}
+
+/* dual_search: the root of g(lam) = p_max on [0, lam_max] from lam0;
+   *lam_out receives it, and the return value is the probes spent */
+static int64_t dual_search(const double *c, const double *d, ptrdiff_t n, double p_max,
+                           double lam_max, double lam0, double power_tol,
+                           double lam_tol, double *lam_out)
+{
+    double lo = 0.0, hi = lam_max, lam = lam0;
+    int64_t probes = 0;
+    while (hi - lo > lam_tol) {
+        double g, slope, step;
+        probes++;
+        g = power_and_slope(lam, c, d, n, &slope);
+        if (fabs(g - p_max) <= power_tol) {
+            *lam_out = lam;
+            return probes;
+        }
+        if (g > p_max)
+            lo = lam;
+        else
+            hi = lam;
+        step = lam + 2.0 * g * (1.0 - sqrt(g / p_max)) / slope;
+        lam = lo < step && step < hi ? step : 0.5 * (lo + hi);
+        if (!(lo < lam && lam < hi))
+            break;   /* lo and hi are adjacent doubles: the bracket cannot shrink */
+    }
+    *lam_out = hi;
+    return probes;
+}
+
+/* Arguments of beamformer_run: the stack's shape (n_draws draws of
+   n_users x n_tx channels), buf's length in doubles, and the
+   irsopt.beamformer constants both implementations use. */
+typedef struct {
+    int64_t n_draws, n_users, n_tx, buf_len;
+    double eig_rel, power_tol_rel, lam_tol_rel, power_slack_rel;
+} beamformer_args;
+
+/* optimal_dual on the n positive modes' c and d, ascending in d: 0 with
+   no probes where g(0) fits the budget, else the dual search's root from
+   max(0, max_i sqrt(c_i / p_max) - d_i). *lam_out receives it; returns
+   the probes, or -BF_BUDGET or -BF_BRACKET where the reference raises. */
+static int64_t optimal_dual(const beamformer_args *a, const double *c, const double *d,
+                            ptrdiff_t n, double p_max, double *lam_out)
+{
+    double slope, coef_sum = 0.0, lam_max, lam0 = 0.0;
+    ptrdiff_t i;
+    *lam_out = 0.0;
+    if (power_and_slope(0.0, c, d, n, &slope) <= p_max)
+        return 0;
+    if (p_max <= 0.0)
+        return -BF_BUDGET;
+    for (i = 0; i < n; i++)
+        coef_sum += c[i];
+    lam_max = sqrt(coef_sum / p_max);
+    if (power_and_slope(lam_max, c, d, n, &slope) > p_max * (1.0 + a->power_slack_rel))
+        return -BF_BRACKET;
+    for (i = 0; i < n; i++) {     /* Python's max(0.0, ...): a NaN never wins */
+        const double x = sqrt(c[i] / p_max) - d[i];
+        if (x > lam0)
+            lam0 = x;
+    }
+    return dual_search(c, d, n, p_max, lam_max, lam0, a->power_tol_rel * p_max,
+                       a->lam_tol_rel * lam_max, lam_out);
+}
+
+/* Solve the beamforming subproblem of each draw.
+
+   buf holds, in order, with B = n_draws, K = n_users and n = n_tx:
+   hbar (B K n complex, row-major; overwritten with the beamformers w),
+   the decoders u (B K complex), the surrogate weights q (B K), the user
+   weights alpha (B K), the budgets p_max (B; overwritten with the dual
+   values lam), the probes (B int64, written), and work space of
+   2 (K + 2 n + 1) np + 2 n K + 3 n + 2 K + VL doubles, np being n
+   rounded up to VL.
+
+   Every q_k is checked before any draw is solved. A draw whose
+   eigendecomposition fails stops the call at once; a draw whose dual
+   search fails stops the solving of later draws, whose
+   eigendecompositions still run, so that the failure returned is the
+   one the reference raises first: it factorizes the whole stack before
+   its first dual search. Returns 0, a BF_* code, or BF_SHORT, touching
+   nothing, where n is 0 or buf_len is short of the layout. */
+int64_t beamformer_run(const beamformer_args *a, double *buf)
+{
+    const ptrdiff_t nb = a->n_draws, nk = a->n_users, n = a->n_tx, size = nb * nk,
+        np = (n + VL - 1) / VL * VL;
+    double *const hbar = buf, *const u = hbar + 2 * size * n, *const q = u + 2 * size,
+        *const alpha = q + size, *const p_max = alpha + size, *const probes = p_max + nb;
+    double *h_pl, *gram, *vec_pl, *x, *d, *c, *proj, *aq;
+    int64_t *order, status = 0;
+    ptrdiff_t b, i, j, k, m;
+
+    if (n < 1 || a->buf_len < 2 * size * n + 4 * size + 2 * nb + 2 * (nk + 2 * n + 1) * np
+        + 2 * n * nk + 3 * n + 2 * nk + VL)
+        return BF_SHORT;
+    /* h_pl holds one draw's hbar planar, row k at RE(h_pl, k, np), gram
+       and vec_pl the planar Gram matrix and eigenvectors, all from a
+       64-byte boundary; x is planar work space for one beamformer */
+    h_pl = (double *)(((uintptr_t)(probes + nb) + 63) & ~(uintptr_t)63);
+    gram = h_pl + 2 * nk * np; vec_pl = gram + 2 * n * np; x = vec_pl + 2 * n * np;
+    d = x + 2 * np; c = d + n; proj = c + n; aq = proj + 2 * n * nk;
+    order = (int64_t *)(aq + 2 * nk);
+    for (i = 0; i < size; i++)
+        if (!(q[i] > 0.0))
+            return BF_WEIGHTS;
+
+    for (b = 0; b < nb; b++) {
+        double *const h = hbar + 2 * b * nk * n, *const scale = aq + nk;
+        const double *const ub = u + 2 * b * nk;
+        double cutoff, lam;
+        ptrdiff_t n_null, n_pos;
+        int64_t n_probes;
+
+        /* column j of the Gram matrix, sum_k (s_k conj(hbar_kj)) hbar_k,
+           s_k = aq_k |u_k|^2, below the diagonal; the rest mirrors it */
+        memset(h_pl, 0, sizeof(double) * (size_t)(2 * nk * np));
+        for (k = 0; k < nk; k++) {
+            aq[k] = alpha[b * nk + k] * q[b * nk + k];
+            scale[k] = aq[k] * (CRE(ub, k) * CRE(ub, k) + CIM(ub, k) * CIM(ub, k));
+            for (j = 0; j < n; j++) {
+                RE(h_pl, k, np)[j] = CRE(h, k * n + j);
+                IM(h_pl, k, np)[j] = CIM(h, k * n + j);
+            }
+        }
+        memset(gram, 0, sizeof(double) * (size_t)(2 * n * np));
+        for (j = 0; j < n; j++) {
+            double *const gr = RE(gram, j, np), *const gi = IM(gram, j, np);
+            for (k = 0; k < nk; k++) {
+                const double zr = scale[k] * RE(h_pl, k, np)[j],
+                    zi = -scale[k] * IM(h_pl, k, np)[j];
+                const double *const hr = RE(h_pl, k, np), *const hi = IM(h_pl, k, np);
+                for (i = 0; i < np; i += VL) {
+                    const vec yr = load(hr + i), yi = load(hi + i);
+                    store(gr + i, load(gr + i) + (zr * yr - zi * yi));
+                    store(gi + i, load(gi + i) + (zr * yi + zi * yr));
+                }
+            }
+            gi[j] = 0.0;
+            for (i = 0; i < j; i++) {
+                gr[i] = RE(gram, i, np)[j];
+                gi[i] = -IM(gram, i, np)[j];
+            }
+        }
+        if (!jacobi(gram, vec_pl, d, order, n, np))
+            return BF_EIG;
+        if (status)
+            continue;
+
+        /* the null space is a prefix of the ascending modes; a largest
+           eigenvalue at or below 0 puts every mode in it */
+        cutoff = a->eig_rel * d[order[n - 1]];
+        for (n_null = 0; n_null < n && d[order[n_null]] <= cutoff; n_null++)
+            ;
+        n_pos = n - n_null;
+        /* for the positive modes m (mode order[n_null + m]), ascending:
+           proj_mk = aq_k u_k (v^H hbar_k) and c_m = sum_k |proj_mk|^2, with
+           d_m in x */
+        for (m = 0; m < n_pos; m++) {
+            const ptrdiff_t mode = order[n_null + m];
+            const double *const vr = RE(vec_pl, mode, np), *const vi = IM(vec_pl, mode, np);
+            double cm = 0.0;
+            x[m] = d[mode];
+            for (k = 0; k < nk; k++) {
+                double re, im, pr, pi;
+                const double fr = aq[k] * CRE(ub, k), fi = aq[k] * CIM(ub, k);
+                conj_dot(vr, vi, RE(h_pl, k, np), IM(h_pl, k, np), np, &re, &im);
+                pr = re * fr - im * fi;
+                pi = re * fi + im * fr;
+                CRE(proj, m * nk + k) = pr;
+                CIM(proj, m * nk + k) = pi;
+                cm += pr * pr + pi * pi;
+            }
+            c[m] = cm;
+        }
+        memcpy(d, x, sizeof(double) * (size_t)n_pos);
+
+        n_probes = optimal_dual(a, c, d, n_pos, p_max[b], &lam);
+        if (n_probes < 0) {
+            status = -n_probes;
+            continue;
+        }
+        /* w_k = sum_m v_m proj_mk / (d_m + lam), into h */
+        for (m = 0; m < n_pos; m++)
+            for (k = 0; k < nk; k++) {
+                CRE(proj, m * nk + k) /= d[m] + lam;
+                CIM(proj, m * nk + k) /= d[m] + lam;
+            }
+        for (k = 0; k < nk; k++) {
+            memset(x, 0, sizeof(double) * (size_t)(2 * np));
+            for (m = 0; m < n_pos; m++) {
+                const ptrdiff_t mode = order[n_null + m];
+                const double pr = CRE(proj, m * nk + k), pi = CIM(proj, m * nk + k);
+                const double *const vr = RE(vec_pl, mode, np), *const vi = IM(vec_pl, mode, np);
+                for (i = 0; i < np; i += VL) {
+                    const vec ar = load(vr + i), ai = load(vi + i);
+                    store(x + i, load(x + i) + (ar * pr - ai * pi));
+                    store(x + np + i, load(x + np + i) + (ar * pi + ai * pr));
+                }
+            }
+            for (j = 0; j < n; j++) {
+                CRE(h, k * n + j) = x[j];
+                CIM(h, k * n + j) = x[np + j];
+            }
+        }
+        p_max[b] = lam;
+        memcpy(probes + b, &n_probes, sizeof n_probes);
+    }
+    return status;
 }

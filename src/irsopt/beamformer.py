@@ -11,15 +11,36 @@ g(lam)^-1/2 - p_max^-1/2, which is concave and increasing in lam (Moré
 and Sorensen, "Computing a trust region step", SIAM J. Sci. Stat.
 Comput. 1983), drives lam to the complementary-slackness point in a few
 probes; a [lo, hi] bracket catches any step that leaves it.
+
+The step has two implementations of one algorithm (Gram matrix,
+Hermitian eigendecomposition, relative cutoff of the null space, dual
+search, back-substitution). ``solve_beamforming_numpy`` is the numpy
+reference: ``assemble_context`` (``np.linalg.eigh``), then
+``optimal_dual`` per draw, then ``_stationary``.
+``solve_beamforming_compiled`` runs the whole step for one draw or a
+stack in one call to ``beamformer_run`` of the compiled library
+(``_rmcg.c``, built and loaded by ``_kernels``): a cyclic Jacobi
+eigendecomposition and a line-for-line port of the dual search, in one
+packed argument struct and one buffer per call. The two agree to
+rounding: on the same modes the dual searches take the same steps, but
+the eigendecompositions round differently, and in ill-conditioned modes
+w, lam and the probe count move by more than rounding while the
+surrogate sum_k alpha_k q_k E_k does not. ``solve_beamforming``, which
+the solver calls, is the compiled one where the library loaded
+(``_kernels.JIT_ENABLED``) and the numpy reference otherwise; both make
+the same checks and raise the same errors.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import NumericalError
 from .wmmse import BeamformerSet
 
@@ -215,11 +236,12 @@ def optimal_dual(ctx: LagrangianContext, p_max: float) -> tuple[float, int]:
                        POWER_TOL_REL * p_max, LAMBDA_TOL_REL * lam_max)
 
 
-def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
-                      mse_weights: np.ndarray, weights: np.ndarray,
-                      p_max) -> tuple[BeamformerSet, float | list, int | list]:
+def solve_beamforming_numpy(hbar: np.ndarray, decoders: np.ndarray,
+                            mse_weights: np.ndarray, weights: np.ndarray,
+                            p_max) -> tuple[BeamformerSet, float | list, int | list]:
     """Solve the power-constrained subproblem to global optimality, of one
-    draw or of each draw of a stack, with ``assemble_context``'s shapes.
+    draw or of each draw of a stack, with ``assemble_context``'s shapes:
+    the numpy reference of ``solve_beamforming``.
 
     Returns (beamformers, lam_star, n_probes), lam_star and n_probes from
     ``optimal_dual``. On a (B, n_users, n_tx) stack, p_max holds one
@@ -236,3 +258,64 @@ def solve_beamforming(hbar: np.ndarray, decoders: np.ndarray,
              for i, budget in zip(range(hbar.shape[0]), p_max, strict=True)]
     lam = [lam_b for lam_b, _ in duals]
     return _stationary(np.array(lam)[:, None], ctx), lam, [probes_b for _, probes_b in duals]
+
+
+# beamformer_args of _rmcg.c, packed with its native layout: four int64 and
+# four doubles, none padded
+_ARGS = struct.Struct("4q4d")
+# beamformer_run's failures, raised as the numpy reference raises them
+_FAILURES = {1: (ValueError, "surrogate weights must be positive"),
+             2: (NumericalError, "eigendecomposition of the Gram matrix failed"),
+             3: (NumericalError, "dual search bracket is invalid; upper bound violated"),
+             4: (ValueError, "p_max must be positive")}
+
+
+def solve_beamforming_compiled(hbar: np.ndarray, decoders: np.ndarray,
+                               mse_weights: np.ndarray, weights: np.ndarray,
+                               p_max) -> tuple[BeamformerSet, float | list, int | list]:
+    """``solve_beamforming_numpy``'s contract in one call to the compiled
+    step, ``beamformer_run`` of ``_rmcg.c``, for one draw or a whole stack.
+
+    One buffer carries the inputs in, the outputs out and the work space:
+    hbar (overwritten with w), the decoders, the MSE weights, the user
+    weights broadcast to one row per draw, the budgets (overwritten with
+    the dual values) and the probes; see ``beamformer_run``.
+    """
+    stacked = hbar.ndim == 3
+    n_users, n_tx = hbar.shape[-2:]
+    n_draws = hbar.shape[0] if stacked else 1
+    if stacked and len(p_max) != n_draws:
+        raise ValueError(f"a stack of {n_draws} draws takes {n_draws} budgets, "
+                         f"got {len(p_max)}")
+    size = n_draws * n_users
+    u_at = 2 * size * n_tx
+    lam_at = u_at + 4 * size
+    probes_at = lam_at + n_draws
+    padded = -(-n_tx // _kernels._LANES) * _kernels._LANES
+    raw = (ctypes.c_double * (probes_at + n_draws + 2 * (n_users + 2 * n_tx + 1) * padded
+                              + 2 * n_tx * n_users + 3 * n_tx + 2 * n_users
+                              + _kernels._LANES))()
+    buf = np.frombuffer(raw)
+    w = buf[:u_at].view(complex).reshape(hbar.shape)
+    w[...] = hbar
+    buf[u_at:u_at + 2 * size].view(complex).reshape(hbar.shape[:-1])[...] = decoders
+    buf[u_at + 2 * size:u_at + 3 * size].reshape(hbar.shape[:-1])[...] = mse_weights
+    buf[u_at + 3 * size:lam_at].reshape(hbar.shape[:-1])[...] = weights
+    buf[lam_at:probes_at] = p_max
+    status = _kernels._beamformer_run(
+        _ARGS.pack(n_draws, n_users, n_tx, len(raw), EIG_TRUNCATION_REL, POWER_TOL_REL,
+                   LAMBDA_TOL_REL, POWER_SLACK_REL), raw)
+    if status:
+        if status not in _FAILURES:
+            raise RuntimeError("beamformer step's buffer is too small")
+        error, message = _FAILURES[status]
+        raise error(message)
+    lam = buf[lam_at:probes_at].tolist()
+    probes = np.frombuffer(raw, np.int64, n_draws, 8 * probes_at).tolist()
+    if stacked:
+        return BeamformerSet(w), lam, probes
+    return BeamformerSet(w), lam[0], probes[0]
+
+
+solve_beamforming = (solve_beamforming_compiled if _kernels.JIT_ENABLED
+                     else solve_beamforming_numpy)

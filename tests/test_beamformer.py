@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from irsopt import (BeamformerSet, NumericalError, assemble_context,
                     beamformers_at, compute_mse, lambda_upper_bound,
                     optimal_state, power_g, solve_beamforming)
+from irsopt import _kernels
 from irsopt import beamformer as beamformer_mod
 from irsopt.beamformer import LAMBDA_TOL_REL, POWER_TOL_REL
 from tests.conftest import complex_normal, convex_oracle, random_wmmse_instance
@@ -266,11 +267,15 @@ class TestLambdaUpperBound:
 
 class TestSolveBeamforming:
     def test_slack_constraint_gives_zero_dual(self, rng):
+        # a cap of exactly g(0) is slack only where g(0) rounds as this
+        # context's does, so this pins the numpy reference; the compiled
+        # step's slack caps are checked in TestCompiledStep
         for _ in range(20):
             hbar, u, q, alpha, _ = random_subproblem(rng)
             g0 = power_g(0.0, assemble_context(hbar, u, q, alpha))
             for p_max in (1e12, g0, g0 * (1 + 1e-9)):  # far and barely slack
-                beams, lam, probes = solve_beamforming(hbar, u, q, alpha, p_max)
+                beams, lam, probes = beamformer_mod.solve_beamforming_numpy(
+                    hbar, u, q, alpha, p_max)
                 assert lam == 0.0
                 assert probes == 0
 
@@ -391,6 +396,17 @@ def reference_root(ctx, hbar, u, q, alpha, p_max):
             hi = mid
 
 
+def conditioned_channel(rng, n_users, n_tx, scale, spread):
+    """A random (n_users, n_tx) channel of the given scale whose Gram
+    eigenvalues (at equal user weights) span ``spread``, smallest over
+    largest."""
+    rank = min(n_users, n_tx)
+    left, _ = np.linalg.qr(complex_normal(rng, (n_users, rank)))
+    right, _ = np.linalg.qr(complex_normal(rng, (n_tx, rank)))
+    sigma = np.sqrt(spread) ** np.linspace(0.0, 1.0, rank)
+    return scale * (left * sigma) @ np.conj(right).T
+
+
 @st.composite
 def dual_problems(draw):
     """Beamformer subproblems over channel scale, power cap, user count,
@@ -400,11 +416,7 @@ def dual_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     scale = 10.0 ** draw(st.floats(-6.0, 2.0))
     spread = 10.0 ** draw(st.floats(-10.0, 0.0))  # smallest / largest Gram eigenvalue
-    rank = min(n_users, n_tx)
-    left, _ = np.linalg.qr(complex_normal(rng, (n_users, rank)))
-    right, _ = np.linalg.qr(complex_normal(rng, (n_tx, rank)))
-    sigma = np.sqrt(spread) ** np.linspace(0.0, 1.0, rank)
-    hbar = scale * (left * sigma) @ np.conj(right).T
+    hbar = conditioned_channel(rng, n_users, n_tx, scale, spread)
     u = complex_normal(rng, n_users)
     q = rng.uniform(0.5, 2.0, n_users)
     alpha = rng.uniform(0.2, 2.0, n_users)
@@ -421,8 +433,10 @@ class TestDualSearch:
     @settings(max_examples=300, deadline=None)
     @given(dual_problems())
     def test_matches_reference_bisection(self, problem):
+        # the search of the numpy reference, whose context the slack test
+        # and the bisection read: a cap at exactly its g(0) is slack there
         hbar, u, q, alpha, p_max = problem
-        beams, lam, probes = solve_beamforming(hbar, u, q, alpha, p_max)
+        beams, lam, probes = beamformer_mod.solve_beamforming_numpy(hbar, u, q, alpha, p_max)
         ctx = assemble_context(hbar, u, q, alpha)
         assert probes <= 40
         assert beams.total_power <= p_max * (1 + POWER_TOL_REL)
@@ -483,8 +497,163 @@ class TestDualSearch:
         true_bound = beamformer_mod.lambda_upper_bound
         monkeypatch.setattr(beamformer_mod, "lambda_upper_bound",
                             lambda ctx, p: 0.1 * true_bound(ctx, p))
+        # the numpy reference: the compiled step takes no Python bound
         with pytest.raises(NumericalError, match="bracket is invalid"):
-            solve_beamforming(hbar, u, q, alpha, p_max)
+            beamformer_mod.solve_beamforming_numpy(hbar, u, q, alpha, p_max)
+
+
+# (n_users, n_tx) of the stacks the compiled step is checked on: the
+# oracle tests' shapes, the full preset's, and one above the compiled
+# step's vector width of 8 antennas
+STACK_SHAPES = ((3, 4), (3, 5), (5, 3), (8, 8), (6, 11))
+
+
+@st.composite
+def beamformer_stacks(draw):
+    """(B, n_users, n_tx) stacks of beamformer subproblems with one budget
+    per draw and a noise power: per draw a channel scale and a spread of
+    the Gram eigenvalues as in ``dual_problems``, and a budget from 1e-4
+    to 1e3 times the draw's unconstrained power g(0), so binding and slack
+    budgets share stacks. Optionally a zero-weight user (in every draw), a
+    zero channel row in one draw and zero decoders in one draw, so that
+    the draws' ranks differ."""
+    n_users, n_tx = draw(st.sampled_from(STACK_SHAPES))
+    n_draws = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    hbar = np.stack([conditioned_channel(rng, n_users, n_tx,
+                                         10.0 ** draw(st.floats(-6.0, 2.0)),
+                                         10.0 ** draw(st.floats(-10.0, 0.0)))
+                     for _ in range(n_draws)])
+    u = complex_normal(rng, (n_draws, n_users))
+    q = rng.uniform(0.5, 2.0, (n_draws, n_users))
+    alpha = rng.uniform(0.2, 2.0, n_users)
+    if draw(st.booleans()):
+        alpha[draw(st.integers(0, n_users - 1))] = 0.0
+    if draw(st.booleans()):
+        hbar[draw(st.integers(0, n_draws - 1)), draw(st.integers(0, n_users - 1))] = 0.0
+    if draw(st.booleans()):
+        u[draw(st.integers(0, n_draws - 1))] = 0.0
+    p_max = []
+    for b in range(n_draws):
+        g0 = power_g(0.0, assemble_context(hbar[b], u[b], q[b], alpha))
+        ratio = 10.0 ** draw(st.floats(-4.0, 3.0))
+        p_max.append(ratio * g0 if g0 > 0 else ratio)
+    return hbar, u, q, alpha, p_max, 10.0 ** rng.uniform(-2, 0)
+
+
+def surrogate_and_size(hbar, w, u, q, alpha, noise):
+    """``surrogate_cost`` and the size of its terms before they cancel,
+    sum_k alpha_k q_k (|u_k|^2 t_k + 2 |u_k s_k| + 1), t_k the received
+    power and s_k the signal gain: n_tx eps times it bounds the rounding
+    of the surrogate's evaluation, which dominates where w is large."""
+    gains = np.conj(hbar) @ w.T            # gains[k, j] = hbar_k^H w_j
+    t = (np.abs(gains) ** 2).sum(axis=1) + noise
+    size = alpha @ (q * (np.abs(u) ** 2 * t + 2.0 * np.abs(u * np.diag(gains)) + 1.0))
+    return surrogate_cost(hbar, w, u, q, alpha, noise), float(size)
+
+
+def eigen_error_loss(ctx, lam):
+    """The surrogate loss at dual value lam that eigenvalue errors of
+    n^2 eps ||G||_F (n = n_tx), the order of the backward error of a dense
+    Hermitian eigensolver of the n x n Gram matrix G (Jacobi's or LAPACK's),
+    can cause in each of two solutions: 2 (n^2 eps ||G||_F)^2 sum_i c_i /
+    (d_i + lam)^3 over the positive modes, to first order. It is below
+    1e-10 of the surrogate except where G is ill-conditioned and the modes
+    near its null space carry the power; there the reference itself is off
+    the optimum by more than 1e-10."""
+    positive = np.isfinite(ctx.eigvals)
+    d, c = ctx.eigvals[positive], ctx.mode_coef[positive]
+    eps = ctx.eigvals.size ** 2 * np.finfo(float).eps * np.sqrt(np.sum(d ** 2))
+    return 2.0 * eps ** 2 * float(np.sum(c / (d + lam) ** 3))
+
+
+needs_step = pytest.mark.skipif(not _kernels.JIT_ENABLED,
+                                reason="compiled beamformer step not loaded")
+
+
+@needs_step
+class TestCompiledStep:
+    @settings(max_examples=200, deadline=None)
+    @given(beamformer_stacks())
+    def test_matches_the_reference(self, problem):
+        # the surrogate of the compiled step's w against the numpy
+        # reference's, the budget, slack caps, and each draw of the stack
+        # against its own call; w, lam and the probes are left free, since
+        # in ill-conditioned modes they move by more than rounding while
+        # the surrogate does not
+        hbar, u, q, alpha, p_max, noise = problem
+        n_tx = hbar.shape[-1]
+        beams, lam, probes = beamformer_mod.solve_beamforming_compiled(hbar, u, q, alpha, p_max)
+        ref, ref_lam, _ = beamformer_mod.solve_beamforming_numpy(hbar, u, q, alpha, p_max)
+        ctx = assemble_context(hbar, u, q, alpha)
+        assert isinstance(lam, list) and isinstance(probes, list)
+        for b, budget in enumerate(p_max):
+            args = (hbar[b], u[b], q[b], alpha)
+            ours, size = surrogate_and_size(hbar[b], beams.w[b], u[b], q[b], alpha, noise)
+            best, ref_size = surrogate_and_size(hbar[b], ref.w[b], u[b], q[b], alpha, noise)
+            rounding = n_tx * np.finfo(float).eps * (size + ref_size)
+            assert abs(ours - best) <= (1e-10 * abs(best) + rounding
+                                        + eigen_error_loss(ctx.draw(b), ref_lam[b])), b
+            power = float(np.sum(np.abs(beams.w[b]) ** 2))
+            assert power <= budget * (1 + POWER_TOL_REL), b
+            if lam[b] > 0.0:
+                assert abs(power - budget) <= POWER_TOL_REL * budget, b
+            one, lam_b, probes_b = beamformer_mod.solve_beamforming_compiled(*args, budget)
+            assert np.array_equal(one.w, beams.w[b]), b
+            assert (lam_b, probes_b) == (lam[b], probes[b]), b
+            g0 = power_g(0.0, assemble_context(*args))
+            for cap in {1.01 * g0, max(1e12, 1.01 * g0)}:
+                _, lam_b, probes_b = beamformer_mod.solve_beamforming_compiled(*args, cap)
+                assert (lam_b, probes_b) == (0.0, 0), (b, cap)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["draw", "stack"])
+    def test_checks_as_the_reference(self, rng, stacked):
+        # each check of the numpy reference, raised by the compiled step
+        # with the same exception and message
+        hbar, u, q, alpha, _ = random_subproblem(rng, 3, 4)
+        p_bind = 0.25 * power_g(0.0, assemble_context(hbar, u, q, alpha))
+        cases = [(NumericalError, "eigendecomposition of the Gram matrix failed",
+                  (np.where(np.arange(12).reshape(3, 4) == 5, np.nan, hbar), u, q, p_bind)),
+                 (NumericalError, "eigendecomposition of the Gram matrix failed",
+                  (hbar, np.where(np.arange(3) == 1, np.inf, u), q, p_bind)),
+                 (ValueError, "surrogate weights must be positive",
+                  (hbar, u, np.where(np.arange(3) == 2, 0.0, q), p_bind)),
+                 (ValueError, "surrogate weights must be positive",
+                  (hbar, u, np.where(np.arange(3) == 0, np.nan, q), p_bind)),
+                 (ValueError, "p_max must be positive", (hbar, u, q, -1.0)),
+                 (ValueError, "beamformers contain non-finite entries",
+                  (hbar, u, q, np.nan))]
+        for error, message, args in cases:
+            for impl in (beamformer_mod.solve_beamforming_numpy,
+                         beamformer_mod.solve_beamforming_compiled):
+                if stacked:
+                    hb, ub, qb, budget = args
+                    args_b = (hb[None], ub[None], qb[None], alpha, [budget])
+                else:
+                    args_b = (*args[:3], alpha, args[3])
+                with pytest.raises(error, match=message), np.errstate(invalid="ignore"):
+                    impl(*args_b)
+        if stacked:
+            for budgets in ([], [p_bind, p_bind]):
+                with pytest.raises(ValueError):
+                    beamformer_mod.solve_beamforming_compiled(hbar[None], u[None], q[None],
+                                                              alpha, budgets)
+
+    def test_a_failing_draw_fails_the_stack_as_the_reference(self, rng):
+        # a NaN channel in draw 1 and a negative binding budget in draw 0:
+        # the reference factorizes the whole stack before its first dual
+        # search, so the eigendecomposition's failure is the one raised
+        subproblems = [random_subproblem(rng, 3, 4) for _ in range(2)]
+        hbar = np.stack([p[0] for p in subproblems])
+        u = np.stack([p[1] for p in subproblems])
+        q = np.stack([p[2] for p in subproblems])
+        alpha = subproblems[0][3]
+        hbar[1, 0, 0] = np.nan
+        for impl in (beamformer_mod.solve_beamforming_numpy,
+                     beamformer_mod.solve_beamforming_compiled):
+            with pytest.raises(NumericalError, match="eigendecomposition"), \
+                    np.errstate(invalid="ignore"):
+                impl(hbar, u, q, alpha, [-1.0, 1.0])
 
 
 class TestBeamformerSet:

@@ -112,9 +112,17 @@ class TestValidateCommand:
     def test_passes_on_healthy_build(self, capsys):
         assert main(["validate", "--seed", "0"]) == 0
         out = capsys.readouterr().out
-        assert out.count("ok:") == 7
+        assert out.count("ok:") == 8
         assert "at a binding cap" in out and "probes mean" in out
         assert "energy start's minorize-maximize steps never lower the energy" in out
         kernel = "compiled" if _kernels.JIT_ENABLED else "numpy reference"
         assert f"kernel {kernel}, worst rel objective gap" in out
+        # the beamformer step solves use, against its numpy reference
+        line, = [line for line in out.splitlines()
+                 if "beamformer step matches the numpy reference" in line]
+        if _kernels.JIT_ENABLED:
+            assert "(beamformer compiled, worst rel surrogate gap " in line
+            assert "worst rel dual gap " in line and "(not gated) over 20 stacks" in line
+        else:
+            assert "(beamformer numpy reference, the reference itself)" in line
         assert "FAIL" not in out

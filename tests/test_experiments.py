@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -521,6 +522,37 @@ def test_bench_sweep_compares_a_tree_with_itself(tmp_path):
     assert float(ratio[6].rstrip(",")) > 0.0 and float(ratio[8].rstrip(";")) > 0.0
     # each operation counts for the side that was faster on it, or for neither on a tie
     assert int(ratio[12]) + int(ratio[16]) <= 2
+
+
+def test_bench_sweep_quantifies_a_different_tree(tmp_path):
+    # a copy of this tree whose dual search stops at a power 1e-6 off the
+    # cap: the rows differ, and each scheme's line says by how much
+    other = tmp_path / "src"
+    shutil.copytree(SRC / "irsopt", other / "irsopt",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    beamformer = other / "irsopt" / "beamformer.py"
+    text = beamformer.read_text()
+    assert text.count("POWER_TOL_REL = 1e-12") == 1
+    beamformer.write_text(text.replace("POWER_TOL_REL = 1e-12", "POWER_TOL_REL = 1e-6"))
+    script = SRC.parent / "benchmarks" / "bench_sweep.py"
+    out = subprocess.run([sys.executable, str(script), "--against", str(other),
+                          "--ops", "1", "--seed", "5", "--workers", "1"],
+                         capture_output=True, text=True, timeout=300,
+                         cwd=tmp_path, env=subprocess_env())
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 10
+    assert lines[5].startswith("sha256 of the rows without time_ms: differ ")
+    moves = []
+    for line, scheme in zip(lines[6:9], SCHEMES):
+        words = line.split()
+        # 3 element counts x 2 trials of the one operation
+        assert words[:6] == [f"{scheme}:", "outer_iters", "changed", "on"] + words[4:5] + ["of"]
+        assert 0 <= int(words[4]) <= 6 and words[6:8] == ["6", "rows;"]
+        assert line.endswith(" largest relative wsr move " + words[-1])
+        moves.append(float(words[-1]))
+    assert max(moves) > 0.0
+    assert lines[9].startswith("time ratio (loaded over against): median ")
 
 
 class TestSummarize:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irsopt import _kernels, desk_scenario
+from irsopt import _kernels, beamformer, desk_scenario, solver
 from irsopt.phaseopt import QuadraticForm
 from irsopt.selfcheck import (block_scaled_form, check_kernel_parity, khatri_rao_cases,
                               khatri_rao_form, rounding_spread, run_all)
@@ -509,14 +509,16 @@ class TestEnvFlag:
         code = ("import logging; logging.basicConfig(format='%(levelname)s %(message)s'); "
                 "import numpy as np, irsopt; from irsopt import _kernels; "
                 "print(_kernels.JIT_ENABLED, "
-                "_kernels.rmcg_core is _kernels.rmcg_core_numpy); "
+                "_kernels.rmcg_core is _kernels.rmcg_core_numpy, "
+                "irsopt.solver.solve_beamforming is "
+                "irsopt.beamformer.solve_beamforming_numpy); "
                 "s = irsopt.desk_scenario(); "
                 "_, _, trace = irsopt.solve(s, irsopt.draw_channels(s, np.random.default_rng(0))); "
                 "print(np.isfinite(trace.wsr[-1]))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True, cwd=tmp_path,
                              env=_subprocess_env(PATH="", XDG_CACHE_HOME=str(tmp_path)))
-        assert out.stdout.split() == ["False", "True", "True"]
+        assert out.stdout.split() == ["False", "True", "True", "True"]
         assert "WARNING compiled descent kernel unavailable" in out.stderr
         assert not list(tmp_path.iterdir())
 
@@ -576,10 +578,16 @@ class TestEnvFlag:
         assert _kernels.KERNEL_PATH.is_file()
 
     def test_default_state_is_consistent(self):
+        # the descent kernel and the beamformer step solves use, from one
+        # library or from none
+        step = beamformer.solve_beamforming
         if _kernels.JIT_ENABLED:
             assert _kernels.rmcg_core is not _kernels.rmcg_core_numpy
+            assert step is beamformer.solve_beamforming_compiled
         else:
             assert _kernels.rmcg_core is _kernels.rmcg_core_numpy
+            assert step is beamformer.solve_beamforming_numpy
+        assert solver.solve_beamforming is step
 
 
 def test_bench_kernels_script_runs(tmp_path):
@@ -606,9 +614,17 @@ def test_bench_kernels_script_runs(tmp_path):
     # assembly at the full preset's two element counts
     assert lines[4].startswith("assemble_quadratic, one full draw")
     assert lines[5].split() == ["size", "us", "faults"]
-    rows = [line.split() for line in lines[6:]]
+    rows = [line.split() for line in lines[6:8]]
     assert [row[0] for row in rows] == ["240", "480"]
     assert all(float(row[1]) > 0.0 and float(row[2]) >= 0.0 for row in rows)
+    # the beamformer step per call, each implementation, at binding budgets
+    assert lines[8] == "solve_beamforming at binding budgets: us per call"
+    assert lines[9].split() == ["shape"] + [word for name in kernels
+                                            for word in ("us", name)]
+    rows = [line.split() for line in lines[10:]]
+    assert [row[0] for row in rows] == ["4x4", "8x8", "6x8x8"]
+    assert all(len(row) == 1 + len(kernels) and all(float(us) > 0.0 for us in row[1:])
+               for row in rows)
 
 
 def run_bench_outer(tmp_path, compare, variants, *extra):
